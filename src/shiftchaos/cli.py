@@ -3,7 +3,10 @@
 Exit codes: 0 when every check lands in the positive verdict class (or, for
 a bare --example run, when every check matches its expected verdict), 1 when
 any check is refuted/failed, 2 when none failed but some are inconclusive,
-3 and up for errors (malformed config, unknown names, I/O).
+3 for errors (malformed config, unknown names, I/O).  Any exception raised
+while parsing or running a config also exits 3, with one line
+`error: <Type>: <message>` on stderr and nothing on stdout, so a crash can
+never read as a verdict.
 
 Identical inputs produce byte-identical output in every format; reports
 carry no timestamps and all floats are serialized at fixed precision.
@@ -253,6 +256,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
 
 

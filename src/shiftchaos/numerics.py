@@ -231,11 +231,6 @@ def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def logmax_rows(rows: np.ndarray) -> np.ndarray:
-    """Column-wise max (the p = 0 aggregation) for a (r, N) array."""
-    return rows.max(axis=0)
-
-
 def logaddexp_accumulate(logmags: np.ndarray) -> np.ndarray:
     """Running log of prefix sums of exp(x); entries may be -inf."""
     return np.logaddexp.accumulate(logmags)

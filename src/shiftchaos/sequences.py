@@ -6,12 +6,16 @@ short list of (value, count) runs, laid rightward from a start index or
 leftward from an end index.  Counts are Python ints, so blocks of size 10**200
 stay exact; block boundaries come from cached prefix sums extended lazily.
 
-A sequence exposes three access paths and every consumer picks the cheapest
+A sequence exposes four access paths and every consumer picks the cheapest
 one available:
-  value_at(j)        single probe
-  runs_over(lo, hi)  maximal constant runs covering [lo, hi] (None when the
-                     sequence has no run structure)
-  values_array(js)   vectorized probe for dense numpy sweeps
+  value_at(j)           single probe
+  runs_over(lo, hi)     maximal constant runs covering [lo, hi] (None when the
+                        sequence has no run structure)
+  value_counts(lo, hi)  exact count of each distinct value on [lo, hi] (None
+                        without run structure); block layouts serve it from
+                        per-block prefix counts in O(log blocks) plus the runs
+                        of the two end blocks
+  values_array(js)      vectorized probe for dense numpy sweeps
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ class SequenceBase:
     def runs_over(self, lo: int, hi: int) -> list[Run] | None:
         return None
 
+    def value_counts(self, lo: int, hi: int) -> dict[float, int] | None:
+        return None
+
     def values_array(self, js: np.ndarray) -> np.ndarray:
         return np.array([self.value_at(int(j)) for j in js], dtype=float)
 
@@ -67,6 +74,9 @@ class ConstantSequence(SequenceBase):
         if hi < lo:
             return []
         return [Run(lo, hi, self.value)]
+
+    def value_counts(self, lo: int, hi: int) -> dict[float, int]:
+        return {self.value: hi - lo + 1} if hi >= lo else {}
 
     def values_array(self, js: np.ndarray) -> np.ndarray:
         return np.full(len(js), self.value)
@@ -114,6 +124,8 @@ class BlockSideSequence(SequenceBase):
         # _bounds[n] = total count of blocks 1..n (Python ints)
         self._bounds: list[int] = [0]
         self._block_runs: list[list[tuple[float, int]]] = []
+        # _counts[n] = {value: count} over blocks 1..n, built only on demand
+        self._counts: list[dict[float, int]] = [{}]
 
     def _block_size(self, runs: list[tuple[float, int]]) -> int:
         total = 0
@@ -165,15 +177,58 @@ class BlockSideSequence(SequenceBase):
     def value_at(self, j: int) -> float:
         return self._value_at_offset(self._offset_of(j))
 
-    def runs_over(self, lo: int, hi: int) -> list[Run]:
-        if hi < lo:
-            return []
-        # translate to offsets; for leftward sides the offset order reverses
+    def _offset_span(self, lo: int, hi: int) -> tuple[int, int]:
+        """Offsets of [lo, hi] in increasing order, with blocks cached to cover them."""
+        # for leftward sides the offset order reverses
         if self.direction == 1:
             off_lo, off_hi = self._offset_of(lo), self._offset_of(hi)
         else:
             off_lo, off_hi = self._offset_of(hi), self._offset_of(lo)
         self._extend_to_offset(off_hi)
+        return off_lo, off_hi
+
+    def _prefix_counts(self, n: int) -> dict[float, int]:
+        """{value: count} over blocks 1..n (blocks must already be cached)."""
+        while len(self._counts) <= n:
+            acc = dict(self._counts[-1])
+            for value, count in self._block_runs[len(self._counts) - 1]:
+                acc[value] = acc.get(value, 0) + count
+            self._counts.append(acc)
+        return self._counts[n]
+
+    def _add_block_counts(self, acc: dict[float, int], b: int,
+                          off_lo: int, off_hi: int) -> None:
+        """Add the counts of 0-based block b clipped to offsets [off_lo, off_hi]."""
+        cursor = self._bounds[b]
+        for value, count in self._block_runs[b]:
+            a, z = max(cursor, off_lo), min(cursor + count - 1, off_hi)
+            cursor += count
+            if a <= z:
+                acc[value] = acc.get(value, 0) + (z - a + 1)
+
+    def value_counts(self, lo: int, hi: int) -> dict[float, int]:
+        if hi < lo:
+            return {}
+        off_lo, off_hi = self._offset_span(lo, hi)
+        b_lo = bisect.bisect_right(self._bounds, off_lo) - 1
+        b_hi = bisect.bisect_right(self._bounds, off_hi) - 1
+        out: dict[float, int] = {}
+        self._add_block_counts(out, b_lo, off_lo, off_hi)
+        if b_hi == b_lo:
+            return out
+        # whole blocks b_lo+1 .. b_hi-1 (0-based) from a prefix difference
+        before, through = self._prefix_counts(b_lo + 1), self._prefix_counts(b_hi)
+        for value, count in through.items():
+            count -= before.get(value, 0)
+            if count:
+                out[value] = out.get(value, 0) + count
+        self._add_block_counts(out, b_hi, off_lo, off_hi)
+        return out
+
+    def runs_over(self, lo: int, hi: int) -> list[Run]:
+        if hi < lo:
+            return []
+        off_lo, off_hi = self._offset_span(lo, hi)
         out: list[Run] = []
         b = bisect.bisect_right(self._bounds, off_lo) - 1
         cursor = self._bounds[b]
@@ -250,6 +305,23 @@ class SplitSequence(SequenceBase):
                 return None
             parts.extend(right)
         return _merge_adjacent(parts)
+
+    def value_counts(self, lo: int, hi: int) -> dict[float, int] | None:
+        if hi < lo:
+            return {}
+        out: dict[float, int] = {}
+        if lo < self.split:
+            left = self.negative.value_counts(lo, min(hi, self.split - 1))
+            if left is None:
+                return None
+            out.update(left)
+        if hi >= self.split:
+            right = self.nonnegative.value_counts(max(lo, self.split), hi)
+            if right is None:
+                return None
+            for value, count in right.items():
+                out[value] = out.get(value, 0) + count
+        return out
 
     def values_array(self, js: np.ndarray) -> np.ndarray:
         js = np.asarray(js)

@@ -9,7 +9,11 @@ vector e_i.  On the natural numbers the convention w_j = 0 for j < 1 makes
 P(i, n) vanish as soon as the orbit falls off the left edge.
 
 Products are served three ways, mirroring the sequence layer:
-  product(w, i, n)            one-off, run-based, fine for n ~ 10**200
+  product(w, i, n)            one-off: fsum of count * ln|v| over the exact
+                              per-value counts of the weights on [i-n, i-1],
+                              read from cached per-block prefix counts in
+                              O(log blocks) plus the runs of two end blocks;
+                              fine for n ~ 10**200
   product_log_table(w, i, N)  dense log table for numpy sweeps, N <= ~2e7
   product_pieces(w, i, ...)   piecewise log-linear form for closed-form
                               counting and summing at astronomical horizons
@@ -29,6 +33,10 @@ from .spaces import IndexSet
 MAX_DENSE = 20_000_000
 
 
+def _zero_weight(j: int) -> ValueError:
+    return ValueError(f"weight at {j} is zero; weights must be nonzero on-domain")
+
+
 class WeightSpec:
     """Weight sequence over an index set; values must be nonzero on-domain.
 
@@ -41,7 +49,7 @@ class WeightSpec:
         self.seq = seq
         for j in ([1, 2, 3, 17] if index_set is IndexSet.N else [-17, -2, -1, 0, 1, 17]):
             if seq.value_at(j) == 0.0:
-                raise ValueError(f"weight at {j} is zero; weights must be nonzero on-domain")
+                raise _zero_weight(j)
 
     def weight_at(self, j: int) -> LogScalar:
         if not self.index_set.contains(j):
@@ -84,9 +92,12 @@ class WeightSpec:
             return []
         return self.seq.runs_over(lo, hi)
 
-    def has_runs(self) -> bool:
-        probe = 1 if self.index_set is IndexSet.N else 0
-        return self.seq.runs_over(probe, probe) is not None
+    def value_counts(self, lo: int, hi: int) -> dict[float, int] | None:
+        """Exact {value: count} over [lo, hi] clipped to the domain."""
+        lo, hi = self.index_set.clip(lo, hi)
+        if hi < lo:
+            return {}
+        return self.seq.value_counts(lo, hi)
 
 
 def bilateral_weights(negative: SequenceBase, nonnegative: SequenceBase) -> WeightSpec:
@@ -106,7 +117,10 @@ def block_index_range(side: BlockSideSequence, n: int, negated: bool = False) ->
 
 
 def product(w: WeightSpec, i: int, n: int) -> LogScalar:
-    """P(i, n) = w_{i-n} ... w_{i-1}; exact zero if the range leaves the domain."""
+    """P(i, n) = w_{i-n} ... w_{i-1}; exact zero if the range leaves the domain.
+
+    An on-domain zero weight in the range raises ValueError naming its index.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
@@ -114,23 +128,22 @@ def product(w: WeightSpec, i: int, n: int) -> LogScalar:
     lo, hi = i - n, i - 1
     if w.index_set is IndexSet.N and lo < 1:
         return ZERO
-    runs = w.runs_over(lo, hi)
-    if runs is None:
+    counts = w.value_counts(lo, hi)
+    if counts is None:
         if n > MAX_DENSE:
             raise ValueError(f"closed-form weights cannot take products of length {n}")
         out = ONE
         for j in range(lo, hi + 1):
             out = out * w.weight_at(j)
+        if out.sign == 0:
+            raise _zero_weight(next(j for j in range(hi, lo - 1, -1)
+                                    if w.seq.value_at(j) == 0.0))
         return out
-    total = 0.0
-    sign = 1
-    for r in runs:
-        if r.value == 0.0:
-            return ZERO
-        total += r.count * math.log(abs(r.value))
-        if r.value < 0 and r.count % 2 == 1:
-            sign = -sign
-    return LogScalar(sign, total)
+    if counts.get(0.0):
+        raise _zero_weight(max(r.stop for r in w.runs_over(lo, hi) if r.value == 0.0))
+    negatives = sum(c for v, c in counts.items() if v < 0)
+    return LogScalar(-1 if negatives % 2 else 1,
+                     math.fsum(c * math.log(abs(v)) for v, c in counts.items()))
 
 
 def forward_product(w: WeightSpec, i: int, n: int) -> LogScalar:
@@ -162,6 +175,11 @@ def product_log_table(w: WeightSpec, i: int, n_max: int) -> WeightProductTable:
                          "use the piecewise path")
     la = w.log_abs_array(i - n_max, i - 1)[::-1]  # entry t-1 is ln|w_{i-t}|
     sg = w.signs_array(i - n_max, i - 1)[::-1].astype(np.int64)
+    # entries past `live` are off-domain (j < 1 on N): annihilation, not an error
+    live = n_max if w.index_set is IndexSet.Z else max(0, min(n_max, i - 1))
+    zeros = np.flatnonzero(sg[:live] == 0)
+    if zeros.size:
+        raise _zero_weight(i - 1 - int(zeros[0]))
     logs = np.concatenate(([0.0], np.cumsum(la)))
     neg = np.concatenate(([0], np.cumsum(sg < 0)))
     dead = np.concatenate(([0], np.cumsum(sg == 0)))
@@ -231,6 +249,8 @@ def product_pieces(w: WeightSpec, i: int, n_lo: int, n_hi: int) -> list[Piece]:
         if runs is None:
             raise ValueError("piecewise products need run-structured weights")
         for r in reversed(runs):  # descending index order = ascending n
+            if r.value == 0.0:
+                raise _zero_weight(r.stop)
             a, b = i - r.stop, i - r.start  # piece over n in [a, b]
             slope = math.log(abs(r.value))
             start_log = cur_log + slope

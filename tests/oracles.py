@@ -29,6 +29,26 @@ def naive_weight_product(w: WeightSpec, i: int, n: int) -> float:
     return out
 
 
+def exact_count_product_log(w: WeightSpec, i: int, n: int) -> tuple[int, float]:
+    """(sign, ln|w_{i-n} * ... * w_{i-1}|) from per-value counts.
+
+    Walks ``value_at`` index by index, counts each distinct value exactly,
+    takes the sign from the parity of the negative values' counts and the
+    log magnitude as fsum(c * ln|v|).  Off-domain ranges give (0, -inf).
+    """
+    if n == 0:
+        return 1, 0.0
+    if w.index_set is IndexSet.N and i - n < 1:
+        return 0, -math.inf
+    counts: dict[float, int] = {}
+    for j in range(i - n, i):
+        v = w.seq.value_at(j)
+        counts[v] = counts.get(v, 0) + 1
+    negatives = sum(c for v, c in counts.items() if v < 0)
+    return (-1 if negatives % 2 else 1,
+            math.fsum(c * math.log(abs(v)) for v, c in counts.items()))
+
+
 def naive_forward_product(w: WeightSpec, i: int, n: int) -> float:
     """|w_i * ... * w_{i+n-1}| by direct multiplication."""
     out = 1.0

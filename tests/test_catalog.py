@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,3 +154,18 @@ class TestRunCheck:
                    ["checks"] if c["kind"] == "density")
         rep = catalog.run_check(ex1_op, cfg)
         assert rep.verdict == cfg["expect"]
+
+
+# SHA-256 of the scripts/run_catalog.py document; it holds only verdicts and
+# fixed-precision numbers, so it is the same on every platform
+CATALOG_SHA256 = "9b06c0d03be4fa4de31f1a463dd791295da0fb6099bc1a219c74b5ed63fa9035"
+
+
+def test_run_catalog_document_is_pinned(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_catalog.py"
+    spec = importlib.util.spec_from_file_location("run_catalog", script)
+    run_catalog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_catalog)
+    out = tmp_path / "catalog.json"
+    assert run_catalog.main(["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CATALOG_SHA256

@@ -127,6 +127,43 @@ class TestErrors:
             validate_config(catalog.export_config(name))
 
 
+_LP2_DOUBLING = ('"index_set": "N", "space": {"kind": "lp", "p": 2}, '
+                 '"weights": {"entries": {"kind": "constant", "value": 2.0}}')
+
+# schema-valid configs that fail inside the checks; written as text because
+# json.dumps cannot produce the 1e400 literal
+MALFORMED_CONFIGS = {
+    "probes-not-a-list": (
+        '{"schema_version": 1, ' + _LP2_DOUBLING +
+        ', "checks": [{"kind": "acb", "probes": 5}]}', "TypeError"),
+    "infinite-horizon": (
+        '{"schema_version": 1, ' + _LP2_DOUBLING +
+        ', "checks": [{"kind": "hypercyclicity", "refute": {"horizon": 1e400}}]}',
+        "OverflowError"),
+    "string-template-param": (
+        '{"schema_version": 1, "index_set": "Z", "space": {"kind": "s", "p": 1}, '
+        '"weights": {"negative": {"kind": "blocks", "template": '
+        '"alternating_powers", "params": {"base": "3"}, "origin": -1, '
+        '"direction": -1}, "nonnegative": {"kind": "constant", "value": 2.0}}, '
+        '"checks": [{"kind": "hypercyclicity", "refute": {"horizon": 100}}]}',
+        "TypeError"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("label", sorted(MALFORMED_CONFIGS))
+    def test_exits_three_with_one_line(self, capsys, tmp_path, label):
+        text, exc_type = MALFORMED_CONFIGS[label]
+        path = tmp_path / f"{label}.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {exc_type}: ")
+        assert err.count("\n") == 1
+
+
 class TestFormats:
     def test_json_shape(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--example", "rolewicz_lp_N",

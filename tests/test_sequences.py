@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -55,12 +57,15 @@ class TestConstantAndClosedForm:
         c = ConstantSequence(2.5)
         assert c.value_at(-7) == 2.5
         assert c.runs_over(-3, 4) == [Run(-3, 4, 2.5)]
+        assert c.value_counts(-3, 4) == {2.5: 8}
+        assert c.value_counts(4, -3) == {}
         assert list(c.values_array(np.array([1, 9]))) == [2.5, 2.5]
 
     def test_closed_form(self):
         s = ClosedFormSequence(lambda j: float(abs(j) + 1))
         assert s.value_at(-3) == 4.0
         assert s.runs_over(0, 5) is None
+        assert s.value_counts(0, 5) is None
         assert list(s.values_array(np.array([0, 2]))) == [1.0, 3.0]
 
 
@@ -160,6 +165,13 @@ class TestRunsAgainstScalar:
         js = np.arange(lo, hi + 1)
         assert list(side.values_array(js)) == eval_naive(side, lo, hi)
 
+    @given(side_cases(), st.tuples(st.integers(0, 3000), st.integers(1, 3000)))
+    def test_value_counts_match_value_at(self, case, off_span):
+        # spans cross many blocks, so the prefix-count difference is exercised
+        _, side = case
+        lo, hi = side_window(side, *off_span)
+        assert side.value_counts(lo, hi) == Counter(eval_naive(side, lo, hi))
+
     @given(side_cases(), offsets)
     def test_runs_are_sorted_and_cover(self, case, off_span):
         _, side = case
@@ -190,6 +202,12 @@ class TestSplitSequence:
         assert list(fill_from_runs(runs, lo, hi)) == eval_naive(s, lo, hi)
         js = np.arange(lo, hi + 1)
         assert list(s.values_array(js)) == eval_naive(s, lo, hi)
+        assert s.value_counts(lo, hi) == Counter(eval_naive(s, lo, hi))
+
+    def test_value_counts_need_runs_on_both_sides(self):
+        s = SplitSequence(ClosedFormSequence(lambda j: 2.0), constant(0.5), split=0)
+        assert s.value_counts(1, 5) == {0.5: 5}
+        assert s.value_counts(-1, 5) is None
 
 
 class TestTemplateFactory:

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shiftchaos.numerics import ONE, LogScalar
 from shiftchaos.piecewise import total_length
 from shiftchaos.sequences import (
     BlockSideSequence,
+    ClosedFormSequence,
     ConstantSequence,
     SplitSequence,
     alternating_powers,
@@ -61,6 +63,18 @@ WEIGHT_CASES = [
 
 weight_cases = st.sampled_from(WEIGHT_CASES)
 
+NEGATIVE_CASE = ("alternating-negative", bilateral_weights(
+    BlockSideSequence(alternating_powers(-2.0), -1, -1),
+    BlockSideSequence(alternating_powers(-2.0), 0, 1)))
+
+
+def zero_tail_weights() -> WeightSpec:
+    """Bilateral weights with w_j = 0 for j <= -101, which the constructor's
+    spot checks do not reach."""
+    return bilateral_weights(
+        SplitSequence(ConstantSequence(0.0), ConstantSequence(2.0), split=-100),
+        ConstantSequence(2.0))
+
 
 def anchor_for(w: WeightSpec, raw: int) -> int:
     return abs(raw) + 1 if w.index_set is IndexSet.N else raw
@@ -91,6 +105,47 @@ class TestProduct:
             assert got.sign == 0
         else:
             assert math.isclose(abs(got.to_real()), want, rel_tol=1e-10)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(WEIGHT_CASES + [NEGATIVE_CASE]),
+           st.integers(-300, 300), st.integers(0, 2000))
+    def test_matches_exact_count_oracle_bitwise(self, case, raw_i, n):
+        _, w = case
+        i = anchor_for(w, raw_i)
+        got = product(w, i, n)
+        sign, logmag = oracles.exact_count_product_log(w, i, n)
+        assert got.sign == sign
+        assert got.logmag == logmag
+
+    def test_negative_weights_carry_sign(self):
+        _, w = NEGATIVE_CASE
+        assert product(w, 0, 1) == LogScalar(-1, math.log(2.0))
+        assert product(w, 0, 2) == LogScalar(1, 0.0)
+        assert product(w, 0, 3).sign == -1
+
+    def test_deep_product_skips_the_run_walk(self, monkeypatch):
+        # n ~ 10**6 spans ~1000 blocks; the count cache must answer without
+        # walking them run by run
+        def no_walk(self, lo, hi):
+            raise AssertionError("product walked the runs")
+
+        monkeypatch.setattr(BlockSideSequence, "runs_over", no_walk)
+        w = ex1_weights()
+        # blocks 1..999 of the negative side fill [-999000, -1] with 499500
+        # twos and 499500 halves; block 1000 opens with 1000 more halves
+        assert product(w, 0, 999_000) == ONE
+        assert product(w, 0, 10**6) == LogScalar(1, math.fsum(
+            [499_500 * math.log(2.0), 500_500 * math.log(0.5)]))
+
+    def test_zero_weight_raises(self):
+        with pytest.raises(ValueError, match="weight at -101 is zero"):
+            product(zero_tail_weights(), 0, 150)
+        assert product(zero_tail_weights(), 0, 100) == LogScalar(1, 100 * math.log(2.0))
+        closed = bilateral_weights(
+            ClosedFormSequence(lambda j: 0.0 if j <= -101 else 2.0),
+            ConstantSequence(2.0))
+        with pytest.raises(ValueError, match="weight at -101 is zero"):
+            product(closed, 0, 150)
 
     @settings(max_examples=200)
     @given(weight_cases, st.integers(-30, 30), st.integers(0, 40))
@@ -131,6 +186,16 @@ class TestProductTable:
             if want.sign != 0:
                 assert abs(got.logmag - want.logmag) < 1e-9
 
+    def test_zero_weight_raises(self):
+        with pytest.raises(ValueError, match="weight at -101 is zero"):
+            product_log_table(zero_tail_weights(), 0, 150)
+        table = product_log_table(zero_tail_weights(), 0, 100)
+        assert table.value(100).logmag == pytest.approx(100 * math.log(2.0))
+
+    def test_off_domain_is_annihilation(self):
+        table = product_log_table(unilateral_weights(ConstantSequence(2.0)), 5, 8)
+        assert list(table.signs) == [1, 1, 1, 1, 1, 0, 0, 0, 0]
+
 
 class TestProductPieces:
     @given(weight_cases, st.integers(-20, 20), st.integers(1, 60),
@@ -151,6 +216,17 @@ class TestProductPieces:
                 else:
                     assert abs(got - want.logmag) < 1e-9
                 n += 1
+
+    def test_zero_weight_raises(self):
+        with pytest.raises(ValueError, match="weight at -101 is zero"):
+            product_pieces(zero_tail_weights(), 0, 1, 150)
+        with pytest.raises(ValueError, match="weight at -101 is zero"):
+            product_pieces(zero_tail_weights(), 0, 120, 150)
+
+    def test_off_domain_is_zero_piece(self):
+        pieces = product_pieces(unilateral_weights(ConstantSequence(2.0)), 5, 1, 8)
+        assert pieces[-1].n0 == 5 and pieces[-1].n1 == 8
+        assert pieces[-1].log0 == -math.inf
 
     def test_coalesce_preserves_length(self):
         w = ex1_weights()
