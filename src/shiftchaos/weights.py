@@ -14,7 +14,8 @@ Products are served three ways, mirroring the sequence layer:
                               read from cached per-block prefix counts in
                               O(log blocks) plus the runs of two end blocks;
                               fine for n ~ 10**200
-  product_log_table(w, i, N)  dense log table for numpy sweeps, N <= ~2e7
+  product_log_table(w, i, N)  dense log table for numpy sweeps, N <= ~2e7,
+                              from one runs pass; one float64 + one int8 [N+1]
   product_pieces(w, i, ...)   piecewise log-linear form for closed-form
                               counting and summing at astronomical horizons
 """
@@ -56,34 +57,33 @@ class WeightSpec:
             return ZERO
         return LogScalar.from_real(self.seq.value_at(j))
 
-    def _domain_mask(self, js: np.ndarray) -> np.ndarray:
-        if self.index_set is IndexSet.N:
-            return js >= 1
-        return np.ones(len(js), dtype=bool)
-
     def log_abs_array(self, lo: int, hi: int) -> np.ndarray:
         """ln |w_j| for j in [lo, hi]; -inf on off-domain indices."""
-        if hi < lo:
-            return np.zeros(0)
-        js = np.arange(lo, hi + 1)
-        ok = self._domain_mask(js)
-        out = np.full(len(js), NEG_INF)
-        if np.any(ok):
-            vals = self.seq.values_array(js[ok])
-            with np.errstate(divide="ignore"):
-                out[ok] = np.log(np.abs(vals))
-        return out
+        a = min(self.index_set.clip(lo, hi)[0], hi + 1)  # first on-domain j
+        logs = self.dense_logs(a, hi)[0]
+        return np.concatenate((np.full(a - lo, NEG_INF), logs)) if a > lo else logs
 
-    def signs_array(self, lo: int, hi: int) -> np.ndarray:
-        if hi < lo:
-            return np.zeros(0, dtype=np.int8)
-        js = np.arange(lo, hi + 1)
-        ok = self._domain_mask(js)
-        out = np.zeros(len(js), dtype=np.int8)
-        if np.any(ok):
-            vals = self.seq.values_array(js[ok])
-            out[ok] = np.sign(vals).astype(np.int8)
-        return out
+    def dense_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(ln |w_j|, w_j < 0) for on-domain j in [lo, hi] from one runs pass:
+        ln |v| once per run, repeated over its count (once per index without
+        runs).  The flags are None when no weight is negative; a zero raises,
+        naming the zero nearest hi."""
+        runs = self.seq.runs_over(lo, hi) if hi >= lo else []
+        if runs is None:
+            vals, counts = self.seq.values_array(np.arange(lo, hi + 1)), None
+        else:
+            vals = np.array([r.value for r in runs], dtype=float)
+            counts = np.array([r.count for r in runs], dtype=np.int64)
+        zeros = np.flatnonzero(vals == 0.0)
+        if zeros.size:
+            z = int(zeros[-1])
+            raise _zero_weight(lo + z if runs is None else runs[z].stop)
+        logs, neg = np.log(np.abs(vals)), vals < 0
+        neg = neg if neg.any() else None
+        if counts is not None:
+            logs = np.repeat(logs, counts)
+            neg = None if neg is None else np.repeat(neg, counts)
+        return logs, neg
 
     def runs_over(self, lo: int, hi: int) -> list[Run] | None:
         """Signed-value runs clipped to the domain (off-domain part dropped)."""
@@ -169,21 +169,20 @@ class WeightProductTable:
 
 
 def product_log_table(w: WeightSpec, i: int, n_max: int) -> WeightProductTable:
-    """Cumulative table P(i, 0..n_max); costs O(n_max) time and memory."""
-    if n_max > MAX_DENSE:
-        raise ValueError(f"dense product table of length {n_max} exceeds the cap; "
-                         "use the piecewise path")
-    la = w.log_abs_array(i - n_max, i - 1)[::-1]  # entry t-1 is ln|w_{i-t}|
-    sg = w.signs_array(i - n_max, i - 1)[::-1].astype(np.int64)
+    """Cumulative table P(i, 0..n_max) from one pass over the weight runs;
+    costs O(n_max) time, one float64 and one int8 array of n_max + 1."""
+    if not 0 <= n_max <= MAX_DENSE:
+        raise ValueError(f"dense product table of length {n_max} is outside "
+                         f"[0, {MAX_DENSE}]; long tables take the piecewise path")
     # entries past `live` are off-domain (j < 1 on N): annihilation, not an error
     live = n_max if w.index_set is IndexSet.Z else max(0, min(n_max, i - 1))
-    zeros = np.flatnonzero(sg[:live] == 0)
-    if zeros.size:
-        raise _zero_weight(i - 1 - int(zeros[0]))
-    logs = np.concatenate(([0.0], np.cumsum(la)))
-    neg = np.concatenate(([0], np.cumsum(sg < 0)))
-    dead = np.concatenate(([0], np.cumsum(sg == 0)))
-    signs = np.where(dead > 0, 0, np.where(neg % 2 == 0, 1, -1)).astype(np.int8)
+    la, neg = w.dense_logs(i - live, i - 1)  # entry live-t is ln|w_{i-t}|
+    logs, signs = np.empty(n_max + 1), np.ones(n_max + 1, dtype=np.int8)
+    logs[0], logs[live + 1:], signs[live + 1:] = 0.0, NEG_INF, 0
+    np.cumsum(la[::-1], out=logs[1:live + 1])
+    if neg is not None:
+        parity = np.bitwise_xor.accumulate(neg[::-1].view(np.uint8))
+        signs[1:live + 1][parity.view(bool)] = -1
     return WeightProductTable(i, logs, signs)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from shiftchaos.numerics import SparseVector
 from shiftchaos.shift import ShiftOperator, apply
 from shiftchaos.spaces import IndexSet, SpaceSpec
@@ -47,6 +49,25 @@ def exact_count_product_log(w: WeightSpec, i: int, n: int) -> tuple[int, float]:
     negatives = sum(c for v, c in counts.items() if v < 0)
     return (-1 if negatives % 2 else 1,
             math.fsum(c * math.log(abs(v)) for v, c in counts.items()))
+
+
+def dense_table_reference(w: WeightSpec, i: int,
+                          n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(logs, signs) of P(i, n) for n = 0..n_max, index by index.
+
+    Reads ``value_at`` at i-1, i-2, ... in n order, applies one
+    ``np.log(np.abs(...))`` and one ``np.cumsum`` over that array and takes
+    the sign from the parity of the negative weights so far.  Entries whose
+    range leaves the domain are (-inf, 0).
+    """
+    live = n_max if w.index_set is IndexSet.Z else max(0, min(n_max, i - 1))
+    vals = np.array([w.seq.value_at(i - t) for t in range(1, live + 1)], dtype=float)
+    logs = np.full(n_max + 1, -math.inf)
+    signs = np.zeros(n_max + 1, dtype=np.int8)
+    logs[0], signs[0] = 0.0, 1
+    logs[1:live + 1] = np.cumsum(np.log(np.abs(vals)))
+    signs[1:live + 1] = np.where(np.cumsum(vals < 0) % 2, -1, 1)
+    return logs, signs
 
 
 def naive_forward_product(w: WeightSpec, i: int, n: int) -> float:

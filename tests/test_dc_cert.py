@@ -27,7 +27,12 @@ from shiftchaos.dc_cert import (
 from shiftchaos.density import naturals
 from shiftchaos.numerics import LogScalar
 from shiftchaos.piecewise import count_above
-from shiftchaos.sequences import BlockSideSequence, ConstantSequence, ramp_plateau
+from shiftchaos.sequences import (
+    BlockSideSequence,
+    ClosedFormSequence,
+    ConstantSequence,
+    ramp_plateau,
+)
 from shiftchaos.shift import ShiftOperator
 from shiftchaos.spaces import IndexSet, lp_space
 from shiftchaos.weights import unilateral_weights
@@ -340,6 +345,13 @@ class TestHypercyclicityRefutation:
     def test_rolewicz_not_refuted(self, rolewicz_op):
         rep = refute_hypercyclicity(rolewicz_op, 1000)
         assert rep.verdict == "inconclusive"
+
+    def test_zero_weight_raises(self, rolewicz_op):
+        # an on-domain zero is a data error, not a product that vanishes
+        # from n = 50 on (which left the minimum to n < 50 alone)
+        w = unilateral_weights(ClosedFormSequence(lambda j: 0.0 if j == 50 else 2.0))
+        with pytest.raises(ValueError, match="weight at 50 is zero"):
+            refute_hypercyclicity(ShiftOperator(rolewicz_op.space, w), 100)
 
 
 class TestWitnessSearch:

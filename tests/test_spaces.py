@@ -216,3 +216,11 @@ class TestContinuity:
         w = unilateral_weights(constant(2.0))
         with pytest.raises(ValueError):
             continuity_check(sp, w, (5, 5))
+
+    def test_zero_weight_raises(self, rolewicz_op):
+        # a zero weight must not read as ln 0 = -inf, a ratio that always passes
+        from shiftchaos.sequences import ClosedFormSequence
+        from shiftchaos.weights import unilateral_weights
+        w = unilateral_weights(ClosedFormSequence(lambda j: 0.0 if j == 50 else 2.0))
+        with pytest.raises(ValueError, match="weight at 50 is zero"):
+            continuity_check(rolewicz_op.space, w, (1, 200))

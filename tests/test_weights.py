@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,6 +24,7 @@ from shiftchaos.sequences import (
 )
 from shiftchaos.spaces import IndexSet
 from shiftchaos.weights import (
+    MAX_DENSE,
     WeightSpec,
     bilateral_weights,
     block_index_range,
@@ -66,6 +68,12 @@ weight_cases = st.sampled_from(WEIGHT_CASES)
 NEGATIVE_CASE = ("alternating-negative", bilateral_weights(
     BlockSideSequence(alternating_powers(-2.0), -1, -1),
     BlockSideSequence(alternating_powers(-2.0), 0, 1)))
+
+
+CLOSED_CASE = ("closed-form-N", unilateral_weights(ClosedFormSequence(
+    lambda j: -1.5 if j % 5 == 0 else 0.75 + (j % 3) / 4)))
+
+TABLE_CASES = st.sampled_from(WEIGHT_CASES + [NEGATIVE_CASE, CLOSED_CASE])
 
 
 def zero_tail_weights() -> WeightSpec:
@@ -195,6 +203,63 @@ class TestProductTable:
     def test_off_domain_is_annihilation(self):
         table = product_log_table(unilateral_weights(ConstantSequence(2.0)), 5, 8)
         assert list(table.signs) == [1, 1, 1, 1, 1, 0, 0, 0, 0]
+
+    def test_length_outside_dense_range_rejected(self):
+        w = unilateral_weights(ConstantSequence(2.0))
+        for n_max in (-1, MAX_DENSE + 1):
+            with pytest.raises(ValueError, match="is outside"):
+                product_log_table(w, 5, n_max)
+
+    @settings(max_examples=200)
+    @given(TABLE_CASES, st.integers(-300, 300), st.integers(0, 2000))
+    @example(CLOSED_CASE, 5, 0)
+    @example(CLOSED_CASE, 5, 40)
+    @example(WEIGHT_CASES[-1], 2, 30)
+    def test_matches_dense_reference_bytewise(self, case, raw_i, n_max):
+        _, w = case
+        i = anchor_for(w, raw_i)
+        table = product_log_table(w, i, n_max)
+        logs, signs = oracles.dense_table_reference(w, i, n_max)
+        assert table.logs.dtype == np.float64 and table.signs.dtype == np.int8
+        assert table.logs.tobytes() == logs.tobytes()
+        assert table.signs.tobytes() == signs.tobytes()
+
+    @settings(max_examples=200)
+    @given(TABLE_CASES, st.integers(-300, 300), st.integers(-1, 2000))
+    def test_log_abs_array_matches_value_at_bytewise(self, case, lo, span):
+        _, w = case
+        js = range(lo, lo + span + 1)
+        on = [j for j in js if w.index_set.contains(j)]
+        want = np.full(len(js), -math.inf)
+        want[len(js) - len(on):] = np.log(np.abs(np.array(
+            [w.seq.value_at(j) for j in on], dtype=float)))
+        assert w.log_abs_array(lo, lo + span).tobytes() == want.tobytes()
+
+    def test_one_runs_pass_per_side(self, monkeypatch):
+        # the table reads each side's runs once and never probes values cell
+        # by cell; a return to per-cell passes fails here without any timing
+        scanned = []
+        runs_over = BlockSideSequence.runs_over
+
+        def counted(self, lo, hi):
+            scanned.append(self)
+            return runs_over(self, lo, hi)
+
+        def no_cells(self, js):
+            raise AssertionError("the table probed values cell by cell")
+
+        monkeypatch.setattr(BlockSideSequence, "runs_over", counted)
+        monkeypatch.setattr(BlockSideSequence, "values_array", no_cells)
+        w = ex1_weights()
+        table = product_log_table(w, 0, 10**6)
+        assert scanned == [w.seq.negative]
+        assert table.value(10**6).sign == 1
+        assert table.logs[10**6] == pytest.approx(product(w, 0, 10**6).logmag, rel=1e-9)
+        scanned.clear()
+        _, neg = NEGATIVE_CASE
+        product_log_table(neg, 500_000, 10**6)
+        assert sorted(map(id, scanned)) == sorted([id(neg.seq.negative),
+                                                   id(neg.seq.nonnegative)])
 
 
 class TestProductPieces:
