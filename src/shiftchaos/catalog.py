@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dc_cert, mly_cert
 from .density import (IndexPredicate, check_counter_agreement,
-                      density_envelope, evens, naturals)
+                      envelope_of_counts, evens, naturals)
 from .reports import CertificateReport
 from .sequences import SequenceBase, SplitSequence, side_from_template
 from .shift import ShiftOperator
@@ -324,7 +324,7 @@ def _run_density(op, cfg):
     brute = np.cumsum(pred.member_mask(exhaustive_to)).astype(np.int64)
     exhaustive_ok = bool(np.array_equal(brute, counts[:exhaustive_to]))
     strict_ok = bool(np.all(den * counts > num * ns))
-    env = density_envelope(pred, horizon)
+    env = envelope_of_counts(counts)
     ok = agree and exhaustive_ok and strict_ok
     rows = [{"min_ratio": env.lower, "min_ratio_at": env.lower_at,
              "ratio_at_horizon": env.ratio_at_horizon,

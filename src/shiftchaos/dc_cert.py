@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .density import IndexPredicate, density_envelope, naturals
+from .density import IndexPredicate, envelope_of_counts, naturals
 from .numerics import NEG_INF, LogScalar, SparseVector, logsumexp_p
 from .piecewise import count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
@@ -172,14 +172,11 @@ def _resolve_mode(mode: str, n_terms: int, horizon: int) -> str:
 def _term_log_rows(op: ShiftOperator, terms: Sequence[WitnessTerm], m: int,
                    horizon: int) -> np.ndarray:
     """rows[t, n] = ln |b_t * P(i_t, n) * a(i_t - n, m)| for n = 0..horizon."""
-    ns = np.arange(horizon + 1)
     rows = np.empty((len(terms), horizon + 1))
     for t, term in enumerate(terms):
         table = product_log_table(op.weights, term.index, horizon)
-        js = term.index - ns
-        safe = np.maximum(js, 1) if op.space.index_set is IndexSet.N else js
-        arow = op.space.matrix.log_row_array(m, safe)
-        vals = term.coeff.logmag + table.logs + arow
+        [(_, arow)] = op.space.log_rows(term.index - horizon, term.index, (m,))
+        vals = term.coeff.logmag + table.logs + arow[::-1]
         vals[table.signs == 0] = NEG_INF
         rows[t] = vals
     return rows
@@ -222,13 +219,14 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
         mask = np.diff(np.concatenate(([0], counts))) == 1
     else:
         mask = D.member_mask(horizon)
+        counts = np.cumsum(mask)
     d_total = int(mask.sum())
     params = {"horizon": horizon, "decay_tol": decay_tol, "k_max": k_max,
               "tail_fraction_min": tail_fraction_min, "set": D.name or "D"}
     if d_total == 0:
         return CertificateReport("dc-condition-A", "inconclusive", params,
                                  notes=["candidate set has no members in range"])
-    env = density_envelope(D, horizon)
+    env = envelope_of_counts(counts)
     params["set_ratio_at_horizon"] = env.ratio_at_horizon
     params["set_ratio_lower"] = env.lower
     log_tol = math.log(decay_tol)
@@ -236,11 +234,9 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     all_ok = True
     for i in anchors:
         table = product_log_table(op.weights, i, horizon)
-        js = i - ns
-        safe = np.maximum(js, 1) if op.space.index_set is IndexSet.N else js
         dead = table.signs[1:] == 0
-        for k in range(1, k_max + 1):
-            vals = table.logs[1:] + op.space.matrix.log_row_array(k, safe)
+        for k, row in op.space.log_rows(i - horizon, i - 1, range(1, k_max + 1)):
+            vals = table.logs[1:] + row[::-1]  # entry n - 1 reads a(i - n, k)
             vals[dead] = NEG_INF
             viol = mask & (vals >= log_tol)
             n_viol = int(viol.sum())
@@ -277,9 +273,9 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     all_ok = True
     for i in anchors:
         table = product_log_table(op.weights, i, horizon)
-        js = i - ns
-        safe = np.maximum(js, 1) if op.space.index_set is IndexSet.N else js
-        vals = table.logs[1:] + op.space.matrix.log_row_array(1, safe)
+        [(_, row)] = op.space.log_rows(i - horizon, i - 1, (1,))
+        vals = table.logs[1:] + row[::-1]
+        del row  # a horizon-long array; not held through the counting below
         vals[table.signs[1:] == 0] = NEG_INF
         bad = vals >= log_bound
         counts = np.cumsum(bad)
@@ -708,12 +704,11 @@ def refute_hypercyclicity(op: ShiftOperator, horizon: int, k_max: int = 4,
     anchor = 1 if op.space.index_set is IndexSet.N else 0
     logw = op.weights.log_abs_array(anchor, anchor + horizon - 1)
     cum = np.cumsum(logw)
-    js = anchor + np.arange(1, horizon + 1)
     log_floor = math.log(floor)
     rows = []
     overall = math.inf
-    for k in range(1, k_max + 1):
-        vals = op.space.matrix.log_row_array(k, js) - cum
+    for k, row in op.space.log_rows(anchor + 1, anchor + horizon, range(1, k_max + 1)):
+        vals = row - cum
         at = int(np.argmin(vals))
         mn = float(vals[at])
         overall = min(overall, mn)
@@ -749,9 +744,8 @@ def search_witness_dc(op: ShiftOperator, m: int = 1,
     num: dict[int, np.ndarray] = {}
     for i in anchors:
         table = product_log_table(op.weights, i, N_max)
-        js = i - ns
-        safe = np.maximum(js, 1) if op.space.index_set is IndexSet.N else js
-        vals = table.logs[1:] + op.space.matrix.log_row_array(m, safe)
+        [(_, row)] = op.space.log_rows(i - N_max, i - 1, (m,))
+        vals = table.logs[1:] + row[::-1]
         vals[table.signs[1:] == 0] = NEG_INF
         num[i] = vals
     prev_N = 0

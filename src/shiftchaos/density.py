@@ -91,19 +91,24 @@ def density_envelope(pred: IndexPredicate, horizon: int,
     """
     if horizon < start or start < 1:
         raise ValueError("need 1 <= start <= horizon")
-    ns = np.arange(start, horizon + 1, dtype=np.int64)
     if pred.count_array is not None:
-        counts = pred.count_array(ns).astype(np.int64)
+        counts = pred.count_array(np.arange(start, horizon + 1, dtype=np.int64))
     elif pred.count is not None:
-        counts = np.array([pred.count(int(n)) for n in ns], dtype=np.int64)
+        counts = np.array([pred.count(n) for n in range(start, horizon + 1)],
+                          dtype=np.int64)
     else:
-        mask = pred.member_mask(horizon)
-        all_counts = np.cumsum(mask)
-        counts = all_counts[start - 1:]
-    ratios = counts / ns
+        counts = np.cumsum(pred.member_mask(horizon))[start - 1:]
+    return envelope_of_counts(counts, start)
+
+
+def envelope_of_counts(counts: np.ndarray, start: int = 1) -> DensityEnvelope:
+    """Envelope of counts[t] / N at N = start + t, for callers that already
+    hold the prefix counts card(A cap [1, N])."""
+    ns = np.arange(start, start + len(counts), dtype=np.int64)
+    ratios = np.asarray(counts, dtype=np.int64) / ns
     lo_i = int(np.argmin(ratios))
     hi_i = int(np.argmax(ratios))
-    return DensityEnvelope(horizon, float(ratios[-1]),
+    return DensityEnvelope(int(ns[-1]), float(ratios[-1]),
                            float(ratios[lo_i]), int(ns[lo_i]),
                            float(ratios[hi_i]), int(ns[hi_i]))
 

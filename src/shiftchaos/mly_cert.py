@@ -101,19 +101,20 @@ def cesaro_distance_series(op: ShiftOperator, anchor: int, N: int) -> CesaroSeri
         raise ValueError("need a positive horizon")
     _dense_guard(1, N)
     space = op.space
-    ns = np.arange(1, N + 1)
     table = product_log_table(op.weights, anchor, N)
     logs = table.logs[1:]
     dead = table.signs[1:] == 0
-    js = anchor - ns
-    safe = np.maximum(js, 1) if space.index_set is IndexSet.N else js
     terms = np.zeros(N)
-    for k in range(1, space.metric_depth + 1):
-        vals = logs + space.matrix.log_row_array(k, safe)
-        vals[dead] = NEG_INF
-        clipped = np.where(vals >= 0.0, 1.0, np.exp(np.minimum(vals, 0.0)))
+    last = clipped = None
+    levels = range(1, space.metric_depth + 1)
+    for k, row in space.log_rows(anchor - N, anchor - 1, levels):
+        if row is not last:  # a constant row is clipped once for every level
+            clipped = logs + row[::-1]  # entry n - 1 reads a(anchor - n, k)
+            clipped[dead] = NEG_INF
+            np.exp(np.minimum(clipped, 0.0, out=clipped), out=clipped)  # min(1, ||.||_k)
+            last = row
         terms += math.pow(2.0, -k) * clipped
-    averages = np.cumsum(terms) / ns
+    averages = np.cumsum(terms) / np.arange(1, N + 1)
     return CesaroSeries(anchor, terms, averages)
 
 

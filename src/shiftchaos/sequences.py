@@ -261,6 +261,18 @@ class BlockSideSequence(SequenceBase):
         return fill_from_runs(runs, lo, hi)[js - lo]
 
 
+def run_arrays(seq: SequenceBase, lo: int,
+               hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, counts) of the runs covering [lo, hi] from one runs_over, so
+    per-value work is done once per run; (one value per index, None) from
+    one values_array when the sequence has no run structure."""
+    runs = seq.runs_over(lo, hi) if hi >= lo else []
+    if runs is None:
+        return seq.values_array(np.arange(lo, hi + 1)), None
+    return (np.array([r.value for r in runs], dtype=float),
+            np.array([r.count for r in runs], dtype=np.int64))
+
+
 def _merge_adjacent(runs: list[Run]) -> list[Run]:
     out: list[Run] = []
     for r in runs:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import NEG_INF, LogScalar, SparseVector, ZERO
-from .spaces import IndexSet, SpaceSpec, seminorm
+from .spaces import SpaceSpec, seminorm
 from .weights import WeightSpec, product, product_log_table
 
 
@@ -68,17 +68,11 @@ def orbit_seminorm_log_array(op: ShiftOperator, x: SparseVector, m: int,
     out = np.full(n_max + 1, NEG_INF)
     if not items:
         return out
-    ns = np.arange(n_max + 1)
     rows = np.empty((len(items), n_max + 1))
     for t, (j, v) in enumerate(items):
         table = product_log_table(op.weights, j, n_max)
-        js = j - ns
-        if op.space.index_set is IndexSet.N:
-            safe = np.maximum(js, 1)  # dead entries masked by sign 0 below
-        else:
-            safe = js
-        arow = op.space.matrix.log_row_array(m, safe)
-        vals = v.logmag + table.logs + arow
+        [(_, arow)] = op.space.log_rows(j - n_max, j, (m,))
+        vals = v.logmag + table.logs + arow[::-1]  # entry n reads a(j - n, m)
         vals[table.signs == 0] = NEG_INF
         rows[t] = vals
     if op.space.p == 0:

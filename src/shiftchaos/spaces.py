@@ -14,6 +14,12 @@ here is a lower estimate with that explicit error bound.
 Matrices are generator-backed (never materialized); their contract (entries
 nonnegative, monotone in k, some positive entry in every row) is enforced by
 sampling at construction.
+
+Dense checks read rows through SpaceSpec.log_rows(lo, hi, ks): one pass over
+the base per range (one runs_over, or one values_array without runs), ln once
+per run, every level k served from it.  Constant rows are one shared
+read-only array; power rows are k * ln base.  log_row_array serves sparse
+supports.
 """
 
 from __future__ import annotations
@@ -21,13 +27,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .numerics import (LN10, NEG_INF, ZERO, LogScalar, SparseVector,
                        logsumexp_p, sup_abs)
-from .sequences import ClosedFormSequence, ConstantSequence, Run, SequenceBase
+from .sequences import (ClosedFormSequence, ConstantSequence, Run, SequenceBase,
+                        run_arrays)
 
 DEFAULT_METRIC_DEPTH = 40
 CONDITION_C_SLACK = 1e-12
@@ -49,6 +56,14 @@ class IndexSet(enum.Enum):
         if self is IndexSet.N:
             return max(lo, 1), hi
         return lo, hi
+
+
+def _log_base(vals: np.ndarray) -> np.ndarray:
+    """ln of matrix base values (-inf at zeros); a negative value raises."""
+    if np.any(vals < 0):
+        raise ValueError("matrix base is negative somewhere in the probe range")
+    with np.errstate(divide="ignore"):
+        return np.log(vals)
 
 
 class KotheMatrix:
@@ -93,16 +108,36 @@ class KotheMatrix:
         lm = self.log_entry(j, k)
         return ZERO if lm == NEG_INF else LogScalar(1, lm)
 
+    def _row(self, k: int, logs: np.ndarray) -> np.ndarray:
+        """Row k from ln base(j): shared on constant rows, k * logs on power
+        rows (k = 1 returns logs itself; 1 * x == x bit for bit)."""
+        return logs if self.rule == "constant" or k == 1 else k * logs
+
     def log_row_array(self, k: int, js: np.ndarray) -> np.ndarray:
-        """Vectorized ln a(j, k) over an index array."""
+        """ln a(j, k) over an arbitrary index array (sparse supports);
+        ranges read through log_rows."""
         if self.rule == "custom":
             return np.array([self.log_entry(int(j), k) for j in js], dtype=float)
-        vals = self.base.values_array(np.asarray(js))
-        if np.any(vals < 0):
-            raise ValueError("matrix base is negative somewhere in the probe range")
-        with np.errstate(divide="ignore"):
-            logs = np.log(vals)
-        return logs if self.rule == "constant" else k * logs
+        return self._row(k, _log_base(self.base.values_array(np.asarray(js))))
+
+    def log_rows(self, lo: int, hi: int,
+                 ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+        """(k, ln a(j, k) for j in [lo, hi]) per k in ks, from one base pass:
+        one runs_over (one values_array without runs), ln once per run
+        value repeated over its count.  Constant rows are one shared
+        read-only array for every k; power rows are k * logs."""
+        if self.rule == "custom":
+            for k in ks:
+                yield k, np.array([self.log_entry(j, k) for j in range(lo, hi + 1)],
+                                  dtype=float)
+            return
+        vals, counts = run_arrays(self.base, lo, hi)
+        logs = _log_base(vals)
+        if counts is not None:
+            logs = np.repeat(logs, counts)
+        logs.flags.writeable = False
+        for k in ks:
+            yield k, self._row(k, logs)
 
     def log_row_runs(self, k: int, lo: int, hi: int) -> list[Run] | None:
         """Row k as maximal runs of ln a(j, k); None without run structure."""
@@ -155,6 +190,20 @@ class SpaceSpec:
     @property
     def metric_tail_bound(self) -> float:
         return 2.0 ** (-self.metric_depth)
+
+    def log_rows(self, lo: int, hi: int,
+                 ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+        """KotheMatrix.log_rows over [lo, hi] with -inf on off-domain indices."""
+        a = min(self.index_set.clip(lo, hi)[0], hi + 1)  # first on-domain j
+        if a <= lo:
+            yield from self.matrix.log_rows(lo, hi, ks)
+            return
+        last = padded = None
+        for k, row in self.matrix.log_rows(a, hi, ks):
+            if row is not last:  # a shared constant row is padded once
+                last, padded = row, np.concatenate((np.full(a - lo, NEG_INF), row))
+                padded.flags.writeable = False
+            yield k, padded
 
 
 def lp_space(p: float, index_set: IndexSet, nu: SequenceBase | None = None,
@@ -261,15 +310,15 @@ def continuity_check(space: SpaceSpec, weights, window: tuple[int, int],
     lo, hi = space.index_set.clip(window[0], window[1])
     if hi <= lo:
         raise ValueError("empty continuity window")
-    js = np.arange(lo, hi)  # pairs (j, j+1), so stop one short
     logw = weights.log_abs_array(lo, hi - 1)
     log_cap = math.log(cap)
+    full = dict(space.log_rows(lo, hi, range(1, k_max + 1)))
     rows = []
     for k in range(1, k_max + 1):
-        row_k = space.matrix.log_row_array(k, js)
+        row_k = full[k][:-1]  # a(j, k) for j in [lo, hi - 1]
         hit: ContinuityRow | None = None
         for m in range(1, k_max + 1):
-            row_m_next = space.matrix.log_row_array(m, js + 1)
+            row_m_next = full[m][1:]  # a(j + 1, m)
             dead = row_m_next == NEG_INF
             if np.any(dead & (row_k > NEG_INF)):
                 continue  # support condition fails for this m

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import NEG_INF, ONE, ZERO, LogScalar
-from .sequences import BlockSideSequence, Run, SequenceBase, SplitSequence
+from .sequences import (BlockSideSequence, Run, SequenceBase, SplitSequence,
+                        run_arrays)
 from .spaces import IndexSet
 
 MAX_DENSE = 20_000_000
@@ -68,16 +69,12 @@ class WeightSpec:
         ln |v| once per run, repeated over its count (once per index without
         runs).  The flags are None when no weight is negative; a zero raises,
         naming the zero nearest hi."""
-        runs = self.seq.runs_over(lo, hi) if hi >= lo else []
-        if runs is None:
-            vals, counts = self.seq.values_array(np.arange(lo, hi + 1)), None
-        else:
-            vals = np.array([r.value for r in runs], dtype=float)
-            counts = np.array([r.count for r in runs], dtype=np.int64)
+        vals, counts = run_arrays(self.seq, lo, hi)
         zeros = np.flatnonzero(vals == 0.0)
         if zeros.size:
             z = int(zeros[-1])
-            raise _zero_weight(lo + z if runs is None else runs[z].stop)
+            stop = z if counts is None else int(counts[:z + 1].sum()) - 1  # end of run z
+            raise _zero_weight(lo + stop)
         logs, neg = np.log(np.abs(vals)), vals < 0
         neg = neg if neg.any() else None
         if counts is not None:

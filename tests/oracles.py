@@ -70,6 +70,16 @@ def dense_table_reference(w: WeightSpec, i: int,
     return logs, signs
 
 
+def dense_row_reference(space: SpaceSpec, k: int, lo: int, hi: int) -> np.ndarray:
+    """ln a(j, k) for j in [lo, hi] through ``KotheMatrix.log_row_array`` on
+    the on-domain indices, -inf on the off-domain ones."""
+    js = np.arange(lo, hi + 1)
+    live = js >= 1 if space.index_set is IndexSet.N else np.ones(js.size, dtype=bool)
+    row = np.full(js.size, -math.inf)
+    row[live] = space.matrix.log_row_array(k, js[live])
+    return row
+
+
 def naive_forward_product(w: WeightSpec, i: int, n: int) -> float:
     """|w_i * ... * w_{i+n-1}| by direct multiplication."""
     out = 1.0

@@ -213,6 +213,41 @@ class TestConditionA:
         rep = check_dc_condition_A(rolewicz_op, naturals(), [10 ** 6], 1000)
         assert rep.verdict == "condition-failed"
 
+    def test_dense_rows_read_the_base_once_per_anchor(self, monkeypatch):
+        # every level k of a dense range is scaled from one base pass; a
+        # return to per-level row reads fails here without any timing
+        from shiftchaos.mly_cert import cesaro_distance_series
+        from shiftchaos.spaces import KotheMatrix
+
+        def per_index(self, k, js):
+            raise AssertionError("a dense range read its row index by index")
+
+        monkeypatch.setattr(KotheMatrix, "log_row_array", per_index)
+        ex2, ex4 = (catalog.build_example(name)
+                    for name in ("ex2_kothe_dc_not_hc", "ex4_lp_mly_not_hc"))
+        scanned = []
+
+        def count_reads(base):
+            read = base.runs_over
+
+            def counted(lo, hi):
+                scanned.append(base)
+                return read(lo, hi)
+
+            monkeypatch.setattr(base, "runs_over", counted)
+
+        count_reads(ex2.space.matrix.base)
+        count_reads(ex4.space.matrix.base)
+        rep = check_dc_condition_A(ex2, naturals(), [-4, -2, 0, 1, 3], 2000, k_max=4)
+        assert rep.verdict == "condition-A-holds-at-horizon"
+        assert len(rep.rows) == 5 * 4
+        assert scanned == [ex2.space.matrix.base] * 5
+        scanned.clear()
+        series = cesaro_distance_series(ex4, 0, 2000)
+        assert ex4.space.metric_depth == 40
+        assert series.averages[-1] < 1e-3
+        assert scanned == [ex4.space.matrix.base]
+
     def test_refutation_on_ex1(self, ex1_op):
         rep = refute_dc_condition_A(ex1_op, [0], 10 ** 6, bound=0.5,
                                     delta=1 / 6, settle_by=50)

@@ -118,3 +118,29 @@ class TestBlocksUnionPredicate:
         assert env.lower_at >= 7
         with pytest.raises(ValueError):
             density_envelope(ref, 10, start=11)
+
+
+class TestEnvelopeFromCounts:
+    def test_callers_count_prefixes_once(self, monkeypatch):
+        # the density check and DC condition (A) reuse their own prefix
+        # counts for the envelope instead of counting 1..horizon again
+        from dataclasses import replace
+
+        from shiftchaos import catalog, dc_cert
+        ref = expanding_product_blocks()
+        calls = []
+
+        def counted(ns):
+            calls.append(ns.size)
+            return ref.count_array(ns)
+
+        once = replace(ref, count_array=counted)
+        op = catalog.build_example("ex2_kothe_dc_not_hc")
+        dc_cert.check_dc_condition_A(op, once, [1], 5000)
+        assert calls == [5000]
+        calls.clear()
+        monkeypatch.setitem(catalog.PREDICATES, ref.name, lambda: once)
+        rep = catalog.run_check(op, {"kind": "density", "set": ref.name,
+                                     "horizon": 5000})
+        assert calls == [5000]
+        assert rep.rows[0]["min_ratio"] == density_envelope(ref, 5000).lower

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ import oracles
 from shiftchaos.numerics import NEG_INF, SparseVector
 from shiftchaos.sequences import (
     BlockSideSequence,
+    ClosedFormSequence,
     SplitSequence,
     constant,
     ramp_plateau,
@@ -196,6 +198,73 @@ class TestConditionC:
         assert report.ok
         assert report.checked == len(samples)
         assert report.worst_excess <= 1e-12
+
+
+def log1p_rows(j: int, k: int) -> float:
+    return k * math.log1p(abs(j))
+
+
+def zeros_at_3_mod_11() -> ClosedFormSequence:
+    return ClosedFormSequence(lambda j: 0.0 if j % 11 == 3 else 2.0,
+                              vectorized=lambda js: np.where(js % 11 == 3, 0.0, 2.0))
+
+
+def negative_past_one() -> SplitSequence:
+    # block n: n copies of n, then one -1.0 (at 2, 5, 9, 14, ...), away
+    # from every index SpaceSpec samples
+    return SplitSequence(constant(1.0),
+                         BlockSideSequence(lambda n: [(float(n), n), (-1.0, 1)], 1, 1),
+                         split=1)
+
+
+ROW_CASES = [
+    ("s-Z", rapidly_decreasing_space(IndexSet.Z)),
+    ("s-N", rapidly_decreasing_space(IndexSet.N, p=2)),
+    ("ex2-power-split", SpaceSpec(1, KotheMatrix("power", ramp_nu()), IndexSet.Z)),
+    ("power-split-N", SpaceSpec(1, KotheMatrix("power", ramp_nu()), IndexSet.N)),
+    ("ex4-l2-split", lp_space(2, IndexSet.Z, nu=ramp_nu())),
+    ("l2-N", lp_space(2, IndexSet.N)),
+    ("c0-Z", c0_space(IndexSet.Z)),
+    ("c0-N-ramp", c0_space(IndexSet.N, nu=BlockSideSequence(ramp_plateau(10), 1, 1))),
+    ("power-zeros-Z", SpaceSpec(1, KotheMatrix("power", zeros_at_3_mod_11()), IndexSet.Z)),
+    ("custom-Z", SpaceSpec(1, KotheMatrix("custom", log_fn=log1p_rows), IndexSet.Z)),
+    ("custom-N", SpaceSpec(1, KotheMatrix("custom", log_fn=log1p_rows), IndexSet.N)),
+]
+
+
+class TestLogRows:
+    @settings(max_examples=300)
+    @given(st.sampled_from(ROW_CASES), st.integers(-60, 60), st.integers(-1, 400),
+           st.lists(st.integers(1, 8), max_size=5))
+    def test_matches_log_row_array_bytewise(self, case, lo, span, ks):
+        # spans cross the split at 1 and the N edge; span -1 is an empty range
+        _, space = case
+        hi = lo + span
+        got = list(space.log_rows(lo, hi, ks))
+        assert [k for k, _ in got] == ks
+        for k, row in got:
+            want = oracles.dense_row_reference(space, k, lo, hi)
+            assert row.dtype == want.dtype and row.shape == want.shape
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("space", [lp_space(2, IndexSet.Z, nu=ramp_nu()),
+                                       c0_space(IndexSet.N)])
+    def test_constant_rows_are_one_shared_readonly_array(self, space):
+        rows = [row for _, row in space.log_rows(-5, 40, range(1, 41))]
+        assert all(row is rows[0] for row in rows)
+        assert not rows[0].flags.writeable
+
+    def test_negative_base_raises_like_log_row_array(self):
+        closed = ClosedFormSequence(lambda j: -1.0 if j == 30 else 1.0,
+                                    vectorized=lambda js: np.where(js == 30, -1.0, 1.0))
+        for base in (negative_past_one(), closed):
+            for rule in ("constant", "power"):
+                space = SpaceSpec(1, KotheMatrix(rule, base), IndexSet.Z)
+                with pytest.raises(ValueError) as want:
+                    space.matrix.log_row_array(2, np.arange(-3, 41))
+                with pytest.raises(ValueError) as got:
+                    list(space.log_rows(-3, 40, [1, 2]))
+                assert str(got.value) == str(want.value)
 
 
 class TestContinuity:
