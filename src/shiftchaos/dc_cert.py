@@ -11,9 +11,12 @@ Ratios are compared in the log domain with no tolerance slack, so engineered
 ties (ratio exactly equal to k) fail, as a strict inequality demands.
 
 Every schedule can be evaluated two ways: a dense numpy sweep for horizons up
-to ~2e7, and a piecewise log-linear route for single-term witnesses that
-stays exact at astronomical horizons (10**200 is fine).  Verdicts come from
-the closed vocabulary in `reports` and are always horizon-stamped.
+to ~2e7, and, for single-term witnesses, a route that stays exact at
+astronomical horizons (10**200 is fine).  That route reads value counts
+where the weight product is flat (every weight of modulus 1: one
+O(log blocks) count read, no pieces) and builds piecewise log-linear
+envelopes elsewhere.  Verdicts come from the closed vocabulary in `reports`
+and are always horizon-stamped.
 """
 
 from __future__ import annotations
@@ -145,6 +148,52 @@ def single_term_pieces(op: ShiftOperator, term: WitnessTerm, m: int,
     if alive_hi < n_hi:
         pieces.append(Piece(alive_hi + 1, n_hi, NEG_INF, 0.0))
     return pieces
+
+
+def single_term_counts(op: ShiftOperator, term: WitnessTerm, m: int,
+                       n_hi: int) -> dict[float, int] | None:
+    """The count form of single_term_pieces where P(i, n) is flat:
+    {ln |b * a(i - n, m)|: how many n in [1, n_hi] take it}, zero terms left
+    out.
+
+    Flat means every weight on the alive range [i - alive_hi, i - 1] has
+    |w| = 1; then only the row's value counts matter, read in O(log blocks).
+    Keys are the floats the piece route builds, (m ln v) + ln |b|, so counts
+    match it exactly.  None (take the piece route) when a weight has
+    |w| != 1, the row rule is custom, or a sequence keeps no value counts.
+    """
+    i = term.index
+    alive_hi = n_hi
+    if op.space.index_set is IndexSet.N:
+        alive_hi = min(n_hi, i - 1)
+        if alive_hi < 1:
+            return {}
+    weights = op.weights.value_counts(i - alive_hi, i - 1)
+    if weights is None or any(abs(v) != 1.0 for v in weights):
+        return None
+    rows = op.space.matrix.log_row_counts(m, i - alive_hi, i - 1)
+    if rows is None:
+        return None
+    out: dict[float, int] = {}
+    for lv, c in rows.items():
+        key = lv + term.coeff.logmag
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def _single_term_count(op: ShiftOperator, term: WitnessTerm, m: int,
+                       n_hi: int, thr: float, scale: float = 1) -> int:
+    """card {n in [1, n_hi] : scale * ln |b P(i, n) a(i - n, m)| > thr},
+    from the count form where it applies, else from pieces."""
+    counts = single_term_counts(op, term, m, n_hi)
+    if counts is not None:
+        return sum(c for lv, c in counts.items() if scale * lv > thr)
+    pieces = single_term_pieces(op, term, m, n_hi)
+    if scale != 1:
+        pieces = [pc if pc.log0 == NEG_INF
+                  else Piece(pc.n0, pc.n1, scale * pc.log0, scale * pc.slope)
+                  for pc in pieces]
+    return count_above(pieces, thr)
 
 
 def _dense_guard(n_terms: int, horizon: int) -> None:
@@ -352,8 +401,7 @@ def check_dc_condition_B(op: ShiftOperator, sched: WitnessScheduleDC,
             lognum = orbit_seminorm_log_array(op, entry.vector(), sched.m, N)
             count = int(np.count_nonzero(lognum[1:] > thr))
         else:
-            pieces = single_term_pieces(op, entry.terms[0], sched.m, N)
-            count = count_above(pieces, thr)
+            count = _single_term_count(op, entry.terms[0], sched.m, N, thr)
         ok = _passes(count, k, N)
         all_pass = all_pass and ok
         rows.append({"k": k, "N_k": N, "count": count,
@@ -435,12 +483,8 @@ def check_kothe_dc(op: ShiftOperator, sched: WitnessScheduleDC,
                         np.sum(np.exp(scaled[:, finite] - m_col[finite]), axis=0))
             count = int(np.count_nonzero(lognum[1:] > thr))
         else:
-            pieces = single_term_pieces(op, entry.terms[0], sched.m, N)
-            if p != 0:
-                pieces = [pc if pc.log0 == NEG_INF
-                          else Piece(pc.n0, pc.n1, p * pc.log0, p * pc.slope)
-                          for pc in pieces]
-            count = count_above(pieces, thr)
+            count = _single_term_count(op, entry.terms[0], sched.m, N, thr,
+                                       scale=p if p != 0 else 1)
         ok = _passes(count, k, N)
         all_pass = all_pass and ok
         rows.append({"k": k, "N_k": N, "count": count,

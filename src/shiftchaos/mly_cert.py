@@ -10,8 +10,10 @@ exceedances:
       with a NON-strict >= as the comparison.
 
 Averages are accumulated in the log domain; series terms are genuine metric
-values in [0, 1].  Single-term witnesses evaluate through the piecewise
-log-linear route, which keeps horizons like 10**200 exact.
+values in [0, 1].  Single-term witnesses past the dense cap keep horizons
+like 10**200 exact: where the weight product is flat (every weight of
+modulus 1) the sum comes from value counts (single_term_counts), elsewhere
+from piecewise log-linear envelopes.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 
 from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm,
                       _dense_guard, _resolve_mode, _term_log_rows,
-                      single_term_pieces)
+                      single_term_counts, single_term_pieces)
 from .numerics import (NEG_INF, ZERO, LogScalar, SparseVector,
                        logaddexp_accumulate)
-from .piecewise import log_sum
+from .piecewise import log_sum, log_sum_values
 from .reports import POSITIVE_VERDICTS, CertificateReport
 from .shift import ShiftOperator, orbit_seminorm_log_array
 from .spaces import IndexSet, seminorm
@@ -203,6 +205,16 @@ def _mly_a_state(op: ShiftOperator, condition_a: CertificateReport | None,
     return None, "condition (A) not checked"
 
 
+def _single_term_log_sum(op: ShiftOperator, term: WitnessTerm, m: int,
+                         N: int) -> float:
+    """ln sum_{n=1..N} |b P(i, n) a(i - n, m)|, from the count form where
+    it applies, else from pieces."""
+    counts = single_term_counts(op, term, m, N)
+    if counts is not None:
+        return log_sum_values(counts)
+    return log_sum(single_term_pieces(op, term, m, N))
+
+
 def _average_log(op: ShiftOperator, entry, m: int, mode: str) -> float:
     """ln of (1/N) * sum_{i=1..N} ||B^i (witness vector)||_m."""
     N = entry.horizon
@@ -212,7 +224,7 @@ def _average_log(op: ShiftOperator, entry, m: int, mode: str) -> float:
         lognum = orbit_seminorm_log_array(op, entry.vector(), m, N)[1:]
         total = float(np.logaddexp.reduce(lognum))
     else:
-        total = log_sum(single_term_pieces(op, entry.terms[0], m, N))
+        total = _single_term_log_sum(op, entry.terms[0], m, N)
     return total - math.log(N)
 
 
@@ -305,7 +317,7 @@ def check_kothe_mly(op: ShiftOperator, sched: WitnessScheduleMLY,
                                axis=0)) / p
             total = float(np.logaddexp.reduce(lognum))
         else:
-            total = log_sum(single_term_pieces(op, entry.terms[0], sched.m, N))
+            total = _single_term_log_sum(op, entry.terms[0], sched.m, N)
         avg_log = total - math.log(N) - logden
         ok = avg_log >= math.log(k)
         all_pass = all_pass and ok

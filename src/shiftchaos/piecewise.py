@@ -6,6 +6,12 @@ intervals, with ln q affine on each piece.  Certificate counts reduce to
 monotone float predicate, so a horizon of 10**200 costs a few hundred
 comparisons instead of 10**200 evaluations.  Piece lengths are Python ints;
 sums use the closed form of geometric series in the log domain.
+
+Where q is flat in its weight factor (every weight has |w| = 1), only how
+often each value occurs matters: the count form {ln q: count} answers the
+same count (a sum of the counts above the threshold) and sum
+(log_sum_values) with no pieces at all.  Pieces serve the spans that are
+not flat.
 """
 
 from __future__ import annotations
@@ -105,14 +111,15 @@ def log_sum(pieces: list[Piece]) -> float:
     return total
 
 
-def log_max(pieces: list[Piece]) -> float:
-    """ln max_n q(n); affine pieces peak at an endpoint."""
-    best = NEG_INF
-    for p in pieces:
-        if p.log0 == NEG_INF:
-            continue
-        best = max(best, p.log0, p.log_at(p.n1))
-    return best
+def log_sum_values(counts: dict[float, int]) -> float:
+    """ln sum_n q(n) for q given in count form {ln q: count}: one fsum of
+    e^(lv + ln count - top), shifted by the largest term.  Counts stay ints
+    (math.log takes them at any size), so horizons past 2**1024 are fine."""
+    terms = [lv + math.log(c) for lv, c in counts.items() if lv > NEG_INF]
+    if not terms:
+        return NEG_INF
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
 def total_length(pieces: list[Piece]) -> int:

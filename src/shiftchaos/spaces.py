@@ -44,10 +44,6 @@ class IndexSet(enum.Enum):
     N = "N"
     Z = "Z"
 
-    @property
-    def min_index(self) -> int | None:
-        return 1 if self is IndexSet.N else None
-
     def contains(self, j: int) -> bool:
         return j >= 1 if self is IndexSet.N else True
 
@@ -152,6 +148,25 @@ class KotheMatrix:
                 raise ValueError("matrix base is negative somewhere in the run range")
             lv = math.log(r.value) if r.value > 0 else NEG_INF
             out.append(Run(r.start, r.stop, lv if self.rule == "constant" else k * lv))
+        return out
+
+    def log_row_counts(self, k: int, lo: int, hi: int) -> dict[float, int] | None:
+        """Row k over [lo, hi] as {ln a(j, k): count}, from the base's
+        value_counts; zero entries are left out.  Keys are the floats
+        log_row_runs gives.  None for a custom rule or a base that keeps no
+        value counts."""
+        if self.rule == "custom":
+            return None
+        counts = self.base.value_counts(lo, hi)
+        if counts is None:
+            return None
+        out: dict[float, int] = {}
+        for v, c in counts.items():
+            if v < 0:
+                raise ValueError("matrix base is negative somewhere in the run range")
+            if v > 0:
+                lv = math.log(v) if self.rule == "constant" else k * math.log(v)
+                out[lv] = out.get(lv, 0) + c
         return out
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftchaos import catalog
+from shiftchaos import catalog, dc_cert
 from shiftchaos.dc_cert import (
     DCWitnessEntry,
     WitnessTerm,
@@ -22,20 +22,22 @@ from shiftchaos.dc_cert import (
     refute_hypercyclicity,
     schedule_dc,
     search_witness_dc,
+    single_term_counts,
     single_term_pieces,
 )
 from shiftchaos.density import naturals
-from shiftchaos.numerics import LogScalar
-from shiftchaos.piecewise import count_above
+from shiftchaos.numerics import NEG_INF, LogScalar
+from shiftchaos.piecewise import count_above, log_sum, log_sum_values
 from shiftchaos.sequences import (
     BlockSideSequence,
     ClosedFormSequence,
     ConstantSequence,
+    SplitSequence,
     ramp_plateau,
 )
 from shiftchaos.shift import ShiftOperator
-from shiftchaos.spaces import IndexSet, lp_space
-from shiftchaos.weights import unilateral_weights
+from shiftchaos.spaces import IndexSet, KotheMatrix, SpaceSpec, lp_space
+from shiftchaos.weights import Piece, bilateral_weights, unilateral_weights
 
 N_SEQ_ALT = catalog.N_SEQ_FORMS["alternating-powers-dip"]
 N_SEQ_THO = catalog.N_SEQ_FORMS["twos-halves-ones-dip"]
@@ -194,6 +196,174 @@ class TestSingleTermPieces:
         for thr_exp in (-3.0, 0.0, 1.0, 4.0):
             want = int((dense[1:] > thr_exp).sum())
             assert count_above(pieces, thr_exp) == want
+
+
+def _ramp_base() -> SplitSequence:
+    return SplitSequence(ConstantSequence(1.0),
+                         BlockSideSequence(ramp_plateau(10), 1, 1), split=1)
+
+
+def _sign_weights():
+    # every weight is +1 or -1: the product is flat but changes sign
+    return bilateral_weights(
+        BlockSideSequence(lambda n: [(1.0, n), (-1.0, 1)], -1, -1),
+        BlockSideSequence(lambda n: [(-1.0, n), (1.0, n)], 0, 1))
+
+
+def _zeros_base() -> SplitSequence:
+    # block n: n copies of n + 1, then one zero (at 2, 5, 9, 14, ...), away
+    # from every index SpaceSpec samples
+    return SplitSequence(ConstantSequence(1.0),
+                         BlockSideSequence(lambda n: [(n + 1.0, n), (0.0, 1)], 1, 1),
+                         split=1)
+
+
+# operators whose weights have |w| = 1 on at least part of the line
+FLAT_CASES = [
+    ("ex2", catalog.build_example("ex2_kothe_dc_not_hc")),
+    ("ex4", catalog.build_example("ex4_lp_mly_not_hc")),
+    ("unweighted-N", catalog.build_example("unweighted_lp_N")),
+    ("signs-power-Z", ShiftOperator(
+        SpaceSpec(1, KotheMatrix("power", _ramp_base()), IndexSet.Z), _sign_weights())),
+    ("zeros-power-Z", ShiftOperator(
+        SpaceSpec(1, KotheMatrix("power", _zeros_base()), IndexSet.Z),
+        bilateral_weights(ConstantSequence(0.5), ConstantSequence(1.0)))),
+]
+
+
+class TestSingleTermCounts:
+    """The count form answers flat spans exactly as the piece route does."""
+
+    @staticmethod
+    def assert_matches_pieces(counts, pieces, p):
+        scaled = [pc if pc.log0 == NEG_INF
+                  else Piece(pc.n0, pc.n1, p * pc.log0, p * pc.slope)
+                  for pc in pieces]
+        keys = sorted({p * lv for lv in counts})
+        # ties at every value the count form holds, and just off them
+        thresholds = [-math.inf, 0.0] + keys + [math.nextafter(x, math.inf) for x in keys] \
+            + [math.nextafter(x, -math.inf) for x in keys]
+        for thr in thresholds:
+            got = sum(c for lv, c in counts.items() if p * lv > thr)
+            assert got == count_above(scaled, thr), thr
+        assert math.isclose(log_sum_values(counts), log_sum(pieces), rel_tol=1e-14)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(FLAT_CASES), st.integers(-60, 2500), st.integers(1, 3000),
+           st.integers(1, 4), st.sampled_from([1, 2, 3]),
+           st.sampled_from([1.0, -1.0, 0.3, -7.5, 1e-6, 2.0 ** 40]))
+    def test_matches_pieces(self, case, index, N, m, p, coeff):
+        _, op = case
+        if op.space.index_set is IndexSet.N:
+            index = abs(index) + 1  # N >= index annihilates the orbit
+        term = WitnessTerm.of(index, coeff)
+        counts = single_term_counts(op, term, m, N)
+        lo, hi = op.space.index_set.clip(index - N, index - 1)
+        flat = all(abs(op.weights.seq.value_at(j)) == 1.0 for j in range(lo, hi + 1))
+        assert (counts is not None) == flat
+        if counts is not None:
+            self.assert_matches_pieces(counts, single_term_pieces(op, term, m, N), p)
+
+    @pytest.mark.parametrize("name", ["ex2", "ex4"])
+    @pytest.mark.parametrize("t", [21, 60])
+    def test_matches_pieces_deep(self, name, t):
+        op = dict(FLAT_CASES)[name]
+        i = catalog.segment_end(t)
+        for N in (i, i // 3):
+            term = WitnessTerm.of(i, 1.0)
+            counts = single_term_counts(op, term, 1, N)
+            assert counts is not None and sum(counts.values()) == N
+            self.assert_matches_pieces(counts, single_term_pieces(op, term, 1, N), 1)
+
+    @pytest.mark.parametrize("name,p", [("ex4_lp_mly_not_hc", 2), ("ex4_lp_mly_not_hc", 0),
+                                        ("ex2_kothe_dc_not_hc", 3)])
+    def test_kothe_dc_count_form_matches_dense(self, name, p):
+        # the p-power form compares p * ln|term| with p ln k + ln den
+        op = catalog.build_example(name, p=p)
+        seg = catalog.segment_end
+        sched = schedule_dc(1, [(k, seg(k), [(seg(k), 0.7)]) for k in range(2, 5)])
+        pieces = check_kothe_dc(op, sched, mode="pieces")
+        assert pieces.rows == check_kothe_dc(op, sched, mode="dense").rows
+        assert all(0 < r["count"] < r["N_k"] for r in pieces.rows)
+
+    def test_fallbacks_take_the_piece_route(self, monkeypatch, rolewicz_op, ex4_op):
+        custom = ShiftOperator(
+            SpaceSpec(1, KotheMatrix("custom", log_fn=lambda j, k: k * math.log1p(abs(j))),
+                      IndexSet.Z),
+            bilateral_weights(ConstantSequence(1.0), ConstantSequence(1.0)))
+        real = dc_cert.single_term_pieces
+        calls = []
+
+        def spy(op, *args):
+            calls.append(op)
+            return real(op, *args)
+
+        monkeypatch.setattr(dc_cert, "single_term_pieces", spy)
+        sched = schedule_dc(1, [(2, 50, [(60, 1.0)])])
+        assert single_term_counts(custom, WitnessTerm.of(60, 1.0), 1, 50) is None
+        with pytest.raises(ValueError, match="run-structured matrix rows"):
+            check_dc_condition_B(custom, sched, mode="pieces")
+        assert calls == [custom]
+        # weights 2; ex4 reaching the halving weights left of 0
+        for op, i, N in ((rolewicz_op, 60, 50), (ex4_op, 30, 50)):
+            assert single_term_counts(op, WitnessTerm.of(i, 1.0), 1, N) is None
+            sched = schedule_dc(1, [(2, N, [(i, 1.0)])])
+            pieces = check_dc_condition_B(op, sched, mode="pieces")
+            assert calls[-1] is op
+            dense = check_dc_condition_B(op, sched, mode="dense")
+            assert pieces.rows == dense.rows
+
+    def test_negative_base_raises_like_pieces(self):
+        # block n: n copies of n, then one -1.0 (at 2, 5, 9, ...)
+        base = SplitSequence(ConstantSequence(1.0),
+                             BlockSideSequence(lambda n: [(float(n), n), (-1.0, 1)], 1, 1),
+                             split=1)
+        ones = bilateral_weights(ConstantSequence(1.0), ConstantSequence(1.0))
+        for rule in ("constant", "power"):
+            op = ShiftOperator(SpaceSpec(1, KotheMatrix(rule, base), IndexSet.Z), ones)
+            term = WitnessTerm.of(30, 1.0)
+            with pytest.raises(ValueError) as want:
+                single_term_pieces(op, term, 2, 40)
+            with pytest.raises(ValueError) as got:
+                single_term_counts(op, term, 2, 40)
+            assert str(got.value) == str(want.value)
+
+    def test_counts_past_float_range(self):
+        # 10**400 indices of one value: counts stay ints, logs come from ints
+        op = ShiftOperator(lp_space(2, IndexSet.Z),
+                           bilateral_weights(ConstantSequence(1.0), ConstantSequence(1.0)))
+        N = 10 ** 400
+        counts = single_term_counts(op, WitnessTerm.of(0, 1.0), 1, N)
+        assert counts == {0.0: N}
+        assert math.isclose(log_sum_values(counts), 400 * math.log(10), rel_tol=1e-15)
+        rep = check_dc_condition_B(op, schedule_dc(1, [(2, N, [(0, 1.0)])]), mode="pieces")
+        assert rep.rows[0]["count"] == 0  # ratio 1 never exceeds 2
+        rep = check_kothe_dc(op, schedule_dc(1, [(1, N, [(0, 3.0)])]), mode="pieces")
+        assert rep.rows[0]["count"] == 0  # ratio 1 never exceeds 1 strictly
+
+    def test_flat_spans_walk_no_runs(self, monkeypatch):
+        # the ex4 ACB probe at segment_end(201) and an ex2 pieces level at
+        # segment_end(120) read value counts only: no run walk, no pieces
+        from shiftchaos import weights
+        from shiftchaos.mly_cert import basis_probes, check_acb
+
+        def walked(*args, **kwargs):
+            raise AssertionError("a flat span walked runs or built pieces")
+
+        monkeypatch.setattr(weights, "overlay_row_runs", walked)
+        monkeypatch.setattr(dc_cert, "overlay_row_runs", walked)
+        monkeypatch.setattr(KotheMatrix, "log_row_runs", walked)
+        monkeypatch.setattr(BlockSideSequence, "runs_over", walked)
+        seg = catalog.segment_end
+        ex2, ex4 = (catalog.build_example(name)
+                    for name in ("ex2_kothe_dc_not_hc", "ex4_lp_mly_not_hc"))
+        rep = check_acb(ex4, basis_probes([seg(201)], [seg(201)]), C_grid=(100.0,))
+        assert rep.verdict == "falsified-at-horizon"
+        N = seg(120)
+        rep = check_dc_condition_B(ex2, schedule_dc(1, [(6, N, [(N, 1.0)])]),
+                                   mode="pieces")
+        assert rep.rows[0]["count"] == N - 112_520  # frozen from the piece route
+        assert rep.verdict == "condition-B-holds-at-horizon"
 
 
 class TestConditionA:

@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from shiftchaos import catalog
+from shiftchaos.sequences import BlockSideSequence, SplitSequence
+from shiftchaos.shift import ShiftOperator
+from shiftchaos.spaces import IndexSet, lp_space
+from shiftchaos.weights import bilateral_weights, unilateral_weights
 from shiftchaos.mly_cert import (
     anchor_equivalence_probe,
     basis_probes,
@@ -140,7 +144,7 @@ class TestConditionB:
         assert rep.verdict == "certified-at-horizon"
         for row in rep.rows:
             k, N = row["k"], row["N_k"]
-            exact = oracles.exact_single_term_average(ex4_op, SEG(k), N)
+            exact = oracles.exact_run_average(ex4_op, SEG(k), N)
             assert exact >= k  # non-strict integer-side comparison
             assert math.isclose(row["average"].logmag, math.log(exact),
                                 rel_tol=1e-10)
@@ -253,6 +257,65 @@ class TestAcb:
             check_acb(rolewicz_op, [("zero", 5, 0.0, 10)])
         with pytest.raises(ValueError):
             basis_probes([1, 2], [10])
+
+
+def _exact_log(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+# weight and row values that survive LogScalar's exp(log(v)) round trip, so
+# the stepwise oracle reads them exactly
+_WEIGHT_VALUES = [0.5, 1.0, 2.0, -1.0, -2.0, 0.25, 1.5, -0.75]
+_ROW_VALUES = [1.0, 2.0, 0.5, 4.0, 1.5]
+
+
+def _layout(values):
+    return st.lists(st.tuples(st.sampled_from(values), st.integers(1, 6)),
+                    min_size=1, max_size=4)
+
+
+def _side(runs, origin, direction):
+    return BlockSideSequence(lambda n: runs, origin, direction)
+
+
+class TestRunOracle:
+    def test_matches_stepwise_oracle_on_ex4(self, ex4_op):
+        for t in (1, 2, 3, 4):
+            assert (oracles.exact_run_average(ex4_op, SEG(t), SEG(t))
+                    == oracles.exact_single_term_average(ex4_op, SEG(t), SEG(t)))
+
+    @settings(max_examples=150)
+    @given(_layout(_WEIGHT_VALUES), _layout(_WEIGHT_VALUES), _layout(_ROW_VALUES),
+           _layout(_ROW_VALUES), st.booleans(), st.integers(-40, 40),
+           st.integers(1, 120))
+    def test_matches_stepwise_oracle_on_random_layouts(self, w_left, w_right, a_left,
+                                                       a_right, bilateral, index, N):
+        if bilateral:
+            weights = bilateral_weights(_side(w_left, -1, -1), _side(w_right, 0, 1))
+            nu = SplitSequence(_side(a_left, -1, -1), _side(a_right, 0, 1), split=0)
+            space = lp_space(2, IndexSet.Z, nu=nu)
+        else:
+            weights = unilateral_weights(_side(w_right, 1, 1))
+            space = lp_space(2, IndexSet.N, nu=_side(a_right, 1, 1))
+            index = abs(index) + 1
+        op = ShiftOperator(space, weights)
+        assert (oracles.exact_run_average(op, index, N)
+                == oracles.exact_single_term_average(op, index, N))
+
+    def test_rejects_long_non_unit_runs(self, halfweights_op):
+        assert oracles.exact_run_average(halfweights_op, 0, 1000) > 0
+        with pytest.raises(ValueError, match="too long"):
+            oracles.exact_run_average(halfweights_op, 0, 10 ** 6)
+
+    @pytest.mark.parametrize("t", [21, 201])
+    def test_ex4_acb_probe_average_exact(self, ex4_op, t):
+        # ln of the average is ln(sum) - ln N with both near 2.3 * t: the
+        # bound is absolute, a few ulps of ln(sum)
+        N = SEG(t)
+        rep = check_acb(ex4_op, basis_probes([N], [N]), C_grid=(1.0,))
+        exact = oracles.exact_run_average(ex4_op, N, N)
+        assert math.isclose(rep.rows[0]["average"].logmag, _exact_log(exact),
+                            rel_tol=0, abs_tol=4 * math.ulp(_exact_log(exact * N)))
 
 
 class TestF3:
