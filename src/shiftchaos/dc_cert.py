@@ -15,8 +15,12 @@ to ~2e7, and, for single-term witnesses, a route that stays exact at
 astronomical horizons (10**200 is fine).  That route reads value counts
 where the weight product is flat (every weight of modulus 1: one
 O(log blocks) count read, no pieces) and builds piecewise log-linear
-envelopes elsewhere.  Verdicts come from the closed vocabulary in `reports`
-and are always horizon-stamped.
+envelopes elsewhere.  Every dense check reads ln |b P(i, n) a(i - n, k)|
+from shift.basis_orbit_logs and combines witness terms with the lp form of
+numerics (logsumexp_p_rows; logsumexp_p for denominators).  The four
+condition-(B) checks share one level loop and verdict ladder
+(level_report).  Verdicts come from the closed vocabulary in `reports` and
+are always horizon-stamped.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .density import IndexPredicate, envelope_of_counts, naturals
-from .numerics import NEG_INF, LogScalar, SparseVector, logsumexp_p
+from .numerics import (NEG_INF, LogScalar, SparseVector, logsumexp_p,
+                       logsumexp_p_rows)
 from .piecewise import count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
-from .shift import ShiftOperator, orbit_seminorm_log_array
+from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_array
 from .spaces import IndexSet, seminorm
 from .weights import (MAX_DENSE, Piece, forward_product, overlay_row_runs,
                       product, product_log_table, product_pieces, shift_pieces)
@@ -196,50 +201,27 @@ def _single_term_count(op: ShiftOperator, term: WitnessTerm, m: int,
     return count_above(pieces, thr)
 
 
-def _dense_guard(n_terms: int, horizon: int) -> None:
-    if horizon > MAX_DENSE or n_terms * (horizon + 1) > DENSE_CELL_CAP:
-        raise ValueError(
-            f"dense route too large ({n_terms} terms, horizon {horizon}); "
-            "single-term schedules can use mode='pieces'")
-
-
 def _resolve_mode(mode: str, n_terms: int, horizon: int) -> str:
+    """The route of a level: mode "auto" takes the dense route within the
+    caps, else pieces for a single term.  Raises where the route cannot run,
+    so the dense checks call it with mode "dense" as their size guard."""
     if mode not in ("auto", "dense", "pieces"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "pieces" and n_terms != 1:
         raise ValueError("piecewise route handles single-term witnesses only")
+    fits = horizon <= MAX_DENSE and n_terms * (horizon + 1) <= DENSE_CELL_CAP
+    if mode == "dense" and not fits:
+        raise ValueError(
+            f"dense route too large ({n_terms} terms, horizon {horizon}); "
+            "single-term schedules can use mode='pieces'")
     if mode != "auto":
         return mode
-    if horizon <= MAX_DENSE and n_terms * (horizon + 1) <= DENSE_CELL_CAP:
+    if fits:
         return "dense"
     if n_terms == 1:
         return "pieces"
     raise ValueError("no feasible route: multi-term witness at a horizon "
                      "beyond the dense cap")
-
-
-def _term_log_rows(op: ShiftOperator, terms: Sequence[WitnessTerm], m: int,
-                   horizon: int) -> np.ndarray:
-    """rows[t, n] = ln |b_t * P(i_t, n) * a(i_t - n, m)| for n = 0..horizon."""
-    rows = np.empty((len(terms), horizon + 1))
-    for t, term in enumerate(terms):
-        table = product_log_table(op.weights, term.index, horizon)
-        [(_, arow)] = op.space.log_rows(term.index - horizon, term.index, (m,))
-        vals = term.coeff.logmag + table.logs + arow[::-1]
-        vals[table.signs == 0] = NEG_INF
-        rows[t] = vals
-    return rows
-
-
-def _ratio_threshold(k: int, horizon: int) -> float:
-    try:
-        return float(horizon) * (k - 1) / k
-    except OverflowError:
-        return math.inf
-
-
-def _passes(count: int, k: int, horizon: int) -> bool:
-    return count * k > (k - 1) * horizon
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +243,7 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     anchors = list(anchors)
     if horizon < 1 or not anchors:
         raise ValueError("need a positive horizon and at least one anchor")
-    _dense_guard(1, horizon)
+    _resolve_mode("dense", 1, horizon)
     ns = np.arange(1, horizon + 1)
     if D.count_array is not None:
         counts = D.count_array(ns).astype(np.int64)
@@ -282,11 +264,7 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     rows = []
     all_ok = True
     for i in anchors:
-        table = product_log_table(op.weights, i, horizon)
-        dead = table.signs[1:] == 0
-        for k, row in op.space.log_rows(i - horizon, i - 1, range(1, k_max + 1)):
-            vals = table.logs[1:] + row[::-1]  # entry n - 1 reads a(i - n, k)
-            vals[dead] = NEG_INF
+        for k, vals in basis_orbit_logs(op, i, range(1, k_max + 1), 1, horizon):
             viol = mask & (vals >= log_tol)
             n_viol = int(viol.sum())
             if n_viol == 0:
@@ -315,27 +293,22 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     anchors = list(anchors)
     if horizon < 1 or not anchors:
         raise ValueError("need a positive horizon and at least one anchor")
-    _dense_guard(1, horizon)
-    ns = np.arange(1, horizon + 1)
+    _resolve_mode("dense", 1, horizon)
     log_bound = math.log(bound)
     rows = []
     all_ok = True
     for i in anchors:
-        table = product_log_table(op.weights, i, horizon)
-        [(_, row)] = op.space.log_rows(i - horizon, i - 1, (1,))
-        vals = table.logs[1:] + row[::-1]
-        del row  # a horizon-long array; not held through the counting below
-        vals[table.signs[1:] == 0] = NEG_INF
-        bad = vals >= log_bound
-        counts = np.cumsum(bad)
-        ratios = counts / ns
-        low = ratios <= delta
-        n0 = int(ns[low][-1]) + 1 if low.any() else 1
+        [(_, vals)] = basis_orbit_logs(op, i, (1,), 1, horizon)
+        counts = np.cumsum(vals >= log_bound)
+        del vals  # horizon-long; not held through the counting below
+        ratios = counts / np.arange(1, horizon + 1)  # position t holds N = t + 1
+        low = np.flatnonzero(ratios <= delta)
+        n0 = int(low[-1]) + 2 if low.size else 1  # just past the last low N
         ok = n0 <= min(settle_by, horizon)
         if ok:
             seg = ratios[n0 - 1:]
             at = int(np.argmin(seg))
-            min_ratio, min_at = float(seg[at]), int(ns[n0 - 1 + at])
+            min_ratio, min_at = float(seg[at]), n0 + at
         else:
             min_ratio, min_at = 0.0, n0
         all_ok = all_ok and ok
@@ -368,6 +341,47 @@ def _condition_a_state(op: ShiftOperator, sched: WitnessScheduleDC,
     return None, "condition (A) not checked"
 
 
+def level_report(kind: str, sched: WitnessScheduleDC, mode: str,
+                 a_state: tuple[bool | None, str],
+                 level: Callable[[DCWitnessEntry], dict | str],
+                 **params) -> CertificateReport:
+    """The level loop and verdict ladder of the four condition-(B) checks.
+
+    level(entry) returns the level's row, or the note on a zero denominator,
+    which fails the check at once.  Every row must pass; condition (A)
+    (a_state: settled or not, and its note) then tells certified-at-horizon
+    from condition-B-holds-at-horizon.
+    """
+    a_ok, a_note = a_state
+    rows, notes = [], [a_note]
+    for entry in sched.entries:
+        row = level(entry)
+        if isinstance(row, str):
+            notes.append(row)
+            return CertificateReport(kind, "condition-failed",
+                                     {"m": sched.m, "mode": mode}, rows, notes)
+        rows.append(row)
+    if not all(r["pass"] for r in rows):
+        verdict = "condition-failed"
+    elif a_ok:
+        verdict = "certified-at-horizon"
+    else:
+        verdict = "condition-B-holds-at-horizon"
+    params = {"m": sched.m, "mode": mode, **params,
+              "levels": [e.k for e in sched.entries]}
+    return CertificateReport(kind, verdict, params, rows, notes)
+
+
+def _count_row(k: int, N: int, count: int) -> dict:
+    """A counting level passes iff count * k > (k - 1) * N, exactly."""
+    try:
+        threshold = float(N) * (k - 1) / k
+    except OverflowError:
+        threshold = math.inf
+    return {"k": k, "N_k": N, "count": count, "threshold": threshold,
+            "pass": count * k > (k - 1) * N}
+
+
 def check_dc_condition_B(op: ShiftOperator, sched: WitnessScheduleDC,
                          mode: str = "auto",
                          condition_a: CertificateReport | None = None,
@@ -381,62 +395,27 @@ def check_dc_condition_B(op: ShiftOperator, sched: WitnessScheduleDC,
     schedule's D/anchors, or automatic on the one-sided domain); otherwise a
     full count yields condition-B-holds-at-horizon.
     """
-    a_ok, a_note = _condition_a_state(op, sched, condition_a, horizon_a,
-                                      decay_tol, k_max_a)
-    rows = []
-    notes = [a_note]
-    all_pass = True
-    for entry in sched.entries:
+    def level(entry: DCWitnessEntry) -> dict | str:
         k, N = entry.k, entry.horizon
         pk = sched.p_of(k)
         den = seminorm(op.space, entry.vector(), pk)
         if den.sign == 0:
-            notes.append(f"zero denominator seminorm at k={k} (p(k)={pk})")
-            return CertificateReport("dc-condition-B", "condition-failed",
-                                     {"m": sched.m, "mode": mode}, rows, notes)
-        use = _resolve_mode(mode, len(entry.terms), N)
+            return f"zero denominator seminorm at k={k} (p(k)={pk})"
         thr = math.log(k) + den.logmag
-        if use == "dense":
-            _dense_guard(len(entry.terms), N)
+        if _resolve_mode(mode, len(entry.terms), N) == "dense":
             lognum = orbit_seminorm_log_array(op, entry.vector(), sched.m, N)
             count = int(np.count_nonzero(lognum[1:] > thr))
         else:
             count = _single_term_count(op, entry.terms[0], sched.m, N, thr)
-        ok = _passes(count, k, N)
-        all_pass = all_pass and ok
-        rows.append({"k": k, "N_k": N, "count": count,
-                     "threshold": _ratio_threshold(k, N), "pass": ok})
-    if not all_pass:
-        verdict = "condition-failed"
-    elif a_ok:
-        verdict = "certified-at-horizon"
-    else:
-        verdict = "condition-B-holds-at-horizon"
-    params = {"m": sched.m, "mode": mode,
-              "levels": [e.k for e in sched.entries]}
-    return CertificateReport("dc-condition-B", verdict, params, rows, notes)
+        return _count_row(k, N, count)
+
+    a_state = _condition_a_state(op, sched, condition_a, horizon_a, decay_tol,
+                                 k_max_a)
+    return level_report("dc-condition-B", sched, mode, a_state, level)
 
 
 # ---------------------------------------------------------------------------
 # the Kothe-space forms (max form for p = 0, p-power sums for p >= 1)
-
-
-def _kothe_denominator(op: ShiftOperator, terms: Sequence[WitnessTerm],
-                       pk: int) -> float:
-    """ln of the p(k)-seminorm *form*: max for p = 0, else the p-power sum
-    (no 1/p root; the comparison carries k^p instead of k)."""
-    logs = []
-    for t in terms:
-        la = op.space.matrix.log_entry(t.index, pk)
-        if la > NEG_INF:
-            logs.append(la + t.coeff.logmag)
-    if not logs:
-        return NEG_INF
-    if op.space.p == 0:
-        return max(logs)
-    p = op.space.p
-    m = max(logs)
-    return m * p + math.log(math.fsum(math.exp(p * (x - m)) for x in logs))
 
 
 def check_kothe_dc(op: ShiftOperator, sched: WitnessScheduleDC,
@@ -447,57 +426,32 @@ def check_kothe_dc(op: ShiftOperator, sched: WitnessScheduleDC,
     """Same counts as check_dc_condition_B via the matrix-entry forms.
 
     p = 0 compares max_j |a(i_j - n, m) b_j P_j(n)| against k times the max
-    denominator form; p >= 1 compares p-power sums against k^p times the
-    p-power denominator.  Counts agree exactly with the seminorm route.
+    denominator form; p >= 1 compares p-power sums (unrooted) against k^p
+    times the p-power denominator.  Counts agree exactly with the seminorm
+    route.
     """
-    a_ok, a_note = _condition_a_state(op, sched, condition_a, horizon_a,
-                                      decay_tol, k_max_a)
     p = op.space.p
-    rows = []
-    notes = [a_note]
-    all_pass = True
-    for entry in sched.entries:
+    scale = p or 1  # the forms carry k^p against unrooted p-power sums
+
+    def level(entry: DCWitnessEntry) -> dict | str:
         k, N = entry.k, entry.horizon
-        logden = _kothe_denominator(op, entry.terms, sched.p_of(k))
+        pk = sched.p_of(k)
+        logden = logsumexp_p([op.space.matrix.log_entry(t.index, pk) + t.coeff.logmag
+                              for t in entry.terms], p, rooted=False)
         if logden == NEG_INF:
-            notes.append(f"zero denominator form at k={k}")
-            return CertificateReport("kothe-dc", "condition-failed",
-                                     {"m": sched.m, "mode": mode}, rows, notes)
-        use = _resolve_mode(mode, len(entry.terms), N)
-        if p == 0:
-            thr = math.log(k) + logden
+            return f"zero denominator form at k={k}"
+        thr = scale * math.log(k) + logden
+        if _resolve_mode(mode, len(entry.terms), N) == "dense":
+            rows = np.stack([vals for t in entry.terms for _, vals in
+                             basis_orbit_logs(op, t.index, (sched.m,), 1, N, t.coeff.logmag)])
+            count = int(np.count_nonzero(logsumexp_p_rows(rows, p, rooted=False) > thr))
         else:
-            thr = p * math.log(k) + logden
-        if use == "dense":
-            _dense_guard(len(entry.terms), N)
-            term_rows = _term_log_rows(op, entry.terms, sched.m, N)
-            if p == 0:
-                lognum = term_rows.max(axis=0)
-            else:
-                scaled = p * term_rows
-                m_col = scaled.max(axis=0)
-                lognum = np.full(N + 1, NEG_INF)
-                finite = m_col > NEG_INF
-                if np.any(finite):
-                    lognum[finite] = m_col[finite] + np.log(
-                        np.sum(np.exp(scaled[:, finite] - m_col[finite]), axis=0))
-            count = int(np.count_nonzero(lognum[1:] > thr))
-        else:
-            count = _single_term_count(op, entry.terms[0], sched.m, N, thr,
-                                       scale=p if p != 0 else 1)
-        ok = _passes(count, k, N)
-        all_pass = all_pass and ok
-        rows.append({"k": k, "N_k": N, "count": count,
-                     "threshold": _ratio_threshold(k, N), "pass": ok})
-    if not all_pass:
-        verdict = "condition-failed"
-    elif a_ok:
-        verdict = "certified-at-horizon"
-    else:
-        verdict = "condition-B-holds-at-horizon"
-    params = {"m": sched.m, "mode": mode, "p": p,
-              "levels": [e.k for e in sched.entries]}
-    return CertificateReport("kothe-dc", verdict, params, rows, notes)
+            count = _single_term_count(op, entry.terms[0], sched.m, N, thr, scale)
+        return _count_row(k, N, count)
+
+    a_state = _condition_a_state(op, sched, condition_a, horizon_a, decay_tol,
+                                 k_max_a)
+    return level_report("kothe-dc", sched, mode, a_state, level, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -541,17 +495,11 @@ def check_lp_c0_dc(op: ShiftOperator, S: Iterable[int],
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
     n_max = max(horizons)
-    _dense_guard(len(S), n_max)
-    ns = np.arange(1, n_max + 1)
-    logs = np.empty((len(S), n_max))
-    for t, i in enumerate(S):
-        table = product_log_table(op.weights, i, n_max)
-        vals = table.logs[1:].copy()
-        vals[table.signs[1:] == 0] = NEG_INF
-        logs[t] = vals
+    _resolve_mode("dense", len(S), n_max)
+    logs = np.stack([product_log_table(op.weights, i, n_max).logs[1:] for i in S])
     rows = []
     if op.space.p == 0:
-        combined = logs.max(axis=0)
+        combined = logsumexp_p_rows(logs, 0)
         inf_ratio = math.inf
         for k in ks:
             exceed = np.cumsum(combined > math.log(k))
@@ -570,13 +518,7 @@ def check_lp_c0_dc(op: ShiftOperator, S: Iterable[int],
     if len(b) != len(S) or any(x <= 0 for x in b):
         raise ValueError("coefficients must be positive, one per index in S")
     p = op.space.p
-    scaled = p * logs + np.log(b)[:, None]
-    m_col = scaled.max(axis=0)
-    lognum = np.full(n_max, NEG_INF)
-    finite = m_col > NEG_INF
-    if np.any(finite):
-        lognum[finite] = m_col[finite] + np.log(
-            np.sum(np.exp(scaled[:, finite] - m_col[finite]), axis=0))
+    lognum = logsumexp_p_rows(p * logs + np.log(b)[:, None], 1, rooted=False)
     logden = math.log(math.fsum(b))
     all_pass = True
     for k, N in zip(ks, horizons):
@@ -744,7 +686,7 @@ def refute_hypercyclicity(op: ShiftOperator, horizon: int, k_max: int = 4,
     """
     if horizon < 1:
         raise ValueError("need a positive horizon")
-    _dense_guard(1, horizon)
+    _resolve_mode("dense", 1, horizon)
     anchor = 1 if op.space.index_set is IndexSet.N else 0
     logw = op.weights.log_abs_array(anchor, anchor + horizon - 1)
     cum = np.cumsum(logw)
@@ -787,11 +729,7 @@ def search_witness_dc(op: ShiftOperator, m: int = 1,
     ns = np.arange(1, N_max + 1)
     num: dict[int, np.ndarray] = {}
     for i in anchors:
-        table = product_log_table(op.weights, i, N_max)
-        [(_, row)] = op.space.log_rows(i - N_max, i - 1, (m,))
-        vals = table.logs[1:] + row[::-1]
-        vals[table.signs[1:] == 0] = NEG_INF
-        num[i] = vals
+        [(_, num[i])] = basis_orbit_logs(op, i, (m,), 1, N_max)
     prev_N = 0
     entries: list[tuple[int, int, list[tuple[int, float]]]] = []
     for k in sorted(int(k) for k in k_range):
@@ -811,15 +749,6 @@ def search_witness_dc(op: ShiftOperator, m: int = 1,
     return schedule_dc(m, entries)
 
 
-def _combined_lognum(op: ShiftOperator, chosen: Sequence[int],
-                     num: dict[int, np.ndarray]) -> np.ndarray:
-    rows = np.stack([num[i] for i in chosen])
-    if op.space.p == 0:
-        return rows.max(axis=0)
-    from .numerics import logsumexp_p_rows
-    return logsumexp_p_rows(rows, op.space.p)
-
-
 def _first_passing_horizon(op: ShiftOperator, chosen: Sequence[int],
                            num: dict[int, np.ndarray], k: int, pk: int,
                            prev_N: int, ns: np.ndarray) -> int | None:
@@ -827,7 +756,7 @@ def _first_passing_horizon(op: ShiftOperator, chosen: Sequence[int],
                    SparseVector.from_terms([(i, 1.0) for i in chosen]), pk)
     if den.sign == 0:
         return None
-    lognum = _combined_lognum(op, chosen, num)
+    lognum = logsumexp_p_rows(np.stack([num[i] for i in chosen]), op.space.p)
     counts = np.cumsum(lognum > math.log(k) + den.logmag).astype(np.int64)
     passing = counts * k > (k - 1) * ns
     if prev_N > 0:
@@ -859,7 +788,8 @@ def _greedy_multi(op: ShiftOperator, anchors: Sequence[int],
                            SparseVector.from_terms([(j, 1.0) for j in chosen + [i]]), pk)
             if den.sign == 0:
                 continue
-            lognum = _combined_lognum(op, chosen + [i], num)
+            lognum = logsumexp_p_rows(np.stack([num[j] for j in chosen + [i]]),
+                                      op.space.p)
             gains.append((int(np.count_nonzero(lognum > math.log(k) + den.logmag)), -i))
         if not gains:
             return None

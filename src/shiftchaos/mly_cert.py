@@ -14,6 +14,11 @@ values in [0, 1].  Single-term witnesses past the dense cap keep horizons
 like 10**200 exact: where the weight product is flat (every weight of
 modulus 1) the sum comes from value counts (single_term_counts), elsewhere
 from piecewise log-linear envelopes.
+
+Schedules, the dense orbit kernel (shift.basis_orbit_logs), the lp form
+(numerics.logsumexp_p / logsumexp_p_rows) and the level loop
+(dc_cert.level_report) are the distributional-chaos module's; each level
+here averages where that module counts.
 """
 
 from __future__ import annotations
@@ -25,58 +30,25 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm,
-                      _dense_guard, _resolve_mode, _term_log_rows,
+                      _resolve_mode, level_report, schedule_dc,
                       single_term_counts, single_term_pieces)
-from .numerics import (NEG_INF, ZERO, LogScalar, SparseVector,
-                       logaddexp_accumulate)
+from .numerics import (NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_p,
+                       logsumexp_p_rows)
 from .piecewise import log_sum, log_sum_values
 from .reports import POSITIVE_VERDICTS, CertificateReport
-from .shift import ShiftOperator, orbit_seminorm_log_array
+from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_array
 from .spaces import IndexSet, seminorm
-from .weights import MAX_DENSE, product_log_table
+from .weights import product_log_table
 
-
-@dataclass(frozen=True)
-class MLYWitnessEntry:
-    k: int
-    horizon: int
-    terms: tuple[WitnessTerm, ...]
-
-    def __post_init__(self):
-        DCWitnessEntry.__post_init__(self)  # same field constraints
-
-    vector = DCWitnessEntry.vector
-
-
-@dataclass(frozen=True)
-class WitnessScheduleMLY:
-    """Per level k: horizon N_k and the witness terms; m fixed across levels."""
-
-    m: int
-    entries: tuple[MLYWitnessEntry, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("seminorm index m must be >= 1")
-        if not self.entries:
-            raise ValueError("schedule has no entries")
-        ks = [e.k for e in self.entries]
-        if len(set(ks)) != len(ks):
-            raise ValueError("duplicate levels in schedule")
-        horizons = [e.horizon for e in self.entries]
-        if any(b <= a for a, b in zip(horizons, horizons[1:])):
-            raise ValueError("horizons N_k must be strictly increasing")
-
-    def p_of(self, k: int) -> int:
-        return self.m if k <= self.m else k
+# An MLY schedule is a DC schedule without D or anchors.
+MLYWitnessEntry = DCWitnessEntry
+WitnessScheduleMLY = WitnessScheduleDC
 
 
 def schedule_mly(m: int, entries: Iterable[tuple[int, int, Iterable[tuple[int, float]]]]
                  ) -> WitnessScheduleMLY:
-    built = tuple(MLYWitnessEntry(int(k), int(N),
-                                  tuple(WitnessTerm.of(i, b) for i, b in terms))
-                  for k, N, terms in entries)
-    return WitnessScheduleMLY(int(m), built)
+    """Build a schedule from plain (k, N_k, [(index, coeff), ...]) triples."""
+    return schedule_dc(m, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +73,15 @@ def cesaro_distance_series(op: ShiftOperator, anchor: int, N: int) -> CesaroSeri
     """
     if N < 1:
         raise ValueError("need a positive horizon")
-    _dense_guard(1, N)
-    space = op.space
-    table = product_log_table(op.weights, anchor, N)
-    logs = table.logs[1:]
-    dead = table.signs[1:] == 0
+    _resolve_mode("dense", 1, N)
     terms = np.zeros(N)
     last = clipped = None
-    levels = range(1, space.metric_depth + 1)
-    for k, row in space.log_rows(anchor - N, anchor - 1, levels):
-        if row is not last:  # a constant row is clipped once for every level
-            clipped = logs + row[::-1]  # entry n - 1 reads a(anchor - n, k)
-            clipped[dead] = NEG_INF
-            np.exp(np.minimum(clipped, 0.0, out=clipped), out=clipped)  # min(1, ||.||_k)
-            last = row
+    levels = range(1, op.space.metric_depth + 1)
+    for k, vals in basis_orbit_logs(op, anchor, levels, 1, N):
+        if vals is not last:  # a constant row is clipped once for every level
+            clipped = np.minimum(vals, 0.0)
+            np.exp(clipped, out=clipped)  # min(1, ||.||_k)
+            last = vals
         terms += math.pow(2.0, -k) * clipped
     averages = np.cumsum(terms) / np.arange(1, N + 1)
     return CesaroSeries(anchor, terms, averages)
@@ -218,14 +185,18 @@ def _single_term_log_sum(op: ShiftOperator, term: WitnessTerm, m: int,
 def _average_log(op: ShiftOperator, entry, m: int, mode: str) -> float:
     """ln of (1/N) * sum_{i=1..N} ||B^i (witness vector)||_m."""
     N = entry.horizon
-    use = _resolve_mode(mode, len(entry.terms), N)
-    if use == "dense":
-        _dense_guard(len(entry.terms), N)
+    if _resolve_mode(mode, len(entry.terms), N) == "dense":
         lognum = orbit_seminorm_log_array(op, entry.vector(), m, N)[1:]
         total = float(np.logaddexp.reduce(lognum))
     else:
         total = _single_term_log_sum(op, entry.terms[0], m, N)
     return total - math.log(N)
+
+
+def _average_row(k: int, N: int, avg_log: float) -> dict:
+    """An averaging level passes iff the average is >= k (non-strict)."""
+    return {"k": k, "N_k": N, "average": LogScalar(1, avg_log), "target": k,
+            "pass": avg_log >= math.log(k)}
 
 
 def check_mly_condition_B(op: ShiftOperator, sched: WitnessScheduleMLY,
@@ -240,31 +211,15 @@ def check_mly_condition_B(op: ShiftOperator, sched: WitnessScheduleMLY,
     automatic on the one-sided domain); a bare full pass yields
     condition-B-holds-at-horizon.
     """
-    a_ok, a_note = _mly_a_state(op, condition_a, auto_a_horizon, pass_tol)
-    rows = []
-    notes = [a_note]
-    all_pass = True
-    for entry in sched.entries:
-        k, N = entry.k, entry.horizon
-        den = seminorm(op.space, entry.vector(), sched.p_of(k))
+    def level(entry: MLYWitnessEntry) -> dict | str:
+        den = seminorm(op.space, entry.vector(), sched.p_of(entry.k))
         if den.sign == 0:
-            notes.append(f"zero denominator seminorm at k={k}")
-            return CertificateReport("mly-condition-B", "condition-failed",
-                                     {"m": sched.m, "mode": mode}, rows, notes)
+            return f"zero denominator seminorm at k={entry.k}"
         avg_log = _average_log(op, entry, sched.m, mode) - den.logmag
-        ok = avg_log >= math.log(k)
-        all_pass = all_pass and ok
-        rows.append({"k": k, "N_k": N, "average": LogScalar(1, avg_log),
-                     "target": k, "pass": ok})
-    if not all_pass:
-        verdict = "condition-failed"
-    elif a_ok:
-        verdict = "certified-at-horizon"
-    else:
-        verdict = "condition-B-holds-at-horizon"
-    params = {"m": sched.m, "mode": mode,
-              "levels": [e.k for e in sched.entries]}
-    return CertificateReport("mly-condition-B", verdict, params, rows, notes)
+        return _average_row(entry.k, entry.horizon, avg_log)
+
+    a_state = _mly_a_state(op, condition_a, auto_a_horizon, pass_tol)
+    return level_report("mly-condition-B", sched, mode, a_state, level)
 
 
 def check_kothe_mly(op: ShiftOperator, sched: WitnessScheduleMLY,
@@ -279,59 +234,25 @@ def check_kothe_mly(op: ShiftOperator, sched: WitnessScheduleMLY,
     the seminorm route to within accumulation roundoff (tested at 1e-10
     relative).
     """
-    a_ok, a_note = _mly_a_state(op, condition_a, auto_a_horizon, pass_tol)
     p = op.space.p
-    rows = []
-    notes = [a_note]
-    all_pass = True
-    for entry in sched.entries:
+
+    def level(entry: MLYWitnessEntry) -> dict | str:
         k, N = entry.k, entry.horizon
         pk = sched.p_of(k)
-        den_logs = [op.space.matrix.log_entry(t.index, pk) + t.coeff.logmag
-                    for t in entry.terms
-                    if op.space.matrix.log_entry(t.index, pk) > NEG_INF]
-        if not den_logs:
-            notes.append(f"zero denominator form at k={k}")
-            return CertificateReport("kothe-mly", "condition-failed",
-                                     {"m": sched.m, "mode": mode}, rows, notes)
-        if p == 0:
-            logden = max(den_logs)
-        else:
-            mx = max(den_logs)
-            logden = mx + math.log(math.fsum(
-                math.exp(p * (x - mx)) for x in den_logs)) / p
-        use = _resolve_mode(mode, len(entry.terms), N)
-        if use == "dense":
-            _dense_guard(len(entry.terms), N)
-            term_rows = _term_log_rows(op, entry.terms, sched.m, N)[:, 1:]
-            if p == 0:
-                lognum = term_rows.max(axis=0)
-            else:
-                scaled = p * term_rows
-                m_col = scaled.max(axis=0)
-                lognum = np.full(N, NEG_INF)
-                finite = m_col > NEG_INF
-                if np.any(finite):
-                    lognum[finite] = m_col[finite] / p + np.log(
-                        np.sum(np.exp(scaled[:, finite] - m_col[finite]),
-                               axis=0)) / p
-            total = float(np.logaddexp.reduce(lognum))
+        logden = logsumexp_p([op.space.matrix.log_entry(t.index, pk) + t.coeff.logmag
+                              for t in entry.terms], p)
+        if logden == NEG_INF:
+            return f"zero denominator form at k={k}"
+        if _resolve_mode(mode, len(entry.terms), N) == "dense":
+            rows = np.stack([vals for t in entry.terms for _, vals in
+                             basis_orbit_logs(op, t.index, (sched.m,), 1, N, t.coeff.logmag)])
+            total = float(np.logaddexp.reduce(logsumexp_p_rows(rows, p)))
         else:
             total = _single_term_log_sum(op, entry.terms[0], sched.m, N)
-        avg_log = total - math.log(N) - logden
-        ok = avg_log >= math.log(k)
-        all_pass = all_pass and ok
-        rows.append({"k": k, "N_k": N, "average": LogScalar(1, avg_log),
-                     "target": k, "pass": ok})
-    if not all_pass:
-        verdict = "condition-failed"
-    elif a_ok:
-        verdict = "certified-at-horizon"
-    else:
-        verdict = "condition-B-holds-at-horizon"
-    params = {"m": sched.m, "mode": mode, "p": p,
-              "levels": [e.k for e in sched.entries]}
-    return CertificateReport("kothe-mly", verdict, params, rows, notes)
+        return _average_row(k, N, total - math.log(N) - logden)
+
+    a_state = _mly_a_state(op, condition_a, auto_a_horizon, pass_tol)
+    return level_report("kothe-mly", sched, mode, a_state, level, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +262,7 @@ def check_kothe_mly(op: ShiftOperator, sched: WitnessScheduleMLY,
 def _probe_average_log(op: ShiftOperator, index: int, coeff: LogScalar,
                        N: int) -> float:
     """ln of (1/N) * sum_{n=1..N} ||B^n (coeff * e_index)||_1."""
-    entry = MLYWitnessEntry(1, N, (WitnessTerm(index, coeff),))
+    entry = DCWitnessEntry(1, N, (WitnessTerm(index, coeff),))
     return _average_log(op, entry, 1, "auto")
 
 
@@ -421,12 +342,10 @@ def check_f3(op: ShiftOperator, horizon: int,
         raise ValueError("the equivalence check needs constant-in-k rows")
     if horizon < 1:
         raise ValueError("need a positive horizon")
-    _dense_guard(1, horizon)
-    table = product_log_table(op.weights, 0, horizon)
-    logs = table.logs[1:].copy()
-    logs[table.signs[1:] == 0] = NEG_INF
+    _resolve_mode("dense", 1, horizon)
+    logs = product_log_table(op.weights, 0, horizon).logs[1:]
     ns = np.arange(1, horizon + 1)
-    avg_logs = logaddexp_accumulate(logs) - np.log(ns)
+    avg_logs = np.logaddexp.accumulate(logs) - np.log(ns)
     at = int(np.argmin(avg_logs))
     min_avg = float(np.exp(avg_logs[at])) if avg_logs[at] > NEG_INF else 0.0
     part1 = min_avg < lim_tol

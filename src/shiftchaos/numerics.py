@@ -9,13 +9,17 @@ when sign == 0 and logmag == -inf.
 Strict threshold comparisons ("ratio > k") happen directly on log magnitudes
 with no tolerance slack: a tie in the log domain is a failure of the strict
 inequality.
+
+Every lp form (the max for p = 0, the p-power sum for p >= 1, rooted or
+not) goes through one formula in two shapes: logsumexp_p for a few scalar
+terms (one fsum) and logsumexp_p_rows down the columns of an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -148,10 +152,6 @@ ZERO = LogScalar(0, NEG_INF)
 ONE = LogScalar(1, 0.0)
 
 
-def logmul(a: LogScalar, b: LogScalar) -> LogScalar:
-    return a * b
-
-
 def logadd(a: LogScalar, b: LogScalar) -> LogScalar:
     """Signed addition a + b without leaving the log domain."""
     if a.sign == 0:
@@ -168,31 +168,28 @@ def logadd(a: LogScalar, b: LogScalar) -> LogScalar:
     return LogScalar(big.sign, mag)
 
 
-def logsumexp_p(values: Iterable[LogScalar], p: float) -> LogScalar:
-    """(sum |v|^p)^(1/p) computed by factoring out the max magnitude.
+def _check_p(p: float) -> None:
+    if not (p == 0 or p >= 1):
+        raise ValueError(f"p must be 0 or >= 1, got {p}")
 
-    Requires p >= 1.  A single nonzero value short-circuits to its absolute
-    value so that one-term witnesses feed identical floats to every route.
+
+def logsumexp_p(logs: Iterable[float], p: float, rooted: bool = True) -> float:
+    """The lp form of a few terms given by their logs: ln max for p = 0,
+    else ln (sum e^(p x))^(1/p), or ln sum e^(p x) unrooted.
+
+    -inf terms (zeros) are dropped and no term at all gives -inf.  One
+    fsum, shifted by the largest term, so one term comes back as is (p x
+    unrooted).
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    mags = [v.logmag for v in values if v.sign != 0]
-    if not mags:
-        return ZERO
-    if len(mags) == 1:
-        return LogScalar(1, mags[0])
-    m = max(mags)
-    s = math.fsum(math.exp(p * (x - m)) for x in mags)
-    return LogScalar(1, m + math.log(s) / p)
-
-
-def sup_abs(values: Iterable[LogScalar]) -> LogScalar:
-    """max |v|  (the p = 0 aggregation)."""
-    best = NEG_INF
-    for v in values:
-        if v.sign != 0 and v.logmag > best:
-            best = v.logmag
-    return ZERO if best == NEG_INF else LogScalar(1, best)
+    _check_p(p)
+    xs = [x for x in logs if x > NEG_INF]
+    if not xs:
+        return NEG_INF
+    m = max(xs)
+    if p == 0:
+        return m
+    s = math.log(math.fsum(math.exp(p * (x - m)) for x in xs))
+    return m + s / p if rooted else p * m + s
 
 
 # ---------------------------------------------------------------------------
@@ -200,40 +197,23 @@ def sup_abs(values: Iterable[LogScalar]) -> LogScalar:
 # marks a zero entry) and only wrap results into LogScalar at the boundary.
 
 
-def logsumexp_p_array(logmags: np.ndarray, p: float) -> float:
-    """log of (sum exp(x)^p)^(1/p) over a 1-d array; -inf for empty/all-zero."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if logmags.size == 0:
-        return NEG_INF
-    m = float(np.max(logmags))
-    if m == NEG_INF:
-        return NEG_INF
-    if logmags.size == 1:
-        return float(logmags[0])
-    s = float(np.sum(np.exp(p * (logmags - m))))
-    return m + math.log(s) / p
+def logsumexp_p_rows(rows: np.ndarray, p: float, rooted: bool = True) -> np.ndarray:
+    """logsumexp_p down every column of an (r, N) array of logs, in numpy.
 
-
-def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """Column-wise (sum_j |row_j|^p)^(1/p) in logs for a (r, N) array."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    A single row is returned as is (p * row unrooted); an all -inf column
+    gives -inf.
+    """
+    _check_p(p)
     if rows.shape[0] == 1:
-        return rows[0].copy()
+        return rows[0] if rooted or p == 0 else p * rows[0]
     m = rows.max(axis=0)
+    if p == 0:
+        return m
     out = np.full(rows.shape[1], NEG_INF)
-    finite = m > NEG_INF
-    if np.any(finite):
-        shifted = rows[:, finite] - m[finite]
-        s = np.sum(np.exp(p * shifted), axis=0)
-        out[finite] = m[finite] + np.log(s) / p
+    finite = m > NEG_INF  # -inf - (-inf) would be NaN
+    s = np.log(np.sum(np.exp(p * (rows[:, finite] - m[finite])), axis=0))
+    out[finite] = m[finite] + s / p if rooted else p * m[finite] + s
     return out
-
-
-def logaddexp_accumulate(logmags: np.ndarray) -> np.ndarray:
-    """Running log of prefix sums of exp(x); entries may be -inf."""
-    return np.logaddexp.accumulate(logmags)
 
 
 class SparseVector:
@@ -289,9 +269,6 @@ class SparseVector:
         if cv.sign == 0:
             return SparseVector.zero()
         return SparseVector({i: v * cv for i, v in self._entries.items()})
-
-    def shift_indices(self, offset: int) -> "SparseVector":
-        return SparseVector({i + offset: v for i, v in self._entries.items()})
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         out = dict(self._entries)

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .numerics import NEG_INF
+from .numerics import NEG_INF, logsumexp_p
 from .weights import Piece
 
 
@@ -104,23 +102,12 @@ def piece_log_sum(p: Piece) -> float:
 
 
 def log_sum(pieces: list[Piece]) -> float:
-    """ln sum_n q(n) over all pieces (ordered accumulation, deterministic)."""
-    total = NEG_INF
-    for p in pieces:
-        total = float(np.logaddexp(total, piece_log_sum(p)))
-    return total
+    """ln sum_n q(n) over all pieces: one fsum of the pieces' closed forms."""
+    return logsumexp_p([piece_log_sum(p) for p in pieces], 1)
 
 
 def log_sum_values(counts: dict[float, int]) -> float:
-    """ln sum_n q(n) for q given in count form {ln q: count}: one fsum of
-    e^(lv + ln count - top), shifted by the largest term.  Counts stay ints
-    (math.log takes them at any size), so horizons past 2**1024 are fine."""
-    terms = [lv + math.log(c) for lv, c in counts.items() if lv > NEG_INF]
-    if not terms:
-        return NEG_INF
-    top = max(terms)
-    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
-
-
-def total_length(pieces: list[Piece]) -> int:
-    return sum(p.count for p in pieces)
+    """ln sum_n q(n) for q given in count form {ln q: count}.  Counts stay
+    ints (math.log takes them at any size), so horizons past 2**1024 are
+    fine."""
+    return logsumexp_p([lv + math.log(c) for lv, c in counts.items()], 1)

@@ -5,19 +5,22 @@ Unilateral:  B_w (x_1, x_2, ...) = (w_1 x_2, w_2 x_3, ...); anything shifted
              past the left edge is annihilated.
 
 Iterates act on basis vectors as B^n e_i = P(i, n) e_{i-n} with the backward
-product P from the weights module, so orbit seminorms of finitely supported
-vectors cost O(support) per time step on top of a cumulative product table.
+product P from the weights module.  Every dense check reads one quantity off
+that: ln |b P(i, n) a(i - n, k)|, served by basis_orbit_logs from one
+product table and one row pass.  Orbit seminorms of finitely supported
+vectors combine one such array per support point with the lp form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .numerics import NEG_INF, LogScalar, SparseVector, ZERO
-from .spaces import SpaceSpec, seminorm
-from .weights import WeightSpec, product, product_log_table
+from .numerics import NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_p_rows
+from .spaces import SpaceSpec
+from .weights import WeightSpec, product_log_table
 
 
 @dataclass(frozen=True)
@@ -43,14 +46,6 @@ def apply(op: ShiftOperator, x: SparseVector) -> SparseVector:
     return SparseVector.from_terms(terms)
 
 
-def iterate_basis(op: ShiftOperator, i: int, n: int) -> SparseVector:
-    """B^n e_i = P(i, n) e_{i-n}; exact zero once the orbit leaves the domain."""
-    c = product(op.weights, i, n)
-    if c.sign == 0:
-        return SparseVector.zero()
-    return SparseVector.basis(i - n, c)
-
-
 def orbit_seminorm_series(op: ShiftOperator, x: SparseVector, m: int,
                           n_max: int) -> list[LogScalar]:
     """[ ||B^n x||_m for n = 0..n_max ] off cumulative product tables."""
@@ -65,17 +60,31 @@ def orbit_seminorm_log_array(op: ShiftOperator, x: SparseVector, m: int,
                              n_max: int) -> np.ndarray:
     """ln ||B^n x||_m for n = 0..n_max as a dense array (numpy hot path)."""
     items = x.items_sorted()
-    out = np.full(n_max + 1, NEG_INF)
     if not items:
-        return out
-    rows = np.empty((len(items), n_max + 1))
-    for t, (j, v) in enumerate(items):
-        table = product_log_table(op.weights, j, n_max)
-        [(_, arow)] = op.space.log_rows(j - n_max, j, (m,))
-        vals = v.logmag + table.logs + arow[::-1]  # entry n reads a(j - n, m)
-        vals[table.signs == 0] = NEG_INF
-        rows[t] = vals
-    if op.space.p == 0:
-        return rows.max(axis=0)
-    from .numerics import logsumexp_p_rows
+        return np.full(n_max + 1, NEG_INF)
+    rows = np.stack([vals for j, v in items
+                     for _, vals in basis_orbit_logs(op, j, (m,), 0, n_max, v.logmag)])
     return logsumexp_p_rows(rows, op.space.p)
+
+
+def basis_orbit_logs(op: ShiftOperator, i: int, ks: Iterable[int], n_lo: int,
+                     n_hi: int, coeff: float = 0.0) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, vals) per level k in ks, vals[n - n_lo] = ln |b P(i, n) a(i - n, k)|
+    for n in [n_lo, n_hi] with ln |b| = coeff, from one product table and
+    one row pass.
+
+    Values are (coeff + ln |P|) + ln a, bit for bit.  Where the orbit has
+    left the domain both parts are -inf, so those n read -inf.  A constant
+    row yields one shared read-only array for every k.  A caller with one
+    level unpacks [(_, vals)] = ..., which runs the generator out and frees
+    the table before it goes on.
+    """
+    logs = product_log_table(op.weights, i, n_hi).logs[n_lo:]
+    if coeff:
+        logs += coeff  # the table is this call's own
+    last = vals = None
+    for k, row in op.space.log_rows(i - n_hi, i - n_lo, ks):
+        if row is not last:
+            last, vals = row, logs + row[::-1]  # entry n - n_lo reads a(i - n, k)
+            vals.flags.writeable = False
+        yield k, vals

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .numerics import (LN10, NEG_INF, ZERO, LogScalar, SparseVector,
-                       logsumexp_p, sup_abs)
+from .numerics import NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_p
 from .sequences import (ClosedFormSequence, ConstantSequence, Run, SequenceBase,
                         run_arrays)
 
@@ -253,33 +252,19 @@ def seminorm(space: SpaceSpec, x: SparseVector, k: int) -> LogScalar:
     for j, v in x.items_sorted():
         if not space.index_set.contains(j):
             raise ValueError(f"vector has support at {j} outside {space.index_set}")
-        la = space.matrix.log_entry(j, k)
-        if la == NEG_INF or v.sign == 0:
-            continue
-        terms.append(LogScalar(1, la + v.logmag))
-    if space.p == 0:
-        return sup_abs(terms)
-    return logsumexp_p(terms, space.p)
+        terms.append(space.matrix.log_entry(j, k) + v.logmag)
+    return LogScalar.from_log(1, logsumexp_p(terms, space.p))
 
 
 def seminorm_logs(space: SpaceSpec, x: SparseVector, k_hi: int) -> np.ndarray:
-    """log ||x||_k for k = 1..k_hi in one pass (metric helper)."""
+    """log ||x||_k for k = 1..k_hi, one row read per k (metric helper)."""
     items = x.items_sorted()
-    out = np.full(k_hi, NEG_INF)
     if not items:
-        return out
+        return np.full(k_hi, NEG_INF)
     js = np.array([j for j, _ in items])
     vlogs = np.array([v.logmag for _, v in items])
-    for k in range(1, k_hi + 1):
-        row = space.matrix.log_row_array(k, js)
-        t = row + vlogs
-        if space.p == 0:
-            out[k - 1] = t.max()
-        else:
-            m = t.max()
-            if m > NEG_INF:
-                out[k - 1] = m + math.log(np.sum(np.exp(space.p * (t - m)))) / space.p
-    return out
+    return np.array([logsumexp_p(space.matrix.log_row_array(k, js) + vlogs, space.p)
+                     for k in range(1, k_hi + 1)])
 
 
 def metric(space: SpaceSpec, x: SparseVector, y: SparseVector) -> float:

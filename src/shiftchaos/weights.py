@@ -15,7 +15,9 @@ Products are served three ways, mirroring the sequence layer:
                               O(log blocks) plus the runs of two end blocks;
                               fine for n ~ 10**200
   product_log_table(w, i, N)  dense log table for numpy sweeps, N <= ~2e7,
-                              from one runs pass; one float64 + one int8 [N+1]
+                              from one runs pass; one float64 + one int8 [N+1];
+                              dense checks read it through
+                              shift.basis_orbit_logs
   product_pieces(w, i, ...)   piecewise log-linear form for closed-form
                               counting and summing at astronomical horizons
 """
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import NEG_INF, ONE, ZERO, LogScalar
-from .sequences import (BlockSideSequence, Run, SequenceBase, SplitSequence,
-                        run_arrays)
+from .sequences import Run, SequenceBase, SplitSequence, run_arrays
 from .spaces import IndexSet
 
 MAX_DENSE = 20_000_000
@@ -103,14 +104,6 @@ def bilateral_weights(negative: SequenceBase, nonnegative: SequenceBase) -> Weig
 
 def unilateral_weights(seq: SequenceBase) -> WeightSpec:
     return WeightSpec(IndexSet.N, seq)
-
-
-def block_index_range(side: BlockSideSequence, n: int, negated: bool = False) -> tuple[int, int]:
-    """Inclusive index interval of block n; negated=True returns {-j : j in block}."""
-    lo, hi = side.block_range(n)
-    if negated:
-        return -hi, -lo
-    return lo, hi
 
 
 def product(w: WeightSpec, i: int, n: int) -> LogScalar:

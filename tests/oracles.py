@@ -13,10 +13,49 @@ from fractions import Fraction
 
 import numpy as np
 
-from shiftchaos.numerics import SparseVector
+from shiftchaos.numerics import LogScalar, SparseVector
+from shiftchaos.sequences import BlockSideSequence
 from shiftchaos.shift import ShiftOperator, apply
 from shiftchaos.spaces import IndexSet, SpaceSpec
-from shiftchaos.weights import WeightSpec
+from shiftchaos.weights import Piece, WeightSpec, product
+
+
+# ---------------------------------------------------------------------------
+# small helpers only the tests use
+
+
+def logmul(a: LogScalar, b: LogScalar) -> LogScalar:
+    return a * b
+
+
+def shift_indices(v: SparseVector, offset: int) -> SparseVector:
+    """v with every index moved by offset."""
+    return SparseVector({i + offset: x for i, x in v.items_sorted()})
+
+
+def iterate_basis(op: ShiftOperator, i: int, n: int) -> SparseVector:
+    """B^n e_i = P(i, n) e_{i-n}; exact zero once the orbit leaves the domain."""
+    c = product(op.weights, i, n)
+    if c.sign == 0:
+        return SparseVector.zero()
+    return SparseVector.basis(i - n, c)
+
+
+def block_index_range(side: BlockSideSequence, n: int,
+                      negated: bool = False) -> tuple[int, int]:
+    """Inclusive index interval of block n; negated=True returns {-j : j in block}."""
+    lo, hi = side.block_range(n)
+    if negated:
+        return -hi, -lo
+    return lo, hi
+
+
+def total_length(pieces: list[Piece]) -> int:
+    return sum(p.count for p in pieces)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
 
 
 def naive_weight_product(w: WeightSpec, i: int, n: int) -> float:
@@ -68,6 +107,19 @@ def dense_table_reference(w: WeightSpec, i: int,
     logs[1:live + 1] = np.cumsum(np.log(np.abs(vals)))
     signs[1:live + 1] = np.where(np.cumsum(vals < 0) % 2, -1, 1)
     return logs, signs
+
+
+def orbit_logs_reference(op: ShiftOperator, i: int, k: int, coeff: float,
+                         n_lo: int, n_hi: int) -> np.ndarray:
+    """ln |b P(i, n) a(i - n, k)| for n in [n_lo, n_hi], ln |b| = coeff:
+    (coeff + the reference table) + the reversed reference row, with every
+    n whose product sign is 0 (the orbit has left the domain) masked to
+    -inf, the mask shift.basis_orbit_logs does without."""
+    logs, signs = dense_table_reference(op.weights, i, n_hi)
+    row = dense_row_reference(op.space, k, i - n_hi, i - n_lo)
+    vals = coeff + logs[n_lo:] + row[::-1]
+    vals[signs[n_lo:] == 0] = -math.inf
+    return vals
 
 
 def dense_row_reference(space: SpaceSpec, k: int, lo: int, hi: int) -> np.ndarray:

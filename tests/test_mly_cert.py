@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 import oracles
 from shiftchaos import catalog
+from shiftchaos.dc_cert import WitnessTerm, single_term_pieces
+from shiftchaos.piecewise import log_sum
 from shiftchaos.sequences import BlockSideSequence, SplitSequence
 from shiftchaos.shift import ShiftOperator
 from shiftchaos.spaces import IndexSet, lp_space
@@ -263,6 +266,13 @@ def _exact_log(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def _rounded_log(x: Fraction) -> float:
+    """ln x to 50 digits, then rounded once to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(Decimal(x.numerator).ln() - Decimal(x.denominator).ln())
+
+
 # weight and row values that survive LogScalar's exp(log(v)) round trip, so
 # the stepwise oracle reads them exactly
 _WEIGHT_VALUES = [0.5, 1.0, 2.0, -1.0, -2.0, 0.25, 1.5, -0.75]
@@ -306,6 +316,15 @@ class TestRunOracle:
         assert oracles.exact_run_average(halfweights_op, 0, 1000) > 0
         with pytest.raises(ValueError, match="too long"):
             oracles.exact_run_average(halfweights_op, 0, 10 ** 6)
+
+    @pytest.mark.parametrize("t", [8, 10, 11, 13, 15])
+    def test_piece_route_log_sum_within_two_ulps(self, ex4_op, t):
+        # the piece route, taken even where the count form applies, against
+        # ln of the exact sum over n <= N of P(N, n) a(N - n, 1)
+        N = SEG(t)
+        got = log_sum(single_term_pieces(ex4_op, WitnessTerm.of(N, 1.0), 1, N))
+        want = _rounded_log(oracles.exact_run_average(ex4_op, N, N) * N)
+        assert abs(got - want) <= 2 * math.ulp(want)
 
     @pytest.mark.parametrize("t", [21, 201])
     def test_ex4_acb_probe_average_exact(self, ex4_op, t):

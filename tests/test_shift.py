@@ -5,19 +5,23 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import test_weights as twt
 from shiftchaos import catalog
 from shiftchaos.numerics import NEG_INF, SparseVector
 from shiftchaos.shift import (
+    ShiftOperator,
     apply,
-    iterate_basis,
+    basis_orbit_logs,
     orbit_seminorm_log_array,
     orbit_seminorm_series,
 )
 from shiftchaos.spaces import IndexSet
+from test_spaces import ROW_CASES
 
 OPS = [catalog.build_example(n) for n in
        ("ex1_s_Z_hc_not_dc", "ex2_kothe_dc_not_hc", "ex4_lp_mly_not_hc",
@@ -56,7 +60,7 @@ class TestApply:
         cur = SparseVector.basis(i)
         for _ in range(n):
             cur = apply(op, cur)
-        want = iterate_basis(op, i, n)
+        want = oracles.iterate_basis(op, i, n)
         assert cur.support() == want.support()
         for j in cur.support():
             assert cur[j].sign == want[j].sign
@@ -105,3 +109,40 @@ class TestOrbitSeries:
         assert all(s.is_zero() for s in series)
         arr = orbit_seminorm_log_array(op, SparseVector.zero(), 1, 5)
         assert np.all(arr == NEG_INF)
+
+
+# weights for every index set, with negative and closed-form (run-less) ones
+KERNEL_WEIGHTS = {
+    IndexSet.Z: [w for _, w in twt.WEIGHT_CASES + [twt.NEGATIVE_CASE]
+                 if w.index_set is IndexSet.Z],
+    IndexSet.N: [w for _, w in twt.WEIGHT_CASES + [twt.CLOSED_CASE]
+                 if w.index_set is IndexSet.N],
+}
+
+
+class TestBasisOrbitLogs:
+    @settings(max_examples=300)
+    @given(st.sampled_from(ROW_CASES), st.data(), st.integers(-40, 60),
+           st.sampled_from([0, 1]), st.integers(0, 300),
+           st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           st.sampled_from([0.0, 1.5, -2.25, math.log(3.0)]))
+    def test_matches_reference_bytewise(self, case, data, raw_i, n_lo, span, ks,
+                                        coeff):
+        # on N, i <= 61 and n up to 301: most draws run past the edge (n >= i)
+        _, space = case
+        op = ShiftOperator(space, data.draw(st.sampled_from(KERNEL_WEIGHTS[space.index_set])))
+        i = domain_index(op, raw_i)
+        n_hi = n_lo + span
+        got = list(basis_orbit_logs(op, i, ks, n_lo, n_hi, coeff))
+        assert [k for k, _ in got] == ks
+        for k, vals in got:
+            want = oracles.orbit_logs_reference(op, i, k, coeff, n_lo, n_hi)
+            assert vals.dtype == want.dtype and vals.shape == want.shape
+            assert vals.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["ex4_lp_mly_not_hc", "rolewicz_lp_N"])
+    def test_constant_rows_give_one_shared_readonly_array(self, name):
+        op = catalog.build_example(name)
+        got = [vals for _, vals in basis_orbit_logs(op, 30, range(1, 41), 1, 500, 0.5)]
+        assert all(vals is got[0] for vals in got)
+        assert not got[0].flags.writeable

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 from shiftchaos.numerics import ONE, LogScalar
-from shiftchaos.piecewise import total_length
 from shiftchaos.sequences import (
     BlockSideSequence,
     ClosedFormSequence,
@@ -27,7 +26,6 @@ from shiftchaos.weights import (
     MAX_DENSE,
     WeightSpec,
     bilateral_weights,
-    block_index_range,
     coalesce_pieces,
     forward_product,
     product,
@@ -270,7 +268,7 @@ class TestProductPieces:
         i = anchor_for(w, raw_i)
         n_lo, n_hi = 1 + lead, lead + span
         pieces = product_pieces(w, i, n_lo, n_hi)
-        assert total_length(pieces) == n_hi - n_lo + 1
+        assert oracles.total_length(pieces) == n_hi - n_lo + 1
         n = n_lo
         for piece in pieces:
             for t in range(piece.count):
@@ -297,7 +295,7 @@ class TestProductPieces:
         w = ex1_weights()
         pieces = product_pieces(w, 0, 1, 50)
         merged = coalesce_pieces(pieces)
-        assert total_length(merged) == 50
+        assert oracles.total_length(merged) == 50
         assert len(merged) <= len(pieces)
 
     def test_geometric_run_structure(self):
@@ -313,7 +311,7 @@ class TestProductPieces:
 class TestBlockIndexRange:
     def test_negation_mirrors(self):
         side = BlockSideSequence(alternating_powers(2.0), -1, -1)
-        assert block_index_range(side, 1) == (-2, -1)
-        assert block_index_range(side, 1, negated=True) == (1, 2)
-        assert block_index_range(side, 3) == (-12, -7)
-        assert block_index_range(side, 3, negated=True) == (7, 12)
+        assert oracles.block_index_range(side, 1) == (-2, -1)
+        assert oracles.block_index_range(side, 1, negated=True) == (1, 2)
+        assert oracles.block_index_range(side, 3) == (-12, -7)
+        assert oracles.block_index_range(side, 3, negated=True) == (7, 12)
