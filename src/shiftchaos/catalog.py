@@ -5,13 +5,20 @@ weight layout, and a list of checks, each carrying the verdict it is
 expected to produce.  The same loaders serve the CLI, so an exported entry
 re-runs bit-identically from file.  Entry names, template names, check kinds
 and the set/sequence form names used below are part of the public surface.
+
+One table drives the checks: READERS turns each config key into its typed
+value (a key means the same in every kind and block), and CHECKS names, per
+kind, the check function each item runs and the keys it reads.  run_check
+dispatches through it, and the CLI validates each item's keys against the
+same table (CHECK_KEYS).  Defaults live in the check functions' signatures.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -26,11 +33,6 @@ from .spaces import (IndexSet, KotheMatrix, SpaceSpec, c0_space,
                      condition_c_check, lp_space, rapidly_decreasing_space)
 from .numerics import SparseVector
 from .weights import WeightSpec, bilateral_weights, unilateral_weights
-
-CHECK_KINDS = ("dc", "dc_search", "kothe_dc", "lp_c0_dc", "mop",
-               "hypercyclicity", "mly", "kothe_mly", "acb", "f3",
-               "density", "orbit", "condition_C")
-
 
 # ---------------------------------------------------------------------------
 # config loaders (shared with the CLI)
@@ -80,11 +82,6 @@ def operator_from_config(config: dict) -> ShiftOperator:
     space = space_from_config(config["space"], index_set)
     weights = weights_from_config(config["weights"], index_set)
     return ShiftOperator(space, weights)
-
-
-def _schedule_triples(d: dict) -> list[tuple[int, int, list[tuple[int, float]]]]:
-    return [(int(k), int(N), [(int(i), float(b)) for i, b in terms])
-            for k, N, terms in d["schedule"]]
 
 
 def predicate_from_name(name: str) -> IndexPredicate:
@@ -165,163 +162,175 @@ PREDICATES = {
 
 
 # ---------------------------------------------------------------------------
-# check dispatch
+# check dispatch: one table of readers and check functions
+
+
+def _ints(v) -> list[int]:
+    return [int(x) for x in v]
+
+
+def _floats(v) -> list[float]:
+    return [float(x) for x in v]
+
+
+def _pair(v) -> tuple[int, int]:
+    lo, hi = v
+    return int(lo), int(hi)
+
+
+def _optional(read):
+    return lambda v: None if v is None else read(v)
+
+
+# One reader per config key; a key means the same in every kind and block.
+# `set` reaches predicate_from_name at call time, so a rebound one is used.
+READERS = {
+    **dict.fromkeys(("anchor", "auto_A_horizon", "exhaustive_to", "horizon",
+                     "k_max", "m", "n_max", "N_max", "r_max", "settle_by",
+                     "start"), int),
+    **dict.fromkeys(("bound", "decay_tol", "delta", "eps", "floor",
+                     "lim_tol", "pass_tol", "tail_fraction_min"), float),
+    **dict.fromkeys(("anchors", "k_range", "S"), _ints),
+    **dict.fromkeys(("anchor_window", "ell_window", "threshold", "window"), _pair),
+    "C_grid": _floats,
+    "coeffs": _optional(_floats),
+    "horizons": _optional(_ints),
+    "refute_floor": _optional(float),
+    "mode": str,
+    "schedule": lambda raw: [(int(k), int(N), [(int(i), float(b)) for i, b in terms])
+                             for k, N, terms in raw],
+    "probes": lambda raw: [(str(label), int(i), float(b), int(N))
+                           for label, i, b, N in raw],
+    "n_seq": n_seq_from_config,
+    "set": lambda name: predicate_from_name(name),
+    "alphas": MOP_ALPHAS.__getitem__,
+    "j0": MOP_J0.__getitem__,
+    "j1": MOP_J1.__getitem__,
+}
+PARAMS = {"set": "D", "auto_A_horizon": "auto_a_horizon",
+          "condition_A": "condition_a"}  # config key -> parameter, where they differ
+
+
+@dataclass(frozen=True)
+class Check:
+    """A check function, looked up on its module at call time (a tracer that
+    rebinds it sees the call), and the config keys it reads.  `defaults` are
+    config defaults of parameters the function requires; under a key in
+    `blocks` sits an object whose check's report is the argument; `fixed`
+    arguments are not config keys."""
+
+    module: Any
+    name: str
+    keys: tuple[str, ...]
+    defaults: dict = field(default_factory=dict)
+    blocks: dict = field(default_factory=dict)
+    fixed: dict = field(default_factory=dict)
+
+    def __call__(self, op: ShiftOperator, node: dict) -> CertificateReport:
+        args, given = dict(self.fixed), {**self.defaults, **node}
+        for key in (k for k in self.keys if k in given):
+            sub = self.blocks.get(key)
+            args[PARAMS.get(key, key)] = sub(op, given[key]) if sub else READERS[key](given[key])
+        if "schedule" in args:
+            args["sched"] = dc_cert.schedule_dc(args.pop("m", 1), args.pop("schedule"))
+        return getattr(self.module, self.name)(op, **args)
+
+
+_DC_A = Check(dc_cert, "check_dc_condition_A",
+              ("set", "anchors", "horizon", "decay_tol", "k_max",
+               "tail_fraction_min"), defaults={"set": "naturals"})
+_MLY_A = Check(mly_cert, "check_mly_condition_A",
+               ("anchor", "horizon", "pass_tol", "refute_floor", "start"),
+               defaults={"anchor": 0})
+_B = ("m", "schedule", "mode", "condition_A")  # the condition-(B) checks
+
+# kind -> {trigger: check}: the first check whose trigger key the item has
+# runs (None: always).  A check triggered by one of its own keys reads the
+# item; any other reads the block under its trigger.
+CHECKS: dict[str, dict[str | None, Check]] = {
+    "dc": {"refute_A": Check(dc_cert, "refute_dc_condition_A",
+                             ("anchors", "horizon", "bound", "delta", "settle_by")),
+           "schedule": Check(dc_cert, "check_dc_condition_B", _B,
+                             blocks={"condition_A": _DC_A}),
+           "condition_A": _DC_A},
+    "dc_search": {None: Check(dc_cert, "check_dc_search",
+                              ("m", "k_range", "anchor_window", "N_max", "r_max"))},
+    "kothe_dc": {None: Check(dc_cert, "check_kothe_dc", _B,
+                             blocks={"condition_A": _DC_A})},
+    "lp_c0_dc": {None: Check(dc_cert, "check_lp_c0_dc",
+                             ("S", "k_range", "horizons", "eps", "coeffs"))},
+    "mop": {None: Check(dc_cert, "check_mop_sufficient",
+                        ("alphas", "j0", "j1", "k_range", "n_max", "mode"),
+                        defaults={"alphas": "linear", "j0": "one",
+                                  "j1": "successor"})},
+    "hypercyclicity": {
+        "refute": Check(dc_cert, "refute_hypercyclicity",
+                        ("horizon", "k_max", "floor")),
+        "witness": Check(dc_cert, "check_hypercyclicity_witness",
+                         ("n_seq", "ell_window", "decay_tol", "k_max"),
+                         defaults={"ell_window": (-5, 5)})},
+    "mly": {"schedule": Check(mly_cert, "check_mly_condition_B",
+                              _B + ("auto_A_horizon",),
+                              blocks={"condition_A": _MLY_A}),
+            "condition_A": _MLY_A},
+    "kothe_mly": {None: Check(mly_cert, "check_kothe_mly", _B + ("auto_A_horizon",),
+                              blocks={"condition_A": _MLY_A})},
+    "acb": {None: Check(mly_cert, "check_acb", ("probes", "C_grid"))},
+    "f3": {None: Check(mly_cert, "check_f3",
+                       ("horizon", "probes", "C_grid", "lim_tol"))},
+    "density": {None: Check(sys.modules[__name__], "check_density",
+                            ("set", "horizon", "threshold", "exhaustive_to"))},
+    "orbit": {None: replace(_MLY_A, fixed={"include_series": True})},
+    "condition_C": {None: Check(sys.modules[__name__], "check_condition_c",
+                                ("window", "k_max"))},
+}
+CHECK_KINDS = tuple(CHECKS)
+
+
+def _accepted_keys(routes: dict[str | None, Check]) -> dict[str | None, frozenset]:
+    item, blocks = {"kind", "expect"}, {}  # expect: read by the expected suite
+    for trigger, check in routes.items():
+        if trigger is None or trigger in check.keys:
+            item.update(check.keys)
+            blocks.update((key, frozenset(sub.keys)) for key, sub in check.blocks.items())
+        else:
+            item.add(trigger)
+            blocks[trigger] = frozenset(check.keys)
+    return {None: frozenset(item), **blocks}
+
+
+# kind -> {None: the item's keys, block key: the block's keys}
+CHECK_KEYS = {kind: _accepted_keys(routes) for kind, routes in CHECKS.items()}
 
 
 def run_check(op: ShiftOperator, cfg: dict) -> CertificateReport:
     kind = cfg.get("kind")
-    if kind not in CHECK_KINDS:
+    if kind not in CHECKS:
         raise ValueError(f"unknown check kind {kind!r}")
-    return _DISPATCH[kind](op, cfg)
+    for trigger, check in CHECKS[kind].items():
+        if trigger is None:
+            return check(op, cfg)
+        if trigger in cfg:
+            return check(op, cfg if trigger in check.keys else cfg[trigger])
+    raise ValueError(f"{kind} check needs one of: {', '.join(CHECKS[kind])}")
 
 
-def _dc_condition_a(op, a_cfg: dict) -> CertificateReport:
-    D = predicate_from_name(a_cfg.get("set", "naturals"))
-    return dc_cert.check_dc_condition_A(
-        op, D, a_cfg["anchors"], int(a_cfg["horizon"]),
-        decay_tol=float(a_cfg.get("decay_tol", 1e-6)),
-        k_max=int(a_cfg.get("k_max", 4)),
-        tail_fraction_min=float(a_cfg.get("tail_fraction_min", 0.5)))
-
-
-def _run_dc(op, cfg):
-    if "refute_A" in cfg:
-        r = cfg["refute_A"]
-        return dc_cert.refute_dc_condition_A(
-            op, r["anchors"], int(r["horizon"]),
-            bound=float(r.get("bound", 0.5)),
-            delta=float(r.get("delta", 1 / 6)),
-            settle_by=int(r.get("settle_by", 50)))
-    cond_a = _dc_condition_a(op, cfg["condition_A"]) if "condition_A" in cfg else None
-    if "schedule" not in cfg:
-        if cond_a is None:
-            raise ValueError("dc check needs a schedule, a condition_A block, "
-                             "or a refute_A block")
-        return cond_a
-    sched = dc_cert.schedule_dc(int(cfg.get("m", 1)), _schedule_triples(cfg))
-    return dc_cert.check_dc_condition_B(op, sched, mode=cfg.get("mode", "auto"),
-                                        condition_a=cond_a)
-
-
-def _run_kothe_dc(op, cfg):
-    cond_a = _dc_condition_a(op, cfg["condition_A"]) if "condition_A" in cfg else None
-    sched = dc_cert.schedule_dc(int(cfg.get("m", 1)), _schedule_triples(cfg))
-    return dc_cert.check_kothe_dc(op, sched, mode=cfg.get("mode", "auto"),
-                                  condition_a=cond_a)
-
-
-def _run_dc_search(op, cfg):
-    window = cfg.get("anchor_window", [1, 60])
-    sched = dc_cert.search_witness_dc(
-        op, m=int(cfg.get("m", 1)),
-        k_range=[int(k) for k in cfg.get("k_range", [1, 2, 3, 4, 5, 6])],
-        anchor_window=(int(window[0]), int(window[1])),
-        N_max=int(cfg.get("N_max", 60)), r_max=int(cfg.get("r_max", 1)))
-    params = {"m": int(cfg.get("m", 1)), "anchor_window": list(window),
-              "N_max": int(cfg.get("N_max", 60))}
-    if sched is None:
-        return CertificateReport("dc-witness-search",
-                                 "no-witness-found-at-horizon", params)
-    rows = [{"k": e.k, "N_k": e.horizon,
-             "anchors": ",".join(str(t.index) for t in e.terms)}
-            for e in sched.entries]
-    verify = dc_cert.check_dc_condition_B(op, sched)
-    notes = [f"found schedule settles the counting check: {verify.verdict}"]
-    return CertificateReport("dc-witness-search", "witness-found", params,
-                             rows, notes)
-
-
-def _run_lp_c0_dc(op, cfg):
-    ks = [int(k) for k in cfg.get("k_range", [1, 2, 3, 4, 5, 6])]
-    horizons = cfg.get("horizons")
-    return dc_cert.check_lp_c0_dc(
-        op, [int(i) for i in cfg["S"]], k_range=ks,
-        horizons=[int(N) for N in horizons] if horizons else None,
-        eps=float(cfg.get("eps", 1e-2)),
-        coeffs=cfg.get("coeffs"))
-
-
-def _run_mop(op, cfg):
-    return dc_cert.check_mop_sufficient(
-        op, MOP_ALPHAS[cfg.get("alphas", "linear")],
-        MOP_J0[cfg.get("j0", "one")], MOP_J1[cfg.get("j1", "successor")],
-        k_range=[int(k) for k in cfg.get("k_range", [1, 2, 3, 4, 5])],
-        n_max=int(cfg.get("n_max", 40)), mode=cfg.get("mode", "auto"))
-
-
-def _run_hypercyclicity(op, cfg):
-    if "refute" in cfg:
-        r = cfg["refute"]
-        return dc_cert.refute_hypercyclicity(
-            op, int(r["horizon"]), k_max=int(r.get("k_max", 4)),
-            floor=float(r.get("floor", 1.0)))
-    w = cfg["witness"]
-    window = w.get("ell_window", [-5, 5])
-    return dc_cert.check_hypercyclicity_witness(
-        op, n_seq_from_config(w["n_seq"]),
-        (int(window[0]), int(window[1])),
-        decay_tol=float(w.get("decay_tol", 1e-6)),
-        k_max=int(w.get("k_max", 4)))
-
-
-def _mly_condition_a(op, a_cfg: dict, include_series: bool = False):
-    floor = a_cfg.get("refute_floor")
-    return mly_cert.check_mly_condition_A(
-        op, int(a_cfg.get("anchor", 0)), int(a_cfg["horizon"]),
-        pass_tol=float(a_cfg.get("pass_tol", 1e-3)),
-        refute_floor=float(floor) if floor is not None else None,
-        start=int(a_cfg.get("start", 1)), include_series=include_series)
-
-
-def _run_mly(op, cfg):
-    cond_a = _mly_condition_a(op, cfg["condition_A"]) if "condition_A" in cfg else None
-    if "schedule" not in cfg:
-        if cond_a is None:
-            raise ValueError("mly check needs a schedule or a condition_A block")
-        return cond_a
-    sched = mly_cert.schedule_mly(int(cfg.get("m", 1)), _schedule_triples(cfg))
-    return mly_cert.check_mly_condition_B(
-        op, sched, mode=cfg.get("mode", "auto"), condition_a=cond_a,
-        auto_a_horizon=int(cfg.get("auto_A_horizon", 100_000)))
-
-
-def _run_kothe_mly(op, cfg):
-    cond_a = _mly_condition_a(op, cfg["condition_A"]) if "condition_A" in cfg else None
-    sched = mly_cert.schedule_mly(int(cfg.get("m", 1)), _schedule_triples(cfg))
-    return mly_cert.check_kothe_mly(
-        op, sched, mode=cfg.get("mode", "auto"), condition_a=cond_a,
-        auto_a_horizon=int(cfg.get("auto_A_horizon", 100_000)))
-
-
-def _parse_probes(raw) -> list[tuple[str, int, float, int]]:
-    return [(str(lbl), int(i), float(b), int(N)) for lbl, i, b, N in raw]
-
-
-def _run_acb(op, cfg):
-    return mly_cert.check_acb(op, _parse_probes(cfg["probes"]),
-                              C_grid=[float(c) for c in cfg.get("C_grid", [1.0, 10.0, 100.0])])
-
-
-def _run_f3(op, cfg):
-    return mly_cert.check_f3(op, int(cfg["horizon"]), _parse_probes(cfg["probes"]),
-                             C_grid=[float(c) for c in cfg.get("C_grid", [1.0, 10.0, 100.0])],
-                             lim_tol=float(cfg.get("lim_tol", 1e-3)))
-
-
-def _run_density(op, cfg):
-    pred = predicate_from_name(cfg["set"])
-    horizon = int(cfg["horizon"])
-    num, den = (int(x) for x in cfg.get("threshold", [1, 6]))
-    exhaustive_to = min(int(cfg.get("exhaustive_to", 50)), horizon)
-    agree = check_counter_agreement(pred, min(10_000, horizon))
+def check_density(_op: ShiftOperator, D: IndexPredicate, horizon: int,
+                  threshold: tuple[int, int] = (1, 6),
+                  exhaustive_to: int = 50) -> CertificateReport:
+    """Does D's prefix ratio stay strictly above threshold up to the horizon?
+    The vectorized counter must also agree with the member test."""
+    num, den = threshold
+    exhaustive_to = min(exhaustive_to, horizon)
+    agree = check_counter_agreement(D, min(10_000, horizon))
     ns = np.arange(1, horizon + 1, dtype=np.int64)
-    if pred.count_array is not None:
-        counts = pred.count_array(ns).astype(np.int64)
+    if D.count_array is not None:
+        counts = D.count_array(ns).astype(np.int64)
     elif horizon <= 200_000:
-        counts = np.cumsum(pred.member_mask(horizon)).astype(np.int64)
+        counts = np.cumsum(D.member_mask(horizon)).astype(np.int64)
     else:
         raise ValueError("set has no vectorized counter for a horizon this large")
-    brute = np.cumsum(pred.member_mask(exhaustive_to)).astype(np.int64)
+    brute = np.cumsum(D.member_mask(exhaustive_to)).astype(np.int64)
     exhaustive_ok = bool(np.array_equal(brute, counts[:exhaustive_to]))
     strict_ok = bool(np.all(den * counts > num * ns))
     env = envelope_of_counts(counts)
@@ -330,48 +339,28 @@ def _run_density(op, cfg):
              "ratio_at_horizon": env.ratio_at_horizon,
              "strict_above_threshold": strict_ok,
              "counters_agree": agree, "exhaustive_prefix_ok": exhaustive_ok}]
-    params = {"set": pred.name, "horizon": horizon,
+    params = {"set": D.name, "horizon": horizon,
               "threshold": f"{num}/{den}", "exhaustive_to": exhaustive_to}
     verdict = "passes-at-horizon" if ok else "condition-failed"
     return CertificateReport("density", verdict, params, rows)
 
 
-def _run_orbit(op, cfg):
-    return _mly_condition_a(op, cfg, include_series=True)
-
-
-def _run_condition_c(op, cfg):
-    lo, hi = cfg.get("window", [-8, 8])
-    k_max = int(cfg.get("k_max", 6))
-    js = [j for j in range(int(lo), int(hi) + 1) if op.space.index_set.contains(j)]
+def check_condition_c(op: ShiftOperator, window: tuple[int, int] = (-8, 8),
+                      **kw) -> CertificateReport:
+    """condition_c_check on the basis vectors of the domain in the window
+    and two mixtures of them."""
+    lo, hi = window
+    js = [j for j in range(lo, hi + 1) if op.space.index_set.contains(j)]
     samples = [SparseVector.basis(j) for j in js]
     samples.append(SparseVector.from_terms([(j, 1.0) for j in js]))
     samples.append(SparseVector.from_terms(
         [(j, (-0.5) ** (abs(j) % 3 + 1)) for j in js]))
-    rep = condition_c_check(op.space, samples, k_max=k_max)
+    rep = condition_c_check(op.space, samples, **kw)
     rows = [{"samples": rep.checked, "worst_excess": rep.worst_excess,
              "ok": rep.ok}]
-    params = {"window": [int(lo), int(hi)], "k_max": k_max}
+    params = {"window": [lo, hi], "k_max": rep.k_max}
     verdict = "passes-at-horizon" if rep.ok else "condition-failed"
     return CertificateReport("condition-C", verdict, params, rows)
-
-
-_DISPATCH = {
-    "dc": _run_dc,
-    "dc_search": _run_dc_search,
-    "kothe_dc": _run_kothe_dc,
-    "lp_c0_dc": _run_lp_c0_dc,
-    "mop": _run_mop,
-    "hypercyclicity": _run_hypercyclicity,
-    "mly": _run_mly,
-    "kothe_mly": _run_kothe_mly,
-    "acb": _run_acb,
-    "f3": _run_f3,
-    "density": _run_density,
-    "orbit": _run_orbit,
-    "condition_C": _run_condition_c,
-}
-
 
 # ---------------------------------------------------------------------------
 # the catalog

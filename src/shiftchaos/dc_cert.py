@@ -19,12 +19,14 @@ envelopes elsewhere.  Every dense check reads ln |b P(i, n) a(i - n, k)|
 from shift.basis_orbit_logs and combines witness terms with the lp form of
 numerics (logsumexp_p_rows; logsumexp_p for denominators).  The four
 condition-(B) checks share one level loop and verdict ladder
-(level_report).  Verdicts come from the closed vocabulary in `reports` and
-are always horizon-stamped.
+(level_report), which rejects witness indices off the domain; condition
+(A) comes in as a report.  Verdicts come from the closed vocabulary in
+`reports` and are always horizon-stamped.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -88,17 +90,11 @@ class DCWitnessEntry:
 
 @dataclass(frozen=True)
 class WitnessScheduleDC:
-    """m, then per level k: horizon N_k and the witness terms.
-
-    Optionally carries the density-1 candidate set D and the anchor probes I
-    used by the decay condition (A); when present, certification can settle
-    both conditions in one call.
-    """
+    """m, then per level k: horizon N_k and the witness terms.  Condition (A)
+    is settled apart, by a report handed to the condition-(B) checks."""
 
     m: int
     entries: tuple[DCWitnessEntry, ...]
-    D: IndexPredicate | None = None
-    anchors: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.m < 1:
@@ -116,14 +112,13 @@ class WitnessScheduleDC:
         return self.m if k <= self.m else k
 
 
-def schedule_dc(m: int, entries: Iterable[tuple[int, int, Iterable[tuple[int, float]]]],
-                D: IndexPredicate | None = None,
-                anchors: Iterable[int] = ()) -> WitnessScheduleDC:
+def schedule_dc(m: int, entries: Iterable[tuple[int, int, Iterable[tuple[int, float]]]]
+                ) -> WitnessScheduleDC:
     """Build a schedule from plain (k, N_k, [(index, coeff), ...]) triples."""
     built = tuple(DCWitnessEntry(int(k), int(N),
                                  tuple(WitnessTerm.of(i, b) for i, b in terms))
                   for k, N, terms in entries)
-    return WitnessScheduleDC(int(m), built, D, tuple(anchors))
+    return WitnessScheduleDC(int(m), built)
 
 
 # ---------------------------------------------------------------------------
@@ -325,34 +320,40 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
 # condition (B): counting orbit-ratio exceedances
 
 
-def _condition_a_state(op: ShiftOperator, sched: WitnessScheduleDC,
-                       condition_a: CertificateReport | None,
-                       horizon_a: int, decay_tol: float,
-                       k_max: int) -> tuple[bool | None, str]:
+def _condition_a_state(op: ShiftOperator, condition_a: CertificateReport | None,
+                       auto_a: Callable[[], CertificateReport] | None
+                       ) -> tuple[bool | None, str]:
+    """Whether condition (A) is settled, and the note saying how."""
     if condition_a is not None:
         ok = condition_a.verdict in POSITIVE_VERDICTS
         return ok, f"condition (A) supplied: {condition_a.verdict}"
     if op.space.index_set is IndexSet.N:
         return True, "condition (A) automatic on the one-sided domain (orbits annihilate)"
-    if sched.D is not None and sched.anchors:
-        rep = check_dc_condition_A(op, sched.D, sched.anchors, horizon_a,
-                                   decay_tol, k_max)
+    if auto_a is not None:
+        rep = auto_a()
         return rep.verdict in POSITIVE_VERDICTS, f"condition (A) checked: {rep.verdict}"
     return None, "condition (A) not checked"
 
 
-def level_report(kind: str, sched: WitnessScheduleDC, mode: str,
-                 a_state: tuple[bool | None, str],
+def level_report(kind: str, op: ShiftOperator, sched: WitnessScheduleDC,
+                 mode: str, condition_a: CertificateReport | None,
                  level: Callable[[DCWitnessEntry], dict | str],
+                 auto_a: Callable[[], CertificateReport] | None = None,
                  **params) -> CertificateReport:
     """The level loop and verdict ladder of the four condition-(B) checks.
 
-    level(entry) returns the level's row, or the note on a zero denominator,
-    which fails the check at once.  Every row must pass; condition (A)
-    (a_state: settled or not, and its note) then tells certified-at-horizon
-    from condition-B-holds-at-horizon.
+    Every witness index must lie in the domain.  level(entry) returns the
+    level's row, or the note on a zero denominator, which fails the check at
+    once.  Every row must pass; condition (A) (the supplied report, else
+    automatic on the one-sided domain, else auto_a() where given) then tells
+    certified-at-horizon from condition-B-holds-at-horizon.
     """
-    a_ok, a_note = a_state
+    domain = op.space.index_set
+    for entry in sched.entries:
+        for t in entry.terms:
+            if not domain.contains(t.index):
+                raise ValueError(f"vector has support at {t.index} outside {domain}")
+    a_ok, a_note = _condition_a_state(op, condition_a, auto_a)
     rows, notes = [], [a_note]
     for entry in sched.entries:
         row = level(entry)
@@ -384,16 +385,15 @@ def _count_row(k: int, N: int, count: int) -> dict:
 
 def check_dc_condition_B(op: ShiftOperator, sched: WitnessScheduleDC,
                          mode: str = "auto",
-                         condition_a: CertificateReport | None = None,
-                         horizon_a: int = 10_000, decay_tol: float = 1e-6,
-                         k_max_a: int = 4) -> CertificateReport:
+                         condition_a: CertificateReport | None = None
+                         ) -> CertificateReport:
     """Count, per level k, the n <= N_k with seminorm ratio > k.
 
     The numerator is ||B^n (sum_j b_j e_{i_j})||_m, the denominator the
     schedule vector's p(k)-th seminorm.  certified-at-horizon needs every
-    level to pass and condition (A) to be settled (supplied, derived from the
-    schedule's D/anchors, or automatic on the one-sided domain); otherwise a
-    full count yields condition-B-holds-at-horizon.
+    level to pass and condition (A) to be settled (a supplied report, or
+    automatic on the one-sided domain); otherwise a full count yields
+    condition-B-holds-at-horizon.
     """
     def level(entry: DCWitnessEntry) -> dict | str:
         k, N = entry.k, entry.horizon
@@ -409,9 +409,7 @@ def check_dc_condition_B(op: ShiftOperator, sched: WitnessScheduleDC,
             count = _single_term_count(op, entry.terms[0], sched.m, N, thr)
         return _count_row(k, N, count)
 
-    a_state = _condition_a_state(op, sched, condition_a, horizon_a, decay_tol,
-                                 k_max_a)
-    return level_report("dc-condition-B", sched, mode, a_state, level)
+    return level_report("dc-condition-B", op, sched, mode, condition_a, level)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +418,8 @@ def check_dc_condition_B(op: ShiftOperator, sched: WitnessScheduleDC,
 
 def check_kothe_dc(op: ShiftOperator, sched: WitnessScheduleDC,
                    mode: str = "auto",
-                   condition_a: CertificateReport | None = None,
-                   horizon_a: int = 10_000, decay_tol: float = 1e-6,
-                   k_max_a: int = 4) -> CertificateReport:
+                   condition_a: CertificateReport | None = None
+                   ) -> CertificateReport:
     """Same counts as check_dc_condition_B via the matrix-entry forms.
 
     p = 0 compares max_j |a(i_j - n, m) b_j P_j(n)| against k times the max
@@ -449,9 +446,7 @@ def check_kothe_dc(op: ShiftOperator, sched: WitnessScheduleDC,
             count = _single_term_count(op, entry.terms[0], sched.m, N, thr, scale)
         return _count_row(k, N, count)
 
-    a_state = _condition_a_state(op, sched, condition_a, horizon_a, decay_tol,
-                                 k_max_a)
-    return level_report("kothe-dc", sched, mode, a_state, level, p=p)
+    return level_report("kothe-dc", op, sched, mode, condition_a, level, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +742,27 @@ def search_witness_dc(op: ShiftOperator, m: int = 1,
         entries.append((k, N, [(i, 1.0) for i in chosen]))
         prev_N = N
     return schedule_dc(m, entries)
+
+
+def check_dc_search(op: ShiftOperator, **search) -> CertificateReport:
+    """search_witness_dc as a report; a found schedule is settled by
+    check_dc_condition_B."""
+    args = inspect.signature(search_witness_dc).bind(op, **search)
+    args.apply_defaults()
+    a = args.arguments
+    params = {"m": a["m"], "anchor_window": list(a["anchor_window"]),
+              "N_max": a["N_max"]}
+    sched = search_witness_dc(op, **search)
+    if sched is None:
+        return CertificateReport("dc-witness-search",
+                                 "no-witness-found-at-horizon", params)
+    rows = [{"k": e.k, "N_k": e.horizon,
+             "anchors": ",".join(str(t.index) for t in e.terms)}
+            for e in sched.entries]
+    verify = check_dc_condition_B(op, sched)
+    notes = [f"found schedule settles the counting check: {verify.verdict}"]
+    return CertificateReport("dc-witness-search", "witness-found", params,
+                             rows, notes)
 
 
 def _first_passing_horizon(op: ShiftOperator, chosen: Sequence[int],

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,12 +35,12 @@ from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm,
 from .numerics import (NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_p,
                        logsumexp_p_rows)
 from .piecewise import log_sum, log_sum_values
-from .reports import POSITIVE_VERDICTS, CertificateReport
+from .reports import CertificateReport
 from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_array
 from .spaces import IndexSet, seminorm
 from .weights import product_log_table
 
-# An MLY schedule is a DC schedule without D or anchors.
+# An MLY schedule is a DC schedule.
 MLYWitnessEntry = DCWitnessEntry
 WitnessScheduleMLY = WitnessScheduleDC
 
@@ -159,17 +159,10 @@ def anchor_equivalence_probe(op: ShiftOperator, anchors: Iterable[int],
 # condition (B): orbit-seminorm averages
 
 
-def _mly_a_state(op: ShiftOperator, condition_a: CertificateReport | None,
-                 auto_a_horizon: int, pass_tol: float) -> tuple[bool | None, str]:
-    if condition_a is not None:
-        ok = condition_a.verdict in POSITIVE_VERDICTS
-        return ok, f"condition (A) supplied: {condition_a.verdict}"
-    if op.space.index_set is IndexSet.N:
-        return True, "condition (A) automatic on the one-sided domain (orbits annihilate)"
-    if auto_a_horizon > 0:
-        rep = check_mly_condition_A(op, 0, auto_a_horizon, pass_tol)
-        return rep.verdict in POSITIVE_VERDICTS, f"condition (A) checked: {rep.verdict}"
-    return None, "condition (A) not checked"
+def _auto_a(op: ShiftOperator, horizon: int
+            ) -> Callable[[], CertificateReport] | None:
+    """Condition (A) at anchor 0 up to the horizon; none at horizon 0."""
+    return (lambda: check_mly_condition_A(op, 0, horizon)) if horizon > 0 else None
 
 
 def _single_term_log_sum(op: ShiftOperator, term: WitnessTerm, m: int,
@@ -202,8 +195,7 @@ def _average_row(k: int, N: int, avg_log: float) -> dict:
 def check_mly_condition_B(op: ShiftOperator, sched: WitnessScheduleMLY,
                           mode: str = "auto",
                           condition_a: CertificateReport | None = None,
-                          auto_a_horizon: int = 100_000,
-                          pass_tol: float = 1e-3) -> CertificateReport:
+                          auto_a_horizon: int = 100_000) -> CertificateReport:
     """Per level k: average orbit seminorm >= k * (p(k)-th seminorm)?
 
     The comparison is non-strict.  certified-at-horizon needs every level to
@@ -218,15 +210,14 @@ def check_mly_condition_B(op: ShiftOperator, sched: WitnessScheduleMLY,
         avg_log = _average_log(op, entry, sched.m, mode) - den.logmag
         return _average_row(entry.k, entry.horizon, avg_log)
 
-    a_state = _mly_a_state(op, condition_a, auto_a_horizon, pass_tol)
-    return level_report("mly-condition-B", sched, mode, a_state, level)
+    return level_report("mly-condition-B", op, sched, mode, condition_a, level,
+                        _auto_a(op, auto_a_horizon))
 
 
 def check_kothe_mly(op: ShiftOperator, sched: WitnessScheduleMLY,
                     mode: str = "auto",
                     condition_a: CertificateReport | None = None,
-                    auto_a_horizon: int = 100_000,
-                    pass_tol: float = 1e-3) -> CertificateReport:
+                    auto_a_horizon: int = 100_000) -> CertificateReport:
     """Same averages through explicit matrix entries (rooted forms).
 
     p = 0 aggregates by max over terms, p >= 1 by the 1/p-rooted p-power sum
@@ -251,8 +242,8 @@ def check_kothe_mly(op: ShiftOperator, sched: WitnessScheduleMLY,
             total = _single_term_log_sum(op, entry.terms[0], sched.m, N)
         return _average_row(k, N, total - math.log(N) - logden)
 
-    a_state = _mly_a_state(op, condition_a, auto_a_horizon, pass_tol)
-    return level_report("kothe-mly", sched, mode, a_state, level, p=p)
+    return level_report("kothe-mly", op, sched, mode, condition_a, level,
+                        _auto_a(op, auto_a_horizon), p=p)
 
 
 # ---------------------------------------------------------------------------

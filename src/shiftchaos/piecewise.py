@@ -19,15 +19,7 @@ from __future__ import annotations
 import math
 
 from .numerics import NEG_INF, logsumexp_p
-from .weights import Piece
-
-
-def _mul_guard(s: float, length) -> float:
-    """s * length without OverflowError when length is an enormous int."""
-    try:
-        return s * float(length)
-    except OverflowError:
-        return math.inf if s > 0 else -math.inf
+from .weights import Piece, _run_span
 
 
 def _first_offset_above(piece: Piece, thr: float) -> int | None:
@@ -37,12 +29,12 @@ def _first_offset_above(piece: Piece, thr: float) -> int | None:
     monotone under rounding), so bisection gives the exact strict boundary.
     """
     last = piece.count - 1
-    if not piece.log0 + _mul_guard(piece.slope, last) > thr:
+    if not piece.log0 + _run_span(piece.slope, last) > thr:
         return None
     lo, hi = 0, last
     while lo < hi:
         mid = (lo + hi) // 2
-        if piece.log0 + _mul_guard(piece.slope, mid) > thr:
+        if piece.log0 + _run_span(piece.slope, mid) > thr:
             hi = mid
         else:
             lo = mid + 1
@@ -55,7 +47,7 @@ def _last_offset_above(piece: Piece, thr: float) -> int | None:
     lo, hi = 0, piece.count - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if piece.log0 + _mul_guard(piece.slope, mid) > thr:
+        if piece.log0 + _run_span(piece.slope, mid) > thr:
             lo = mid
         else:
             hi = mid - 1
@@ -92,12 +84,12 @@ def piece_log_sum(p: Piece) -> float:
     s = p.slope
     if s > 0:
         # (e^{sL} - 1)/(e^s - 1) = e^{s(L-1)} * (1 - e^{-sL}) / (1 - e^{-s})
-        head = _mul_guard(s, length - 1)
+        head = _run_span(s, length - 1)
         return (p.log0 + head
-                + math.log(-math.expm1(-_mul_guard(s, length)))
+                + math.log(-math.expm1(-_run_span(s, length)))
                 - math.log(-math.expm1(-s)))
     return (p.log0
-            + math.log(-math.expm1(_mul_guard(s, length)))
+            + math.log(-math.expm1(_run_span(s, length)))
             - math.log(-math.expm1(s)))
 
 

@@ -21,9 +21,8 @@ one available:
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 

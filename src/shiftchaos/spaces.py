@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .numerics import NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_p
+from .numerics import NEG_INF, LogScalar, SparseVector, logsumexp_p
 from .sequences import (ClosedFormSequence, ConstantSequence, Run, SequenceBase,
                         run_arrays)
 
@@ -98,10 +98,6 @@ class KotheMatrix:
             return NEG_INF
         lv = math.log(v)
         return lv if self.rule == "constant" else k * lv
-
-    def entry(self, j: int, k: int) -> LogScalar:
-        lm = self.log_entry(j, k)
-        return ZERO if lm == NEG_INF else LogScalar(1, lm)
 
     def _row(self, k: int, logs: np.ndarray) -> np.ndarray:
         """Row k from ln base(j): shared on constant rows, k * logs on power
@@ -340,6 +336,7 @@ class ConditionCReport:
     ok: bool
     checked: int
     worst_excess: float  # max over samples of ||x_m e_m||_n / ||x||_n - 1
+    k_max: int
 
 
 def condition_c_check(space: SpaceSpec, samples: Iterable[SparseVector],
@@ -371,4 +368,4 @@ def condition_c_check(space: SpaceSpec, samples: Iterable[SparseVector],
                 worst = max(worst, excess)
                 if excess > CONDITION_C_SLACK:
                     ok = False
-    return ConditionCReport(ok, checked, worst)
+    return ConditionCReport(ok, checked, worst, k_max)

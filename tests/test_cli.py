@@ -237,3 +237,55 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "rolewicz_lp_N" in proc.stdout
+
+
+class TestWitnessDomain:
+    # a witness index off the one-sided domain is an input error in every
+    # condition-(B) check, not a verdict
+    @pytest.mark.parametrize("kind", ["dc", "kothe_dc", "mly", "kothe_mly"])
+    def test_off_domain_witness_exits_three(self, capsys, tmp_path, kind):
+        cfg = catalog.export_config("rolewicz_lp_N")
+        cfg["checks"] = [{"kind": kind, "m": 1, "schedule": [[2, 50, [[0, 1.0]]]]}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: vector has support at 0 outside IndexSet.N\n"
+
+
+class TestCheckKeys:
+    def _run(self, capsys, tmp_path, check):
+        cfg = catalog.export_config("rolewicz_lp_N")
+        cfg["checks"] = [catalog.export_config("rolewicz_lp_N")["checks"][0], check]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run_cli(capsys, "run", "--config", str(path))
+
+    def test_misspelt_item_key_rejected(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, {
+            "kind": "acb", "probes": [["e[1000]", 1000, 1.0, 20]], "C_gird": [1.0]})
+        assert code == 3 and out == ""
+        assert err.startswith("error: config rejected at checks/1: unknown key 'C_gird'")
+
+    def test_misspelt_block_key_rejected(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, {
+            "kind": "hypercyclicity", "refute": {"horizion": 100}})
+        assert code == 3 and out == ""
+        assert err.startswith("error: config rejected at checks/1/refute: "
+                              "unknown key 'horizion'")
+
+    def test_condition_a_block_of_a_schedule_check(self, capsys, tmp_path):
+        code, _, err = self._run(capsys, tmp_path, {
+            "kind": "mly", "schedule": [[1, 5, [[1000, 1.0]]]],
+            "condition_A": {"anchor": 0, "horizon": 10, "decay_tol": 1e-6}})
+        assert code == 3
+        assert "config rejected at checks/1/condition_A: unknown key 'decay_tol'" in err
+
+    @pytest.mark.parametrize("key", ["horizon_a", "decay_tol", "k_max_a", "pass_tol"])
+    def test_removed_condition_a_options_rejected(self, capsys, tmp_path, key):
+        kind = "mly" if key == "pass_tol" else "dc"
+        code, _, err = self._run(capsys, tmp_path, {
+            "kind": kind, "schedule": [[1, 5, [[1000, 1.0]]]], key: 1})
+        assert code == 3
+        assert f"config rejected at checks/1: unknown key '{key}'" in err

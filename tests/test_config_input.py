@@ -1,0 +1,153 @@
+"""The check table (catalog.CHECKS) against the check functions it calls,
+and a fuzz test of the config boundary: mutated catalog configs run through
+cli.main never crash, never mix a verdict with an error, and a misspelt
+check key is rejected by validation."""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import inspect
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftchaos import catalog
+from shiftchaos.cli import main
+
+
+def _all_checks():
+    for kind, routes in catalog.CHECKS.items():
+        for check in routes.values():
+            yield kind, check
+            yield from ((kind, sub) for sub in check.blocks.values())
+
+
+class TestCheckTable:
+    def test_kinds_come_from_the_table(self):
+        assert catalog.CHECK_KINDS == tuple(catalog.CHECKS)
+
+    def test_every_key_has_one_reader(self):
+        keys = {key for _, check in _all_checks() for key in check.keys
+                if key not in check.blocks}
+        assert keys == set(catalog.READERS)
+
+    def test_keys_bind_to_the_check_parameters(self):
+        for kind, check in _all_checks():
+            names = {catalog.PARAMS.get(k, k) for k in check.keys} | set(check.fixed)
+            if "schedule" in names:
+                names = (names - {"schedule", "m"}) | {"sched"}
+            fn = getattr(check.module, check.name)
+            inspect.signature(fn).bind_partial(None, **dict.fromkeys(names))
+            assert set(check.defaults) <= set(check.keys), kind
+
+    def test_every_catalog_key_is_accepted(self):
+        for name in catalog.names():
+            for item in catalog.export_config(name)["checks"]:
+                accepted = catalog.CHECK_KEYS[item["kind"]]
+                assert set(item) <= accepted[None]
+                for block, value in item.items():
+                    if isinstance(value, dict):
+                        assert set(value) <= accepted[block]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: mutated copies of three quick catalog entries through cli.main
+
+FUZZ_ENTRIES = ("rolewicz_lp_N", "unweighted_lp_N", "halfweights_bilateral")
+MAX_HORIZON = 10_000
+REPLACEMENTS = ("x", [], [1], None, 0, -3)
+
+
+def _paths(node, path=()):
+    """Every (container path, key or index) in the document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path, key
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _clamp_horizons(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("horizon", "N_max", "n_max") and isinstance(value, int):
+                node[key] = min(value, MAX_HORIZON)
+            else:
+                _clamp_horizons(value)
+    elif isinstance(node, list):
+        for value in node:
+            _clamp_horizons(value)
+
+
+@st.composite
+def mutated_configs(draw):
+    doc = catalog.export_config(draw(st.sampled_from(FUZZ_ENTRIES)))
+    op = draw(st.sampled_from(("drop", "rename", "replace", "misspell")))
+    if op == "misspell":
+        i = draw(st.integers(0, len(doc["checks"]) - 1))
+        item = doc["checks"][i]
+        key = draw(st.sampled_from(sorted(k for k in item if k != "kind")))
+        at = draw(st.integers(0, len(key) - 1))
+        wrong = key[:at] + key[at] + key[at:]  # one letter doubled
+        if wrong in catalog.CHECK_KEYS[item["kind"]][None]:
+            wrong += "_"
+        item[wrong] = item.pop(key)
+        return doc, True
+    path, key = draw(st.sampled_from(list(_paths(doc))))
+    parent = _at(doc, path)
+    if op == "replace":
+        parent[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    elif isinstance(parent, dict) and op == "drop":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[key + "x"] = parent.pop(key)
+    else:
+        del parent[key]
+    _clamp_horizons(doc)
+    return doc, False
+
+
+def _cli(path: Path) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, database=None)
+@given(mutated_configs())
+def test_mutated_configs_exit_cleanly(case):
+    doc, misspelt = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _cli(path)
+    assert code in (0, 1, 2) or code >= 3
+    assert "Traceback" not in out + err
+    if code >= 3:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if misspelt:
+        assert code == 3 and err.startswith("error: config rejected at checks/")
+
+
+def test_fuzz_entries_run_within_the_horizon_clamp():
+    for name in FUZZ_ENTRIES:
+        doc = catalog.export_config(name)
+        for item in doc["checks"]:
+            assert all(item.get(k, 0) <= MAX_HORIZON for k in ("horizon", "N_max", "n_max"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(doc))
+            assert _cli(path)[0] in (0, 1, 2)

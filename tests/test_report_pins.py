@@ -1,0 +1,69 @@
+"""Report bytes, pinned per check: the SHA-256 of to_json() for every
+catalog check, plus one orbit and one condition-C check (kinds no catalog
+entry runs).  The catalog SHA in test_catalog pins verdicts only; these pin
+params, rows and notes too."""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from shiftchaos import catalog
+
+REPORT_SHA256 = {
+    ("ex1_s_Z_hc_not_dc", 0): "262aa186deca5ae7d1a566adf3d8cf225ccd4dab1792645284b2a11271b36f45",
+    ("ex1_s_Z_hc_not_dc", 1): "c16d0285664cd6ca1a1636da6e9b159c6872c3d2e91fe1c7376cadeddac06980",
+    ("ex1_s_Z_hc_not_dc", 2): "fa851459e1a8881ea92eb4739dfe836108e6160fb070bf93ad760093d30d87ae",
+    ("ex2_kothe_dc_not_hc", 0): "1192290c5c8780204391b31d89b6aea58cec490b5e1073e2e3b6ab72e8f20e15",
+    ("ex2_kothe_dc_not_hc", 1): "4f12df4a86c645517e4d7ddd75bcc87889f57410cd39ce4d835263230ba31807",
+    ("ex2_kothe_dc_not_hc", 2): "477aaedd08222b02fca7b947e35ae81f48be410d684693dcb9d3dbffe4d95a23",
+    ("ex2_kothe_dc_not_hc", 3): "3f6b0b7ef3cf52167e3600a7a510625900f59c6e0e43f8eec366203b21c01f74",
+    ("ex3_s_Z_hc_not_mly", 0): "71f0b75f4bdf18b17dadfa311155fa61771812612dc49496a10253c848f5f8bc",
+    ("ex3_s_Z_hc_not_mly", 1): "27c02ec9281cc55dd414ab27ce0558ec34c5be2464995627c8024e59268e3d1a",
+    ("ex4_lp_mly_not_hc", 0): "ef7e3572598e8535b5c9a0fe015dbfa4d41366a7ec6d1c2a938ea172963eb1bd",
+    ("ex4_lp_mly_not_hc", 1): "c7b2472355408d90568d4a6b56d3a8853d0d7066a7655378a7fb4c8fc71672e6",
+    ("ex4_lp_mly_not_hc", 2): "c9c3839d52eb2b65526ec812c3f036c76cb5c65234516790b3970217d60f2a26",
+    ("ex4_lp_mly_not_hc", 3): "e8a076c1f18dbee26d3ec9b432bae7df892013d810a681c9482a24e117a40622",
+    ("ex4_lp_mly_not_hc", 4): "477aaedd08222b02fca7b947e35ae81f48be410d684693dcb9d3dbffe4d95a23",
+    ("rolewicz_lp_N", 0): "5f546d74b3393a4c35cf52289d4eabcd594f996593f93f5018fdf76b6d2561ee",
+    ("rolewicz_lp_N", 1): "fdb9aed03a7dbeb63c8dd30f619605ada5bdbcea4c6afdef360f9ff9c3ba8bd8",
+    ("rolewicz_lp_N", 2): "25ae2babe7e9177fd8216fdf00b18538b653c99357fc833c35d765aedff81b01",
+    ("rolewicz_lp_N", 3): "70417b0942f95cf5aaffb58891398c67db255ed8bd70480e731cf521ba096afa",
+    ("unweighted_lp_N", 0): "4548f879fadad3ea5717ea592b74b42b45a1b1fddaed5660c49f5c9eec108f54",
+    ("unweighted_lp_N", 1): "5036c385f1bd07d0aa73c0a344bf5d6fdc1bcfb41929f157a009e58d1395ba13",
+    ("unweighted_lp_N", 2): "fbb30590b461282214854862586e640ae8e8aad5f50275f76fa2c18d98bdcdc9",
+    ("unweighted_lp_N", 3): "1bfc98eca38610846c4b5def6ca8a81ceab02e418952bb42e7bac1e4eec89a3f",
+    ("unweighted_lp_N", 4): "e27f7c1a03c435cb25c0743a5b7705cad41b43e14f006e59aa7ab361230be908",
+    ("unweighted_lp_N", 5): "a4b1a0e2066a5e1550d845c00042c52125dd8edff7f168ab055984f8c9bdfac6",
+    ("halfweights_bilateral", 0): "4d3207671f5d37e37eb37076ee5b12c7ea6d42ac7d60b943905f5c3c7bc9ab00",
+    ("halfweights_bilateral", 1): "d4526e96cb19101fc249af96b462865e7d82543738cfb2453dd048fe4cf8152e",
+    ("halfweights_bilateral", 2): "1b56ab1ba4ccc86c812faa31af922e0983e06c9f2c713e8fdfb75eb6a0a0b834",
+    ("halfweights_bilateral", 3): "d344e8eba7eb6cd7b7dfd100feddc3f1a67fff7cb94b1a35f1e90f6bd13d5334",
+}
+
+EXTRA_CHECKS = {
+    "orbit": ({"kind": "orbit", "anchor": 0, "horizon": 40, "start": 2},
+              "255bee73942a4a6d32d02859ff1dfb28eef00569e821356a3b864ace757df466"),
+    "condition_C": ({"kind": "condition_C", "window": [-4, 4], "k_max": 3},
+                    "b3358eb6272471ee26986fd1b9b4d1dca2f6792767a883c507083ece63f577d2"),
+}
+
+
+def _sha(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_catalog_check_reports_are_pinned(name):
+    op = catalog.build_example(name)
+    checks = catalog.get(name).config["checks"]
+    assert len(checks) == sum(1 for n, _ in REPORT_SHA256 if n == name)
+    for i, cfg in enumerate(checks):
+        assert _sha(catalog.run_check(op, cfg)) == REPORT_SHA256[(name, i)], f"{name}#{i}"
+
+
+@pytest.mark.parametrize("kind", sorted(EXTRA_CHECKS))
+def test_uncatalogued_kind_reports_are_pinned(kind, halfweights_op):
+    cfg, sha = EXTRA_CHECKS[kind]
+    assert _sha(catalog.run_check(halfweights_op, cfg)) == sha
