@@ -186,8 +186,7 @@ def _optional(read):
 # `set` reaches predicate_from_name at call time, so a rebound one is used.
 READERS = {
     **dict.fromkeys(("anchor", "auto_A_horizon", "exhaustive_to", "horizon",
-                     "k_max", "m", "n_max", "N_max", "r_max", "settle_by",
-                     "start"), int),
+                     "k_max", "m", "n_max", "N_max", "settle_by", "start"), int),
     **dict.fromkeys(("bound", "decay_tol", "delta", "eps", "floor",
                      "lim_tol", "pass_tol", "tail_fraction_min"), float),
     **dict.fromkeys(("anchors", "k_range", "S"), _ints),
@@ -211,6 +210,14 @@ PARAMS = {"set": "D", "auto_A_horizon": "auto_a_horizon",
           "condition_A": "condition_a"}  # config key -> parameter, where they differ
 
 
+def _read(key: str, raw):
+    """READERS[key](raw); a reader's error keeps its type and names the key."""
+    try:
+        return READERS[key](raw)
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise type(exc)(f"config key {key!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Check:
     """A check function, looked up on its module at call time (a tracer that
@@ -230,7 +237,7 @@ class Check:
         args, given = dict(self.fixed), {**self.defaults, **node}
         for key in (k for k in self.keys if k in given):
             sub = self.blocks.get(key)
-            args[PARAMS.get(key, key)] = sub(op, given[key]) if sub else READERS[key](given[key])
+            args[PARAMS.get(key, key)] = sub(op, given[key]) if sub else _read(key, given[key])
         if "schedule" in args:
             args["sched"] = dc_cert.schedule_dc(args.pop("m", 1), args.pop("schedule"))
         return getattr(self.module, self.name)(op, **args)
@@ -254,7 +261,7 @@ CHECKS: dict[str, dict[str | None, Check]] = {
                              blocks={"condition_A": _DC_A}),
            "condition_A": _DC_A},
     "dc_search": {None: Check(dc_cert, "check_dc_search",
-                              ("m", "k_range", "anchor_window", "N_max", "r_max"))},
+                              ("m", "k_range", "anchor_window", "N_max"))},
     "kothe_dc": {None: Check(dc_cert, "check_kothe_dc", _B,
                              blocks={"condition_A": _DC_A})},
     "lp_c0_dc": {None: Check(dc_cert, "check_lp_c0_dc",

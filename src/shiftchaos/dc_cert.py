@@ -17,9 +17,10 @@ where the weight product is flat (every weight of modulus 1: one
 O(log blocks) count read, no pieces) and builds piecewise log-linear
 envelopes elsewhere.  Every dense check reads ln |b P(i, n) a(i - n, k)|
 from shift.basis_orbit_logs and combines witness terms with the lp form of
-numerics (logsumexp_p_rows; logsumexp_p for denominators).  The four
-condition-(B) checks share one level loop and verdict ladder
-(level_report), which rejects witness indices off the domain; condition
+numerics (logsumexp_p_rows).  The four condition-(B) checks share one level
+loop and verdict ladder (level_report), which rejects witness indices off
+the domain; the counting level itself (_dc_level) compares seminorms, so
+check_dc_condition_B and check_kothe_dc run the same comparison.  Condition
 (A) comes in as a report.  Verdicts come from the closed vocabulary in
 `reports` and are always horizon-stamped.
 """
@@ -34,8 +35,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .density import IndexPredicate, envelope_of_counts, naturals
-from .numerics import (NEG_INF, LogScalar, SparseVector, logsumexp_p,
-                       logsumexp_p_rows)
+from .numerics import NEG_INF, LogScalar, SparseVector, logsumexp_p_rows
 from .piecewise import count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
 from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_array
@@ -179,21 +179,6 @@ def single_term_counts(op: ShiftOperator, term: WitnessTerm, m: int,
         key = lv + term.coeff.logmag
         out[key] = out.get(key, 0) + c
     return out
-
-
-def _single_term_count(op: ShiftOperator, term: WitnessTerm, m: int,
-                       n_hi: int, thr: float, scale: float = 1) -> int:
-    """card {n in [1, n_hi] : scale * ln |b P(i, n) a(i - n, m)| > thr},
-    from the count form where it applies, else from pieces."""
-    counts = single_term_counts(op, term, m, n_hi)
-    if counts is not None:
-        return sum(c for lv, c in counts.items() if scale * lv > thr)
-    pieces = single_term_pieces(op, term, m, n_hi)
-    if scale != 1:
-        pieces = [pc if pc.log0 == NEG_INF
-                  else Piece(pc.n0, pc.n1, scale * pc.log0, scale * pc.slope)
-                  for pc in pieces]
-    return count_above(pieces, thr)
 
 
 def _resolve_mode(mode: str, n_terms: int, horizon: int) -> str:
@@ -383,17 +368,14 @@ def _count_row(k: int, N: int, count: int) -> dict:
             "pass": count * k > (k - 1) * N}
 
 
-def check_dc_condition_B(op: ShiftOperator, sched: WitnessScheduleDC,
-                         mode: str = "auto",
-                         condition_a: CertificateReport | None = None
-                         ) -> CertificateReport:
-    """Count, per level k, the n <= N_k with seminorm ratio > k.
+def _dc_level(op: ShiftOperator, sched: WitnessScheduleDC, mode: str
+              ) -> Callable[[DCWitnessEntry], dict | str]:
+    """The counting level: card {n <= N_k : ||B^n x||_m > k ||x||_p(k)}.
 
-    The numerator is ||B^n (sum_j b_j e_{i_j})||_m, the denominator the
-    schedule vector's p(k)-th seminorm.  certified-at-horizon needs every
-    level to pass and condition (A) to be settled (a supplied report, or
-    automatic on the one-sided domain); otherwise a full count yields
-    condition-B-holds-at-horizon.
+    The numerator is the orbit seminorm of the schedule vector x, the
+    denominator its p(k)-th seminorm; a zero denominator fails the level.
+    Off the dense route a single term is counted from its count form where
+    that applies, else from pieces.
     """
     def level(entry: DCWitnessEntry) -> dict | str:
         k, N = entry.k, entry.horizon
@@ -406,47 +388,45 @@ def check_dc_condition_B(op: ShiftOperator, sched: WitnessScheduleDC,
             lognum = orbit_seminorm_log_array(op, entry.vector(), sched.m, N)
             count = int(np.count_nonzero(lognum[1:] > thr))
         else:
-            count = _single_term_count(op, entry.terms[0], sched.m, N, thr)
+            term = entry.terms[0]
+            counts = single_term_counts(op, term, sched.m, N)
+            if counts is not None:
+                count = sum(c for lv, c in counts.items() if lv > thr)
+            else:
+                count = count_above(single_term_pieces(op, term, sched.m, N), thr)
         return _count_row(k, N, count)
 
-    return level_report("dc-condition-B", op, sched, mode, condition_a, level)
+    return level
 
 
-# ---------------------------------------------------------------------------
-# the Kothe-space forms (max form for p = 0, p-power sums for p >= 1)
+def check_dc_condition_B(op: ShiftOperator, sched: WitnessScheduleDC,
+                         mode: str = "auto",
+                         condition_a: CertificateReport | None = None
+                         ) -> CertificateReport:
+    """Count, per level k, the n <= N_k with seminorm ratio > k.
+
+    The numerator is ||B^n (sum_j b_j e_{i_j})||_m, the denominator the
+    schedule vector's p(k)-th seminorm.  certified-at-horizon needs every
+    level to pass and condition (A) to be settled (a supplied report, or
+    automatic on the one-sided domain); otherwise a full count yields
+    condition-B-holds-at-horizon.
+    """
+    return level_report("dc-condition-B", op, sched, mode, condition_a,
+                        _dc_level(op, sched, mode))
 
 
 def check_kothe_dc(op: ShiftOperator, sched: WitnessScheduleDC,
                    mode: str = "auto",
                    condition_a: CertificateReport | None = None
                    ) -> CertificateReport:
-    """Same counts as check_dc_condition_B via the matrix-entry forms.
+    """The counting check on a Kothe echelon space lambda_p(A, J).
 
-    p = 0 compares max_j |a(i_j - n, m) b_j P_j(n)| against k times the max
-    denominator form; p >= 1 compares p-power sums (unrooted) against k^p
-    times the p-power denominator.  Counts agree exactly with the seminorm
-    route.
+    There ||x||_k = (sum_j |a(j, k) x_j|^p)^(1/p) (the max for p = 0), which
+    is the seminorm check_dc_condition_B compares, so this runs the same
+    level; the report carries kind "kothe-dc" and the space's p.
     """
-    p = op.space.p
-    scale = p or 1  # the forms carry k^p against unrooted p-power sums
-
-    def level(entry: DCWitnessEntry) -> dict | str:
-        k, N = entry.k, entry.horizon
-        pk = sched.p_of(k)
-        logden = logsumexp_p([op.space.matrix.log_entry(t.index, pk) + t.coeff.logmag
-                              for t in entry.terms], p, rooted=False)
-        if logden == NEG_INF:
-            return f"zero denominator form at k={k}"
-        thr = scale * math.log(k) + logden
-        if _resolve_mode(mode, len(entry.terms), N) == "dense":
-            rows = np.stack([vals for t in entry.terms for _, vals in
-                             basis_orbit_logs(op, t.index, (sched.m,), 1, N, t.coeff.logmag)])
-            count = int(np.count_nonzero(logsumexp_p_rows(rows, p, rooted=False) > thr))
-        else:
-            count = _single_term_count(op, entry.terms[0], sched.m, N, thr, scale)
-        return _count_row(k, N, count)
-
-    return level_report("kothe-dc", op, sched, mode, condition_a, level, p=p)
+    return level_report("kothe-dc", op, sched, mode, condition_a,
+                        _dc_level(op, sched, mode), p=op.space.p)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +493,7 @@ def check_lp_c0_dc(op: ShiftOperator, S: Iterable[int],
     if len(b) != len(S) or any(x <= 0 for x in b):
         raise ValueError("coefficients must be positive, one per index in S")
     p = op.space.p
-    lognum = logsumexp_p_rows(p * logs + np.log(b)[:, None], 1, rooted=False)
+    lognum = logsumexp_p_rows(p * logs + np.log(b)[:, None], 1)
     logden = math.log(math.fsum(b))
     all_pass = True
     for k, N in zip(ks, horizons):
@@ -708,8 +688,8 @@ def refute_hypercyclicity(op: ShiftOperator, horizon: int, k_max: int = 4,
 def search_witness_dc(op: ShiftOperator, m: int = 1,
                       k_range: Sequence[int] = (1, 2, 3, 4, 5, 6),
                       anchor_window: tuple[int, int] = (1, 60),
-                      N_max: int = 60, r_max: int = 1) -> WitnessScheduleDC | None:
-    """Deterministic scan for single-term witnesses (greedy r <= r_max).
+                      N_max: int = 60) -> WitnessScheduleDC | None:
+    """Deterministic scan for single-term witnesses.
 
     For each level k in ascending order, finds the smallest admissible
     horizon N (strictly above the previous level's) and the smallest anchor
@@ -729,17 +709,15 @@ def search_witness_dc(op: ShiftOperator, m: int = 1,
     entries: list[tuple[int, int, list[tuple[int, float]]]] = []
     for k in sorted(int(k) for k in k_range):
         pk = m if k <= m else k
-        best: tuple[int, list[int]] | None = None
+        best: tuple[int, int] | None = None
         for i in anchors:
-            found = _first_passing_horizon(op, [i], num, k, pk, prev_N, ns)
+            found = _first_passing_horizon(op, i, num[i], k, pk, prev_N, ns)
             if found is not None and (best is None or found < best[0]):
-                best = (found, [i])
-        if best is None and r_max > 1:
-            best = _greedy_multi(op, anchors, num, k, pk, prev_N, ns, r_max)
+                best = (found, i)
         if best is None:
             return None
-        N, chosen = best
-        entries.append((k, N, [(i, 1.0) for i in chosen]))
+        N, i = best
+        entries.append((k, N, [(i, 1.0)]))
         prev_N = N
     return schedule_dc(m, entries)
 
@@ -765,50 +743,16 @@ def check_dc_search(op: ShiftOperator, **search) -> CertificateReport:
                              rows, notes)
 
 
-def _first_passing_horizon(op: ShiftOperator, chosen: Sequence[int],
-                           num: dict[int, np.ndarray], k: int, pk: int,
-                           prev_N: int, ns: np.ndarray) -> int | None:
-    den = seminorm(op.space,
-                   SparseVector.from_terms([(i, 1.0) for i in chosen]), pk)
+def _first_passing_horizon(op: ShiftOperator, i: int, lognum: np.ndarray,
+                           k: int, pk: int, prev_N: int, ns: np.ndarray) -> int | None:
+    """The least N > prev_N at which e_i passes level k, from its orbit
+    seminorms lognum[n - 1] = ln ||B^n e_i||_m."""
+    den = seminorm(op.space, SparseVector.basis(i), pk)
     if den.sign == 0:
         return None
-    lognum = logsumexp_p_rows(np.stack([num[i] for i in chosen]), op.space.p)
     counts = np.cumsum(lognum > math.log(k) + den.logmag).astype(np.int64)
     passing = counts * k > (k - 1) * ns
     if prev_N > 0:
         passing[:prev_N] = False
     idx = np.flatnonzero(passing)
     return int(ns[idx[0]]) if idx.size else None
-
-
-def _greedy_multi(op: ShiftOperator, anchors: Sequence[int],
-                  num: dict[int, np.ndarray], k: int, pk: int, prev_N: int,
-                  ns: np.ndarray, r_max: int) -> tuple[int, list[int]] | None:
-    chosen: list[int] = []
-    while len(chosen) < r_max:
-        best: tuple[int, int] | None = None
-        for i in anchors:
-            if i in chosen:
-                continue
-            found = _first_passing_horizon(op, chosen + [i], num, k, pk, prev_N, ns)
-            if found is not None and (best is None or found < best[0]):
-                best = (found, i)
-        if best is not None:
-            return best[0], sorted(chosen + [best[1]])
-        # no single addition passes; extend by the anchor with the best count
-        gains: list[tuple[int, int]] = []
-        for i in anchors:
-            if i in chosen:
-                continue
-            den = seminorm(op.space,
-                           SparseVector.from_terms([(j, 1.0) for j in chosen + [i]]), pk)
-            if den.sign == 0:
-                continue
-            lognum = logsumexp_p_rows(np.stack([num[j] for j in chosen + [i]]),
-                                      op.space.p)
-            gains.append((int(np.count_nonzero(lognum > math.log(k) + den.logmag)), -i))
-        if not gains:
-            return None
-        gains.sort()
-        chosen.append(-gains[-1][1])
-    return None

@@ -111,44 +111,3 @@ def envelope_of_counts(counts: np.ndarray, start: int = 1) -> DensityEnvelope:
     return DensityEnvelope(int(ns[-1]), float(ratios[-1]),
                            float(ratios[lo_i]), int(ns[lo_i]),
                            float(ratios[hi_i]), int(ns[hi_i]))
-
-
-def blocks_union_predicate(block_range: Callable[[int], tuple[int, int]],
-                           keep: Callable[[int], bool],
-                           name: str = "") -> IndexPredicate:
-    """Union of selected blocks of consecutive integers as a predicate.
-
-    block_range(t) gives the inclusive interval of the t-th block (blocks in
-    increasing position, contiguous); keep(t) says whether block t belongs to
-    the set.  The closed-form counter walks whole blocks, so it stays exact
-    at any horizon while membership stays a pure per-index test.
-    """
-
-    def member(j: int) -> bool:
-        if j < 1:
-            return False
-        t = 1
-        while True:
-            lo, hi = block_range(t)
-            if j < lo:
-                return False
-            if j <= hi:
-                return keep(t)
-            t += 1
-
-    def count(n: int) -> int:
-        if n < 1:
-            return 0
-        total = 0
-        t = 1
-        while True:
-            lo, hi = block_range(t)
-            if lo > n:
-                return total
-            if keep(t):
-                total += min(hi, n) - lo + 1
-            if hi >= n:
-                return total
-            t += 1
-
-    return IndexPredicate(member, count=count, name=name)

@@ -15,10 +15,11 @@ like 10**200 exact: where the weight product is flat (every weight of
 modulus 1) the sum comes from value counts (single_term_counts), elsewhere
 from piecewise log-linear envelopes.
 
-Schedules, the dense orbit kernel (shift.basis_orbit_logs), the lp form
-(numerics.logsumexp_p / logsumexp_p_rows) and the level loop
-(dc_cert.level_report) are the distributional-chaos module's; each level
-here averages where that module counts.
+Schedules, the dense orbit kernel (shift.basis_orbit_logs) and the level
+loop (dc_cert.level_report) are the distributional-chaos module's; each level
+here averages where that module counts.  The averaging level (_mly_level)
+compares seminorms, so check_mly_condition_B and check_kothe_mly run the
+same comparison.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import numpy as np
 from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm,
                       _resolve_mode, level_report, schedule_dc,
                       single_term_counts, single_term_pieces)
-from .numerics import (NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_p,
-                       logsumexp_p_rows)
+from .numerics import NEG_INF, ZERO, LogScalar, SparseVector
 from .piecewise import log_sum, log_sum_values
 from .reports import CertificateReport
 from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_array
@@ -165,24 +165,19 @@ def _auto_a(op: ShiftOperator, horizon: int
     return (lambda: check_mly_condition_A(op, 0, horizon)) if horizon > 0 else None
 
 
-def _single_term_log_sum(op: ShiftOperator, term: WitnessTerm, m: int,
-                         N: int) -> float:
-    """ln sum_{n=1..N} |b P(i, n) a(i - n, m)|, from the count form where
-    it applies, else from pieces."""
-    counts = single_term_counts(op, term, m, N)
-    if counts is not None:
-        return log_sum_values(counts)
-    return log_sum(single_term_pieces(op, term, m, N))
-
-
 def _average_log(op: ShiftOperator, entry, m: int, mode: str) -> float:
-    """ln of (1/N) * sum_{i=1..N} ||B^i (witness vector)||_m."""
+    """ln of (1/N) * sum_{n=1..N} ||B^n (witness vector)||_m; off the dense
+    route a single term is summed from its count form where that applies,
+    else from pieces."""
     N = entry.horizon
     if _resolve_mode(mode, len(entry.terms), N) == "dense":
         lognum = orbit_seminorm_log_array(op, entry.vector(), m, N)[1:]
         total = float(np.logaddexp.reduce(lognum))
     else:
-        total = _single_term_log_sum(op, entry.terms[0], m, N)
+        term = entry.terms[0]
+        counts = single_term_counts(op, term, m, N)
+        total = (log_sum_values(counts) if counts is not None
+                 else log_sum(single_term_pieces(op, term, m, N)))
     return total - math.log(N)
 
 
@@ -190,6 +185,22 @@ def _average_row(k: int, N: int, avg_log: float) -> dict:
     """An averaging level passes iff the average is >= k (non-strict)."""
     return {"k": k, "N_k": N, "average": LogScalar(1, avg_log), "target": k,
             "pass": avg_log >= math.log(k)}
+
+
+def _mly_level(op: ShiftOperator, sched: WitnessScheduleMLY, mode: str
+               ) -> Callable[[MLYWitnessEntry], dict | str]:
+    """The averaging level: (1/N_k) sum_{n<=N_k} ||B^n x||_m >= k ||x||_p(k)?
+
+    A zero denominator seminorm fails the level.
+    """
+    def level(entry: MLYWitnessEntry) -> dict | str:
+        den = seminorm(op.space, entry.vector(), sched.p_of(entry.k))
+        if den.sign == 0:
+            return f"zero denominator seminorm at k={entry.k}"
+        avg_log = _average_log(op, entry, sched.m, mode) - den.logmag
+        return _average_row(entry.k, entry.horizon, avg_log)
+
+    return level
 
 
 def check_mly_condition_B(op: ShiftOperator, sched: WitnessScheduleMLY,
@@ -203,47 +214,23 @@ def check_mly_condition_B(op: ShiftOperator, sched: WitnessScheduleMLY,
     automatic on the one-sided domain); a bare full pass yields
     condition-B-holds-at-horizon.
     """
-    def level(entry: MLYWitnessEntry) -> dict | str:
-        den = seminorm(op.space, entry.vector(), sched.p_of(entry.k))
-        if den.sign == 0:
-            return f"zero denominator seminorm at k={entry.k}"
-        avg_log = _average_log(op, entry, sched.m, mode) - den.logmag
-        return _average_row(entry.k, entry.horizon, avg_log)
-
-    return level_report("mly-condition-B", op, sched, mode, condition_a, level,
-                        _auto_a(op, auto_a_horizon))
+    return level_report("mly-condition-B", op, sched, mode, condition_a,
+                        _mly_level(op, sched, mode), _auto_a(op, auto_a_horizon))
 
 
 def check_kothe_mly(op: ShiftOperator, sched: WitnessScheduleMLY,
                     mode: str = "auto",
                     condition_a: CertificateReport | None = None,
                     auto_a_horizon: int = 100_000) -> CertificateReport:
-    """Same averages through explicit matrix entries (rooted forms).
+    """The averaging check on a Kothe echelon space lambda_p(A, J).
 
-    p = 0 aggregates by max over terms, p >= 1 by the 1/p-rooted p-power sum
-    on both the numerator and the denominator; the resulting quantity matches
-    the seminorm route to within accumulation roundoff (tested at 1e-10
-    relative).
+    There ||x||_k = (sum_j |a(j, k) x_j|^p)^(1/p) (the max for p = 0), which
+    is the seminorm check_mly_condition_B compares, so this runs the same
+    level; the report carries kind "kothe-mly" and the space's p.
     """
-    p = op.space.p
-
-    def level(entry: MLYWitnessEntry) -> dict | str:
-        k, N = entry.k, entry.horizon
-        pk = sched.p_of(k)
-        logden = logsumexp_p([op.space.matrix.log_entry(t.index, pk) + t.coeff.logmag
-                              for t in entry.terms], p)
-        if logden == NEG_INF:
-            return f"zero denominator form at k={k}"
-        if _resolve_mode(mode, len(entry.terms), N) == "dense":
-            rows = np.stack([vals for t in entry.terms for _, vals in
-                             basis_orbit_logs(op, t.index, (sched.m,), 1, N, t.coeff.logmag)])
-            total = float(np.logaddexp.reduce(logsumexp_p_rows(rows, p)))
-        else:
-            total = _single_term_log_sum(op, entry.terms[0], sched.m, N)
-        return _average_row(k, N, total - math.log(N) - logden)
-
-    return level_report("kothe-mly", op, sched, mode, condition_a, level,
-                        _auto_a(op, auto_a_horizon), p=p)
+    return level_report("kothe-mly", op, sched, mode, condition_a,
+                        _mly_level(op, sched, mode), _auto_a(op, auto_a_horizon),
+                        p=op.space.p)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Strict threshold comparisons ("ratio > k") happen directly on log magnitudes
 with no tolerance slack: a tie in the log domain is a failure of the strict
 inequality.
 
-Every lp form (the max for p = 0, the p-power sum for p >= 1, rooted or
-not) goes through one formula in two shapes: logsumexp_p for a few scalar
-terms (one fsum) and logsumexp_p_rows down the columns of an array.
+Every lp form (the max for p = 0, the 1/p-rooted p-power sum for p >= 1)
+goes through one formula in two shapes: logsumexp_p for a few scalar terms
+(one fsum) and logsumexp_p_rows down the columns of an array.
 """
 
 from __future__ import annotations
@@ -173,13 +173,12 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be 0 or >= 1, got {p}")
 
 
-def logsumexp_p(logs: Iterable[float], p: float, rooted: bool = True) -> float:
+def logsumexp_p(logs: Iterable[float], p: float) -> float:
     """The lp form of a few terms given by their logs: ln max for p = 0,
-    else ln (sum e^(p x))^(1/p), or ln sum e^(p x) unrooted.
+    else ln (sum e^(p x))^(1/p).
 
     -inf terms (zeros) are dropped and no term at all gives -inf.  One
-    fsum, shifted by the largest term, so one term comes back as is (p x
-    unrooted).
+    fsum, shifted by the largest term, so one term comes back as is.
     """
     _check_p(p)
     xs = [x for x in logs if x > NEG_INF]
@@ -189,7 +188,7 @@ def logsumexp_p(logs: Iterable[float], p: float, rooted: bool = True) -> float:
     if p == 0:
         return m
     s = math.log(math.fsum(math.exp(p * (x - m)) for x in xs))
-    return m + s / p if rooted else p * m + s
+    return m + s / p
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +196,21 @@ def logsumexp_p(logs: Iterable[float], p: float, rooted: bool = True) -> float:
 # marks a zero entry) and only wrap results into LogScalar at the boundary.
 
 
-def logsumexp_p_rows(rows: np.ndarray, p: float, rooted: bool = True) -> np.ndarray:
+def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
     """logsumexp_p down every column of an (r, N) array of logs, in numpy.
 
-    A single row is returned as is (p * row unrooted); an all -inf column
-    gives -inf.
+    A single row is returned as is; an all -inf column gives -inf.
     """
     _check_p(p)
     if rows.shape[0] == 1:
-        return rows[0] if rooted or p == 0 else p * rows[0]
+        return rows[0]
     m = rows.max(axis=0)
     if p == 0:
         return m
     out = np.full(rows.shape[1], NEG_INF)
     finite = m > NEG_INF  # -inf - (-inf) would be NaN
     s = np.log(np.sum(np.exp(p * (rows[:, finite] - m[finite])), axis=0))
-    out[finite] = m[finite] + s / p if rooted else p * m[finite] + s
+    out[finite] = m[finite] + s / p
     return out
 
 

@@ -289,3 +289,32 @@ class TestCheckKeys:
             "kind": kind, "schedule": [[1, 5, [[1000, 1.0]]]], key: 1})
         assert code == 3
         assert f"config rejected at checks/1: unknown key '{key}'" in err
+
+    def test_removed_search_option_rejected(self, capsys, tmp_path):
+        # the witness search is single-term; it takes no r_max
+        code, out, err = self._run(capsys, tmp_path, {
+            "kind": "dc_search", "k_range": [1], "r_max": 2})
+        assert code == 3 and out == ""
+        assert "config rejected at checks/1: unknown key 'r_max'" in err
+
+
+class TestReaderErrors:
+    # schema-valid values a key's reader cannot take: the one error line
+    # names the key
+    @pytest.mark.parametrize("key,check", [
+        ("ell_window", {"kind": "hypercyclicity",
+                        "witness": {"n_seq": [1, 2, 3], "ell_window": [1]}}),
+        ("alphas", {"kind": "mop", "alphas": "bogus"}),
+        ("probes", {"kind": "acb", "probes": [["e[1000]", 1000, 1.0]]}),
+        ("schedule", {"kind": "dc", "schedule": [[2, 50]]}),
+    ])
+    def test_error_names_the_key(self, capsys, tmp_path, key, check):
+        cfg = catalog.export_config("rolewicz_lp_N")
+        cfg["checks"] = [check]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"config key '{key}'" in err

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from shiftchaos.catalog import expanding_product_blocks
 from shiftchaos.density import (
-    blocks_union_predicate,
     check_counter_agreement,
     density_envelope,
     evens,
@@ -95,15 +94,6 @@ class TestExpandingProductBlocks:
 
 
 class TestBlocksUnionPredicate:
-    def test_against_brute(self):
-        pred = blocks_union_predicate(
-            lambda t: (t * (t - 1) + 1, t * (t + 1)),
-            keep=lambda t: t % 2 == 1, name="odd-blocks")
-        ref = expanding_product_blocks()
-        for n in range(1, 800):
-            assert pred.member(n) == ref.member(n)
-            assert pred.prefix_count(n) == ref.count(n)
-
     def test_envelope_without_counter(self):
         from shiftchaos.density import IndexPredicate
         ref = expanding_product_blocks()

@@ -151,7 +151,7 @@ class TestReductions:
             assert abs(float(got[t]) - math.log(running)) < 1e-9
 
 
-def lp_form_reference(logs, p, rooted=True) -> float:
+def lp_form_reference(logs, p) -> float:
     """The lp form by one unshifted fsum of e^(p x) over the finite logs."""
     xs = [x for x in logs if x > NEG_INF]
     if not xs:
@@ -159,7 +159,7 @@ def lp_form_reference(logs, p, rooted=True) -> float:
     if p == 0:
         return max(xs)
     s = math.log(math.fsum(math.exp(p * x) for x in xs))
-    return s / p if rooted else s
+    return s / p
 
 
 log_terms = st.one_of(st.floats(min_value=-30, max_value=30), st.just(NEG_INF))
@@ -167,21 +167,21 @@ forms = st.sampled_from([0, 1, 2, 3])
 
 
 class TestLpForm:
-    @given(st.lists(log_terms, max_size=12), forms, st.booleans())
-    def test_scalar_matches_fsum(self, logs, p, rooted):
-        got = logsumexp_p(logs, p, rooted)
-        want = lp_form_reference(logs, p, rooted)
+    @given(st.lists(log_terms, max_size=12), forms)
+    def test_scalar_matches_fsum(self, logs, p):
+        got = logsumexp_p(logs, p)
+        want = lp_form_reference(logs, p)
         assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
-    @given(st.integers(1, 5), st.integers(1, 8), st.data(), forms, st.booleans())
-    def test_rows_match_fsum_columnwise(self, r, n, data, p, rooted):
+    @given(st.integers(1, 5), st.integers(1, 8), st.data(), forms)
+    def test_rows_match_fsum_columnwise(self, r, n, data, p):
         rows = np.array([[data.draw(log_terms) for _ in range(n)] for _ in range(r)])
         rows[:, 0] = NEG_INF  # one all-zero column in every draw
         with np.errstate(all="raise"):  # no -inf - (-inf) anywhere
-            got = logsumexp_p_rows(rows, p, rooted)
+            got = logsumexp_p_rows(rows, p)
         assert got.shape == (n,) and got[0] == NEG_INF
         for col in range(n):
-            want = lp_form_reference(rows[:, col], p, rooted)
+            want = lp_form_reference(rows[:, col], p)
             assert (got[col] == want
                     or abs(got[col] - want) <= 1e-12 * max(1.0, abs(want)))
 
@@ -189,16 +189,13 @@ class TestLpForm:
     def test_one_term_comes_back_unchanged(self, p):
         x = 1.2345678901234567
         assert logsumexp_p([x, NEG_INF], p) == x
-        assert logsumexp_p([x], p, rooted=False) == (p * x if p else x)
         row = np.array([[x, -3.5, NEG_INF]])
         assert logsumexp_p_rows(row, p).tobytes() == row[0].tobytes()
-        unrooted = p * row[0] if p else row[0]
-        assert logsumexp_p_rows(row, p, rooted=False).tobytes() == unrooted.tobytes()
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_no_terms_give_minus_inf(self, p):
         assert logsumexp_p([], p) == NEG_INF
-        assert logsumexp_p([NEG_INF, NEG_INF], p, rooted=False) == NEG_INF
+        assert logsumexp_p([NEG_INF, NEG_INF], p) == NEG_INF
 
     @pytest.mark.parametrize("p", [0.5, 0.999, -1])
     def test_p_between_0_and_1_raises(self, p):
