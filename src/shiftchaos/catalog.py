@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dc_cert, mly_cert
 from .density import (IndexPredicate, check_counter_agreement,
-                      envelope_of_counts, evens, naturals)
+                      count_chunks, envelope_of_counts, evens, naturals)
 from .reports import CertificateReport
 from .sequences import SequenceBase, SplitSequence, side_from_template
 from .shift import ShiftOperator
@@ -182,11 +182,23 @@ def _optional(read):
     return lambda v: None if v is None else read(v)
 
 
+def _int_from(least: int):
+    """int, rejecting values below `least` (a check over no levels, no
+    horizon or no settling room would answer from empty input)."""
+    def read(v) -> int:
+        n = int(v)
+        if n < least:
+            raise ValueError(f"must be >= {least}, got {n}")
+        return n
+    return read
+
+
 # One reader per config key; a key means the same in every kind and block.
 # `set` reaches predicate_from_name at call time, so a rebound one is used.
 READERS = {
-    **dict.fromkeys(("anchor", "auto_A_horizon", "exhaustive_to", "horizon",
-                     "k_max", "m", "n_max", "N_max", "settle_by", "start"), int),
+    **dict.fromkeys(("anchor", "auto_A_horizon", "m", "n_max", "N_max", "start"), int),
+    **dict.fromkeys(("horizon", "k_max", "settle_by"), _int_from(1)),
+    "exhaustive_to": _int_from(0),
     **dict.fromkeys(("bound", "decay_tol", "delta", "eps", "floor",
                      "lim_tol", "pass_tol", "tail_fraction_min"), float),
     **dict.fromkeys(("anchors", "k_range", "S"), _ints),
@@ -327,20 +339,27 @@ def check_density(_op: ShiftOperator, D: IndexPredicate, horizon: int,
                   exhaustive_to: int = 50) -> CertificateReport:
     """Does D's prefix ratio stay strictly above threshold up to the horizon?
     The vectorized counter must also agree with the member test."""
+    if horizon < 1 or exhaustive_to < 0:
+        raise ValueError("need horizon >= 1 and exhaustive_to >= 0")
     num, den = threshold
     exhaustive_to = min(exhaustive_to, horizon)
     agree = check_counter_agreement(D, min(10_000, horizon))
-    ns = np.arange(1, horizon + 1, dtype=np.int64)
-    if D.count_array is not None:
-        counts = D.count_array(ns).astype(np.int64)
-    elif horizon <= 200_000:
-        counts = np.cumsum(D.member_mask(horizon)).astype(np.int64)
-    else:
+    if D.count_array is None and horizon > 200_000:
         raise ValueError("set has no vectorized counter for a horizon this large")
     brute = np.cumsum(D.member_mask(exhaustive_to)).astype(np.int64)
-    exhaustive_ok = bool(np.array_equal(brute, counts[:exhaustive_to]))
-    strict_ok = bool(np.all(den * counts > num * ns))
-    env = envelope_of_counts(counts)
+    exhaustive_ok = strict_ok = True
+
+    def checked():  # the prefix test and the strict bound, chunk by chunk
+        nonlocal exhaustive_ok, strict_ok
+        for n0, counts in count_chunks(D, horizon):
+            if n0 <= exhaustive_to:
+                exhaustive_ok &= bool(np.array_equal(brute[n0 - 1:n0 - 1 + counts.size],
+                                                     counts[:exhaustive_to - n0 + 1]))
+            ns = np.arange(n0, n0 + counts.size, dtype=np.int64)
+            strict_ok &= bool(np.all(den * counts > num * ns))
+            yield counts
+
+    env = envelope_of_counts(checked())
     ok = agree and exhaustive_ok and strict_ok
     rows = [{"min_ratio": env.lower, "min_ratio_at": env.lower_at,
              "ratio_at_horizon": env.ratio_at_horizon,

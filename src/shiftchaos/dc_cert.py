@@ -34,16 +34,18 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .density import IndexPredicate, envelope_of_counts, naturals
-from .numerics import NEG_INF, LogScalar, SparseVector, logsumexp_p_rows
+from .density import IndexPredicate, count_chunks, envelope_of_counts, naturals
+from .numerics import NEG_INF, LogScalar, SparseVector, chunk_spans, logsumexp_p_rows
 from .piecewise import count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
-from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_array
+from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_chunks
 from .spaces import IndexSet, seminorm
 from .weights import (MAX_DENSE, Piece, forward_product, overlay_row_runs,
                       product, product_log_table, product_pieces, shift_pieces)
 
-DENSE_CELL_CAP = 40_000_000  # max terms * horizon cells for the dense route
+# max terms * horizon cells for the dense route: a cap on time, since the
+# dense route streams its horizon in numerics.CHUNK-cell chunks
+DENSE_CELL_CAP = 40_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -223,36 +225,50 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     anchors = list(anchors)
     if horizon < 1 or not anchors:
         raise ValueError("need a positive horizon and at least one anchor")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     _resolve_mode("dense", 1, horizon)
-    ns = np.arange(1, horizon + 1)
-    if D.count_array is not None:
-        counts = D.count_array(ns).astype(np.int64)
-        mask = np.diff(np.concatenate(([0], counts))) == 1
-    else:
-        mask = D.member_mask(horizon)
-        counts = np.cumsum(mask)
-    d_total = int(mask.sum())
+    # one pass over the members first: the envelope, and per chunk the
+    # membership (one bit per n) and the members before it
+    members: dict[int, tuple[np.ndarray, int]] = {}
+    d_total = 0
+
+    def counted():
+        nonlocal d_total
+        prev = 0
+        for n0, counts in count_chunks(D, horizon):
+            mask, prev = np.diff(counts, prepend=prev) == 1, counts[-1]  # n is in D
+            members[n0] = np.packbits(mask), d_total
+            d_total += int(np.count_nonzero(mask))
+            yield counts
+
+    env = envelope_of_counts(counted())
     params = {"horizon": horizon, "decay_tol": decay_tol, "k_max": k_max,
               "tail_fraction_min": tail_fraction_min, "set": D.name or "D"}
     if d_total == 0:
         return CertificateReport("dc-condition-A", "inconclusive", params,
                                  notes=["candidate set has no members in range"])
-    env = envelope_of_counts(counts)
     params["set_ratio_at_horizon"] = env.ratio_at_horizon
     params["set_ratio_lower"] = env.lower
     log_tol = math.log(decay_tol)
     rows = []
     all_ok = True
     for i in anchors:
-        for k, vals in basis_orbit_logs(op, i, range(1, k_max + 1), 1, horizon):
+        # per level: violations, last violating n, members in [1, last]
+        levels, at = [[0, 0, 0] for _ in range(k_max)], None
+        for n0, k, vals in basis_orbit_logs(op, i, range(1, k_max + 1), 1, horizon):
+            if n0 != at:
+                at, (bits, before) = n0, members[n0]
+                mask = np.unpackbits(bits, count=vals.size).view(bool)
             viol = mask & (vals >= log_tol)
-            n_viol = int(viol.sum())
-            if n_viol == 0:
-                last, tail, ok = 0, d_total, True
-            else:
-                last = int(ns[viol][-1])
-                tail = int(mask[last:].sum())
-                ok = tail >= tail_fraction_min * d_total
+            n_viol = int(np.count_nonzero(viol))
+            if n_viol:
+                last = viol.size - 1 - int(np.argmax(viol[::-1]))
+                levels[k - 1] = [levels[k - 1][0] + n_viol, n0 + last,
+                                 before + int(np.count_nonzero(mask[:last + 1]))]
+        for k, (n_viol, last, through) in enumerate(levels, 1):
+            tail = d_total - through
+            ok = n_viol == 0 or tail >= tail_fraction_min * d_total
             all_ok = all_ok and ok
             rows.append({"anchor": i, "seminorm": k, "violations": n_viol,
                          "last_violation": last, "tail_members": tail, "ok": ok})
@@ -278,23 +294,28 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     rows = []
     all_ok = True
     for i in anchors:
-        [(_, vals)] = basis_orbit_logs(op, i, (1,), 1, horizon)
-        counts = np.cumsum(vals >= log_bound)
-        del vals  # horizon-long; not held through the counting below
-        ratios = counts / np.arange(1, horizon + 1)  # position t holds N = t + 1
-        low = np.flatnonzero(ratios <= delta)
-        n0 = int(low[-1]) + 2 if low.size else 1  # just past the last low N
+        # prefix counts carry over; the min runs over the N past the last low
+        bad, last_low, least = 0, 0, None
+        for first, _, vals in basis_orbit_logs(op, i, (1,), 1, horizon):
+            counts = bad + np.cumsum(vals >= log_bound)
+            bad = int(counts[-1])
+            ratios = counts / np.arange(first, first + counts.size)
+            low = np.flatnonzero(ratios <= delta)
+            start = first
+            if low.size:
+                last_low, least = first + int(low[-1]), None
+                start = last_low + 1
+                ratios = ratios[int(low[-1]) + 1:]
+            if ratios.size:
+                at = int(np.argmin(ratios))
+                if least is None or ratios[at] < least[0]:
+                    least = (float(ratios[at]), start + at)
+        n0 = last_low + 1  # just past the last low N
         ok = n0 <= min(settle_by, horizon)
-        if ok:
-            seg = ratios[n0 - 1:]
-            at = int(np.argmin(seg))
-            min_ratio, min_at = float(seg[at]), n0 + at
-        else:
-            min_ratio, min_at = 0.0, n0
+        min_ratio, min_at = least if ok else (0.0, n0)
         all_ok = all_ok and ok
         rows.append({"anchor": i, "settles_at": n0, "min_ratio": min_ratio,
-                     "min_ratio_at": min_at, "bad_count": int(counts[-1]),
-                     "ok": ok})
+                     "min_ratio_at": min_at, "bad_count": bad, "ok": ok})
     verdict = "condition-A-refuted-at-horizon" if all_ok else "inconclusive"
     params = {"horizon": horizon, "bound": bound, "delta": delta,
               "settle_by": settle_by}
@@ -385,8 +406,8 @@ def _dc_level(op: ShiftOperator, sched: WitnessScheduleDC, mode: str
             return f"zero denominator seminorm at k={k} (p(k)={pk})"
         thr = math.log(k) + den.logmag
         if _resolve_mode(mode, len(entry.terms), N) == "dense":
-            lognum = orbit_seminorm_log_array(op, entry.vector(), sched.m, N)
-            count = int(np.count_nonzero(lognum[1:] > thr))
+            count = sum(int(np.count_nonzero(lognum > thr)) for _, lognum
+                        in orbit_seminorm_log_chunks(op, entry.vector(), sched.m, 1, N))
         else:
             term = entry.terms[0]
             counts = single_term_counts(op, term, sched.m, N)
@@ -661,20 +682,35 @@ def refute_hypercyclicity(op: ShiftOperator, horizon: int, k_max: int = 4,
     """
     if horizon < 1:
         raise ValueError("need a positive horizon")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     _resolve_mode("dense", 1, horizon)
     anchor = 1 if op.space.index_set is IndexSet.N else 0
-    logw = op.weights.log_abs_array(anchor, anchor + horizon - 1)
-    cum = np.cumsum(logw)
+    ks = range(1, k_max + 1)
+    least: dict[int, tuple[float, int]] = {}  # k -> (min, first n at it)
+    carry = 0.0  # ln |w_a ... w_{a+n0-2}|
+    for n0, n1 in chunk_spans(1, horizon):
+        try:
+            cum = op.weights.log_abs_array(anchor + n0 - 1, anchor + n1 - 1)
+        except ValueError:  # name the zero nearest the range's end, as one read would
+            for a, b in reversed(list(chunk_spans(n1 + 1, horizon))):
+                op.weights.log_abs_array(anchor + a - 1, anchor + b - 1)
+            raise
+        cum[0] += carry
+        np.cumsum(cum, out=cum)
+        carry = cum[-1]
+        for k, row in op.space.log_rows(anchor + n0, anchor + n1, ks):
+            vals = row - cum
+            at = int(np.argmin(vals))
+            if k not in least or vals[at] < least[k][0]:
+                least[k] = (float(vals[at]), n0 + at)
     log_floor = math.log(floor)
     rows = []
     overall = math.inf
-    for k, row in op.space.log_rows(anchor + 1, anchor + horizon, range(1, k_max + 1)):
-        vals = row - cum
-        at = int(np.argmin(vals))
-        mn = float(vals[at])
+    for k in ks:
+        mn, at = least[k]
         overall = min(overall, mn)
-        rows.append({"seminorm": k, "min_value": LogScalar(1, mn),
-                     "min_at_n": at + 1})
+        rows.append({"seminorm": k, "min_value": LogScalar(1, mn), "min_at_n": at})
     verdict = "refuted-at-horizon" if overall >= log_floor else "inconclusive"
     params = {"horizon": horizon, "floor": floor, "k_max": k_max,
               "anchor": anchor}
@@ -704,7 +740,7 @@ def search_witness_dc(op: ShiftOperator, m: int = 1,
     ns = np.arange(1, N_max + 1)
     num: dict[int, np.ndarray] = {}
     for i in anchors:
-        [(_, num[i])] = basis_orbit_logs(op, i, (m,), 1, N_max)
+        num[i] = np.concatenate([vals for *_, vals in basis_orbit_logs(op, i, (m,), 1, N_max)])
     prev_N = 0
     entries: list[tuple[int, int, list[tuple[int, float]]]] = []
     for k in sorted(int(k) for k in k_range):

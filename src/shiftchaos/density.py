@@ -11,9 +11,11 @@ when both exist they are cross-checked on small prefixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+from .numerics import chunk_spans
 
 
 @dataclass
@@ -98,16 +100,36 @@ def density_envelope(pred: IndexPredicate, horizon: int,
                           dtype=np.int64)
     else:
         counts = np.cumsum(pred.member_mask(horizon))[start - 1:]
-    return envelope_of_counts(counts, start)
+    return envelope_of_counts([counts], start)
 
 
-def envelope_of_counts(counts: np.ndarray, start: int = 1) -> DensityEnvelope:
-    """Envelope of counts[t] / N at N = start + t, for callers that already
-    hold the prefix counts card(A cap [1, N])."""
-    ns = np.arange(start, start + len(counts), dtype=np.int64)
-    ratios = np.asarray(counts, dtype=np.int64) / ns
-    lo_i = int(np.argmin(ratios))
-    hi_i = int(np.argmax(ratios))
-    return DensityEnvelope(int(ns[-1]), float(ratios[-1]),
-                           float(ratios[lo_i]), int(ns[lo_i]),
-                           float(ratios[hi_i]), int(ns[hi_i]))
+def count_chunks(pred: IndexPredicate, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(n0, card(A cap [1, N]) for N in [n0, n1]) per chunk [n0, n1] of
+    [1, horizon], as int64: from the vectorized counter where there is one,
+    else running counts of the member test."""
+    mask = None if pred.count_array is not None else pred.member_mask(horizon)
+    before = 0
+    for n0, n1 in chunk_spans(1, horizon):
+        if mask is None:
+            counts = pred.count_array(np.arange(n0, n1 + 1, dtype=np.int64)).astype(np.int64)
+        else:
+            counts = before + np.cumsum(mask[n0 - 1:n1], dtype=np.int64)
+            before = counts[-1]
+        yield n0, counts
+
+
+def envelope_of_counts(chunks: Iterable[np.ndarray], start: int = 1) -> DensityEnvelope:
+    """Envelope of counts[t] / N at N = start + t over consecutive chunks of
+    the prefix counts card(A cap [1, N]), for callers that already hold or
+    stream them.  The first N of a tie wins, as in one argmin/argmax."""
+    n0, lower, upper = start, None, None
+    for counts in chunks:
+        ratios = np.asarray(counts, dtype=np.int64) / np.arange(n0, n0 + len(counts),
+                                                                dtype=np.int64)
+        lo_i, hi_i = int(np.argmin(ratios)), int(np.argmax(ratios))
+        if lower is None or ratios[lo_i] < lower[0]:
+            lower = (float(ratios[lo_i]), n0 + lo_i)
+        if upper is None or ratios[hi_i] > upper[0]:
+            upper = (float(ratios[hi_i]), n0 + hi_i)
+        n0, last = n0 + len(counts), float(ratios[-1])
+    return DensityEnvelope(n0 - 1, last, *lower, *upper)

@@ -36,7 +36,7 @@ from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm,
 from .numerics import NEG_INF, ZERO, LogScalar, SparseVector
 from .piecewise import log_sum, log_sum_values
 from .reports import CertificateReport
-from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_array
+from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_chunks
 from .spaces import IndexSet, seminorm
 from .weights import product_log_table
 
@@ -77,12 +77,13 @@ def cesaro_distance_series(op: ShiftOperator, anchor: int, N: int) -> CesaroSeri
     terms = np.zeros(N)
     last = clipped = None
     levels = range(1, op.space.metric_depth + 1)
-    for k, vals in basis_orbit_logs(op, anchor, levels, 1, N):
+    for n0, k, vals in basis_orbit_logs(op, anchor, levels, 1, N):
         if vals is not last:  # a constant row is clipped once for every level
             clipped = np.minimum(vals, 0.0)
             np.exp(clipped, out=clipped)  # min(1, ||.||_k)
-            last = vals
-        terms += math.pow(2.0, -k) * clipped
+            last, scaled = vals, np.empty_like(clipped)
+        terms[n0 - 1:n0 - 1 + vals.size] += np.multiply(math.pow(2.0, -k), clipped,
+                                                        out=scaled)
     averages = np.cumsum(terms) / np.arange(1, N + 1)
     return CesaroSeries(anchor, terms, averages)
 
@@ -171,8 +172,10 @@ def _average_log(op: ShiftOperator, entry, m: int, mode: str) -> float:
     else from pieces."""
     N = entry.horizon
     if _resolve_mode(mode, len(entry.terms), N) == "dense":
-        lognum = orbit_seminorm_log_array(op, entry.vector(), m, N)[1:]
-        total = float(np.logaddexp.reduce(lognum))
+        total = None  # the reduce carries over, seeded as its first operand
+        for _, lognum in orbit_seminorm_log_chunks(op, entry.vector(), m, 1, N):
+            total = np.logaddexp.reduce(lognum, initial=total)
+        total = float(total)
     else:
         term = entry.terms[0]
         counts = single_term_counts(op, term, m, N)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -194,6 +194,18 @@ def logsumexp_p(logs: Iterable[float], p: float) -> float:
 # ---------------------------------------------------------------------------
 # array kernels: hot paths operate on numpy arrays of log magnitudes (-inf
 # marks a zero entry) and only wrap results into LogScalar at the boundary.
+# The dense route walks its horizon in chunks of CHUNK cells and carries its
+# state across them, so it holds O(CHUNK) memory, not O(horizon).
+
+CHUNK = 1 << 18
+
+
+def chunk_spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """[lo, hi] cut into consecutive spans [a, b] of CHUNK cells (the last
+    may be shorter); none when hi < lo."""
+    step = CHUNK
+    for a in range(lo, hi + 1, step):
+        yield a, min(a + step - 1, hi)
 
 
 def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:

@@ -6,9 +6,11 @@ Unilateral:  B_w (x_1, x_2, ...) = (w_1 x_2, w_2 x_3, ...); anything shifted
 
 Iterates act on basis vectors as B^n e_i = P(i, n) e_{i-n} with the backward
 product P from the weights module.  Every dense check reads one quantity off
-that: ln |b P(i, n) a(i - n, k)|, served by basis_orbit_logs from one
-product table and one row pass.  Orbit seminorms of finitely supported
-vectors combine one such array per support point with the lp form.
+that: ln |b P(i, n) a(i - n, k)|, served by basis_orbit_logs in chunks of
+numerics.CHUNK cells, each from one product slice and one row pass, so a
+dense sweep holds O(CHUNK) memory at any horizon.  Orbit seminorms of
+finitely supported vectors combine one such chunk per support point with the
+lp form (orbit_seminorm_log_chunks).
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .numerics import NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_p_rows
+from .numerics import (NEG_INF, ZERO, LogScalar, SparseVector, chunk_spans,
+                       logsumexp_p_rows)
 from .spaces import SpaceSpec
-from .weights import WeightSpec, product_log_table
+from .weights import WeightSpec, check_dense_length, product_log_slice
 
 
 @dataclass(frozen=True)
@@ -58,33 +61,70 @@ def orbit_seminorm_series(op: ShiftOperator, x: SparseVector, m: int,
 
 def orbit_seminorm_log_array(op: ShiftOperator, x: SparseVector, m: int,
                              n_max: int) -> np.ndarray:
-    """ln ||B^n x||_m for n = 0..n_max as a dense array (numpy hot path)."""
-    items = x.items_sorted()
-    if not items:
+    """ln ||B^n x||_m for n = 0..n_max as one dense array."""
+    if x.is_zero():
         return np.full(n_max + 1, NEG_INF)
-    rows = np.stack([vals for j, v in items
-                     for _, vals in basis_orbit_logs(op, j, (m,), 0, n_max, v.logmag)])
-    return logsumexp_p_rows(rows, op.space.p)
+    return np.concatenate([vals for _, vals in orbit_seminorm_log_chunks(op, x, m, 0, n_max)])
+
+
+def orbit_seminorm_log_chunks(op: ShiftOperator, x: SparseVector, m: int, n_lo: int,
+                              n_hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(n0, ln ||B^n x||_m for n in the chunk [n0, n1]) over [n_lo, n_hi]:
+    one basis_orbit_logs per support point, run in step and combined with
+    the lp form chunk by chunk."""
+    orbits = [basis_orbit_logs(op, j, (m,), n_lo, n_hi, v.logmag)
+              for j, v in x.items_sorted()]
+    for chunk in _lockstep(orbits):
+        rows = [vals for *_, vals in chunk]
+        yield chunk[0][0], (rows[0] if len(rows) == 1 else
+                            logsumexp_p_rows(np.stack(rows), op.space.p))
+
+
+def _lockstep(gens: list[Iterator]) -> Iterator[list]:
+    """One item of every generator per step.  Where one raises, the
+    generators before it run out first, so an error surfaces as if each ran
+    to the end in turn."""
+    while True:
+        step = []
+        for t, gen in enumerate(gens):
+            try:
+                step.append(next(gen))
+            except StopIteration:
+                return
+            except Exception:
+                for before in gens[:t]:
+                    for _ in before:
+                        pass
+                raise
+        yield step
 
 
 def basis_orbit_logs(op: ShiftOperator, i: int, ks: Iterable[int], n_lo: int,
-                     n_hi: int, coeff: float = 0.0) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, vals) per level k in ks, vals[n - n_lo] = ln |b P(i, n) a(i - n, k)|
-    for n in [n_lo, n_hi] with ln |b| = coeff, from one product table and
-    one row pass.
+                     n_hi: int, coeff: float = 0.0) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(n0, k, vals) per chunk [n0, n1] of [n_lo, n_hi] and level k in ks,
+    chunk-major (every level of a chunk before the next chunk), with
+    vals[n - n0] = ln |b P(i, n) a(i - n, k)| and ln |b| = coeff.
 
-    Values are (coeff + ln |P|) + ln a, bit for bit.  Where the orbit has
-    left the domain both parts are -inf, so those n read -inf.  A constant
-    row yields one shared read-only array for every k.  A caller with one
-    level unpacks [(_, vals)] = ..., which runs the generator out and frees
-    the table before it goes on.
+    Each chunk is one product_log_slice, seeded with the previous chunk's
+    last entry, and one row pass; values are (coeff + ln |P|) + ln a, bit for
+    bit as from one table.  Where the orbit has left the domain both parts
+    are -inf, so those n read -inf.  A constant row yields one shared
+    read-only array for every k of a chunk.
     """
-    logs = product_log_table(op.weights, i, n_hi).logs[n_lo:]
-    if coeff:
-        logs += coeff  # the table is this call's own
-    last = vals = None
-    for k, row in op.space.log_rows(i - n_hi, i - n_lo, ks):
-        if row is not last:
-            last, vals = row, logs + row[::-1]  # entry n - n_lo reads a(i - n, k)
-            vals.flags.writeable = False
-        yield k, vals
+    check_dense_length(n_hi)
+    ks = tuple(ks)
+    own = len(ks) == 1  # one level may take the slice's memory for its values
+    carry = 0.0  # ln |P(i, n0 - 1)|
+    for n0, n1 in chunk_spans(1, n_lo - 1):  # the carry up to n_lo
+        carry = product_log_slice(op.weights, i, n0, n1, carry)[0][-1]
+    for n0, n1 in chunk_spans(n_lo, n_hi):
+        logs = product_log_slice(op.weights, i, n0, n1, carry)[0]
+        carry = logs[-1]
+        if coeff:
+            logs += coeff
+        last = vals = None
+        for k, row in op.space.log_rows(i - n1, i - n0, ks):
+            if row is not last:  # entry n - n0 reads a(i - n, k)
+                last, vals = row, np.add(logs, row[::-1], out=logs if own else None)
+                vals.flags.writeable = False
+            yield n0, k, vals

@@ -14,10 +14,15 @@ Products are served three ways, mirroring the sequence layer:
                               read from cached per-block prefix counts in
                               O(log blocks) plus the runs of two end blocks;
                               fine for n ~ 10**200
-  product_log_table(w, i, N)  dense log table for numpy sweeps, N <= ~2e7,
-                              from one runs pass; one float64 + one int8 [N+1];
-                              dense checks read it through
-                              shift.basis_orbit_logs
+  product_log_slice(w, i, a, b, carry)
+                              ln|P(i, n)| for n in [a, b] from one runs pass
+                              and one cumsum seeded with ln|P(i, a - 1)|, so
+                              consecutive slices are bit for bit one cumsum;
+                              shift.basis_orbit_logs walks a dense horizon
+                              (N <= ~2e7) in CHUNK-cell slices of it
+  product_log_table(w, i, N)  the whole table as one slice, plus signs: one
+                              float64 + one int8 [N+1]; for the checks that
+                              read the bare table
   product_pieces(w, i, ...)   piecewise log-linear form for closed-form
                               counting and summing at astronomical horizons
 """
@@ -158,21 +163,50 @@ class WeightProductTable:
         return ZERO if s == 0 else LogScalar(s, float(self.logs[n]))
 
 
-def product_log_table(w: WeightSpec, i: int, n_max: int) -> WeightProductTable:
-    """Cumulative table P(i, 0..n_max) from one pass over the weight runs;
-    costs O(n_max) time, one float64 and one int8 array of n_max + 1."""
+def check_dense_length(n_max: int) -> None:
     if not 0 <= n_max <= MAX_DENSE:
         raise ValueError(f"dense product table of length {n_max} is outside "
                          f"[0, {MAX_DENSE}]; long tables take the piecewise path")
-    # entries past `live` are off-domain (j < 1 on N): annihilation, not an error
-    live = n_max if w.index_set is IndexSet.Z else max(0, min(n_max, i - 1))
-    la, neg = w.dense_logs(i - live, i - 1)  # entry live-t is ln|w_{i-t}|
-    logs, signs = np.empty(n_max + 1), np.ones(n_max + 1, dtype=np.int8)
-    logs[0], logs[live + 1:], signs[live + 1:] = 0.0, NEG_INF, 0
-    np.cumsum(la[::-1], out=logs[1:live + 1])
+
+
+def product_log_slice(w: WeightSpec, i: int, n0: int, n1: int, carry: float = 0.0
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(ln |P(i, n)| for n in [n0, n1], w_{i-n} < 0 for n in [max(n0, 1),
+    live]) from one runs pass, given carry = ln |P(i, n0 - 1)| (0.0 at
+    n0 = 0).
+
+    The carry is added to the first factor before the cumsum, never after,
+    so consecutive slices are bit for bit one cumsum over [0, n1].  Entries
+    past `live` (the last n with i - n on the domain) are -inf: annihilation,
+    not an error.  The flags are None when no weight is negative; a zero
+    weight raises, naming the zero nearest n0.
+    """
+    live = n1 if w.index_set is IndexSet.Z else max(0, min(n1, i - 1))
+    a = max(n0, 1)  # the first n with a weight factor
+    logs, neg = np.empty(0), None
+    if live >= a:
+        la, neg = w.dense_logs(i - live, i - a)  # entry t is ln|w_{i-live+t}|
+        la[-1] += carry  # the factor at n = a
+        logs = la[::-1]  # entry n - a, summed in place
+        np.cumsum(logs, out=logs)
+        neg = None if neg is None else neg[::-1]
+    if (a, live) == (n0, n1):
+        return logs, neg
+    out = np.full(n1 - n0 + 1, NEG_INF)
+    out[0] = 0.0  # P(i, 0) = 1 where n0 = 0; overwritten otherwise
+    out[a - n0:a - n0 + logs.size] = logs
+    return out, neg
+
+
+def product_log_table(w: WeightSpec, i: int, n_max: int) -> WeightProductTable:
+    """Cumulative table P(i, 0..n_max): product_log_slice over [0, n_max],
+    plus a sign parity pass where a weight is negative."""
+    check_dense_length(n_max)
+    logs, neg = product_log_slice(w, i, 0, n_max)
+    signs = (logs > NEG_INF).astype(np.int8)
     if neg is not None:
-        parity = np.bitwise_xor.accumulate(neg[::-1].view(np.uint8))
-        signs[1:live + 1][parity.view(bool)] = -1
+        parity = np.bitwise_xor.accumulate(neg.view(np.uint8))
+        signs[1:1 + parity.size][parity.view(bool)] = -1
     return WeightProductTable(i, logs, signs)
 
 

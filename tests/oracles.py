@@ -132,6 +132,63 @@ def dense_row_reference(space: SpaceSpec, k: int, lo: int, hi: int) -> np.ndarra
     return row
 
 
+def refute_a_rows_reference(op: ShiftOperator, anchors, horizon: int, bound: float,
+                            delta: float, settle_by: int) -> list[dict]:
+    """dc_cert.refute_dc_condition_A's rows from whole-horizon arrays: the
+    bad set's prefix ratios, the last N with ratio <= delta, the least
+    ratio past it (first N of a tie)."""
+    rows = []
+    for i in anchors:
+        vals = orbit_logs_reference(op, i, 1, 0.0, 1, horizon)
+        counts = np.cumsum(vals >= math.log(bound))
+        ratios = counts / np.arange(1, horizon + 1)
+        low = np.flatnonzero(ratios <= delta)
+        n0 = int(low[-1]) + 2 if low.size else 1
+        ok = n0 <= min(settle_by, horizon)
+        at = int(np.argmin(ratios[n0 - 1:])) if ok else 0
+        rows.append({"anchor": i, "settles_at": n0,
+                     "min_ratio": float(ratios[n0 - 1 + at]) if ok else 0.0,
+                     "min_ratio_at": n0 + at, "bad_count": int(counts[-1]), "ok": ok})
+    return rows
+
+
+def condition_a_rows_reference(op: ShiftOperator, member, anchors, horizon: int,
+                               decay_tol: float, k_max: int,
+                               tail_fraction_min: float) -> list[dict]:
+    """dc_cert.check_dc_condition_A's rows from whole-horizon arrays: per
+    anchor and level, the violating members, the last one and the members
+    left after it."""
+    mask = np.array([bool(member(n)) for n in range(1, horizon + 1)])
+    d_total = int(mask.sum())
+    rows = []
+    for i in anchors:
+        for k in range(1, k_max + 1):
+            vals = orbit_logs_reference(op, i, k, 0.0, 1, horizon)
+            viol = np.flatnonzero(mask & (vals >= math.log(decay_tol)))
+            last = int(viol[-1]) + 1 if viol.size else 0
+            tail = int(mask[last:].sum())
+            rows.append({"anchor": i, "seminorm": k, "violations": int(viol.size),
+                         "last_violation": last, "tail_members": tail,
+                         "ok": tail >= tail_fraction_min * d_total})
+    return rows
+
+
+def refute_hc_minima_reference(op: ShiftOperator, horizon: int,
+                               k_max: int) -> list[tuple[int, float, int]]:
+    """(k, min, first n at it) of ln a(a0 + n, k) - ln |w_a0 ... w_{a0+n-1}|
+    over n in [1, horizon], a0 the leftmost domain anchor, from one cumsum
+    of the weights' logs (as dc_cert.refute_hypercyclicity reads them)."""
+    a0 = 1 if op.space.index_set is IndexSet.N else 0
+    w = np.array([op.weights.seq.value_at(j) for j in range(a0, a0 + horizon)])
+    cum = np.cumsum(np.log(np.abs(w)))
+    out = []
+    for k in range(1, k_max + 1):
+        vals = dense_row_reference(op.space, k, a0 + 1, a0 + horizon) - cum
+        at = int(np.argmin(vals))
+        out.append((k, float(vals[at]), at + 1))
+    return out
+
+
 def naive_forward_product(w: WeightSpec, i: int, n: int) -> float:
     """|w_i * ... * w_{i+n-1}| by direct multiplication."""
     out = 1.0

@@ -1,0 +1,194 @@
+"""The dense route walks its horizon in numerics.CHUNK-cell chunks.  No
+report may depend on where the chunk boundaries fall, and the memory of a
+dense check must not grow with its horizon."""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oracles
+import test_weights as twt
+from shiftchaos import catalog, dc_cert, mly_cert, numerics, reports
+from shiftchaos.density import IndexPredicate, evens
+from shiftchaos.numerics import SparseVector
+from shiftchaos.sequences import ClosedFormSequence
+from shiftchaos.shift import ShiftOperator, orbit_seminorm_log_array
+from shiftchaos.spaces import (IndexSet, KotheMatrix, SpaceSpec, c0_space, lp_space,
+                               rapidly_decreasing_space)
+from shiftchaos.weights import bilateral_weights
+from test_spaces import ramp_nu
+
+SINGLE = 1 << 30  # one chunk for every horizon here
+CHUNKS = (1, 7, 64)
+
+
+def _zero_weights():
+    """w_j = 0 for j <= -101 and at j in {5, 60, 61}, beyond the
+    constructor's spot checks: backward orbits from 0 meet -101 first, those
+    from 10 meet 5, and the forward products from 0 meet 5, 60 and 61."""
+    return bilateral_weights(
+        ClosedFormSequence(lambda j: 0.0 if j <= -101 else 2.0),
+        ClosedFormSequence(lambda j: 0.0 if j in (5, 60, 61) else 2.0))
+
+
+# (name, operator, anchors): each anchor's orbit at horizon 200 starts off
+# chunk boundaries for every size in CHUNKS
+LAYOUTS = [
+    ("ex1-on-s(Z)", ShiftOperator(rapidly_decreasing_space(IndexSet.Z), twt.ex1_weights()),
+     [-3, 0, 4]),
+    ("negative-on-power-rows-Z",
+     ShiftOperator(SpaceSpec(1, KotheMatrix("power", ramp_nu()), IndexSet.Z),
+                   twt.NEGATIVE_CASE[1]), [-2, 1, 5]),
+    ("halves-on-c0(Z)", ShiftOperator(c0_space(IndexSet.Z), twt.WEIGHT_CASES[3][1]),
+     [0, 3]),
+    # on N the orbits of 40 and 150 leave the domain inside a chunk
+    ("rolewicz-on-l2(N)", ShiftOperator(lp_space(2, IndexSet.N), twt.WEIGHT_CASES[2][1]),
+     [40, 150]),
+    ("ramp-on-c0(N)",
+     ShiftOperator(c0_space(IndexSet.N, nu=ramp_nu()), twt.ramp_unilateral()), [1, 97]),
+    ("zero-weights-on-s(Z)",
+     ShiftOperator(rapidly_decreasing_space(IndexSet.Z), _zero_weights()), [0, 10]),
+]
+HORIZON = 200
+
+
+def _outcome(fn, *args, **kw) -> str:
+    """The report's JSON (an array's bytes), or the error a check raised."""
+    try:
+        out = fn(*args, **kw)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return repr(out.tobytes()) if isinstance(out, np.ndarray) else out.to_json()
+
+
+def _streamed_reports(op: ShiftOperator, anchors: list[int]) -> list[str]:
+    """One report of every consumer of the chunked dense route; run under
+    _exact_floats, so a float that moves by an ulp shows."""
+    sched = [(k, HORIZON - 10 + 5 * k, [(a, 1.5 - a / 7) for a in anchors[:k]])
+             for k in (1, 2)]
+    dense_dc = dc_cert.schedule_dc(1, sched)
+    x = SparseVector.from_terms([(a, 2.0 - a / 11) for a in anchors])
+    return [
+        _outcome(dc_cert.refute_dc_condition_A, op, anchors, HORIZON, settle_by=HORIZON),
+        # a thinner bad set: the ratios dip to delta and settle later
+        _outcome(dc_cert.refute_dc_condition_A, op, anchors, HORIZON, bound=10.0,
+                 delta=0.25, settle_by=HORIZON),
+        _outcome(dc_cert.refute_hypercyclicity, op, HORIZON, k_max=3),
+        _outcome(dc_cert.check_dc_condition_A, op, evens(), anchors, HORIZON,
+                 decay_tol=0.5, k_max=3),
+        _outcome(dc_cert.check_dc_condition_B, op, dense_dc, mode="dense"),
+        _outcome(mly_cert.check_mly_condition_B, op, dense_dc, mode="dense",
+                 auto_a_horizon=0),
+        _outcome(mly_cert.check_mly_condition_A, op, anchors[0], HORIZON,
+                 include_series=True),
+        _outcome(dc_cert.check_dc_search, op, k_range=(1, 2),
+                 anchor_window=(anchors[0], anchors[0] + 3), N_max=HORIZON),
+        _outcome(orbit_seminorm_log_array, op, x, 2, HORIZON),
+    ]
+
+
+@pytest.fixture
+def _exact_floats(monkeypatch):
+    """Reports print floats to 12 digits; here they print every bit."""
+    monkeypatch.setattr(reports, "fmt_float", lambda x: repr(float(x)))
+
+
+@pytest.mark.usefixtures("_exact_floats")
+@pytest.mark.parametrize("name, op, anchors", LAYOUTS, ids=[l[0] for l in LAYOUTS])
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, name, op, anchors):
+    monkeypatch.setattr(numerics, "CHUNK", SINGLE)
+    want = _streamed_reports(op, anchors)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(numerics, "CHUNK", chunk)
+        assert _streamed_reports(op, anchors) == want, chunk
+
+
+def test_zero_weights_are_named_as_one_pass_names_them(monkeypatch):
+    _, op, anchors = LAYOUTS[-1]
+    for chunk in (SINGLE,) + CHUNKS:
+        monkeypatch.setattr(numerics, "CHUNK", chunk)
+        reports = _streamed_reports(op, anchors)
+        assert reports[0] == "ValueError: weight at -101 is zero; weights must be nonzero on-domain"
+        # the forward product names the zero nearest the range's end
+        assert reports[2] == "ValueError: weight at 61 is zero; weights must be nonzero on-domain"
+        # orbits run in step: the one from 10 meets 5 in an earlier chunk,
+        # but the one from 0 comes first and names -101
+        assert reports[3].startswith("ValueError: weight at -101 is zero")
+        assert reports[-1].startswith("ValueError: weight at -101 is zero")
+
+
+@pytest.mark.parametrize("chunk", (7, SINGLE))
+@pytest.mark.parametrize("name, op, anchors", LAYOUTS[:-1], ids=[l[0] for l in LAYOUTS[:-1]])
+def test_carried_state_matches_whole_horizon_references(monkeypatch, name, op, anchors,
+                                                        chunk):
+    monkeypatch.setattr(numerics, "CHUNK", chunk)
+    for bound, delta in ((0.5, 1 / 6), (10.0, 0.25)):
+        rep = dc_cert.refute_dc_condition_A(op, anchors, HORIZON, bound, delta, HORIZON)
+        assert rep.rows == oracles.refute_a_rows_reference(op, anchors, HORIZON, bound,
+                                                           delta, HORIZON)
+    for decay_tol in (0.5, 1e3):
+        rep = dc_cert.check_dc_condition_A(op, evens(), anchors, HORIZON, decay_tol, 3, 0.3)
+        assert rep.rows == oracles.condition_a_rows_reference(
+            op, evens().member, anchors, HORIZON, decay_tol, 3, 0.3)
+    rep = dc_cert.refute_hypercyclicity(op, HORIZON, k_max=3)
+    assert [(r["seminorm"], r["min_value"].logmag, r["min_at_n"]) for r in rep.rows] \
+        == oracles.refute_hc_minima_reference(op, HORIZON, 3)
+
+
+DENSITY_SETS = [
+    catalog.expanding_product_blocks(),
+    evens(),
+    # the least prefix ratio, 0, is taken at N = 1 and again at N = 2
+    IndexPredicate(lambda j: j % 3 == 0, count=lambda n: n // 3,
+                   count_array=lambda ns: ns // 3, name="thirds"),
+    IndexPredicate(catalog.expanding_product_blocks().member, name="bare"),  # no counter
+]
+
+
+@pytest.mark.usefixtures("_exact_floats")
+@pytest.mark.parametrize("D", DENSITY_SETS, ids=lambda d: d.name)
+def test_density_check_does_not_depend_on_the_chunk_size(monkeypatch, D):
+    def reports():
+        return [catalog.check_density(None, D, horizon, (1, 6), exhaustive_to).to_json()
+                for horizon in (1, 64, 300) for exhaustive_to in (0, 6, 50, 300)]
+
+    monkeypatch.setattr(numerics, "CHUNK", SINGLE)
+    want = reports()
+    for chunk in CHUNKS:
+        monkeypatch.setattr(numerics, "CHUNK", chunk)
+        assert reports() == want, chunk
+
+
+# ---------------------------------------------------------------------------
+# memory: O(CHUNK), not O(horizon)
+
+
+def _refute_a_peak(op: ShiftOperator, horizon: int) -> int:
+    tracemalloc.start()
+    try:
+        rep = dc_cert.refute_dc_condition_A(op, [0], horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "condition-A-refuted-at-horizon"
+    return peak
+
+
+def test_refute_a_memory_does_not_grow_with_the_horizon(ex1_op):
+    # one orbit at 10**7 held whole took 306 MiB; a chunk takes about 17
+    assert _refute_a_peak(ex1_op, 10**7) <= 64 * 2**20
+    small = _refute_a_peak(ex1_op, 1 << 20)
+    assert _refute_a_peak(ex1_op, 4 << 20) <= 1.25 * small
+
+
+def test_chunk_spans_cover_the_range_once(monkeypatch):
+    monkeypatch.setattr(numerics, "CHUNK", 7)
+    assert list(numerics.chunk_spans(3, 20)) == [(3, 9), (10, 16), (17, 20)]
+    assert list(numerics.chunk_spans(3, 2)) == []
+    assert list(numerics.chunk_spans(0, 0)) == [(0, 0)]
+    assert np.array_equal(np.concatenate([np.arange(a, b + 1) for a, b in
+                                          numerics.chunk_spans(-5, 100)]),
+                          np.arange(-5, 101))

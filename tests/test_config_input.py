@@ -13,6 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,6 +124,47 @@ def _cli(path: Path) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["run", "--config", str(path)])
     return code, out.getvalue(), err.getvalue()
+
+
+def _run_item(entry: str, item: dict) -> tuple[int, str, str]:
+    doc = catalog.export_config(entry)
+    doc["checks"] = [item]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return _cli(path)
+
+
+# A check over no levels, no horizon or no settling room would answer from
+# empty input: k_max 0 gave refuted-at-horizon (hypercyclicity) and
+# condition-A-holds-at-horizon (condition A) with no rows.
+OUT_OF_RANGE = [
+    ("ex1_s_Z_hc_not_dc", {"kind": "hypercyclicity",
+                           "refute": {"horizon": 100, "k_max": 0}}, "k_max", 1),
+    ("ex2_kothe_dc_not_hc", {"kind": "dc", "condition_A": {
+        "anchors": [1], "horizon": 100, "k_max": 0}}, "k_max", 1),
+    ("ex1_s_Z_hc_not_dc", {"kind": "density", "set": "naturals", "horizon": 100,
+                           "exhaustive_to": -5}, "exhaustive_to", 0),
+    ("ex1_s_Z_hc_not_dc", {"kind": "dc", "refute_A": {
+        "anchors": [0], "horizon": 100, "settle_by": 0}}, "settle_by", 1),
+    ("ex1_s_Z_hc_not_dc", {"kind": "dc", "refute_A": {
+        "anchors": [0], "horizon": 100, "settle_by": -3}}, "settle_by", 1),
+    ("ex1_s_Z_hc_not_dc", {"kind": "density", "set": "naturals", "horizon": 0},
+     "horizon", 1),
+]
+
+
+@pytest.mark.parametrize("entry, item, key, least", OUT_OF_RANGE)
+def test_values_below_a_keys_range_are_rejected(entry, item, key, least):
+    code, out, err = _run_item(entry, item)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: config key {key!r}: must be >= {least}, got ")
+    assert err.count("\n") == 1
+    # the least accepted value runs the check
+    node = item if key in item else next(v for v in item.values() if isinstance(v, dict))
+    node[key] = least
+    code, out, err = _run_item(entry, item)
+    assert code in (0, 1, 2) and err == ""
 
 
 @settings(max_examples=150, database=None)

@@ -76,7 +76,8 @@ class TestSlopedPieces:
         term = WitnessTerm.of(i, coeff)
         assert single_term_counts(op, term, 1, N) is None  # not flat: pieces
         pieces = single_term_pieces(op, term, 1, N)
-        [(_, dense)] = basis_orbit_logs(op, i, (1,), 1, N, term.coeff.logmag)
+        dense = np.concatenate([vals for *_, vals in
+                                basis_orbit_logs(op, i, (1,), 1, N, term.coeff.logmag)])
         for thr in _midpoints(dense):
             assert count_above(pieces, thr) == int(np.count_nonzero(dense > thr)), thr
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import test_weights as twt
-from shiftchaos import catalog
+from shiftchaos import catalog, numerics
 from shiftchaos.numerics import NEG_INF, SparseVector
 from shiftchaos.shift import (
     ShiftOperator,
@@ -120,6 +120,22 @@ KERNEL_WEIGHTS = {
 }
 
 
+def level_arrays(chunks, ks, n_lo) -> list[tuple[int, np.ndarray]]:
+    """basis_orbit_logs' chunk-major (n0, k, vals) items as one (k, vals)
+    per level, each level's chunks concatenated in order."""
+    items = list(chunks)
+    L = len(ks)
+    for c in range(len(items) // L):
+        step = items[c * L:(c + 1) * L]
+        assert [k for _, k, _ in step] == list(ks)
+        assert len({n0 for n0, _, _ in step}) == 1
+    starts = [n0 for n0, _, _ in items[::L]]
+    sizes = [vals.size for _, _, vals in items[::L]]
+    assert starts == [n_lo + sum(sizes[:c]) for c in range(len(starts))]
+    return [(k, np.concatenate([vals for _, _, vals in items[p::L]]))
+            for p, k in enumerate(ks)]
+
+
 class TestBasisOrbitLogs:
     @settings(max_examples=300)
     @given(st.sampled_from(ROW_CASES), st.data(), st.integers(-40, 60),
@@ -133,16 +149,35 @@ class TestBasisOrbitLogs:
         op = ShiftOperator(space, data.draw(st.sampled_from(KERNEL_WEIGHTS[space.index_set])))
         i = domain_index(op, raw_i)
         n_hi = n_lo + span
-        got = list(basis_orbit_logs(op, i, ks, n_lo, n_hi, coeff))
-        assert [k for k, _ in got] == ks
+        got = level_arrays(basis_orbit_logs(op, i, ks, n_lo, n_hi, coeff), ks, n_lo)
         for k, vals in got:
             want = oracles.orbit_logs_reference(op, i, k, coeff, n_lo, n_hi)
             assert vals.dtype == want.dtype and vals.shape == want.shape
             assert vals.tobytes() == want.tobytes()
 
+    @settings(max_examples=150)
+    @given(st.sampled_from(ROW_CASES), st.data(), st.integers(-40, 60),
+           st.sampled_from([0, 1, 5]), st.integers(0, 300),
+           st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           st.sampled_from([0.0, -2.25]), st.sampled_from([1, 7, 64]))
+    def test_chunks_concatenate_to_one_chunk_bytewise(self, case, data, raw_i, n_lo,
+                                                      span, ks, coeff, chunk):
+        # the carry seeds each chunk's cumsum, so the boundaries leave no trace
+        _, space = case
+        op = ShiftOperator(space, data.draw(st.sampled_from(KERNEL_WEIGHTS[space.index_set])))
+        i = domain_index(op, raw_i)
+        n_hi = n_lo + span
+        whole = level_arrays(basis_orbit_logs(op, i, ks, n_lo, n_hi, coeff), ks, n_lo)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "CHUNK", chunk)
+            got = level_arrays(basis_orbit_logs(op, i, ks, n_lo, n_hi, coeff), ks, n_lo)
+        assert [k for k, _ in got] == [k for k, _ in whole]
+        for (_, vals), (_, want) in zip(got, whole):
+            assert vals.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", ["ex4_lp_mly_not_hc", "rolewicz_lp_N"])
     def test_constant_rows_give_one_shared_readonly_array(self, name):
         op = catalog.build_example(name)
-        got = [vals for _, vals in basis_orbit_logs(op, 30, range(1, 41), 1, 500, 0.5)]
+        got = [vals for _, _, vals in basis_orbit_logs(op, 30, range(1, 41), 1, 500, 0.5)]
         assert all(vals is got[0] for vals in got)
         assert not got[0].flags.writeable
