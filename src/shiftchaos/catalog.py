@@ -24,10 +24,11 @@ from typing import Any
 import numpy as np
 
 from . import dc_cert, mly_cert
-from .density import (IndexPredicate, check_counter_agreement,
-                      count_chunks, envelope_of_counts, evens, naturals)
+from .density import (IndexPredicate, check_counter_agreement, count_chunks,
+                      counted_runs, envelope_of_counts, envelope_of_runs, evens,
+                      naturals)
 from .reports import CertificateReport
-from .sequences import SequenceBase, SplitSequence, side_from_template
+from .sequences import Run, SequenceBase, SplitSequence, side_from_template
 from .shift import ShiftOperator
 from .spaces import (IndexSet, KotheMatrix, SpaceSpec, c0_space,
                      condition_c_check, lp_space, rapidly_decreasing_space)
@@ -121,7 +122,8 @@ def expanding_product_blocks() -> IndexPredicate:
     """Union of the odd-numbered blocks of the alternating-powers layout.
 
     Block t occupies [t(t-1)+1, t(t+1)]; backward products from anchor 0
-    stay >= 1 exactly on the odd blocks.  Counters are closed-form, so the
+    stay >= 1 exactly on the odd blocks.  Counters are closed-form, and the
+    blocks are the membership runs (O(sqrt H) of them up to H), so the
     density envelope stays exact at any horizon.
     """
 
@@ -150,7 +152,12 @@ def expanding_product_blocks() -> IndexPredicate:
         partial = np.where((c + 1) % 2 == 1, ns - c * (c + 1), 0)
         return 2 * m * m + partial
 
-    return IndexPredicate(member, count=count, count_array=count_array,
+    def runs(lo: int, hi: int) -> list[Run]:
+        lo = max(lo, 1)
+        return [Run(max(t * (t - 1) + 1, lo), min(t * (t + 1), hi), float(t % 2))
+                for t in range(block_of(lo), block_of(hi) + 1)] if hi >= lo else []
+
+    return IndexPredicate(member, count=count, count_array=count_array, runs=runs,
                           name="expanding-product-blocks")
 
 
@@ -338,7 +345,13 @@ def check_density(_op: ShiftOperator, D: IndexPredicate, horizon: int,
                   threshold: tuple[int, int] = (1, 6),
                   exhaustive_to: int = 50) -> CertificateReport:
     """Does D's prefix ratio stay strictly above threshold up to the horizon?
-    The vectorized counter must also agree with the member test."""
+    The closed-form counter must also agree with the member test, and the
+    counts the envelope reads with brute counting on the exhaustive prefix.
+
+    With membership runs every test reads run ends, since on a run both
+    card and den * card - num * N are linear in N.  Without, the counts are
+    walked chunk by chunk.
+    """
     if horizon < 1 or exhaustive_to < 0:
         raise ValueError("need horizon >= 1 and exhaustive_to >= 0")
     num, den = threshold
@@ -347,19 +360,28 @@ def check_density(_op: ShiftOperator, D: IndexPredicate, horizon: int,
     if D.count_array is None and horizon > 200_000:
         raise ValueError("set has no vectorized counter for a horizon this large")
     brute = np.cumsum(D.member_mask(exhaustive_to)).astype(np.int64)
-    exhaustive_ok = strict_ok = True
+    if D.runs is not None:
+        runs = list(counted_runs(D, 1, horizon))
+        prefix = [at_a + member * (n - a) for a, b, at_a, member in runs
+                  for n in range(a, min(b, exhaustive_to) + 1)]
+        exhaustive_ok = bool(np.array_equal(brute, prefix))
+        strict_ok = all(den * (at_a + member * (n - a)) > num * n
+                        for a, b, at_a, member in runs for n in (a, b))
+        env = envelope_of_runs(runs)
+    else:
+        exhaustive_ok = strict_ok = True
 
-    def checked():  # the prefix test and the strict bound, chunk by chunk
-        nonlocal exhaustive_ok, strict_ok
-        for n0, counts in count_chunks(D, horizon):
-            if n0 <= exhaustive_to:
-                exhaustive_ok &= bool(np.array_equal(brute[n0 - 1:n0 - 1 + counts.size],
-                                                     counts[:exhaustive_to - n0 + 1]))
-            ns = np.arange(n0, n0 + counts.size, dtype=np.int64)
-            strict_ok &= bool(np.all(den * counts > num * ns))
-            yield counts
+        def checked():  # the prefix test and the strict bound, chunk by chunk
+            nonlocal exhaustive_ok, strict_ok
+            for n0, counts in count_chunks(D, horizon):
+                if n0 <= exhaustive_to:
+                    exhaustive_ok &= bool(np.array_equal(
+                        brute[n0 - 1:n0 - 1 + counts.size], counts[:exhaustive_to - n0 + 1]))
+                ns = np.arange(n0, n0 + counts.size, dtype=np.int64)
+                strict_ok &= bool(np.all(den * counts > num * ns))
+                yield counts
 
-    env = envelope_of_counts(checked())
+        env = envelope_of_counts(checked())
     ok = agree and exhaustive_ok and strict_ok
     rows = [{"min_ratio": env.lower, "min_ratio_at": env.lower_at,
              "ratio_at_horizon": env.ratio_at_horizon,

@@ -15,7 +15,9 @@ to ~2e7, and, for single-term witnesses, a route that stays exact at
 astronomical horizons (10**200 is fine).  That route reads value counts
 where the weight product is flat (every weight of modulus 1: one
 O(log blocks) count read, no pieces) and builds piecewise log-linear
-envelopes elsewhere.  Every dense check reads ln |b P(i, n) a(i - n, k)|
+envelopes elsewhere.  In mode "auto" a single term reads its count form
+first, at every horizon, and falls back to the dense sweep within the caps
+(_level_form).  Every dense check reads ln |b P(i, n) a(i - n, k)|
 from shift.basis_orbit_logs and combines witness terms with the lp form of
 numerics (logsumexp_p_rows).  The four condition-(B) checks share one level
 loop and verdict ladder (level_report), which rejects witness indices off
@@ -204,6 +206,26 @@ def _resolve_mode(mode: str, n_terms: int, horizon: int) -> str:
         return "pieces"
     raise ValueError("no feasible route: multi-term witness at a horizon "
                      "beyond the dense cap")
+
+
+def _level_form(op: ShiftOperator, entry: DCWitnessEntry, m: int, mode: str
+                ) -> dict[float, int] | list[Piece] | None:
+    """The numerator of a level in the form its route reads: None for the
+    dense route, else the single term's count form where the weights are
+    flat, else its pieces.
+
+    Mode "auto" tries the count form first, at every horizon, and falls back
+    to dense within the caps, else to pieces; mode "pieces" reads the count
+    form or pieces, and mode "dense" always runs dense.
+    """
+    route = _resolve_mode(mode, len(entry.terms), entry.horizon)
+    if mode == "dense" or len(entry.terms) != 1:
+        return None
+    term = entry.terms[0]
+    counts = single_term_counts(op, term, m, entry.horizon)
+    if counts is None and route == "pieces":
+        return single_term_pieces(op, term, m, entry.horizon)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +417,9 @@ def _dc_level(op: ShiftOperator, sched: WitnessScheduleDC, mode: str
 
     The numerator is the orbit seminorm of the schedule vector x, the
     denominator its p(k)-th seminorm; a zero denominator fails the level.
-    Off the dense route a single term is counted from its count form where
-    that applies, else from pieces.
+    A single term is counted from its count form where that applies (first
+    in mode "auto", at every horizon), else on the dense route or from
+    pieces (_level_form).
     """
     def level(entry: DCWitnessEntry) -> dict | str:
         k, N = entry.k, entry.horizon
@@ -405,16 +428,14 @@ def _dc_level(op: ShiftOperator, sched: WitnessScheduleDC, mode: str
         if den.sign == 0:
             return f"zero denominator seminorm at k={k} (p(k)={pk})"
         thr = math.log(k) + den.logmag
-        if _resolve_mode(mode, len(entry.terms), N) == "dense":
+        form = _level_form(op, entry, sched.m, mode)
+        if form is None:
             count = sum(int(np.count_nonzero(lognum > thr)) for _, lognum
                         in orbit_seminorm_log_chunks(op, entry.vector(), sched.m, 1, N))
+        elif isinstance(form, dict):
+            count = sum(c for lv, c in form.items() if lv > thr)
         else:
-            term = entry.terms[0]
-            counts = single_term_counts(op, term, sched.m, N)
-            if counts is not None:
-                count = sum(c for lv, c in counts.items() if lv > thr)
-            else:
-                count = count_above(single_term_pieces(op, term, sched.m, N), thr)
+            count = count_above(form, thr)
         return _count_row(k, N, count)
 
     return level

@@ -5,7 +5,10 @@ at a finite horizon all we can report is the running envelope of those
 ratios, so every verdict built on one carries an "at horizon N" qualifier.
 
 An IndexPredicate may bundle a closed-form counter with the membership test;
-when both exist they are cross-checked on small prefixes.
+when both exist they are cross-checked on small prefixes.  A predicate that
+also gives its membership runs has its envelope read off run ends, in
+O(runs) at any horizon: on a run card(A cap [1, N]) is linear in N, so the
+prefix ratio is monotone there.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .numerics import chunk_spans
+from .sequences import Run
 
 
 @dataclass
@@ -24,12 +28,15 @@ class IndexPredicate:
 
     count(N) must equal card(A cap [1, N]).  count_array is a vectorized
     variant over an int64 numpy array of horizons (needed for million-point
-    envelope sweeps).
+    envelope sweeps).  runs(lo, hi) covers [max(lo, 1), hi] with the runs of
+    the indicator of A (value 1.0 on members, 0.0 off them), for sets made
+    of few long runs.
     """
 
     member: Callable[[int], bool]
     count: Callable[[int], int] | None = None
     count_array: Callable[[np.ndarray], np.ndarray] | None = None
+    runs: Callable[[int, int], list[Run]] | None = None
     name: str = ""
 
     def prefix_count(self, n: int) -> int:
@@ -45,8 +52,12 @@ class IndexPredicate:
 
 
 def naturals() -> IndexPredicate:
+    def runs(lo: int, hi: int) -> list[Run]:
+        lo = max(lo, 1)
+        return [Run(lo, hi, 1.0)] if hi >= lo else []
+
     return IndexPredicate(lambda j: j >= 1, count=lambda n: max(n, 0),
-                          count_array=lambda ns: np.maximum(ns, 0), name="N")
+                          count_array=lambda ns: np.maximum(ns, 0), runs=runs, name="N")
 
 
 def evens() -> IndexPredicate:
@@ -89,10 +100,13 @@ def density_envelope(pred: IndexPredicate, horizon: int,
                      start: int = 1) -> DensityEnvelope:
     """Envelope of prefix ratios for N in [start, horizon].
 
-    Uses the vectorized counter when present, else chunked brute counting.
+    Reads run ends when the predicate has runs, else uses the vectorized
+    counter when present, else brute counting.
     """
     if horizon < start or start < 1:
         raise ValueError("need 1 <= start <= horizon")
+    if pred.runs is not None:
+        return envelope_of_runs(counted_runs(pred, start, horizon))
     if pred.count_array is not None:
         counts = pred.count_array(np.arange(start, horizon + 1, dtype=np.int64))
     elif pred.count is not None:
@@ -133,3 +147,55 @@ def envelope_of_counts(chunks: Iterable[np.ndarray], start: int = 1) -> DensityE
             upper = (float(ratios[hi_i]), n0 + hi_i)
         n0, last = n0 + len(counts), float(ratios[-1])
     return DensityEnvelope(n0 - 1, last, *lower, *upper)
+
+
+def counted_runs(pred: IndexPredicate, lo: int, hi: int
+                 ) -> Iterator[tuple[int, int, int, bool]]:
+    """(a, b, card(A cap [1, a]), member) per run [a, b] of pred.runs,
+    clipped to [lo, hi] (lo >= 1).  On the run card(A cap [1, N]) is
+    card(A cap [1, a]) + member * (N - a)."""
+    before = 0  # card(A cap [1, run.start - 1])
+    for r in pred.runs(1, hi):
+        member = r.value > 0
+        if r.stop >= lo:
+            a = max(r.start, lo)
+            yield a, r.stop, before + member * (a - r.start + 1), member
+        before += member * r.count
+
+
+def envelope_of_runs(runs: Iterable[tuple[int, int, int, bool]]) -> DensityEnvelope:
+    """envelope_of_counts over the runs of counted_runs, in O(runs).
+
+    On a run the ratio N -> card/N is monotone, weakly rising on a member
+    run and falling off one, so its extremes lie at the run's ends; the
+    float ratios are correctly rounded quotients, so they are monotone too.
+    Where the extreme is the right end, the first N of the run with that
+    float ratio is bisected for, and a later run replaces an extreme only
+    when strictly beyond it: the first N of a tie wins, as in
+    envelope_of_counts.
+    """
+    lower = upper = None
+    for a, b, at_a, member in runs:
+        def ratio(n: int) -> float:
+            return (at_a + member * (n - a)) / n
+
+        first, last = at_a / a, ratio(b)
+        least, most = (first, last) if member else (last, first)
+        if lower is None or least < lower[0]:
+            lower = (least, a if member else _first_reaching(ratio, a, b))
+        if upper is None or most > upper[0]:
+            upper = (most, _first_reaching(ratio, a, b) if member else a)
+    return DensityEnvelope(b, last, *lower, *upper)  # the last run ends at the horizon
+
+
+def _first_reaching(ratio: Callable[[int], float], a: int, b: int) -> int:
+    """The least N in [a, b] with ratio(N) == ratio(b), ratio monotone on
+    [a, b]: the N that reach ratio(b) form a suffix of [a, b]."""
+    target = ratio(b)
+    while a < b:
+        mid = (a + b) // 2
+        if ratio(mid) == target:
+            b = mid
+        else:
+            a = mid + 1
+    return a

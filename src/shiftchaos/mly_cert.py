@@ -10,10 +10,11 @@ exceedances:
       with a NON-strict >= as the comparison.
 
 Averages are accumulated in the log domain; series terms are genuine metric
-values in [0, 1].  Single-term witnesses past the dense cap keep horizons
-like 10**200 exact: where the weight product is flat (every weight of
-modulus 1) the sum comes from value counts (single_term_counts), elsewhere
-from piecewise log-linear envelopes.
+values in [0, 1].  A single-term witness is summed from value counts
+wherever the weight product is flat (every weight of modulus 1;
+single_term_counts), in mode "auto" first at every horizon; elsewhere past
+the dense cap from piecewise log-linear envelopes, so horizons like 10**200
+stay exact.
 
 Schedules, the dense orbit kernel (shift.basis_orbit_logs) and the level
 loop (dc_cert.level_report) are the distributional-chaos module's; each level
@@ -31,8 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm,
-                      _resolve_mode, level_report, schedule_dc,
-                      single_term_counts, single_term_pieces)
+                      _level_form, _resolve_mode, level_report, schedule_dc)
 from .numerics import NEG_INF, ZERO, LogScalar, SparseVector
 from .piecewise import log_sum, log_sum_values
 from .reports import CertificateReport
@@ -167,26 +167,27 @@ def _auto_a(op: ShiftOperator, horizon: int
 
 
 def _average_log(op: ShiftOperator, entry, m: int, mode: str) -> float:
-    """ln of (1/N) * sum_{n=1..N} ||B^n (witness vector)||_m; off the dense
-    route a single term is summed from its count form where that applies,
-    else from pieces."""
+    """ln of (1/N) * sum_{n=1..N} ||B^n (witness vector)||_m.  A single term
+    is summed from its count form where the weights are flat (first in mode
+    "auto", at every horizon: exact, with integer counts), else on the dense
+    route or from pieces (dc_cert._level_form); -inf for an orbit that
+    vanishes."""
     N = entry.horizon
-    if _resolve_mode(mode, len(entry.terms), N) == "dense":
+    form = _level_form(op, entry, m, mode)
+    if form is None:
         total = None  # the reduce carries over, seeded as its first operand
         for _, lognum in orbit_seminorm_log_chunks(op, entry.vector(), m, 1, N):
             total = np.logaddexp.reduce(lognum, initial=total)
         total = float(total)
     else:
-        term = entry.terms[0]
-        counts = single_term_counts(op, term, m, N)
-        total = (log_sum_values(counts) if counts is not None
-                 else log_sum(single_term_pieces(op, term, m, N)))
+        total = log_sum_values(form) if isinstance(form, dict) else log_sum(form)
     return total - math.log(N)
 
 
 def _average_row(k: int, N: int, avg_log: float) -> dict:
-    """An averaging level passes iff the average is >= k (non-strict)."""
-    return {"k": k, "N_k": N, "average": LogScalar(1, avg_log), "target": k,
+    """An averaging level passes iff the average is >= k (non-strict); a
+    vanishing orbit averages 0 and fails."""
+    return {"k": k, "N_k": N, "average": LogScalar.from_log(1, avg_log), "target": k,
             "pass": avg_log >= math.log(k)}
 
 

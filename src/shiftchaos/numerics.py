@@ -140,10 +140,10 @@ class LogScalar:
         l10 = self.logmag / LN10
         exp10 = math.floor(l10)
         mant = 10.0 ** (l10 - exp10)
-        if mant >= 10.0:  # rounding at the boundary
-            mant /= 10.0
-            exp10 += 1
         body = f"{mant:.{digits - 1}f}"
+        if float(body) >= 10.0:  # the mantissa rounded up to 10
+            body = f"{mant / 10.0:.{digits - 1}f}"
+            exp10 += 1
         s = "-" if self.sign < 0 else ""
         return f"{s}{body}e{exp10:+d}"
 

@@ -5,6 +5,7 @@ dense check must not grow with its horizon."""
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import oracles
 import test_weights as twt
 from shiftchaos import catalog, dc_cert, mly_cert, numerics, reports
-from shiftchaos.density import IndexPredicate, evens
+from shiftchaos.density import IndexPredicate, evens, naturals
 from shiftchaos.numerics import SparseVector
 from shiftchaos.sequences import ClosedFormSequence
 from shiftchaos.shift import ShiftOperator, orbit_seminorm_log_array
@@ -160,6 +161,31 @@ def test_density_check_does_not_depend_on_the_chunk_size(monkeypatch, D):
     for chunk in CHUNKS:
         monkeypatch.setattr(numerics, "CHUNK", chunk)
         assert reports() == want, chunk
+
+
+RUN_SETS = [catalog.expanding_product_blocks(), naturals()]
+
+
+@pytest.mark.usefixtures("_exact_floats")
+@pytest.mark.parametrize("D", RUN_SETS, ids=lambda d: d.name)
+def test_density_run_route_matches_the_cell_route(monkeypatch, D):
+    # the run route reads run ends; the cell route (the same set without
+    # runs) walks every N chunk by chunk.  Large horizons (block ends
+    # t(t + 1) and the block start after one, up to 2 * 10**6) are walked
+    # at the default chunk size, the small ones at every size
+    cells = replace(D, runs=None)
+
+    def reports(pred, horizons):
+        return [catalog.check_density(None, pred, horizon, threshold, exhaustive_to).to_json()
+                for horizon in horizons
+                for threshold, exhaustive_to in (((1, 6), 50), ((1, 3), 0))]
+
+    large = (1413 * 1414, 1413 * 1414 + 1, 2 * 10**6)
+    assert reports(D, large) == reports(cells, large)
+    small = (1, 2, 6, 7, 64, 300)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(numerics, "CHUNK", chunk)
+        assert reports(D, small) == reports(cells, small), chunk
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from shiftchaos import catalog
 from shiftchaos.cli import main, validate_config, CLIError
+from shiftchaos.dc_cert import WitnessTerm, single_term_counts
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +253,29 @@ class TestWitnessDomain:
         assert code == 3
         assert out == ""
         assert err == "error: vector has support at 0 outside IndexSet.N\n"
+
+
+class TestVanishingOrbit:
+    # e_1 on N is annihilated at every n >= 1: the average is 0, so the MLY
+    # level fails (exit 1) on every route; the count route reads no terms
+    @pytest.mark.parametrize("mode", ["auto", "dense", "pieces"])
+    @pytest.mark.parametrize("name", ["rolewicz_lp_N", "unweighted_lp_N"])
+    def test_mly_level_fails(self, capsys, tmp_path, name, mode):
+        cfg = catalog.export_config(name)
+        cfg["checks"] = [{"kind": "mly", "m": 1, "mode": mode,
+                          "schedule": [[1, 10, [[1, 1.0]]]]}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path),
+                                 "--format", "json")
+        assert (code, err) == (1, "")
+        [row] = json.loads(out)["checks"][0]["rows"]
+        assert row["pass"] is False
+        assert row["average"] == {"decimal": "0", "logmag": "-inf", "sign": 0}
+
+    def test_count_route_reads_no_terms(self):
+        op = catalog.build_example("unweighted_lp_N")
+        assert single_term_counts(op, WitnessTerm.of(1, 1.0), 1, 10) == {}
 
 
 class TestCheckKeys:

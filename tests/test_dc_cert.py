@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from shiftchaos import catalog, dc_cert
 from shiftchaos.dc_cert import (
     DCWitnessEntry,
@@ -26,6 +28,7 @@ from shiftchaos.dc_cert import (
     single_term_pieces,
 )
 from shiftchaos.density import naturals
+from shiftchaos.mly_cert import _average_log
 from shiftchaos.numerics import NEG_INF, LogScalar
 from shiftchaos.piecewise import count_above, log_sum, log_sum_values
 from shiftchaos.sequences import (
@@ -38,6 +41,7 @@ from shiftchaos.sequences import (
 from shiftchaos.shift import ShiftOperator
 from shiftchaos.spaces import IndexSet, KotheMatrix, SpaceSpec, lp_space
 from shiftchaos.weights import Piece, bilateral_weights, unilateral_weights
+from test_piecewise import _rounded_log
 
 N_SEQ_ALT = catalog.N_SEQ_FORMS["alternating-powers-dip"]
 N_SEQ_THO = catalog.N_SEQ_FORMS["twos-halves-ones-dip"]
@@ -263,6 +267,36 @@ class TestSingleTermCounts:
         assert (counts is not None) == flat
         if counts is not None:
             self.assert_matches_pieces(counts, single_term_pieces(op, term, m, N), p)
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(FLAT_CASES), st.integers(-60, 2500), st.integers(1, 3000),
+           st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from([1.0, -1.0, 0.3, -7.5, 1e-6, 2.0 ** 40]))
+    @example(FLAT_CASES[2], 40, 100, 1, 2, 1.0)  # e_40 on N, annihilated at n = 40
+    @example(FLAT_CASES[2], 40, 100, 2, 1, -7.5)
+    @example(FLAT_CASES[1], 2000, 1999, 1, 3, 0.3)  # ex4 right of the origin
+    def test_auto_reads_counts_as_dense_does(self, case, index, N, m, k, coeff):
+        # mode "auto" reads the count form first, also within the dense cap:
+        # the counts equal the dense route's, and the averages agree within
+        # the dense reduce's rounding (one per cell: 0.61 sqrt(N) ulps at
+        # most over 1,900 draws) and within a few ulps of the exact average
+        _, op = case
+        if op.space.index_set is IndexSet.N:
+            index = abs(index) + 1
+        sched = schedule_dc(m, [(k, N, [(index, coeff)])])
+        entry = sched.entries[0]
+        assume(single_term_counts(op, entry.terms[0], m, N) is not None)
+        assert (check_dc_condition_B(op, sched, mode="auto").rows
+                == check_dc_condition_B(op, sched, mode="dense").rows)
+        auto, dense = (_average_log(op, entry, m, mode) for mode in ("auto", "dense"))
+        if dense == NEG_INF:
+            assert auto == NEG_INF
+            return
+        scale = max(abs(dense + math.log(N)), math.log(N), 1.0)
+        assert abs(auto - dense) <= (4 + 2 * math.sqrt(N)) * math.ulp(scale)
+        if op.space.matrix.rule == "constant":
+            exact = Fraction(abs(coeff)) * oracles.exact_run_average(op, index, N)
+            assert abs(auto - _rounded_log(exact)) <= 4 * math.ulp(scale)
 
     @pytest.mark.parametrize("name", ["ex2", "ex4"])
     @pytest.mark.parametrize("t", [21, 60])

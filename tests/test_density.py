@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shiftchaos import catalog
 from shiftchaos.catalog import expanding_product_blocks
 from shiftchaos.density import (
+    IndexPredicate,
     check_counter_agreement,
     density_envelope,
     evens,
     naturals,
     prefix_ratio,
 )
-from shiftchaos.sequences import BlockSideSequence, alternating_powers
+from shiftchaos.sequences import BlockSideSequence, Run, alternating_powers
 from shiftchaos.weights import bilateral_weights
 from shiftchaos.sequences import ConstantSequence
 
@@ -110,10 +116,81 @@ class TestBlocksUnionPredicate:
             density_envelope(ref, 10, start=11)
 
 
+def run_set(runs, tail: bool) -> IndexPredicate:
+    """The set whose indicator runs, laid from 1, have the given
+    (length, member) pairs, then one endless run of membership tail; with
+    every counter, so its cell route can run as well."""
+    starts = list(itertools.accumulate([1] + [length for length, _ in runs]))
+    members = [m for _, m in runs] + [tail]
+    before = list(itertools.accumulate(
+        (length * m for length, m in runs), initial=0))
+    ends = [b - 1 for b in starts[1:]]
+
+    def at(n: int) -> int:
+        return bisect.bisect_right(starts, n) - 1
+
+    def count(n: int) -> int:
+        i = at(n)
+        return 0 if n < 1 else before[i] + members[i] * (n - starts[i] + 1)
+
+    def count_array(ns: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(starts, ns, side="right") - 1
+        return np.take(before, i) + np.take(members, i) * (ns - np.take(starts, i) + 1)
+
+    def runs_of(lo: int, hi: int) -> list[Run]:
+        lo = max(lo, 1)
+        return [Run(max(starts[i], lo), min(ends[i] if i < len(ends) else hi, hi),
+                    float(members[i])) for i in range(at(lo), at(hi) + 1)] if hi >= lo else []
+
+    return IndexPredicate(lambda j: j >= 1 and members[at(j)], count=count,
+                          count_array=count_array, runs=runs_of, name="runs")
+
+
+class TestRunRoute:
+    """Envelopes and density reports read off run ends equal the cell
+    route's, the first N of a tie included."""
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(1, 40), st.booleans()), min_size=1, max_size=6),
+           st.integers(1, 60), st.booleans(), st.integers(1, 10**5),
+           st.tuples(st.integers(0, 5), st.integers(1, 6)), st.sampled_from([0, 6, 50]),
+           st.integers(1, 40))
+    # the ratio 1/3 at N = 3, 6, 9, ...: the least ratio ties in float across
+    # runs, and 1 at N = 1, 2, 4, 5, ... ties the greatest
+    @example([(1, True), (2, False)], 60, True, 10**5, (1, 3), 50, 1)
+    @example([(2, True), (1, False)], 60, False, 999, (2, 3), 6, 5)
+    def test_matches_the_cell_route(self, pattern, reps, tail, horizon, threshold,
+                                    exhaustive_to, start):
+        runs = run_set(pattern * reps, tail)
+        cells = replace(runs, runs=None)
+        want = catalog.check_density(None, cells, horizon, threshold, exhaustive_to)
+        got = catalog.check_density(None, runs, horizon, threshold, exhaustive_to)
+        assert got.to_json() == want.to_json()
+        start = min(start, horizon)
+        assert (density_envelope(runs, horizon, start)
+                == density_envelope(cells, horizon, start))
+
+    def test_first_n_of_a_float_tie_inside_a_run(self):
+        # past about 10**8 the ratios (N - 1) / N of a member run round to
+        # the same float as the horizon's, and past 2**53 the ratios 1 / N
+        # off one do too: the first such N is reported, as one argmax or
+        # argmin over every cell would
+        H = 3 * 10**8
+        env = density_envelope(run_set([(1, False)], True), H)
+        n = env.upper_at
+        assert n < H and env.upper == (n - 1) / n == (H - 1) / H > (n - 2) / (n - 1)
+        H = 10**17
+        env = density_envelope(run_set([(1, True)], False), H)
+        n = env.lower_at
+        assert n < H and env.lower == 1 / n == 1 / H < 1 / (n - 1)
+        assert (env.upper, env.upper_at) == (1.0, 1)
+
+
 class TestEnvelopeFromCounts:
     def test_callers_count_prefixes_once(self, monkeypatch):
-        # the density check and DC condition (A) reuse their own prefix
-        # counts for the envelope instead of counting 1..horizon again
+        # DC condition (A) reuses its own prefix counts for the envelope
+        # instead of counting 1..horizon again; the density check reads the
+        # run ends and calls the vectorized counter not at all
         from dataclasses import replace
 
         from shiftchaos import catalog, dc_cert
@@ -132,5 +209,5 @@ class TestEnvelopeFromCounts:
         monkeypatch.setitem(catalog.PREDICATES, ref.name, lambda: once)
         rep = catalog.run_check(op, {"kind": "density", "set": ref.name,
                                      "horizon": 5000})
-        assert calls == [5000]
+        assert calls == []
         assert rep.rows[0]["min_ratio"] == density_envelope(ref, 5000).lower

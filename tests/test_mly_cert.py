@@ -365,6 +365,28 @@ class TestF3:
         with pytest.raises(ValueError):
             check_f3(ex1_op, 100, basis_probes([5], [5]))
 
+    def test_ex4_probes_walk_no_orbit(self, monkeypatch):
+        # the ex4 probes lie right of the origin, where every weight is 1:
+        # acb and f3 read each probe's count form and never walk an orbit
+        # cell by cell; a level in explicit mode "dense" still does
+        from shiftchaos import dc_cert, mly_cert, shift
+        real, walked = shift.basis_orbit_logs, []
+
+        def counted(op, i, *args, **kwargs):
+            walked.append(i)
+            return real(op, i, *args, **kwargs)
+
+        for module in (shift, dc_cert, mly_cert):
+            monkeypatch.setattr(module, "basis_orbit_logs", counted)
+        op = catalog.build_example("ex4_lp_mly_not_hc")
+        for cfg in catalog.get("ex4_lp_mly_not_hc").config["checks"]:
+            if cfg["kind"] in ("acb", "f3"):
+                assert catalog.run_check(op, cfg).verdict == cfg["expect"]
+        assert walked == []
+        sched = schedule_mly(1, [(1, SEG(2), [(SEG(2), 1.0)])])
+        check_mly_condition_B(op, sched, mode="dense", auto_a_horizon=0)
+        assert walked == [SEG(2)]
+
     def test_liminf_tracks_products(self, ex4_op):
         # raw product averages: (1/N) sum 2^-n <= 2/N, checked directly
         from shiftchaos.weights import product

@@ -90,6 +90,12 @@ class TestLogScalar:
         assert int(expo) == math.floor(10000.0 / math.log(10))
         assert 1.0 <= float(mant) < 10.0
 
+    def test_decimal_str_mantissa_rounding_up_to_ten(self):
+        # a mantissa that rounds to 10 moves into the exponent
+        assert LogScalar(1, -4.44e-16).decimal_str() == "1.00000000000e+0"
+        assert LogScalar(1, math.log(99.9999999999999)).decimal_str() == "1.00000000000e+2"
+        assert LogScalar(-1, math.log(0.0999999999999999)).decimal_str(3) == "-1.00e-1"
+
 
 class TestReductions:
     @given(st.lists(finite_reals, min_size=1, max_size=20))

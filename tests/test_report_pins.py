@@ -34,7 +34,7 @@ REPORT_SHA256 = {
     ("unweighted_lp_N", 1): "5036c385f1bd07d0aa73c0a344bf5d6fdc1bcfb41929f157a009e58d1395ba13",
     ("unweighted_lp_N", 2): "fbb30590b461282214854862586e640ae8e8aad5f50275f76fa2c18d98bdcdc9",
     ("unweighted_lp_N", 3): "1bfc98eca38610846c4b5def6ca8a81ceab02e418952bb42e7bac1e4eec89a3f",
-    ("unweighted_lp_N", 4): "e27f7c1a03c435cb25c0743a5b7705cad41b43e14f006e59aa7ab361230be908",
+    ("unweighted_lp_N", 4): "6c2fbdcfd167651f9980e9e8abba761bd194ef5e9191c1d8a3052dfedb194d67",
     ("unweighted_lp_N", 5): "a4b1a0e2066a5e1550d845c00042c52125dd8edff7f168ab055984f8c9bdfac6",
     ("halfweights_bilateral", 0): "4d3207671f5d37e37eb37076ee5b12c7ea6d42ac7d60b943905f5c3c7bc9ab00",
     ("halfweights_bilateral", 1): "d4526e96cb19101fc249af96b462865e7d82543738cfb2453dd048fe4cf8152e",
