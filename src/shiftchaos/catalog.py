@@ -176,8 +176,25 @@ def _ints(v) -> list[int]:
     return [int(x) for x in v]
 
 
+def _finite(v) -> float:
+    """float, rejecting NaN and infinities (json reads NaN and Infinity, and
+    every comparison with NaN is false, which would read as a pass)."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
+def _positive(v) -> float:
+    """A finite float > 0: a tolerance, bound or floor whose log is taken."""
+    x = _finite(v)
+    if x <= 0:
+        raise ValueError(f"must be > 0, got {x}")
+    return x
+
+
 def _floats(v) -> list[float]:
-    return [float(x) for x in v]
+    return [_finite(x) for x in v]
 
 
 def _pair(v) -> tuple[int, int]:
@@ -206,18 +223,19 @@ READERS = {
     **dict.fromkeys(("anchor", "auto_A_horizon", "m", "n_max", "N_max", "start"), int),
     **dict.fromkeys(("horizon", "k_max", "settle_by"), _int_from(1)),
     "exhaustive_to": _int_from(0),
-    **dict.fromkeys(("bound", "decay_tol", "delta", "eps", "floor",
-                     "lim_tol", "pass_tol", "tail_fraction_min"), float),
+    **dict.fromkeys(("bound", "decay_tol", "floor"), _positive),
+    **dict.fromkeys(("delta", "eps", "lim_tol", "pass_tol", "tail_fraction_min"),
+                    _finite),
     **dict.fromkeys(("anchors", "k_range", "S"), _ints),
     **dict.fromkeys(("anchor_window", "ell_window", "threshold", "window"), _pair),
-    "C_grid": _floats,
+    "C_grid": lambda v: [_positive(x) for x in v],
     "coeffs": _optional(_floats),
     "horizons": _optional(_ints),
-    "refute_floor": _optional(float),
+    "refute_floor": _optional(_finite),
     "mode": str,
-    "schedule": lambda raw: [(int(k), int(N), [(int(i), float(b)) for i, b in terms])
+    "schedule": lambda raw: [(int(k), int(N), [(int(i), _finite(b)) for i, b in terms])
                              for k, N, terms in raw],
-    "probes": lambda raw: [(str(label), int(i), float(b), int(N))
+    "probes": lambda raw: [(str(label), int(i), _finite(b), int(N))
                            for label, i, b, N in raw],
     "n_seq": n_seq_from_config,
     "set": lambda name: predicate_from_name(name),

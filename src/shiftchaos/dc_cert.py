@@ -42,8 +42,8 @@ from .piecewise import count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
 from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_chunks
 from .spaces import IndexSet, seminorm
-from .weights import (MAX_DENSE, Piece, forward_product, overlay_row_runs,
-                      product, product_log_table, product_pieces, shift_pieces)
+from .weights import (MAX_DENSE, Piece, overlay_row_runs, product_log_table,
+                      product_pieces, products, shift_pieces)
 
 # max terms * horizon cells for the dense route: a cap on time, since the
 # dense route streams its horizon in numerics.CHUNK-cell chunks
@@ -639,6 +639,13 @@ def check_hypercyclicity_witness(op: ShiftOperator, n_seq: Sequence[int],
     (F the forward product) fall below decay_tol and stay there through the
     last probed j.  The scalar core (both families with the row factor
     stripped) is reported alongside, with its own settle index.
+
+    All 2 |window| T products come from one weights.products call, in the
+    order anchor, family, probe.  Each distinct row index is read once,
+    as ln a(j, 1), and row k is KotheMatrix._row(k, .) of those reads, so
+    every entry is the float log_entry(j, k) gives; a custom row rule reads
+    log_entry(j, k) once per index and k.  Backward terms whose orbit left
+    the domain read no row.  Settle indices are found with numpy.
     """
     n_seq = [int(n) for n in n_seq]
     if not n_seq or any(b <= a for a, b in zip(n_seq, n_seq[1:])) or n_seq[0] < 1:
@@ -649,47 +656,52 @@ def check_hypercyclicity_witness(op: ShiftOperator, n_seq: Sequence[int],
         raise ValueError("anchor window misses the index set")
     log_tol = math.log(decay_tol)
     T = len(n_seq)
-    rows = []
-    all_settled = True
-    worst_scalar = 1
-    worst_seminorm = 1
-    for ell in ells:
-        back = [product(op.weights, ell, n) for n in n_seq]
-        fwd = [forward_product(op.weights, ell, n) for n in n_seq]
-        if any(f.sign == 0 for f in fwd):
-            raise ValueError(f"forward product vanishes at anchor {ell}")
-        sb = [b.logmag for b in back]
-        sf = [-f.logmag for f in fwd]
-        scalar_settle = max(_settle_index(sb, log_tol), _settle_index(sf, log_tol))
-        semi_settle = 1
-        for k in range(1, k_max + 1):
-            vb = [NEG_INF if back[t].sign == 0
-                  else op.space.matrix.log_entry(ell - n_seq[t], k) + back[t].logmag
-                  for t in range(T)]
-            vf = [op.space.matrix.log_entry(ell + n_seq[t], k) - fwd[t].logmag
-                  for t in range(T)]
-            semi_settle = max(semi_settle, _settle_index(vb, log_tol),
-                              _settle_index(vf, log_tol))
-        settled = semi_settle <= T and scalar_settle <= T
-        all_settled = all_settled and settled
-        worst_scalar = max(worst_scalar, scalar_settle)
-        worst_seminorm = max(worst_seminorm, semi_settle)
-        rows.append({"ell": ell, "scalar_settle": scalar_settle,
-                     "seminorm_settle": semi_settle, "settled": settled})
-    verdict = "witnessed" if all_settled else "not-witnessed-at-depth"
+    # anchor-major, then the backward (ell, n) and forward (ell + n, n) family
+    signs, logs = products(op.weights, [(ell + s * n, n) for ell in ells
+                                        for s in (0, 1) for n in n_seq])
+    shape = (len(ells), 2, T)
+    logs = np.array(logs).reshape(shape)
+    scalar = np.maximum(_settle_indices(logs[:, 0], log_tol),
+                        _settle_indices(-logs[:, 1], log_tol))
+    semi = np.ones(len(ells), dtype=np.int64)
+    ks = range(1, k_max + 1)
+    if ks:
+        live = np.array(signs).reshape(shape) != 0  # forward terms always are
+        cols: dict[int, int] = {}  # row index -> column, in the order met
+        where = np.array([cols.setdefault(ell + s * n, len(cols)) if keep else -1
+                          for ell, fams in zip(ells, live)
+                          for s, keeps in zip((-1, 1), fams)
+                          for n, keep in zip(n_seq, keeps)]).reshape(shape)
+        matrix = op.space.matrix
+        if matrix.rule == "custom":
+            row_logs = [np.array([matrix.log_entry(j, k) for j in cols]) for k in ks]
+        else:
+            base = np.array([matrix.log_entry(j, 1) for j in cols])
+            row_logs = [matrix._row(k, base) for k in ks]
+        back = live[:, 0]
+        for row in row_logs:
+            vb = np.full(back.shape, NEG_INF)
+            vb[back] = row[where[:, 0][back]] + logs[:, 0][back]
+            vf = row[where[:, 1]] - logs[:, 1]
+            semi = np.maximum(semi, np.maximum(_settle_indices(vb, log_tol),
+                                               _settle_indices(vf, log_tol)))
+    rows = [{"ell": ell, "scalar_settle": sc, "seminorm_settle": se,
+             "settled": se <= T and sc <= T}
+            for ell, sc, se in zip(ells, scalar.tolist(), semi.tolist())]
+    verdict = ("witnessed" if all(r["settled"] for r in rows)
+               else "not-witnessed-at-depth")
     params = {"terms": T, "decay_tol": decay_tol, "k_max": k_max,
-              "scalar_settle_index": worst_scalar,
-              "seminorm_settle_index": worst_seminorm}
+              "scalar_settle_index": max(1, *scalar.tolist()),
+              "seminorm_settle_index": max(1, *semi.tolist())}
     return CertificateReport("hypercyclicity-witness", verdict, params, rows)
 
 
-def _settle_index(vals: Sequence[float], log_tol: float) -> int:
-    """1-based index from which the family stays strictly below the tol;
-    len(vals) + 1 when the last value still violates."""
-    last_bad = 0
-    for t, v in enumerate(vals):
-        if v >= log_tol:
-            last_bad = t + 1
+def _settle_indices(vals: np.ndarray, log_tol: float) -> np.ndarray:
+    """Per row of vals: the 1-based index from which the row stays strictly
+    below the tol; T + 1 when its last value still violates."""
+    bad = vals >= log_tol
+    T = vals.shape[-1]
+    last_bad = np.where(bad.any(axis=-1), T - np.argmax(bad[..., ::-1], axis=-1), 0)
     return last_bad + 1
 
 

@@ -27,6 +27,9 @@ from typing import Callable
 import numpy as np
 
 MAX_RUNS_PER_QUERY = 2_000_000
+# blocks one side may cache (about 75 MB on the alternating layouts); every
+# catalog and benchmark check stays under about 5,000
+MAX_CACHED_BLOCKS = 100_000
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,9 @@ class BlockSideSequence(SequenceBase):
         """Grow cached prefix sums until they cover 0-based offset `offset`."""
         while self._bounds[-1] <= offset:
             n = len(self._block_runs) + 1
+            if n > MAX_CACHED_BLOCKS:
+                raise ValueError(f"offset {offset} from origin {self.origin} lies past the "
+                                 f"{MAX_CACHED_BLOCKS} blocks a layout side caches")
             runs = [(float(v), int(c)) for v, c in self.blocks(n)]
             if not runs:
                 raise ValueError(f"block {n} is empty")

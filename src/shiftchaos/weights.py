@@ -9,11 +9,13 @@ vector e_i.  On the natural numbers the convention w_j = 0 for j < 1 makes
 P(i, n) vanish as soon as the orbit falls off the left edge.
 
 Products are served three ways, mirroring the sequence layer:
-  product(w, i, n)            one-off: fsum of count * ln|v| over the exact
-                              per-value counts of the weights on [i-n, i-1],
-                              read from cached per-block prefix counts in
-                              O(log blocks) plus the runs of two end blocks;
-                              fine for n ~ 10**200
+  products(w, pairs)          exact counts: fsum of count * ln|v| over the
+                              per-value counts of the weights on each span
+                              [i-n, i-1], from one read per gap between the
+                              sorted distinct span ends (cached per-block
+                              prefix counts, O(log blocks) plus the runs of
+                              two end blocks each); fine for n ~ 10**200.
+                              product(w, i, n) is its one-pair case
   product_log_slice(w, i, a, b, carry)
                               ln|P(i, n)| for n in [a, b] from one runs pass
                               and one cumsum seeded with ln|P(i, a - 1)|, so
@@ -30,11 +32,14 @@ Products are served three ways, mirroring the sequence layer:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, ONE, ZERO, LogScalar
+from .numerics import NEG_INF, ZERO, LogScalar
 from .sequences import Run, SequenceBase, SplitSequence, run_arrays
 from .spaces import IndexSet
 
@@ -114,31 +119,112 @@ def unilateral_weights(seq: SequenceBase) -> WeightSpec:
 def product(w: WeightSpec, i: int, n: int) -> LogScalar:
     """P(i, n) = w_{i-n} ... w_{i-1}; exact zero if the range leaves the domain.
 
-    An on-domain zero weight in the range raises ValueError naming its index.
+    The one-pair case of `products`.  An on-domain zero weight in the range
+    raises ValueError naming its index.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return ONE
-    lo, hi = i - n, i - 1
-    if w.index_set is IndexSet.N and lo < 1:
-        return ZERO
-    counts = w.value_counts(lo, hi)
-    if counts is None:
-        if n > MAX_DENSE:
-            raise ValueError(f"closed-form weights cannot take products of length {n}")
-        out = ONE
-        for j in range(lo, hi + 1):
-            out = out * w.weight_at(j)
-        if out.sign == 0:
-            raise _zero_weight(next(j for j in range(hi, lo - 1, -1)
-                                    if w.seq.value_at(j) == 0.0))
-        return out
-    if counts.get(0.0):
-        raise _zero_weight(max(r.stop for r in w.runs_over(lo, hi) if r.value == 0.0))
-    negatives = sum(c for v, c in counts.items() if v < 0)
-    return LogScalar(-1 if negatives % 2 else 1,
-                     math.fsum(c * math.log(abs(v)) for v, c in counts.items()))
+    signs, logs = products(w, [(i, n)])
+    return LogScalar(signs[0], logs[0])
+
+
+def products(w: WeightSpec, pairs: Sequence[tuple[int, int]]
+             ) -> tuple[list[int], list[float]]:
+    """(signs, ln |P(i, n)|) for the (i, n) in pairs, in order, from one
+    exact-count pass; sign 0 and log -inf mark a span that leaves the
+    domain (an exact zero).
+
+    Each span [i-n, i-1] takes its per-value counts as the difference of the
+    prefix counts at its two ends, over the sorted distinct ends of all
+    spans: every gap between consecutive ends costs one value_counts read
+    (one value_at for a one-index gap), so spans that share or nest ends
+    share their reads.  Counts are exact Python ints, so spans of length
+    10**200 work, and each span is one fsum of the terms count * ln|v|,
+    whatever the batch.  A span over a gap without value
+    counts (closed-form weights) counts its own indices, one value_at each,
+    up to MAX_DENSE of them.  Pairs are settled in order, so a zero weight
+    raises for the first pair whose span holds one, naming the zero nearest
+    that span's right end.
+    """
+    signs, logs = [1] * len(pairs), [0.0] * len(pairs)
+    pos, los, stops = [], [], []  # the spans [lo, stop - 1] and their pairs
+    for p, (i, n) in enumerate(pairs):
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if n and w.index_set is IndexSet.N and i - n < 1:
+            signs[p], logs[p] = 0, NEG_INF
+        elif n:
+            pos.append(p)
+            los.append(i - n)
+            stops.append(i)
+    if not pos:
+        return signs, logs
+    ends = sorted(set(los).union(stops))
+    # per distinct value (0.0 and -0.0 alike): its count on each gap between
+    # consecutive ends (gap t ends at ends[t]); the gaps without counts
+    gap_counts: dict[float, list[int]] = {}
+    uncounted = []
+    for t, (a, b) in enumerate(zip(ends, ends[1:]), 1):
+        if b == a + 1:
+            gap = ((w.seq.value_at(a), 1),)
+        else:
+            gap = w.value_counts(a, b - 1)
+            if gap is None:
+                uncounted.append(t)
+                continue
+            gap = gap.items()
+        for v, c in gap:
+            if v not in gap_counts:
+                gap_counts[v] = [0] * len(ends)
+            gap_counts[v][t] = c
+    at = {e: t for t, e in enumerate(ends)}
+    a, b = [at[e] for e in los], [at[e] for e in stops]
+    # each span's count of v: the difference of v's prefix counts at its ends
+    counts: dict[float, list[int]] = {}
+    for v, col in gap_counts.items():
+        prefix = list(accumulate(col))
+        counts[v] = [prefix[y] - prefix[x] for x, y in zip(a, b)]
+    # c * ln|v| as a Python int times a float, one tuple of terms per span
+    logv = {v: math.log(abs(v)) for v in counts if v != 0.0}
+    terms = list(zip(*[[c * lv for c in counts[v]] for v, lv in logv.items()]))
+    terms = terms or [()] * len(pos)
+    odd = [sum(cs) % 2 for cs in zip(*[cs for v, cs in counts.items() if v < 0])]
+    odd = odd or [0] * len(pos)
+    zeros = counts.get(0.0, [0] * len(pos))
+    # span s holds the gaps a[s] + 1 .. b[s]
+    closed = [bisect_right(uncounted, y) > bisect_right(uncounted, x)
+              for x, y in zip(a, b)] if uncounted else [False] * len(pos)
+    for s, (p, lo, stop) in enumerate(zip(pos, los, stops)):
+        if closed[s]:
+            by_index = _counts_by_index(w, lo, stop - 1)
+            zeros[s] = by_index.get(0.0, 0)
+            odd[s] = sum(c for v, c in by_index.items() if v < 0) % 2
+            terms[s] = [c * math.log(abs(v)) for v, c in by_index.items() if v != 0.0]
+        if zeros[s]:
+            raise _zero_weight(_nearest_zero(w, lo, stop - 1))
+        logs[p] = math.fsum(terms[s])
+        if logs[p] == NEG_INF:
+            raise ValueError(f"ln |P| over [{lo}, {stop - 1}] overflows to -inf")
+        if odd[s]:
+            signs[p] = -1
+    return signs, logs
+
+
+def _counts_by_index(w: WeightSpec, lo: int, hi: int) -> dict[float, int]:
+    """{value: count} on [lo, hi] from one value_at per index."""
+    if hi - lo + 1 > MAX_DENSE:
+        raise ValueError(f"closed-form weights cannot take products of length {hi - lo + 1}")
+    counts: dict[float, int] = {}
+    for j in range(lo, hi + 1):
+        v = w.seq.value_at(j)
+        counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def _nearest_zero(w: WeightSpec, lo: int, hi: int) -> int:
+    """The largest j in [lo, hi] with w_j = 0 (one exists)."""
+    runs = w.runs_over(lo, hi)
+    if runs is None:
+        return next(j for j in range(hi, lo - 1, -1) if w.seq.value_at(j) == 0.0)
+    return max(r.stop for r in runs if r.value == 0.0)
 
 
 def forward_product(w: WeightSpec, i: int, n: int) -> LogScalar:

@@ -14,10 +14,11 @@ from fractions import Fraction
 import numpy as np
 
 from shiftchaos.numerics import LogScalar, SparseVector
-from shiftchaos.sequences import BlockSideSequence
+from shiftchaos.reports import CertificateReport
+from shiftchaos.sequences import BlockSideSequence, ConstantSequence, SplitSequence
 from shiftchaos.shift import ShiftOperator, apply
 from shiftchaos.spaces import IndexSet, SpaceSpec
-from shiftchaos.weights import Piece, WeightSpec, product
+from shiftchaos.weights import Piece, WeightSpec, forward_product, product
 
 
 # ---------------------------------------------------------------------------
@@ -70,24 +71,104 @@ def naive_weight_product(w: WeightSpec, i: int, n: int) -> float:
     return out
 
 
+LONG_SPAN = 500  # longer spans are counted block by block
+
+
 def exact_count_product_log(w: WeightSpec, i: int, n: int) -> tuple[int, float]:
     """(sign, ln|w_{i-n} * ... * w_{i-1}|) from per-value counts.
 
-    Walks ``value_at`` index by index, counts each distinct value exactly,
-    takes the sign from the parity of the negative values' counts and the
-    log magnitude as fsum(c * ln|v|).  Off-domain ranges give (0, -inf).
+    Counts each distinct value exactly: index by index through ``value_at``
+    on spans of at most LONG_SPAN indices, and by walking the block
+    generator's (value, count) runs on longer ones (so a ramp span out to
+    ``segment_end(201)`` stays cheap, and neither route reads the cached
+    prefix counts behind ``value_counts``).  The sign is the parity of the
+    negative values' counts and the log magnitude fsum(c * ln|v|).
+    Off-domain ranges give (0, -inf).
     """
     if n == 0:
         return 1, 0.0
     if w.index_set is IndexSet.N and i - n < 1:
         return 0, -math.inf
     counts: dict[float, int] = {}
-    for j in range(i - n, i):
-        v = w.seq.value_at(j)
-        counts[v] = counts.get(v, 0) + 1
+    if n <= LONG_SPAN:
+        for j in range(i - n, i):
+            v = w.seq.value_at(j)
+            counts[v] = counts.get(v, 0) + 1
+    else:
+        _add_counts_by_blocks(w.seq, i - n, i - 1, counts)
     negatives = sum(c for v, c in counts.items() if v < 0)
     return (-1 if negatives % 2 else 1,
             math.fsum(c * math.log(abs(v)) for v, c in counts.items()))
+
+
+def _add_counts_by_blocks(seq, lo: int, hi: int, counts: dict[float, int]) -> None:
+    """Add the per-value counts of seq on [lo, hi] (constant, split and
+    block sides), walking a block side's generator from its first block."""
+    if hi < lo:
+        return
+    if isinstance(seq, SplitSequence):
+        _add_counts_by_blocks(seq.negative, lo, min(hi, seq.split - 1), counts)
+        _add_counts_by_blocks(seq.nonnegative, max(lo, seq.split), hi, counts)
+    elif isinstance(seq, ConstantSequence):
+        counts[seq.value] = counts.get(seq.value, 0) + hi - lo + 1
+    else:  # a BlockSideSequence: offsets grow away from the origin
+        ends = sorted(((lo - seq.origin) * seq.direction, (hi - seq.origin) * seq.direction))
+        cursor, block = 0, 1
+        while cursor <= ends[1]:
+            for value, count in seq.blocks(block):
+                a, z = max(cursor, ends[0]), min(cursor + count - 1, ends[1])
+                if a <= z:
+                    counts[float(value)] = counts.get(float(value), 0) + z - a + 1
+                cursor += count
+            block += 1
+
+
+def hypercyclicity_witness_reference(op: ShiftOperator, n_seq, ell_window,
+                                     decay_tol: float = 1e-6,
+                                     k_max: int = 4) -> CertificateReport:
+    """dc_cert.check_hypercyclicity_witness as a per-probe loop: one
+    ``product`` and one ``forward_product`` per anchor and probe, one
+    ``log_entry(j, k)`` per term and k, and a scan for each settle index."""
+    n_seq = [int(n) for n in n_seq]
+    if not n_seq or any(b <= a for a, b in zip(n_seq, n_seq[1:])) or n_seq[0] < 1:
+        raise ValueError("n_seq must be strictly increasing positive integers")
+    lo, hi = ell_window
+    ells = [l for l in range(lo, hi + 1) if op.space.index_set.contains(l)]
+    if not ells:
+        raise ValueError("anchor window misses the index set")
+    log_tol = math.log(decay_tol)
+
+    def settle(vals) -> int:
+        last_bad = 0
+        for t, v in enumerate(vals):
+            if v >= log_tol:
+                last_bad = t + 1
+        return last_bad + 1
+
+    T = len(n_seq)
+    rows = []
+    for ell in ells:
+        back = [product(op.weights, ell, n) for n in n_seq]
+        fwd = [forward_product(op.weights, ell, n) for n in n_seq]
+        if any(f.sign == 0 for f in fwd):
+            raise ValueError(f"forward product vanishes at anchor {ell}")
+        scalar = max(settle([b.logmag for b in back]), settle([-f.logmag for f in fwd]))
+        semi = 1
+        for k in range(1, k_max + 1):
+            vb = [-math.inf if back[t].sign == 0
+                  else op.space.matrix.log_entry(ell - n_seq[t], k) + back[t].logmag
+                  for t in range(T)]
+            vf = [op.space.matrix.log_entry(ell + n_seq[t], k) - fwd[t].logmag
+                  for t in range(T)]
+            semi = max(semi, settle(vb), settle(vf))
+        rows.append({"ell": ell, "scalar_settle": scalar, "seminorm_settle": semi,
+                     "settled": semi <= T and scalar <= T})
+    verdict = ("witnessed" if all(r["settled"] for r in rows)
+               else "not-witnessed-at-depth")
+    params = {"terms": T, "decay_tol": decay_tol, "k_max": k_max,
+              "scalar_settle_index": max([1] + [r["scalar_settle"] for r in rows]),
+              "seminorm_settle_index": max([1] + [r["seminorm_settle"] for r in rows])}
+    return CertificateReport("hypercyclicity-witness", verdict, params, rows)
 
 
 def dense_table_reference(w: WeightSpec, i: int,

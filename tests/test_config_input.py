@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftchaos import catalog
+from shiftchaos import catalog, sequences
 from shiftchaos.cli import main
 
 
@@ -165,6 +165,69 @@ def test_values_below_a_keys_range_are_rejected(entry, item, key, least):
     node[key] = least
     code, out, err = _run_item(entry, item)
     assert code in (0, 1, 2) and err == ""
+
+
+NAN = float("nan")
+WITNESS_L2_N = {"kind": "hypercyclicity",
+                "witness": {"n_seq": [1, 2, 3, 4, 5], "ell_window": [5, 5]}}
+
+# Every comparison with NaN is false, so a NaN tolerance read as a pass:
+# the witness below read "witnessed" (exit 0), the refutation
+# "condition-A-refuted-at-horizon" and condition (A) "holds".
+NOT_FINITE = [
+    ("unweighted_lp_N", WITNESS_L2_N, "witness", "decay_tol"),
+    ("ex1_s_Z_hc_not_dc", {"kind": "dc", "refute_A": {
+        "anchors": [0], "horizon": 100, "bound": 0.5, "settle_by": 50}},
+     "refute_A", "delta"),
+    ("ex1_s_Z_hc_not_dc", {"kind": "dc", "condition_A": {
+        "anchors": [0], "horizon": 100, "k_max": 2}}, "condition_A", "decay_tol"),
+]
+
+
+@pytest.mark.parametrize("entry, item, block, key", NOT_FINITE)
+@pytest.mark.parametrize("value", [NAN, float("inf")])
+def test_non_finite_floats_are_rejected(entry, item, block, key, value):
+    item = copy.deepcopy(item)
+    item[block][key] = value
+    code, out, err = _run_item(entry, item)
+    assert (code, out) == (3, "")
+    assert err == f"error: config key {key!r}: must be finite, got {value}\n"
+
+
+def test_unit_weights_do_not_witness_decay():
+    item = copy.deepcopy(WITNESS_L2_N)
+    item["witness"]["decay_tol"] = 1e-6
+    code, out, err = _run_item("unweighted_lp_N", item)
+    assert code == 2 and err == "" and "not-witnessed-at-depth" in out
+
+
+# ln of these is taken: 0 exited 3 with a bare "math domain error"
+@pytest.mark.parametrize("entry, item, key, path", [
+    ("unweighted_lp_N", WITNESS_L2_N, "decay_tol", ("witness", "decay_tol")),
+    ("ex1_s_Z_hc_not_dc", NOT_FINITE[1][1], "bound", ("refute_A", "bound")),
+    ("ex1_s_Z_hc_not_dc", {"kind": "hypercyclicity", "refute": {"horizon": 100}},
+     "floor", ("refute", "floor")),
+    ("rolewicz_lp_N", {"kind": "acb", "probes": [["e[5]", 5, 1.0, 100]]},
+     "C_grid", ("C_grid",)),
+])
+@pytest.mark.parametrize("value", [0, -2.0])
+def test_logged_floats_must_be_positive(entry, item, key, path, value):
+    item = copy.deepcopy(item)
+    node = item
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = [1.0, value] if key == "C_grid" else value
+    code, out, err = _run_item(entry, item)
+    assert (code, out) == (3, "")
+    assert err == f"error: config key {key!r}: must be > 0, got {float(value)}\n"
+
+
+def test_block_cache_cap_exits_3(monkeypatch):
+    monkeypatch.setattr(sequences, "MAX_CACHED_BLOCKS", 50)
+    item = {"kind": "hypercyclicity", "witness": {"n_seq": [10**4], "ell_window": [0, 0]}}
+    code, out, err = _run_item("ex1_s_Z_hc_not_dc", item)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: offset ") and err.endswith(" past the 50 blocks a layout side caches\n")
 
 
 @settings(max_examples=150, database=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -567,6 +568,59 @@ class TestHypercyclicityWitness:
             check_hypercyclicity_witness(ex1_op, [3, 3], (-1, 1))
         with pytest.raises(ValueError):
             check_hypercyclicity_witness(ex1_op, [], (-1, 1))
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(sorted(catalog.names()) + ["custom-rows"]),
+           st.sets(st.one_of(st.integers(1, 60), st.integers(1, 5_000),
+                             st.integers(1, 10**6)), min_size=1, max_size=40),
+           st.integers(-12, 12), st.integers(0, 6),
+           st.sampled_from([1e-6, 1e-3, 0.5, 2.0]), st.integers(1, 5))
+    def test_report_matches_the_per_probe_loop(self, name, n_seq, lo, width, tol, k_max):
+        op = _witness_op(name)
+        args = (sorted(n_seq), (lo, lo + width), tol, k_max)
+        assert _report_or_error(check_hypercyclicity_witness, op, *args) == \
+            _report_or_error(oracles.hypercyclicity_witness_reference, op, *args)
+
+    def test_one_read_per_gap_and_per_row_index(self, monkeypatch):
+        config = catalog.export_config("ex1_s_Z_hc_not_dc")
+        item = config["checks"][0]
+        op = catalog.operator_from_config(config)
+        n_seq = catalog.n_seq_from_config(item["witness"]["n_seq"])
+        lo, hi = item["witness"]["ell_window"]
+        reads, entries = [], []
+
+        def counting(obj, name, log):
+            real = getattr(obj, name)
+            monkeypatch.setattr(obj, name, lambda *a: log.append(a) or real(*a))
+
+        counting(op.weights, "value_counts", reads)
+        counting(op.weights.seq, "value_at", reads)
+        counting(op.space.matrix, "log_entry", entries)
+        rep = catalog.run_check(op, item)
+        assert rep.verdict == "witnessed"
+        ends = {e for ell in range(lo, hi + 1) for n in n_seq
+                for e in (ell - n, ell, ell + n)}
+        assert len(reads) <= len(ends)
+        rows = {ell + s * n for ell in range(lo, hi + 1) for n in n_seq for s in (-1, 1)}
+        assert sorted(entries) == sorted((j, 1) for j in rows)
+
+
+@functools.cache
+def _witness_op(name: str) -> ShiftOperator:
+    if name != "custom-rows":
+        return catalog.build_example(name)
+    # rows that grow to the right and shrink to the left: a term read at the
+    # wrong index moves its settle index
+    matrix = KotheMatrix("custom", log_fn=lambda j, k: k * math.log1p(abs(j)) + j / 20)
+    return ShiftOperator(SpaceSpec(1, matrix, IndexSet.Z),
+                         catalog.build_example("ex1_s_Z_hc_not_dc").weights)
+
+
+def _report_or_error(check, *args):
+    try:
+        return check(*args).to_json()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
 
 
 class TestHypercyclicityRefutation:

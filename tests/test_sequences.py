@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftchaos import sequences
 from shiftchaos.sequences import (
     BlockSideSequence,
     ClosedFormSequence,
@@ -116,6 +117,16 @@ class TestFrozenLayouts:
         # plateau interior of segment 3 holds the value 4
         assert side.value_at(200) == 4.0
         assert side.value_at(1119) == 4.0
+
+    def test_block_cache_is_capped(self, monkeypatch):
+        # 50 alternating blocks cover offsets 0 .. 2549; past them a query
+        # raises (exit 3 at the CLI) instead of caching without bound
+        monkeypatch.setattr(sequences, "MAX_CACHED_BLOCKS", 50)
+        side = BlockSideSequence(alternating_powers(2.0), origin=-1, direction=-1)
+        assert side.value_counts(-2550, -1) == {2.0: 1275, 0.5: 1275}
+        with pytest.raises(ValueError, match="offset 2550 from origin -1 lies past the 50 "):
+            side.value_at(-2551)
+        assert len(side._block_runs) == 50
 
     def test_blocks_adjoin(self):
         for direction in (-1, 1):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shiftchaos.catalog import segment_end
 from shiftchaos.numerics import ONE, LogScalar
 from shiftchaos.sequences import (
     BlockSideSequence,
@@ -31,6 +32,7 @@ from shiftchaos.weights import (
     product,
     product_log_table,
     product_pieces,
+    products,
     unilateral_weights,
 )
 
@@ -86,6 +88,26 @@ def anchor_for(w: WeightSpec, raw: int) -> int:
     return abs(raw) + 1 if w.index_set is IndexSet.N else raw
 
 
+@st.composite
+def pair_lists(draw):
+    """A weight case and a pair list: unsorted, with repeats and n = 0, spans
+    that leave the half line, spans up to 10**6 long and, on the ramp
+    layout, spans out to segment_end(201)."""
+    name, w = draw(st.sampled_from(WEIGHT_CASES + [NEGATIVE_CASE]))
+    lengths = st.one_of(st.integers(0, 60), st.integers(0, 2_000), st.integers(0, 10**6))
+    pairs = draw(st.lists(st.tuples(st.integers(-300, 300), lengths), min_size=1,
+                          max_size=8))
+    pairs = [(anchor_for(w, raw), n) for raw, n in pairs]
+    if name == "ramp-N":
+        for t in draw(st.lists(st.integers(1, 201), max_size=1)):
+            end = segment_end(t)
+            pairs.append((end + 1 + draw(st.integers(0, 50)),
+                          draw(st.sampled_from([end, end - 1, end // 3, end + 7]))))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    draw(st.randoms(use_true_random=False)).shuffle(pairs)
+    return name, w, pairs
+
+
 class TestProduct:
     def test_empty_product_is_one(self):
         w = ex1_weights()
@@ -112,16 +134,24 @@ class TestProduct:
         else:
             assert math.isclose(abs(got.to_real()), want, rel_tol=1e-10)
 
-    @settings(max_examples=200)
-    @given(st.sampled_from(WEIGHT_CASES + [NEGATIVE_CASE]),
-           st.integers(-300, 300), st.integers(0, 2000))
-    def test_matches_exact_count_oracle_bitwise(self, case, raw_i, n):
-        _, w = case
-        i = anchor_for(w, raw_i)
-        got = product(w, i, n)
-        sign, logmag = oracles.exact_count_product_log(w, i, n)
-        assert got.sign == sign
-        assert got.logmag == logmag
+    @settings(max_examples=80, deadline=None)
+    @given(pair_lists())
+    @example(("ramp-N", ramp_unilateral(), [(segment_end(201) + 1, segment_end(201)),
+                                             (segment_end(201) + 1, segment_end(200)),
+                                             (5, 0), (3, 3)]))
+    # spans whose terms a plain left-to-right sum rounds off the fsum
+    @example(("ramp-N", ramp_unilateral(), [(1_111_153, 1_111_152), (11_111_169, 21),
+                                             (segment_end(12) + 1, segment_end(12))]))
+    def test_matches_exact_count_oracle_bitwise(self, case):
+        _, w, pairs = case
+        signs, logs = products(w, pairs)
+        for (i, n), sign, logmag in zip(pairs, signs, logs):
+            want_sign, want_log = oracles.exact_count_product_log(w, i, n)
+            assert sign == want_sign
+            assert logmag.hex() == want_log.hex()
+        i, n = pairs[0]
+        assert product(w, i, n) == LogScalar(signs[0], logs[0])
+
 
     def test_negative_weights_carry_sign(self):
         _, w = NEGATIVE_CASE
@@ -139,9 +169,12 @@ class TestProduct:
         w = ex1_weights()
         # blocks 1..999 of the negative side fill [-999000, -1] with 499500
         # twos and 499500 halves; block 1000 opens with 1000 more halves
+        deep = math.fsum([499_500 * math.log(2.0), 500_500 * math.log(0.5)])
         assert product(w, 0, 999_000) == ONE
-        assert product(w, 0, 10**6) == LogScalar(1, math.fsum(
-            [499_500 * math.log(2.0), 500_500 * math.log(0.5)]))
+        assert product(w, 0, 10**6) == LogScalar(1, deep)
+        # the batch reads the gaps between the span ends [-10**6, -999000, 0]
+        assert products(w, [(0, 10**6), (0, 999_000), (-999_000, 1_000)]) == (
+            [1, 1, 1], [deep, 0.0, 1_000 * math.log(0.5)])
 
     def test_zero_weight_raises(self):
         with pytest.raises(ValueError, match="weight at -101 is zero"):
@@ -152,6 +185,30 @@ class TestProduct:
             ConstantSequence(2.0))
         with pytest.raises(ValueError, match="weight at -101 is zero"):
             product(closed, 0, 150)
+        # a batch raises for its first pair that holds a zero
+        w = zero_tail_weights()
+        assert products(w, [(0, 100), (-100, 0)]) == ([1, 1], [100 * math.log(2.0), 0.0])
+        with pytest.raises(ValueError, match="weight at -101 is zero"):
+            products(w, [(0, 100), (0, 150), (-150, 10)])
+        with pytest.raises(ValueError, match="weight at -151 is zero"):
+            products(w, [(0, 100), (-150, 10), (0, 150)])
+
+    def test_closed_form_weights_count_each_pair(self, monkeypatch):
+        _, w = CLOSED_CASE
+        reads = []
+        value_at = ClosedFormSequence.value_at
+        monkeypatch.setattr(ClosedFormSequence, "value_at",
+                            lambda self, j: reads.append(j) or value_at(self, j))
+        pairs = [(400, 300), (400, 100), (350, 50), (402, 2), (401, 1)]
+        signs, logs = products(w, pairs)
+        # a span over a gap without counts reads each of its own indices; the
+        # span [400, 401] is two one-index gaps, read once each
+        assert len(reads) == 300 + 100 + 50 + 2
+        for (i, n), sign, logmag in zip(pairs, signs, logs):
+            assert (sign, logmag) == oracles.exact_count_product_log(w, i, n)
+            assert product(w, i, n) == LogScalar(sign, logmag)
+        with pytest.raises(ValueError, match="closed-form weights cannot"):
+            products(w, [(MAX_DENSE + 5, MAX_DENSE + 1)])
 
     @settings(max_examples=200)
     @given(weight_cases, st.integers(-30, 30), st.integers(0, 40))
