@@ -23,7 +23,7 @@ from .mly_cert import (CesaroSeries, WitnessScheduleMLY,
 from .numerics import LogScalar, SparseVector
 from .reports import CertificateReport, verdict_exit_code
 from .sequences import TEMPLATES, side_from_template
-from .shift import ShiftOperator, orbit_seminorm_series
+from .shift import ShiftOperator
 from .spaces import (IndexSet, KotheMatrix, SpaceSpec, c0_space,
                      condition_c_check, continuity_check, lp_space, metric,
                      rapidly_decreasing_space, seminorm)
@@ -42,7 +42,7 @@ __all__ = [
     "check_lp_c0_dc", "check_mly_condition_A", "check_mly_condition_B",
     "check_mop_sufficient", "condition_c_check", "continuity_check",
     "density_envelope", "export_config", "forward_product", "lp_space",
-    "metric", "operator_from_config", "orbit_seminorm_series",
+    "metric", "operator_from_config",
     "prefix_ratio", "product", "rapidly_decreasing_space",
     "refute_dc_condition_A", "refute_hypercyclicity", "run_check",
     "run_expected_suite", "schedule_dc", "schedule_mly", "search_witness_dc",

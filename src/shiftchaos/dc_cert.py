@@ -42,7 +42,7 @@ from .piecewise import count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
 from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_chunks
 from .spaces import IndexSet, seminorm
-from .weights import (MAX_DENSE, Piece, overlay_row_runs, product_log_table,
+from .weights import (MAX_DENSE, Piece, overlay_row_runs, product_log_slice,
                       product_pieces, products, shift_pieces)
 
 # max terms * horizon cells for the dense route: a cap on time, since the
@@ -505,15 +505,21 @@ def check_lp_c0_dc(op: ShiftOperator, S: Iterable[int],
     S = sorted(set(int(i) for i in S))
     if not S:
         raise ValueError("index set S is empty")
+    for i in S:
+        if not op.space.index_set.contains(i):
+            raise ValueError(f"index {i} in S is outside the domain {op.space.index_set.value}")
     ks = list(k_range)
     horizons = list(horizons) if horizons is not None else [100 * (t + 1) for t in range(len(ks))]
     if len(horizons) < len(ks):
         raise ValueError("need a horizon per level")
+    for N in horizons:
+        if N < 1:
+            raise ValueError(f"horizons must be >= 1, got {N}")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
     n_max = max(horizons)
     _resolve_mode("dense", len(S), n_max)
-    logs = np.stack([product_log_table(op.weights, i, n_max).logs[1:] for i in S])
+    logs = np.stack([product_log_slice(op.weights, i, 1, n_max) for i in S])
     rows = []
     if op.space.p == 0:
         combined = logsumexp_p_rows(logs, 0)
@@ -724,10 +730,10 @@ def refute_hypercyclicity(op: ShiftOperator, horizon: int, k_max: int = 4,
     carry = 0.0  # ln |w_a ... w_{a+n0-2}|
     for n0, n1 in chunk_spans(1, horizon):
         try:
-            cum = op.weights.log_abs_array(anchor + n0 - 1, anchor + n1 - 1)
+            cum = op.weights.dense_logs(anchor + n0 - 1, anchor + n1 - 1)
         except ValueError:  # name the zero nearest the range's end, as one read would
             for a, b in reversed(list(chunk_spans(n1 + 1, horizon))):
-                op.weights.log_abs_array(anchor + a - 1, anchor + b - 1)
+                op.weights.dense_logs(anchor + a - 1, anchor + b - 1)
             raise
         cum[0] += carry
         np.cumsum(cum, out=cum)

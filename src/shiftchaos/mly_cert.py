@@ -38,7 +38,7 @@ from .piecewise import log_sum, log_sum_values
 from .reports import CertificateReport
 from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_chunks
 from .spaces import IndexSet, seminorm
-from .weights import product_log_table
+from .weights import product_log_slice
 
 # An MLY schedule is a DC schedule.
 MLYWitnessEntry = DCWitnessEntry
@@ -325,7 +325,7 @@ def check_f3(op: ShiftOperator, horizon: int,
     if horizon < 1:
         raise ValueError("need a positive horizon")
     _resolve_mode("dense", 1, horizon)
-    logs = product_log_table(op.weights, 0, horizon).logs[1:]
+    logs = product_log_slice(op.weights, 0, 1, horizon)
     ns = np.arange(1, horizon + 1)
     avg_logs = np.logaddexp.accumulate(logs) - np.log(ns)
     at = int(np.argmin(avg_logs))

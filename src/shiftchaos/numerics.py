@@ -107,31 +107,6 @@ class LogScalar:
             return ZERO
         return LogScalar(1, self.logmag * p)
 
-    # ordering: by sign first, then by actual numeric order within the sign
-    # class (for negatives the larger magnitude is the smaller number).  No
-    # exponentiation anywhere.
-    def _cmp(self, other: "LogScalar") -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.logmag == other.logmag:
-            return 0
-        less_mag = self.logmag < other.logmag
-        if self.sign >= 0:
-            return -1 if less_mag else 1
-        return 1 if less_mag else -1
-
-    def __lt__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) >= 0
-
     def decimal_str(self, digits: int = 12) -> str:
         """Scientific-notation decimal string, exact about the exponent even
         far outside float range."""

@@ -20,8 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .numerics import (NEG_INF, ZERO, LogScalar, SparseVector, chunk_spans,
-                       logsumexp_p_rows)
+from .numerics import NEG_INF, SparseVector, chunk_spans, logsumexp_p_rows
 from .spaces import SpaceSpec
 from .weights import WeightSpec, check_dense_length, product_log_slice
 
@@ -47,16 +46,6 @@ def apply(op: ShiftOperator, x: SparseVector) -> SparseVector:
         if w.sign != 0:
             terms.append((target, w * v))
     return SparseVector.from_terms(terms)
-
-
-def orbit_seminorm_series(op: ShiftOperator, x: SparseVector, m: int,
-                          n_max: int) -> list[LogScalar]:
-    """[ ||B^n x||_m for n = 0..n_max ] off cumulative product tables."""
-    items = x.items_sorted()
-    if not items:
-        return [ZERO] * (n_max + 1)
-    logs = orbit_seminorm_log_array(op, x, m, n_max)
-    return [ZERO if lm == NEG_INF else LogScalar(1, float(lm)) for lm in logs]
 
 
 def orbit_seminorm_log_array(op: ShiftOperator, x: SparseVector, m: int,
@@ -116,9 +105,9 @@ def basis_orbit_logs(op: ShiftOperator, i: int, ks: Iterable[int], n_lo: int,
     own = len(ks) == 1  # one level may take the slice's memory for its values
     carry = 0.0  # ln |P(i, n0 - 1)|
     for n0, n1 in chunk_spans(1, n_lo - 1):  # the carry up to n_lo
-        carry = product_log_slice(op.weights, i, n0, n1, carry)[0][-1]
+        carry = product_log_slice(op.weights, i, n0, n1, carry)[-1]
     for n0, n1 in chunk_spans(n_lo, n_hi):
-        logs = product_log_slice(op.weights, i, n0, n1, carry)[0]
+        logs = product_log_slice(op.weights, i, n0, n1, carry)
         carry = logs[-1]
         if coeff:
             logs += coeff

@@ -306,7 +306,7 @@ def continuity_check(space: SpaceSpec, weights, window: tuple[int, int],
     lo, hi = space.index_set.clip(window[0], window[1])
     if hi <= lo:
         raise ValueError("empty continuity window")
-    logw = weights.log_abs_array(lo, hi - 1)
+    logw = weights.dense_logs(lo, hi - 1)
     log_cap = math.log(cap)
     full = dict(space.log_rows(lo, hi, range(1, k_max + 1)))
     rows = []

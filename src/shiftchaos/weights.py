@@ -21,10 +21,11 @@ Products are served three ways, mirroring the sequence layer:
                               and one cumsum seeded with ln|P(i, a - 1)|, so
                               consecutive slices are bit for bit one cumsum;
                               shift.basis_orbit_logs walks a dense horizon
-                              (N <= ~2e7) in CHUNK-cell slices of it
-  product_log_table(w, i, N)  the whole table as one slice, plus signs: one
-                              float64 + one int8 [N+1]; for the checks that
-                              read the bare table
+                              (N <= ~2e7) in CHUNK-cell slices of it.  Every
+                              dense verdict compares seminorms, so the dense
+                              route carries magnitudes only: no signs
+  product_log_table(w, i, N)  the whole-range reference: one slice over
+                              [0, N], no check reads it
   product_pieces(w, i, ...)   piecewise log-linear form for closed-form
                               counting and summing at astronomical horizons
 """
@@ -69,29 +70,18 @@ class WeightSpec:
             return ZERO
         return LogScalar.from_real(self.seq.value_at(j))
 
-    def log_abs_array(self, lo: int, hi: int) -> np.ndarray:
-        """ln |w_j| for j in [lo, hi]; -inf on off-domain indices."""
-        a = min(self.index_set.clip(lo, hi)[0], hi + 1)  # first on-domain j
-        logs = self.dense_logs(a, hi)[0]
-        return np.concatenate((np.full(a - lo, NEG_INF), logs)) if a > lo else logs
-
-    def dense_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """(ln |w_j|, w_j < 0) for on-domain j in [lo, hi] from one runs pass:
-        ln |v| once per run, repeated over its count (once per index without
-        runs).  The flags are None when no weight is negative; a zero raises,
-        naming the zero nearest hi."""
+    def dense_logs(self, lo: int, hi: int) -> np.ndarray:
+        """ln |w_j| for on-domain j in [lo, hi] from one runs pass: ln |v|
+        once per run, repeated over its count (once per index without runs).
+        A zero raises, naming the zero nearest hi."""
         vals, counts = run_arrays(self.seq, lo, hi)
         zeros = np.flatnonzero(vals == 0.0)
         if zeros.size:
             z = int(zeros[-1])
             stop = z if counts is None else int(counts[:z + 1].sum()) - 1  # end of run z
             raise _zero_weight(lo + stop)
-        logs, neg = np.log(np.abs(vals)), vals < 0
-        neg = neg if neg.any() else None
-        if counts is not None:
-            logs = np.repeat(logs, counts)
-            neg = None if neg is None else np.repeat(neg, counts)
-        return logs, neg
+        logs = np.log(np.abs(vals))
+        return logs if counts is None else np.repeat(logs, counts)
 
     def runs_over(self, lo: int, hi: int) -> list[Run] | None:
         """Signed-value runs clipped to the domain (off-domain part dropped)."""
@@ -232,68 +222,44 @@ def forward_product(w: WeightSpec, i: int, n: int) -> LogScalar:
     return product(w, i + n, n)
 
 
-@dataclass(frozen=True)
-class WeightProductTable:
-    """Dense cumulative products anchored at i: logs[n] = ln |P(i, n)|.
-
-    signs[n] carries the sign (0 marks an annihilated product).  Index n runs
-    0..N inclusive.
-    """
-
-    anchor: int
-    logs: np.ndarray
-    signs: np.ndarray
-
-    def value(self, n: int) -> LogScalar:
-        s = int(self.signs[n])
-        return ZERO if s == 0 else LogScalar(s, float(self.logs[n]))
-
-
 def check_dense_length(n_max: int) -> None:
     if not 0 <= n_max <= MAX_DENSE:
         raise ValueError(f"dense product table of length {n_max} is outside "
                          f"[0, {MAX_DENSE}]; long tables take the piecewise path")
 
 
-def product_log_slice(w: WeightSpec, i: int, n0: int, n1: int, carry: float = 0.0
-                      ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(ln |P(i, n)| for n in [n0, n1], w_{i-n} < 0 for n in [max(n0, 1),
-    live]) from one runs pass, given carry = ln |P(i, n0 - 1)| (0.0 at
-    n0 = 0).
+def product_log_slice(w: WeightSpec, i: int, n0: int, n1: int,
+                      carry: float = 0.0) -> np.ndarray:
+    """ln |P(i, n)| for n in [n0, n1] from one runs pass, given carry =
+    ln |P(i, n0 - 1)| (0.0 at n0 = 0).
 
     The carry is added to the first factor before the cumsum, never after,
     so consecutive slices are bit for bit one cumsum over [0, n1].  Entries
     past `live` (the last n with i - n on the domain) are -inf: annihilation,
-    not an error.  The flags are None when no weight is negative; a zero
-    weight raises, naming the zero nearest n0.
+    not an error.  A zero weight raises, naming the zero nearest n0.
     """
     live = n1 if w.index_set is IndexSet.Z else max(0, min(n1, i - 1))
     a = max(n0, 1)  # the first n with a weight factor
-    logs, neg = np.empty(0), None
+    logs = np.empty(0)
     if live >= a:
-        la, neg = w.dense_logs(i - live, i - a)  # entry t is ln|w_{i-live+t}|
+        la = w.dense_logs(i - live, i - a)  # entry t is ln|w_{i-live+t}|
         la[-1] += carry  # the factor at n = a
         logs = la[::-1]  # entry n - a, summed in place
         np.cumsum(logs, out=logs)
-        neg = None if neg is None else neg[::-1]
     if (a, live) == (n0, n1):
-        return logs, neg
+        return logs
     out = np.full(n1 - n0 + 1, NEG_INF)
-    out[0] = 0.0  # P(i, 0) = 1 where n0 = 0; overwritten otherwise
+    if n0 == 0:
+        out[0] = 0.0  # P(i, 0) = 1
     out[a - n0:a - n0 + logs.size] = logs
-    return out, neg
+    return out
 
 
-def product_log_table(w: WeightSpec, i: int, n_max: int) -> WeightProductTable:
-    """Cumulative table P(i, 0..n_max): product_log_slice over [0, n_max],
-    plus a sign parity pass where a weight is negative."""
+def product_log_table(w: WeightSpec, i: int, n_max: int) -> np.ndarray:
+    """ln |P(i, n)| for n = 0..n_max: the whole-range reference, one
+    product_log_slice over [0, n_max]."""
     check_dense_length(n_max)
-    logs, neg = product_log_slice(w, i, 0, n_max)
-    signs = (logs > NEG_INF).astype(np.int8)
-    if neg is not None:
-        parity = np.bitwise_xor.accumulate(neg.view(np.uint8))
-        signs[1:1 + parity.size][parity.view(bool)] = -1
-    return WeightProductTable(i, logs, signs)
+    return product_log_slice(w, i, 0, n_max)
 
 
 # ---------------------------------------------------------------------------

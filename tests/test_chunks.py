@@ -19,7 +19,7 @@ from shiftchaos.sequences import ClosedFormSequence
 from shiftchaos.shift import ShiftOperator, orbit_seminorm_log_array
 from shiftchaos.spaces import (IndexSet, KotheMatrix, SpaceSpec, c0_space, lp_space,
                                rapidly_decreasing_space)
-from shiftchaos.weights import bilateral_weights
+from shiftchaos.weights import bilateral_weights, product_log_slice, products
 from test_spaces import ramp_nu
 
 SINGLE = 1 << 30  # one chunk for every horizon here
@@ -137,6 +137,30 @@ def test_carried_state_matches_whole_horizon_references(monkeypatch, name, op, a
     rep = dc_cert.refute_hypercyclicity(op, HORIZON, k_max=3)
     assert [(r["seminorm"], r["min_value"].logmag, r["min_at_n"]) for r in rep.rows] \
         == oracles.refute_hc_minima_reference(op, HORIZON, 3)
+
+
+SLICE_CASES = twt.WEIGHT_CASES + [twt.NEGATIVE_CASE, twt.CLOSED_CASE]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name, w", SLICE_CASES, ids=[c[0] for c in SLICE_CASES])
+def test_slices_match_products_at_every_n(monkeypatch, chunk, name, w):
+    # chunked slices, each seeded with the last one's carry, against the
+    # exact products: -inf exactly where P(i, n) is an exact zero.  On N the
+    # orbits of 1, 2 and 40 leave the domain before most chunk starts
+    monkeypatch.setattr(numerics, "CHUNK", chunk)
+    anchors = [1, 2, 40, 150] if w.index_set is IndexSet.N else [-3, 0, 40]
+    for i in anchors:
+        signs, logs = products(w, [(i, n) for n in range(HORIZON + 1)])
+        carry = 0.0
+        for n0, n1 in numerics.chunk_spans(0, HORIZON):
+            got = product_log_slice(w, i, n0, n1, carry)
+            carry = got[-1]
+            assert got.shape == (n1 - n0 + 1,)
+            for n, lm in enumerate(got.tolist(), n0):
+                assert (lm == -np.inf) == (signs[n] == 0), (i, n)
+                if signs[n]:
+                    assert abs(lm - logs[n]) < 1e-9, (i, n)
 
 
 DENSITY_SETS = [

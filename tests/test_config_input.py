@@ -167,6 +167,19 @@ def test_values_below_a_keys_range_are_rejected(entry, item, key, least):
     assert code in (0, 1, 2) and err == ""
 
 
+# horizons [-50, 100] read passes-at-horizon with a row N_k -50, count 50;
+# [0, 100] passed its first level vacuously
+@pytest.mark.parametrize("key, value, message", [
+    ("horizons", [-50, 100], "horizons must be >= 1, got -50"),
+    ("horizons", [0, 100], "horizons must be >= 1, got 0"),
+    ("S", [0], "index 0 in S is outside the domain N"),
+])
+def test_lp_c0_dc_inputs_off_their_range_exit_3(key, value, message):
+    item = {"kind": "lp_c0_dc", "S": [1000], "k_range": [1, 2], "horizons": [50, 100]}
+    item[key] = value
+    assert _run_item("rolewicz_lp_N", item) == (3, "", f"error: {message}\n")
+
+
 NAN = float("nan")
 WITNESS_L2_N = {"kind": "hypercyclicity",
                 "witness": {"n_seq": [1, 2, 3, 4, 5], "ell_window": [5, 5]}}

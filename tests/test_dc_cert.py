@@ -488,6 +488,27 @@ class TestLpC0Forms:
         with pytest.raises(ValueError):
             check_lp_c0_dc(ex2_op, [10])
 
+    @pytest.mark.parametrize("p", [2, 0])
+    @pytest.mark.parametrize("horizons", [[-50, 100], [0, 100], [-7]])
+    def test_horizons_below_one_rejected(self, p, horizons):
+        # [-50, 100] read passes-at-horizon with a row N_k -50, count 50
+        op = catalog.build_example("rolewicz_lp_N", p=p)
+        with pytest.raises(ValueError, match=f"horizons must be >= 1, got {horizons[0]}$"):
+            check_lp_c0_dc(op, [1000], k_range=(1, 2)[:len(horizons)], horizons=horizons)
+
+    @pytest.mark.parametrize("S", [[0], [1000, -3]])
+    def test_indices_off_the_domain_rejected(self, rolewicz_op, S):
+        with pytest.raises(ValueError, match=f"index {min(S)} in S is outside the domain N"):
+            check_lp_c0_dc(rolewicz_op, S)
+
+    def test_index_one_on_N_adds_nothing(self, rolewicz_op):
+        # P(1, n) = 0 for every n >= 1, so e_1 only halves the average:
+        # count the n with (4^n + 0) / 2 > k in integers
+        rep = check_lp_c0_dc(rolewicz_op, [1, 1000])
+        assert [(r["k"], r["count"]) for r in rep.rows] == [
+            (r["k"], sum(4**n > 2 * r["k"] for n in range(1, r["N_k"] + 1)))
+            for r in rep.rows]
+
     @settings(max_examples=30)
     @given(st.floats(min_value=1.2, max_value=3.0))
     def test_pass_implies_search_success(self, b):

@@ -18,7 +18,6 @@ from shiftchaos.shift import (
     apply,
     basis_orbit_logs,
     orbit_seminorm_log_array,
-    orbit_seminorm_series,
 )
 from shiftchaos.spaces import IndexSet
 from test_spaces import ROW_CASES
@@ -67,6 +66,10 @@ class TestApply:
             assert abs(cur[j].logmag - want[j].logmag) < 1e-9
 
 
+def _real(logmag: float) -> float:
+    return 0.0 if logmag == NEG_INF else math.exp(logmag)
+
+
 class TestOrbitSeries:
     @given(op_cases,
            st.dictionaries(st.integers(1, 25), coeffs, min_size=1, max_size=4),
@@ -76,39 +79,31 @@ class TestOrbitSeries:
             x = SparseVector.from_terms((j - 13, v) for j, v in d.items())
         else:
             x = SparseVector.from_terms(d.items())
-        series = orbit_seminorm_series(op, x, m, n_max)
-        assert len(series) == n_max + 1
+        arr = orbit_seminorm_log_array(op, x, m, n_max)
+        assert arr.shape == (n_max + 1,)
         brute = oracles.brute_orbit_norms(op, x, n_max, m)
         start = oracles.naive_seminorm(op.space, x, m)
-        assert math.isclose(series[0].to_real(), start, rel_tol=1e-9)
+        assert math.isclose(_real(arr[0]), start, rel_tol=1e-9)
         for n in range(1, n_max + 1):
-            got = series[n].to_real()
             want = brute[n - 1]
             if want == 0.0:
-                assert series[n].is_zero()
+                assert arr[n] == NEG_INF
             else:
-                assert math.isclose(got, want, rel_tol=1e-9)
+                assert math.isclose(_real(arr[n]), want, rel_tol=1e-9)
 
     @given(op_cases, st.integers(1, 25), st.integers(1, 4),
            st.integers(1, 40))
-    def test_log_array_matches_series(self, op, raw_i, m, n_max):
+    def test_log_array_matches_reference(self, op, raw_i, m, n_max):
+        # one support point: its orbit row, ln 2 + ln |P(i, n)| + ln a(i - n, m)
         i = domain_index(op, raw_i)
-        x = SparseVector.basis(i, 2.0)
-        arr = orbit_seminorm_log_array(op, x, m, n_max)
-        series = orbit_seminorm_series(op, x, m, n_max)
+        arr = orbit_seminorm_log_array(op, SparseVector.basis(i, 2.0), m, n_max)
+        want = oracles.orbit_logs_reference(op, i, m, math.log(2.0), 0, n_max)
         assert arr.shape == (n_max + 1,)
-        for n in range(n_max + 1):
-            if series[n].is_zero():
-                assert arr[n] == NEG_INF
-            else:
-                assert abs(float(arr[n]) - series[n].logmag) < 1e-12
+        assert arr.tobytes() == want.tobytes()
 
     def test_zero_vector(self):
-        op = OPS[0]
-        series = orbit_seminorm_series(op, SparseVector.zero(), 1, 5)
-        assert all(s.is_zero() for s in series)
-        arr = orbit_seminorm_log_array(op, SparseVector.zero(), 1, 5)
-        assert np.all(arr == NEG_INF)
+        arr = orbit_seminorm_log_array(OPS[0], SparseVector.zero(), 1, 5)
+        assert arr.shape == (6,) and np.all(arr == NEG_INF)
 
 
 # weights for every index set, with negative and closed-form (run-less) ones

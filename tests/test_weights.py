@@ -30,6 +30,7 @@ from shiftchaos.weights import (
     coalesce_pieces,
     forward_product,
     product,
+    product_log_slice,
     product_log_table,
     product_pieces,
     products,
@@ -238,26 +239,33 @@ class TestProduct:
 class TestProductTable:
     @given(weight_cases, st.integers(-20, 20), st.integers(1, 80))
     def test_matches_pointwise_product(self, case, raw_i, n_max):
+        # magnitudes only: sign 0 (annihilation) exactly where the table
+        # reads -inf, and ln |P| elsewhere
         _, w = case
         i = anchor_for(w, raw_i)
         table = product_log_table(w, i, n_max)
-        assert table.value(0).to_real() == 1.0
+        signs, logs = products(w, [(i, n) for n in range(n_max + 1)])
+        assert table[0] == 0.0
         for n in range(1, n_max + 1):
-            got = table.value(n)
-            want = product(w, i, n)
-            assert got.sign == want.sign
-            if want.sign != 0:
-                assert abs(got.logmag - want.logmag) < 1e-9
+            assert (table[n] == -math.inf) == (signs[n] == 0)
+            if signs[n] != 0:
+                assert abs(table[n] - logs[n]) < 1e-9
 
     def test_zero_weight_raises(self):
         with pytest.raises(ValueError, match="weight at -101 is zero"):
             product_log_table(zero_tail_weights(), 0, 150)
         table = product_log_table(zero_tail_weights(), 0, 100)
-        assert table.value(100).logmag == pytest.approx(100 * math.log(2.0))
+        assert table[100] == pytest.approx(100 * math.log(2.0))
 
     def test_off_domain_is_annihilation(self):
-        table = product_log_table(unilateral_weights(ConstantSequence(2.0)), 5, 8)
-        assert list(table.signs) == [1, 1, 1, 1, 1, 0, 0, 0, 0]
+        w = unilateral_weights(ConstantSequence(2.0))
+        table = product_log_table(w, 5, 8)
+        assert list(table == -math.inf) == [False] * 5 + [True] * 4
+        # a slice that starts after the orbit has left N reads -inf
+        # throughout: P(i, n0) is an exact zero there, not 1
+        for i, n0, n1 in ((5, 10, 12), (1, 1, 3), (5, 5, 5)):
+            assert product(w, i, n0).sign == 0
+            assert np.all(product_log_slice(w, i, n0, n1) == -math.inf)
 
     def test_length_outside_dense_range_rejected(self):
         w = unilateral_weights(ConstantSequence(2.0))
@@ -275,20 +283,20 @@ class TestProductTable:
         i = anchor_for(w, raw_i)
         table = product_log_table(w, i, n_max)
         logs, signs = oracles.dense_table_reference(w, i, n_max)
-        assert table.logs.dtype == np.float64 and table.signs.dtype == np.int8
-        assert table.logs.tobytes() == logs.tobytes()
-        assert table.signs.tobytes() == signs.tobytes()
+        assert table.dtype == np.float64
+        assert table.tobytes() == logs.tobytes()
+        assert np.array_equal(table == -math.inf, signs == 0)
 
     @settings(max_examples=200)
     @given(TABLE_CASES, st.integers(-300, 300), st.integers(-1, 2000))
-    def test_log_abs_array_matches_value_at_bytewise(self, case, lo, span):
+    def test_dense_logs_matches_value_at_bytewise(self, case, lo, span):
         _, w = case
+        lo = max(lo, 1) if w.index_set is IndexSet.N else lo  # on-domain ranges
         js = range(lo, lo + span + 1)
-        on = [j for j in js if w.index_set.contains(j)]
-        want = np.full(len(js), -math.inf)
-        want[len(js) - len(on):] = np.log(np.abs(np.array(
-            [w.seq.value_at(j) for j in on], dtype=float)))
-        assert w.log_abs_array(lo, lo + span).tobytes() == want.tobytes()
+        want = np.log(np.abs(np.array([w.seq.value_at(j) for j in js], dtype=float)))
+        got = w.dense_logs(lo, lo + span)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
     def test_one_runs_pass_per_side(self, monkeypatch):
         # the table reads each side's runs once and never probes values cell
@@ -308,8 +316,7 @@ class TestProductTable:
         w = ex1_weights()
         table = product_log_table(w, 0, 10**6)
         assert scanned == [w.seq.negative]
-        assert table.value(10**6).sign == 1
-        assert table.logs[10**6] == pytest.approx(product(w, 0, 10**6).logmag, rel=1e-9)
+        assert table[10**6] == pytest.approx(product(w, 0, 10**6).logmag, rel=1e-9)
         scanned.clear()
         _, neg = NEGATIVE_CASE
         product_log_table(neg, 500_000, 10**6)
