@@ -21,12 +21,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-import numpy as np
-
-from . import dc_cert, mly_cert
-from .density import (IndexPredicate, check_counter_agreement, count_chunks,
-                      counted_runs, envelope_of_counts, envelope_of_runs, evens,
-                      naturals)
+from . import dc_cert, density, mly_cert
+from .density import IndexPredicate, evens, naturals
 from .reports import CertificateReport
 from .sequences import Run, SequenceBase, SplitSequence, side_from_template
 from .shift import ShiftOperator
@@ -122,9 +118,9 @@ def expanding_product_blocks() -> IndexPredicate:
     """Union of the odd-numbered blocks of the alternating-powers layout.
 
     Block t occupies [t(t-1)+1, t(t+1)]; backward products from anchor 0
-    stay >= 1 exactly on the odd blocks.  Counters are closed-form, and the
-    blocks are the membership runs (O(sqrt H) of them up to H), so the
-    density envelope stays exact at any horizon.
+    stay >= 1 exactly on the odd blocks.  The counter is closed-form, and the
+    blocks are the membership runs (O(√H) of them up to H), so every walk of
+    the set reads its runs and stays exact at any horizon.
     """
 
     def block_of(n: int) -> int:
@@ -142,23 +138,12 @@ def expanding_product_blocks() -> IndexPredicate:
         partial = n - c * (c + 1) if (c + 1) % 2 == 1 else 0
         return 2 * m * m + partial
 
-    def count_array(ns: np.ndarray) -> np.ndarray:
-        ns = ns.astype(np.int64)
-        c = ((np.sqrt(4.0 * ns + 1.0) - 1.0) // 2).astype(np.int64)
-        for _ in range(2):  # fix float-sqrt rounding at block boundaries
-            c -= (c * (c + 1) > ns).astype(np.int64)
-            c += ((c + 1) * (c + 2) <= ns).astype(np.int64)
-        m = (c + 1) // 2
-        partial = np.where((c + 1) % 2 == 1, ns - c * (c + 1), 0)
-        return 2 * m * m + partial
-
     def runs(lo: int, hi: int) -> list[Run]:
         lo = max(lo, 1)
         return [Run(max(t * (t - 1) + 1, lo), min(t * (t + 1), hi), float(t % 2))
                 for t in range(block_of(lo), block_of(hi) + 1)] if hi >= lo else []
 
-    return IndexPredicate(member, count=count, count_array=count_array, runs=runs,
-                          name="expanding-product-blocks")
+    return IndexPredicate(member, count=count, runs=runs, name="expanding-product-blocks")
 
 
 PREDICATES = {
@@ -186,7 +171,9 @@ def _finite(v) -> float:
 
 
 def _positive(v) -> float:
-    """A finite float > 0: a tolerance, bound or floor whose log is taken."""
+    """A finite float > 0: a tolerance, bound or floor.  Some have their log
+    taken; nothing lies below a tolerance <= 0, and everything meets such a
+    floor."""
     x = _finite(v)
     if x <= 0:
         raise ValueError(f"must be > 0, got {x}")
@@ -200,6 +187,22 @@ def _floats(v) -> list[float]:
 def _pair(v) -> tuple[int, int]:
     lo, hi = v
     return int(lo), int(hi)
+
+
+def _fraction(v) -> float:
+    """A finite float in (0, 1): a share of indices or of a set's members."""
+    x = _finite(v)
+    if not 0 < x < 1:
+        raise ValueError(f"must lie in (0, 1), got {x}")
+    return x
+
+
+def _threshold(v) -> tuple[int, int]:
+    """num/den as two integers with 0 <= num < den: a density floor."""
+    num, den = _pair(v)
+    if not 0 <= num < den:
+        raise ValueError(f"must be two integers with 0 <= num < den, got {num}/{den}")
+    return num, den
 
 
 def _optional(read):
@@ -223,15 +226,15 @@ READERS = {
     **dict.fromkeys(("anchor", "auto_A_horizon", "m", "n_max", "N_max", "start"), int),
     **dict.fromkeys(("horizon", "k_max", "settle_by"), _int_from(1)),
     "exhaustive_to": _int_from(0),
-    **dict.fromkeys(("bound", "decay_tol", "floor"), _positive),
-    **dict.fromkeys(("delta", "eps", "lim_tol", "pass_tol", "tail_fraction_min"),
-                    _finite),
+    **dict.fromkeys(("bound", "decay_tol", "floor", "lim_tol", "pass_tol"), _positive),
+    **dict.fromkeys(("delta", "eps", "tail_fraction_min"), _fraction),
     **dict.fromkeys(("anchors", "k_range", "S"), _ints),
-    **dict.fromkeys(("anchor_window", "ell_window", "threshold", "window"), _pair),
+    **dict.fromkeys(("anchor_window", "ell_window", "window"), _pair),
+    "threshold": _threshold,
     "C_grid": lambda v: [_positive(x) for x in v],
     "coeffs": _optional(_floats),
     "horizons": _optional(_ints),
-    "refute_floor": _optional(_finite),
+    "refute_floor": _optional(_positive),
     "mode": str,
     "schedule": lambda raw: [(int(k), int(N), [(int(i), _finite(b)) for i, b in terms])
                              for k, N, terms in raw],
@@ -322,7 +325,7 @@ CHECKS: dict[str, dict[str | None, Check]] = {
     "acb": {None: Check(mly_cert, "check_acb", ("probes", "C_grid"))},
     "f3": {None: Check(mly_cert, "check_f3",
                        ("horizon", "probes", "C_grid", "lim_tol"))},
-    "density": {None: Check(sys.modules[__name__], "check_density",
+    "density": {None: Check(density, "check_density",
                             ("set", "horizon", "threshold", "exhaustive_to"))},
     "orbit": {None: replace(_MLY_A, fixed={"include_series": True})},
     "condition_C": {None: Check(sys.modules[__name__], "check_condition_c",
@@ -357,58 +360,6 @@ def run_check(op: ShiftOperator, cfg: dict) -> CertificateReport:
         if trigger in cfg:
             return check(op, cfg if trigger in check.keys else cfg[trigger])
     raise ValueError(f"{kind} check needs one of: {', '.join(CHECKS[kind])}")
-
-
-def check_density(_op: ShiftOperator, D: IndexPredicate, horizon: int,
-                  threshold: tuple[int, int] = (1, 6),
-                  exhaustive_to: int = 50) -> CertificateReport:
-    """Does D's prefix ratio stay strictly above threshold up to the horizon?
-    The closed-form counter must also agree with the member test, and the
-    counts the envelope reads with brute counting on the exhaustive prefix.
-
-    With membership runs every test reads run ends, since on a run both
-    card and den * card - num * N are linear in N.  Without, the counts are
-    walked chunk by chunk.
-    """
-    if horizon < 1 or exhaustive_to < 0:
-        raise ValueError("need horizon >= 1 and exhaustive_to >= 0")
-    num, den = threshold
-    exhaustive_to = min(exhaustive_to, horizon)
-    agree = check_counter_agreement(D, min(10_000, horizon))
-    if D.count_array is None and horizon > 200_000:
-        raise ValueError("set has no vectorized counter for a horizon this large")
-    brute = np.cumsum(D.member_mask(exhaustive_to)).astype(np.int64)
-    if D.runs is not None:
-        runs = list(counted_runs(D, 1, horizon))
-        prefix = [at_a + member * (n - a) for a, b, at_a, member in runs
-                  for n in range(a, min(b, exhaustive_to) + 1)]
-        exhaustive_ok = bool(np.array_equal(brute, prefix))
-        strict_ok = all(den * (at_a + member * (n - a)) > num * n
-                        for a, b, at_a, member in runs for n in (a, b))
-        env = envelope_of_runs(runs)
-    else:
-        exhaustive_ok = strict_ok = True
-
-        def checked():  # the prefix test and the strict bound, chunk by chunk
-            nonlocal exhaustive_ok, strict_ok
-            for n0, counts in count_chunks(D, horizon):
-                if n0 <= exhaustive_to:
-                    exhaustive_ok &= bool(np.array_equal(
-                        brute[n0 - 1:n0 - 1 + counts.size], counts[:exhaustive_to - n0 + 1]))
-                ns = np.arange(n0, n0 + counts.size, dtype=np.int64)
-                strict_ok &= bool(np.all(den * counts > num * ns))
-                yield counts
-
-        env = envelope_of_counts(checked())
-    ok = agree and exhaustive_ok and strict_ok
-    rows = [{"min_ratio": env.lower, "min_ratio_at": env.lower_at,
-             "ratio_at_horizon": env.ratio_at_horizon,
-             "strict_above_threshold": strict_ok,
-             "counters_agree": agree, "exhaustive_prefix_ok": exhaustive_ok}]
-    params = {"set": D.name, "horizon": horizon,
-              "threshold": f"{num}/{den}", "exhaustive_to": exhaustive_to}
-    verdict = "passes-at-horizon" if ok else "condition-failed"
-    return CertificateReport("density", verdict, params, rows)
 
 
 def check_condition_c(op: ShiftOperator, window: tuple[int, int] = (-8, 8),

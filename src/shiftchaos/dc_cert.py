@@ -23,8 +23,9 @@ numerics (logsumexp_p_rows).  The four condition-(B) checks share one level
 loop and verdict ladder (level_report), which rejects witness indices off
 the domain; the counting level itself (_dc_level) compares seminorms, so
 check_dc_condition_B and check_kothe_dc run the same comparison.  Condition
-(A) comes in as a report.  Verdicts come from the closed vocabulary in
-`reports` and are always horizon-stamped.
+(A) comes in as a report; its own check walks the candidate set through
+density.  Verdicts come from the closed vocabulary in `reports` and are
+always horizon-stamped.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .density import IndexPredicate, count_chunks, envelope_of_counts, naturals
+from .density import IndexPredicate, density_envelope, member_chunks, naturals
 from .numerics import NEG_INF, LogScalar, SparseVector, chunk_spans, logsumexp_p_rows
 from .piecewise import count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
@@ -241,7 +242,8 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     "Eventually at this horizon" means: past the last violating n in D, the
     remaining D-tail is clean and makes up at least tail_fraction_min of
     D cap [1, horizon] (a nonnegligible settled stretch, not a lucky last
-    sample).  Verdicts speak only about the checked range.
+    sample).  Verdicts speak only about the checked range.  D is walked by
+    density, by its runs where it has them, per anchor in the orbit's chunks.
     """
     D = D if D is not None else naturals()
     anchors = list(anchors)
@@ -250,21 +252,8 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     _resolve_mode("dense", 1, horizon)
-    # one pass over the members first: the envelope, and per chunk the
-    # membership (one bit per n) and the members before it
-    members: dict[int, tuple[np.ndarray, int]] = {}
-    d_total = 0
-
-    def counted():
-        nonlocal d_total
-        prev = 0
-        for n0, counts in count_chunks(D, horizon):
-            mask, prev = np.diff(counts, prepend=prev) == 1, counts[-1]  # n is in D
-            members[n0] = np.packbits(mask), d_total
-            d_total += int(np.count_nonzero(mask))
-            yield counts
-
-    env = envelope_of_counts(counted())
+    env = density_envelope(D, horizon)
+    d_total = D.prefix_count(horizon)
     params = {"horizon": horizon, "decay_tol": decay_tol, "k_max": k_max,
               "tail_fraction_min": tail_fraction_min, "set": D.name or "D"}
     if d_total == 0:
@@ -278,10 +267,11 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     for i in anchors:
         # per level: violations, last violating n, members in [1, last]
         levels, at = [[0, 0, 0] for _ in range(k_max)], None
+        members, mask, before = member_chunks(D, horizon), np.zeros(0, bool), 0
         for n0, k, vals in basis_orbit_logs(op, i, range(1, k_max + 1), 1, horizon):
-            if n0 != at:
-                at, (bits, before) = n0, members[n0]
-                mask = np.unpackbits(bits, count=vals.size).view(bool)
+            if n0 != at:  # the chunk's membership; before: the members ahead of it
+                before += int(np.count_nonzero(mask))
+                at, mask = next(members)
             viol = mask & (vals >= log_tol)
             n_viol = int(np.count_nonzero(viol))
             if n_viol:

@@ -4,11 +4,11 @@ Upper and lower densities are limits of prefix ratios card(A cap [1, N]) / N;
 at a finite horizon all we can report is the running envelope of those
 ratios, so every verdict built on one carries an "at horizon N" qualifier.
 
-An IndexPredicate may bundle a closed-form counter with the membership test;
-when both exist they are cross-checked on small prefixes.  A predicate that
-also gives its membership runs has its envelope read off run ends, in
-O(runs) at any horizon: on a run card(A cap [1, N]) is linear in N, so the
-prefix ratio is monotone there.
+This module decides how an index set is walked.  A set with membership runs
+is walked by them alone: its envelope, strict bound and prefix counts are read
+off run ends in O(runs) at any horizon (on a run card(A cap [1, N]) is linear
+in N), and its per-N membership is spread from the runs.  Any other set is
+walked through its prefix counts, chunk by chunk (count_chunks).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .numerics import chunk_spans
+from .reports import CertificateReport
 from .sequences import Run
 
 
@@ -26,11 +27,12 @@ from .sequences import Run
 class IndexPredicate:
     """Membership test plus optional closed-form prefix counter.
 
-    count(N) must equal card(A cap [1, N]).  count_array is a vectorized
-    variant over an int64 numpy array of horizons (needed for million-point
-    envelope sweeps).  runs(lo, hi) covers [max(lo, 1), hi] with the runs of
-    the indicator of A (value 1.0 on members, 0.0 off them), for sets made
-    of few long runs.
+    count(N) must equal card(A cap [1, N]).  runs(lo, hi) covers
+    [max(lo, 1), hi] with the runs of the indicator of A (value 1.0 on
+    members, 0.0 off them), for sets made of few long runs; a set with runs
+    is walked by them alone.  count_array is the counter of a set without
+    runs: count over an int64 numpy array of horizons, which lets
+    count_chunks walk it past the member-by-member bound.
     """
 
     member: Callable[[int], bool]
@@ -56,8 +58,7 @@ def naturals() -> IndexPredicate:
         lo = max(lo, 1)
         return [Run(lo, hi, 1.0)] if hi >= lo else []
 
-    return IndexPredicate(lambda j: j >= 1, count=lambda n: max(n, 0),
-                          count_array=lambda ns: np.maximum(ns, 0), runs=runs, name="N")
+    return IndexPredicate(lambda j: j >= 1, count=lambda n: max(n, 0), runs=runs, name="N")
 
 
 def evens() -> IndexPredicate:
@@ -98,38 +99,45 @@ class DensityEnvelope:
 
 def density_envelope(pred: IndexPredicate, horizon: int,
                      start: int = 1) -> DensityEnvelope:
-    """Envelope of prefix ratios for N in [start, horizon].
-
-    Reads run ends when the predicate has runs, else uses the vectorized
-    counter when present, else brute counting.
-    """
+    """Envelope of prefix ratios for N in [start, horizon], read off run
+    ends when the predicate has runs, else from count_chunks."""
     if horizon < start or start < 1:
         raise ValueError("need 1 <= start <= horizon")
     if pred.runs is not None:
         return envelope_of_runs(counted_runs(pred, start, horizon))
-    if pred.count_array is not None:
-        counts = pred.count_array(np.arange(start, horizon + 1, dtype=np.int64))
-    elif pred.count is not None:
-        counts = np.array([pred.count(n) for n in range(start, horizon + 1)],
-                          dtype=np.int64)
-    else:
-        counts = np.cumsum(pred.member_mask(horizon))[start - 1:]
-    return envelope_of_counts([counts], start)
+    return envelope_of_counts((counts[max(start - n0, 0):]
+                               for n0, counts in count_chunks(pred, horizon)
+                               if n0 + counts.size > start), start)
 
 
 def count_chunks(pred: IndexPredicate, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
     """(n0, card(A cap [1, N]) for N in [n0, n1]) per chunk [n0, n1] of
     [1, horizon], as int64: from the vectorized counter where there is one,
-    else running counts of the member test."""
-    mask = None if pred.count_array is not None else pred.member_mask(horizon)
+    else by the member test over the whole horizon at once, so then only up
+    to a horizon of 200,000 (checked at the call, before any walk)."""
+    spans = chunk_spans(1, horizon)
+    if pred.count_array is not None:
+        return ((n0, pred.count_array(np.arange(n0, n1 + 1, dtype=np.int64)).astype(np.int64))
+                for n0, n1 in spans)
+    if horizon > 200_000:
+        raise ValueError("set has no vectorized counter for a horizon this large")
+    counts = np.cumsum(pred.member_mask(horizon), dtype=np.int64)
+    return ((n0, counts[n0 - 1:n1]) for n0, n1 in spans)
+
+
+def member_chunks(pred: IndexPredicate, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(n0, whether N is in A for N in [n0, n1]) per chunk [n0, n1] of
+    [1, horizon], as bool: spread over the runs where the set has them,
+    else the steps of count_chunks."""
+    if pred.runs is not None:
+        for n0, n1 in chunk_spans(1, horizon):
+            runs = pred.runs(n0, n1)
+            yield n0, np.repeat([r.value > 0 for r in runs], [r.count for r in runs])
+        return
     before = 0
-    for n0, n1 in chunk_spans(1, horizon):
-        if mask is None:
-            counts = pred.count_array(np.arange(n0, n1 + 1, dtype=np.int64)).astype(np.int64)
-        else:
-            counts = before + np.cumsum(mask[n0 - 1:n1], dtype=np.int64)
-            before = counts[-1]
-        yield n0, counts
+    for n0, counts in count_chunks(pred, horizon):
+        yield n0, np.diff(counts, prepend=before) == 1
+        before = counts[-1]
 
 
 def envelope_of_counts(chunks: Iterable[np.ndarray], start: int = 1) -> DensityEnvelope:
@@ -199,3 +207,54 @@ def _first_reaching(ratio: Callable[[int], float], a: int, b: int) -> int:
         else:
             a = mid + 1
     return a
+
+
+def check_density(_op, D: IndexPredicate, horizon: int,
+                  threshold: tuple[int, int] = (1, 6),
+                  exhaustive_to: int = 50) -> CertificateReport:
+    """Does D's prefix ratio stay strictly above threshold up to the horizon?
+    The closed-form counter must also agree with the member test, and the
+    counts the envelope reads with brute counting on the exhaustive prefix.
+
+    With membership runs every test reads run ends, since on a run both
+    card and den * card - num * N are linear in N.  Without, the counts are
+    walked chunk by chunk.
+    """
+    if horizon < 1 or exhaustive_to < 0:
+        raise ValueError("need horizon >= 1 and exhaustive_to >= 0")
+    num, den = threshold
+    exhaustive_to = min(exhaustive_to, horizon)
+    agree = check_counter_agreement(D, min(10_000, horizon))
+    chunks = None if D.runs is not None else count_chunks(D, horizon)
+    brute = np.cumsum(D.member_mask(exhaustive_to)).astype(np.int64)
+    if chunks is None:
+        runs = list(counted_runs(D, 1, horizon))
+        prefix = [at_a + member * (n - a) for a, b, at_a, member in runs
+                  for n in range(a, min(b, exhaustive_to) + 1)]
+        exhaustive_ok = bool(np.array_equal(brute, prefix))
+        strict_ok = all(den * (at_a + member * (n - a)) > num * n
+                        for a, b, at_a, member in runs for n in (a, b))
+        env = envelope_of_runs(runs)
+    else:
+        exhaustive_ok = strict_ok = True
+
+        def checked():  # the prefix test and the strict bound, chunk by chunk
+            nonlocal exhaustive_ok, strict_ok
+            for n0, counts in chunks:
+                if n0 <= exhaustive_to:
+                    exhaustive_ok &= bool(np.array_equal(
+                        brute[n0 - 1:n0 - 1 + counts.size], counts[:exhaustive_to - n0 + 1]))
+                ns = np.arange(n0, n0 + counts.size, dtype=np.int64)
+                strict_ok &= bool(np.all(den * counts > num * ns))
+                yield counts
+
+        env = envelope_of_counts(checked())
+    ok = agree and exhaustive_ok and strict_ok
+    rows = [{"min_ratio": env.lower, "min_ratio_at": env.lower_at,
+             "ratio_at_horizon": env.ratio_at_horizon,
+             "strict_above_threshold": strict_ok,
+             "counters_agree": agree, "exhaustive_prefix_ok": exhaustive_ok}]
+    params = {"set": D.name, "horizon": horizon,
+              "threshold": f"{num}/{den}", "exhaustive_to": exhaustive_to}
+    verdict = "passes-at-horizon" if ok else "condition-failed"
+    return CertificateReport("density", verdict, params, rows)

@@ -333,6 +333,21 @@ def brute_prefix_counts(member, n_max: int) -> list[int]:
     return out
 
 
+def expanding_blocks_count_array(ns: np.ndarray) -> np.ndarray:
+    """card(A cap [1, N]) over an int64 array of N, A the odd blocks
+    [t(t-1)+1, t(t+1)] of catalog.expanding_product_blocks, by a float sqrt
+    corrected at block boundaries: a vectorized counter for the set's cell
+    route (the same set without runs), which the library no longer has."""
+    ns = ns.astype(np.int64)
+    c = ((np.sqrt(4.0 * ns + 1.0) - 1.0) // 2).astype(np.int64)
+    for _ in range(2):  # fix float-sqrt rounding at block boundaries
+        c -= (c * (c + 1) > ns).astype(np.int64)
+        c += ((c + 1) * (c + 2) <= ns).astype(np.int64)
+    m = (c + 1) // 2
+    partial = np.where((c + 1) % 2 == 1, ns - c * (c + 1), 0)
+    return 2 * m * m + partial
+
+
 def exact_single_term_average(op: ShiftOperator, index: int,
                               N: int) -> Fraction:
     """(1/N) * sum_{n<=N} ||B^n e_index||_1 as an exact fraction.

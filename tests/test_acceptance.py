@@ -73,9 +73,12 @@ def test_criterion_01_density_floor():
     # exhaustive scan of the prefix: the ratio clears 1/6 from N0 = 1 on
     brute = np.cumsum([A.member(n) for n in range(1, 51)])
     scan_ok = bool(np.all(6 * brute > np.arange(1, 51)))
+    # counts at every N from the membership runs, laid out cell by cell
+    runs = A.runs(1, 10 ** 6)
+    counts = np.cumsum(np.repeat([r.value > 0 for r in runs], [r.count for r in runs]))
     ns = np.arange(1, 10 ** 6 + 1, dtype=np.int64)
-    counts = A.count_array(ns)
-    closed_matches_scan = bool(np.all(counts[:50] == brute))
+    closed_matches_scan = ([A.count(n) for n in range(1, 51)] == brute.tolist()
+                           and bool(np.all(counts[:50] == brute)))
     floor_ok = bool(np.all(6 * counts > ns))  # exact: ratio > 1/6 everywhere
     elapsed = time.perf_counter() - t0
     _criterion(1, "density-floor-exceeds-one-sixth", {

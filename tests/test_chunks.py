@@ -13,7 +13,7 @@ import pytest
 import oracles
 import test_weights as twt
 from shiftchaos import catalog, dc_cert, mly_cert, numerics, reports
-from shiftchaos.density import IndexPredicate, evens, naturals
+from shiftchaos.density import IndexPredicate, check_density, evens, naturals
 from shiftchaos.numerics import SparseVector
 from shiftchaos.sequences import ClosedFormSequence
 from shiftchaos.shift import ShiftOperator, orbit_seminorm_log_array
@@ -24,6 +24,9 @@ from test_spaces import ramp_nu
 
 SINGLE = 1 << 30  # one chunk for every horizon here
 CHUNKS = (1, 7, 64)
+# condition (A)'s candidate sets: evens is walked by its prefix counts, the
+# other two by their membership runs
+CANDIDATE_SETS = (evens, naturals, catalog.expanding_product_blocks)
 
 
 def _zero_weights():
@@ -78,8 +81,8 @@ def _streamed_reports(op: ShiftOperator, anchors: list[int]) -> list[str]:
         _outcome(dc_cert.refute_dc_condition_A, op, anchors, HORIZON, bound=10.0,
                  delta=0.25, settle_by=HORIZON),
         _outcome(dc_cert.refute_hypercyclicity, op, HORIZON, k_max=3),
-        _outcome(dc_cert.check_dc_condition_A, op, evens(), anchors, HORIZON,
-                 decay_tol=0.5, k_max=3),
+        *(_outcome(dc_cert.check_dc_condition_A, op, D(), anchors, HORIZON,
+                   decay_tol=0.5, k_max=3) for D in CANDIDATE_SETS),
         _outcome(dc_cert.check_dc_condition_B, op, dense_dc, mode="dense"),
         _outcome(mly_cert.check_mly_condition_B, op, dense_dc, mode="dense",
                  auto_a_horizon=0),
@@ -130,10 +133,11 @@ def test_carried_state_matches_whole_horizon_references(monkeypatch, name, op, a
         rep = dc_cert.refute_dc_condition_A(op, anchors, HORIZON, bound, delta, HORIZON)
         assert rep.rows == oracles.refute_a_rows_reference(op, anchors, HORIZON, bound,
                                                            delta, HORIZON)
-    for decay_tol in (0.5, 1e3):
-        rep = dc_cert.check_dc_condition_A(op, evens(), anchors, HORIZON, decay_tol, 3, 0.3)
-        assert rep.rows == oracles.condition_a_rows_reference(
-            op, evens().member, anchors, HORIZON, decay_tol, 3, 0.3)
+    for D in CANDIDATE_SETS:
+        for decay_tol in (0.5, 1e3):
+            rep = dc_cert.check_dc_condition_A(op, D(), anchors, HORIZON, decay_tol, 3, 0.3)
+            assert rep.rows == oracles.condition_a_rows_reference(
+                op, D().member, anchors, HORIZON, decay_tol, 3, 0.3), D().name
     rep = dc_cert.refute_hypercyclicity(op, HORIZON, k_max=3)
     assert [(r["seminorm"], r["min_value"].logmag, r["min_at_n"]) for r in rep.rows] \
         == oracles.refute_hc_minima_reference(op, HORIZON, 3)
@@ -177,7 +181,7 @@ DENSITY_SETS = [
 @pytest.mark.parametrize("D", DENSITY_SETS, ids=lambda d: d.name)
 def test_density_check_does_not_depend_on_the_chunk_size(monkeypatch, D):
     def reports():
-        return [catalog.check_density(None, D, horizon, (1, 6), exhaustive_to).to_json()
+        return [check_density(None, D, horizon, (1, 6), exhaustive_to).to_json()
                 for horizon in (1, 64, 300) for exhaustive_to in (0, 6, 50, 300)]
 
     monkeypatch.setattr(numerics, "CHUNK", SINGLE)
@@ -187,20 +191,23 @@ def test_density_check_does_not_depend_on_the_chunk_size(monkeypatch, D):
         assert reports() == want, chunk
 
 
-RUN_SETS = [catalog.expanding_product_blocks(), naturals()]
+# each set with runs, and a vectorized counter for its cell route
+RUN_SETS = [pytest.param(D, count_array, id=D.name) for D, count_array in (
+    (catalog.expanding_product_blocks(), oracles.expanding_blocks_count_array),
+    (naturals(), lambda ns: ns))]
 
 
 @pytest.mark.usefixtures("_exact_floats")
-@pytest.mark.parametrize("D", RUN_SETS, ids=lambda d: d.name)
-def test_density_run_route_matches_the_cell_route(monkeypatch, D):
+@pytest.mark.parametrize("D, count_array", RUN_SETS)
+def test_density_run_route_matches_the_cell_route(monkeypatch, D, count_array):
     # the run route reads run ends; the cell route (the same set without
     # runs) walks every N chunk by chunk.  Large horizons (block ends
     # t(t + 1) and the block start after one, up to 2 * 10**6) are walked
     # at the default chunk size, the small ones at every size
-    cells = replace(D, runs=None)
+    cells = replace(D, runs=None, count_array=count_array)
 
     def reports(pred, horizons):
-        return [catalog.check_density(None, pred, horizon, threshold, exhaustive_to).to_json()
+        return [check_density(None, pred, horizon, threshold, exhaustive_to).to_json()
                 for horizon in horizons
                 for threshold, exhaustive_to in (((1, 6), 50), ((1, 3), 0))]
 

@@ -235,6 +235,43 @@ def test_logged_floats_must_be_positive(entry, item, key, path, value):
     assert err == f"error: config key {key!r}: must be > 0, got {float(value)}\n"
 
 
+# Each rejected value read a verdict its check's argument does not support:
+# threshold [-1, 6] passed the density check, tail_fraction_min -1 held
+# condition (A) with 997 of 1,000 n violating, eps 0 passed lp_c0_dc, delta
+# -1 refuted condition (A) and refute_floor -1 refuted MLY condition (A).
+# (entry, item, key, rejected value, message, a value in range)
+MLY_A = {"kind": "mly", "condition_A": {"anchor": 0, "horizon": 100}}
+OFF_RANGE = [
+    ("ex1_s_Z_hc_not_dc", {"kind": "density", "set": "naturals", "horizon": 100},
+     "threshold", [-1, 6], "must be two integers with 0 <= num < den, got -1/6", [1, 6]),
+    ("ex2_kothe_dc_not_hc", {"kind": "dc", "condition_A": {
+        "anchors": [1], "horizon": 1000, "decay_tol": 1e-300}},
+     "tail_fraction_min", -1, "must lie in (0, 1), got -1.0", 0.5),
+    ("rolewicz_lp_N", {"kind": "lp_c0_dc", "S": [1000], "k_range": [1, 2]},
+     "eps", 0, "must lie in (0, 1), got 0.0", 1e-2),
+    ("ex1_s_Z_hc_not_dc", {"kind": "dc", "refute_A": {"anchors": [0], "horizon": 100}},
+     "delta", -1, "must lie in (0, 1), got -1.0", 1 / 6),
+    ("ex3_s_Z_hc_not_mly", MLY_A, "refute_floor", -1, "must be > 0, got -1.0", 0.9),
+    ("ex3_s_Z_hc_not_mly", MLY_A, "pass_tol", 0, "must be > 0, got 0.0", 1e-3),
+    ("halfweights_bilateral", {"kind": "f3", "horizon": 100, "probes": [["e[0]", 0, 1.0, 50]],
+                               "C_grid": [1.0]}, "lim_tol", -1e-3, "must be > 0, got -0.001",
+     1e-3),
+]
+
+
+@pytest.mark.parametrize("entry, item, key, value, message, in_range", OFF_RANGE,
+                         ids=[case[2] for case in OFF_RANGE])
+def test_fractions_and_tolerances_off_their_range_exit_3(entry, item, key, value,
+                                                         message, in_range):
+    item = copy.deepcopy(item)
+    node = next((v for v in item.values() if isinstance(v, dict)), item)
+    node[key] = value
+    assert _run_item(entry, item) == (3, "", f"error: config key {key!r}: {message}\n")
+    node[key] = in_range
+    code, out, err = _run_item(entry, item)
+    assert code in (0, 1, 2) and err == ""
+
+
 def test_block_cache_cap_exits_3(monkeypatch):
     monkeypatch.setattr(sequences, "MAX_CACHED_BLOCKS", 50)
     item = {"kind": "hypercyclicity", "witness": {"n_seq": [10**4], "ell_window": [0, 0]}}

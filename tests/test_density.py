@@ -12,13 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shiftchaos import catalog
+from shiftchaos import catalog, dc_cert
 from shiftchaos.catalog import expanding_product_blocks
 from shiftchaos.density import (
     IndexPredicate,
     check_counter_agreement,
+    check_density,
     density_envelope,
     evens,
+    member_chunks,
     naturals,
     prefix_ratio,
 )
@@ -66,16 +68,28 @@ class TestExpandingProductBlocks:
     @settings(max_examples=200)
     @given(st.integers(1, 10**6))
     def test_count_array_matches_scalar(self, n):
+        # the float-sqrt counter of the set's cell route in the tests
         p = expanding_product_blocks()
-        got = p.count_array(np.array([n], dtype=np.int64))
+        got = oracles.expanding_blocks_count_array(np.array([n], dtype=np.int64))
         assert int(got[0]) == p.count(n)
 
     def test_ratio_floor_exact(self):
-        # 6 * count(N) > N for every N up to a million: ratio > 1/6 exactly
+        # 6 * count(N) > N for every N up to a million: ratio > 1/6 exactly,
+        # counting the members spread from the runs cell by cell
         p = expanding_product_blocks()
+        counts = np.cumsum(np.concatenate([m for _, m in member_chunks(p, 10**6)]))
         ns = np.arange(1, 10**6 + 1, dtype=np.int64)
-        counts = p.count_array(ns)
-        assert np.all(6 * counts > ns)
+        assert counts.size == ns.size and np.all(6 * counts > ns)
+        assert [int(counts[n - 1]) for n in (6, 12, 10**6)] == [p.count(n) for n in
+                                                                 (6, 12, 10**6)]
+
+    def test_density_floor_at_a_billion_without_a_counter(self):
+        # read off the O(sqrt H) run ends: no vectorized counter, no cells
+        p = expanding_product_blocks()
+        assert p.count_array is None
+        rep = check_density(None, p, 10**9)
+        assert rep.verdict == "passes-at-horizon"
+        assert (rep.rows[0]["min_ratio"], rep.rows[0]["min_ratio_at"]) == (1 / 3, 6)
 
     def test_envelope_minimum(self):
         p = expanding_product_blocks()
@@ -163,8 +177,8 @@ class TestRunRoute:
                                     exhaustive_to, start):
         runs = run_set(pattern * reps, tail)
         cells = replace(runs, runs=None)
-        want = catalog.check_density(None, cells, horizon, threshold, exhaustive_to)
-        got = catalog.check_density(None, runs, horizon, threshold, exhaustive_to)
+        want = check_density(None, cells, horizon, threshold, exhaustive_to)
+        got = check_density(None, runs, horizon, threshold, exhaustive_to)
         assert got.to_json() == want.to_json()
         start = min(start, horizon)
         assert (density_envelope(runs, horizon, start)
@@ -188,26 +202,41 @@ class TestRunRoute:
 
 class TestEnvelopeFromCounts:
     def test_callers_count_prefixes_once(self, monkeypatch):
-        # DC condition (A) reuses its own prefix counts for the envelope
-        # instead of counting 1..horizon again; the density check reads the
-        # run ends and calls the vectorized counter not at all
-        from dataclasses import replace
-
-        from shiftchaos import catalog, dc_cert
+        # a set with runs is walked by its runs alone: condition (A) and
+        # the density check call a vectorized counter it carries not at all
         ref = expanding_product_blocks()
         calls = []
 
         def counted(ns):
             calls.append(ns.size)
-            return ref.count_array(ns)
+            return oracles.expanding_blocks_count_array(ns)
 
         once = replace(ref, count_array=counted)
         op = catalog.build_example("ex2_kothe_dc_not_hc")
-        dc_cert.check_dc_condition_A(op, once, [1], 5000)
-        assert calls == [5000]
-        calls.clear()
+        rep = dc_cert.check_dc_condition_A(op, once, [1], 5000)
+        assert rep.to_json() == dc_cert.check_dc_condition_A(op, ref, [1], 5000).to_json()
         monkeypatch.setitem(catalog.PREDICATES, ref.name, lambda: once)
         rep = catalog.run_check(op, {"kind": "density", "set": ref.name,
                                      "horizon": 5000})
         assert calls == []
         assert rep.rows[0]["min_ratio"] == density_envelope(ref, 5000).lower
+
+
+class TestMemberWalkBound:
+    """A set with neither runs nor vectorized counter is walked member by
+    member over the whole horizon at once, so only up to 200,000."""
+
+    BARE = IndexPredicate(expanding_product_blocks().member, name="bare")
+    MESSAGE = "set has no vectorized counter for a horizon this large"
+
+    def test_every_walker_refuses_past_the_bound(self):
+        op = catalog.build_example("ex2_kothe_dc_not_hc")
+        for walk in (lambda h: check_density(None, self.BARE, h),
+                     lambda h: density_envelope(self.BARE, h),
+                     lambda h: dc_cert.check_dc_condition_A(op, self.BARE, [1], h)):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                walk(200_001)
+
+    def test_the_bound_itself_is_walked(self):
+        assert (density_envelope(self.BARE, 200_000)
+                == density_envelope(expanding_product_blocks(), 200_000))
