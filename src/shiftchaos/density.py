@@ -22,6 +22,10 @@ from .numerics import chunk_spans
 from .reports import CertificateReport
 from .sequences import Run
 
+# The most indices the member test is asked about one by one in one call: a
+# set's whole horizon without a vectorized counter, or an exhaustive prefix.
+MAX_MEMBER_WALK = 200_000
+
 
 @dataclass
 class IndexPredicate:
@@ -114,12 +118,13 @@ def count_chunks(pred: IndexPredicate, horizon: int) -> Iterator[tuple[int, np.n
     """(n0, card(A cap [1, N]) for N in [n0, n1]) per chunk [n0, n1] of
     [1, horizon], as int64: from the vectorized counter where there is one,
     else by the member test over the whole horizon at once, so then only up
-    to a horizon of 200,000 (checked at the call, before any walk)."""
+    to a horizon of MAX_MEMBER_WALK (checked at the call, before any
+    walk)."""
     spans = chunk_spans(1, horizon)
     if pred.count_array is not None:
         return ((n0, pred.count_array(np.arange(n0, n1 + 1, dtype=np.int64)).astype(np.int64))
                 for n0, n1 in spans)
-    if horizon > 200_000:
+    if horizon > MAX_MEMBER_WALK:
         raise ValueError("set has no vectorized counter for a horizon this large")
     counts = np.cumsum(pred.member_mask(horizon), dtype=np.int64)
     return ((n0, counts[n0 - 1:n1]) for n0, n1 in spans)
@@ -214,7 +219,8 @@ def check_density(_op, D: IndexPredicate, horizon: int,
                   exhaustive_to: int = 50) -> CertificateReport:
     """Does D's prefix ratio stay strictly above threshold up to the horizon?
     The closed-form counter must also agree with the member test, and the
-    counts the envelope reads with brute counting on the exhaustive prefix.
+    counts the envelope reads with brute counting on the exhaustive prefix,
+    which holds at most MAX_MEMBER_WALK indices.
 
     With membership runs every test reads run ends, since on a run both
     card and den * card - num * N are linear in N.  Without, the counts are
@@ -222,6 +228,9 @@ def check_density(_op, D: IndexPredicate, horizon: int,
     """
     if horizon < 1 or exhaustive_to < 0:
         raise ValueError("need horizon >= 1 and exhaustive_to >= 0")
+    if exhaustive_to > MAX_MEMBER_WALK:
+        raise ValueError(f"exhaustive_to counts members one by one, so at most "
+                         f"{MAX_MEMBER_WALK}; got {exhaustive_to}")
     num, den = threshold
     exhaustive_to = min(exhaustive_to, horizon)
     agree = check_counter_agreement(D, min(10_000, horizon))

@@ -186,7 +186,9 @@ def chunk_spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
 def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
     """logsumexp_p down every column of an (r, N) array of logs, in numpy.
 
-    A single row is returned as is; an all -inf column gives -inf.
+    A single row is returned as is; an all -inf column gives -inf.  Where
+    every column has a finite max, no column is masked: the axis-0 sum adds
+    the rows in order either way, so the bytes are the masked form's.
     """
     _check_p(p)
     if rows.shape[0] == 1:
@@ -194,6 +196,8 @@ def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
     m = rows.max(axis=0)
     if p == 0:
         return m
+    if m.min() > NEG_INF:
+        return m + np.log(np.sum(np.exp(p * (rows - m)), axis=0)) / p
     out = np.full(rows.shape[1], NEG_INF)
     finite = m > NEG_INF  # -inf - (-inf) would be NaN
     s = np.log(np.sum(np.exp(p * (rows[:, finite] - m[finite])), axis=0))

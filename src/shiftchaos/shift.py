@@ -7,10 +7,10 @@ Unilateral:  B_w (x_1, x_2, ...) = (w_1 x_2, w_2 x_3, ...); anything shifted
 Iterates act on basis vectors as B^n e_i = P(i, n) e_{i-n} with the backward
 product P from the weights module.  Every dense check reads one quantity off
 that: ln |b P(i, n) a(i - n, k)|, served by basis_orbit_logs in chunks of
-numerics.CHUNK cells, each from one product slice and one row pass, so a
-dense sweep holds O(CHUNK) memory at any horizon.  Orbit seminorms of
-finitely supported vectors combine one such chunk per support point with the
-lp form (orbit_seminorm_log_chunks).
+numerics.CHUNK cells, each from one product slice (orbit_product_logs) and
+one row pass, so a dense sweep holds O(CHUNK) memory at any horizon.  Orbit
+seminorms of finitely supported vectors combine one such chunk per support
+point with the lp form (orbit_seminorm_log_chunks).
 """
 
 from __future__ import annotations
@@ -88,21 +88,17 @@ def _lockstep(gens: list[Iterator]) -> Iterator[list]:
         yield step
 
 
-def basis_orbit_logs(op: ShiftOperator, i: int, ks: Iterable[int], n_lo: int,
-                     n_hi: int, coeff: float = 0.0) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(n0, k, vals) per chunk [n0, n1] of [n_lo, n_hi] and level k in ks,
-    chunk-major (every level of a chunk before the next chunk), with
-    vals[n - n0] = ln |b P(i, n) a(i - n, k)| and ln |b| = coeff.
+def orbit_product_logs(op: ShiftOperator, i: int, n_lo: int, n_hi: int,
+                       coeff: float = 0.0) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(n0, n1, logs) per chunk [n0, n1] of [n_lo, n_hi], with
+    logs[n - n0] = ln |b P(i, n)| and ln |b| = coeff; -inf where the orbit
+    has left the domain.
 
     Each chunk is one product_log_slice, seeded with the previous chunk's
-    last entry, and one row pass; values are (coeff + ln |P|) + ln a, bit for
-    bit as from one table.  Where the orbit has left the domain both parts
-    are -inf, so those n read -inf.  A constant row yields one shared
-    read-only array for every k of a chunk.
+    last entry, so the values are bit for bit those of one table.  The
+    array is the caller's to overwrite.
     """
     check_dense_length(n_hi)
-    ks = tuple(ks)
-    own = len(ks) == 1  # one level may take the slice's memory for its values
     carry = 0.0  # ln |P(i, n0 - 1)|
     for n0, n1 in chunk_spans(1, n_lo - 1):  # the carry up to n_lo
         carry = product_log_slice(op.weights, i, n0, n1, carry)[-1]
@@ -111,6 +107,23 @@ def basis_orbit_logs(op: ShiftOperator, i: int, ks: Iterable[int], n_lo: int,
         carry = logs[-1]
         if coeff:
             logs += coeff
+        yield n0, n1, logs
+
+
+def basis_orbit_logs(op: ShiftOperator, i: int, ks: Iterable[int], n_lo: int,
+                     n_hi: int, coeff: float = 0.0) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(n0, k, vals) per chunk [n0, n1] of [n_lo, n_hi] and level k in ks,
+    chunk-major (every level of a chunk before the next chunk), with
+    vals[n - n0] = ln |b P(i, n) a(i - n, k)| and ln |b| = coeff.
+
+    Each chunk is one orbit_product_logs chunk and one row pass; values are
+    (coeff + ln |P|) + ln a, bit for bit as from one table.  Where the orbit
+    has left the domain both parts are -inf, so those n read -inf.  A
+    constant row yields one shared read-only array for every k of a chunk.
+    """
+    ks = tuple(ks)
+    own = len(ks) == 1  # one level may take the slice's memory for its values
+    for n0, n1, logs in orbit_product_logs(op, i, n_lo, n_hi, coeff):
         last = vals = None
         for k, row in op.space.log_rows(i - n1, i - n0, ks):
             if row is not last:  # entry n - n0 reads a(i - n, k)

@@ -203,6 +203,19 @@ def orbit_logs_reference(op: ShiftOperator, i: int, k: int, coeff: float,
     return vals
 
 
+def cesaro_terms_reference(op: ShiftOperator, anchor: int,
+                           N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(terms, averages) of mly_cert.cesaro_distance_series by the plain
+    level loop over one whole-horizon array: terms += 2^-k min(1, e^vals_k)
+    for every k = 1..metric_depth in order, each vals_k read afresh from
+    orbit_logs_reference."""
+    terms = np.zeros(N)
+    for k in range(1, op.space.metric_depth + 1):
+        vals = orbit_logs_reference(op, anchor, k, 0.0, 1, N)
+        terms += math.pow(2.0, -k) * np.exp(np.minimum(vals, 0.0))
+    return terms, np.cumsum(terms) / np.arange(1, N + 1)
+
+
 def dense_row_reference(space: SpaceSpec, k: int, lo: int, hi: int) -> np.ndarray:
     """ln a(j, k) for j in [lo, hi] through ``KotheMatrix.log_row_array`` on
     the on-domain indices, -inf on the off-domain ones."""

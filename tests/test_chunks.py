@@ -4,6 +4,7 @@ dense check must not grow with its horizon."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ import test_weights as twt
 from shiftchaos import catalog, dc_cert, mly_cert, numerics, reports
 from shiftchaos.density import IndexPredicate, check_density, evens, naturals
 from shiftchaos.numerics import SparseVector
-from shiftchaos.sequences import ClosedFormSequence
+from shiftchaos.sequences import ClosedFormSequence, ConstantSequence
 from shiftchaos.shift import ShiftOperator, orbit_seminorm_log_array
 from shiftchaos.spaces import (IndexSet, KotheMatrix, SpaceSpec, c0_space, lp_space,
                                rapidly_decreasing_space)
@@ -141,6 +142,48 @@ def test_carried_state_matches_whole_horizon_references(monkeypatch, name, op, a
     rep = dc_cert.refute_hypercyclicity(op, HORIZON, k_max=3)
     assert [(r["seminorm"], r["min_value"].logmag, r["min_at_n"]) for r in rep.rows] \
         == oracles.refute_hc_minima_reference(op, HORIZON, 3)
+
+
+def _doubling_on(matrix: KotheMatrix) -> ShiftOperator:
+    return ShiftOperator(SpaceSpec(1, matrix, IndexSet.Z),
+                         bilateral_weights(ConstantSequence(2.0), ConstantSequence(2.0)))
+
+
+# Under weights 2 every level of s(Z) reads ||.||_k >= 1 from k = 1 on.  These
+# two matrices agree with s(Z) at the constructor's spot checks but fall
+# below 1 with k at -13 and -150 (base 1/2), or at j = 3 mod 7, so the
+# series must run every level of the chunks holding those cells.
+LEVEL_BY_LEVEL = [
+    ("base-below-1-on-power-rows", _doubling_on(KotheMatrix("power", ClosedFormSequence(
+        lambda j: 0.5 if j in (-13, -150) else abs(j) + 1.0,
+        vectorized=lambda js: np.where(np.isin(js, (-13, -150)), 0.5,
+                                       np.abs(js.astype(float)) + 1.0))))),
+    ("custom-rows", _doubling_on(KotheMatrix("custom", log_fn=lambda j, k: (
+        (2 - k) if j % 7 == 3 else k) * math.log(abs(j) + 1.0)))),
+]
+# the last n before an orbit of the zero-weights layout meets a zero weight
+BEFORE_ZERO = {0: 100, 10: 4}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS + (SINGLE,))
+@pytest.mark.parametrize("name, op, anchors",
+                         LAYOUTS + [(name, op, [0, 5]) for name, op in LEVEL_BY_LEVEL],
+                         ids=[l[0] for l in LAYOUTS] + [l[0] for l in LEVEL_BY_LEVEL])
+def test_cesaro_series_matches_the_level_loop_bytewise(monkeypatch, chunk, name, op,
+                                                       anchors):
+    # the series skips cells and levels whose terms are already decided;
+    # every byte must still be the plain level loop's
+    monkeypatch.setattr(numerics, "CHUNK", chunk)
+    for a in anchors:
+        N = HORIZON
+        if name == "zero-weights-on-s(Z)":
+            with pytest.raises(ValueError, match="is zero"):
+                mly_cert.cesaro_distance_series(op, a, N)
+            N = BEFORE_ZERO[a]
+        series = mly_cert.cesaro_distance_series(op, a, N)
+        terms, averages = oracles.cesaro_terms_reference(op, a, N)
+        assert series.terms.tobytes() == terms.tobytes(), a
+        assert series.averages.tobytes() == averages.tobytes(), a
 
 
 SLICE_CASES = twt.WEIGHT_CASES + [twt.NEGATIVE_CASE, twt.CLOSED_CASE]

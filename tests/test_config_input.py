@@ -272,6 +272,16 @@ def test_fractions_and_tolerances_off_their_range_exit_3(entry, item, key, value
     assert code in (0, 1, 2) and err == ""
 
 
+def test_exhaustive_prefix_past_the_member_walk_bound_exits_3():
+    # the prefix is held whole: 10**9 indices would take about 55 GB
+    item = {"kind": "density", "set": "expanding-product-blocks", "horizon": 10**9,
+            "exhaustive_to": 10**9}
+    code, out, err = _run_item("ex1_s_Z_hc_not_dc", item)
+    assert code >= 3 and out == ""
+    assert err == ("error: exhaustive_to counts members one by one, so at most 200000; "
+                   "got 1000000000\n")
+
+
 def test_block_cache_cap_exits_3(monkeypatch):
     monkeypatch.setattr(sequences, "MAX_CACHED_BLOCKS", 50)
     item = {"kind": "hypercyclicity", "witness": {"n_seq": [10**4], "ell_window": [0, 0]}}

@@ -368,16 +368,17 @@ class TestF3:
     def test_ex4_probes_walk_no_orbit(self, monkeypatch):
         # the ex4 probes lie right of the origin, where every weight is 1:
         # acb and f3 read each probe's count form and never walk an orbit
-        # cell by cell; a level in explicit mode "dense" still does
-        from shiftchaos import dc_cert, mly_cert, shift
-        real, walked = shift.basis_orbit_logs, []
+        # cell by cell; a level in explicit mode "dense" still does.  Every
+        # dense orbit walk runs through orbit_product_logs
+        from shiftchaos import mly_cert, shift
+        real, walked = shift.orbit_product_logs, []
 
         def counted(op, i, *args, **kwargs):
             walked.append(i)
             return real(op, i, *args, **kwargs)
 
-        for module in (shift, dc_cert, mly_cert):
-            monkeypatch.setattr(module, "basis_orbit_logs", counted)
+        for module in (shift, mly_cert):
+            monkeypatch.setattr(module, "orbit_product_logs", counted)
         op = catalog.build_example("ex4_lp_mly_not_hc")
         for cfg in catalog.get("ex4_lp_mly_not_hc").config["checks"]:
             if cfg["kind"] in ("acb", "f3"):

@@ -164,6 +164,21 @@ log_terms = st.one_of(st.floats(min_value=-30, max_value=30), st.just(NEG_INF))
 forms = st.sampled_from([0, 1, 2, 3])
 
 
+def masked_lp_rows(rows: np.ndarray, p: float) -> np.ndarray:
+    """logsumexp_p_rows' formula with the columns whose max is -inf masked
+    out, whether or not there is one."""
+    if rows.shape[0] == 1:
+        return rows[0]
+    m = rows.max(axis=0)
+    if p == 0:
+        return m
+    out = np.full(rows.shape[1], NEG_INF)
+    finite = m > NEG_INF
+    s = np.log(np.sum(np.exp(p * (rows[:, finite] - m[finite])), axis=0))
+    out[finite] = m[finite] + s / p
+    return out
+
+
 class TestLpForm:
     @given(st.lists(log_terms, max_size=12), forms)
     def test_scalar_matches_fsum(self, logs, p):
@@ -182,6 +197,16 @@ class TestLpForm:
             want = lp_form_reference(rows[:, col], p)
             assert (got[col] == want
                     or abs(got[col] - want) <= 1e-12 * max(1.0, abs(want)))
+
+    @given(st.integers(1, 4), st.integers(1, 50), st.data(),
+           st.sampled_from([0, 1, 1.5, 2]), st.booleans())
+    def test_rows_match_the_masked_form_bytewise(self, r, n, data, p, dead_column):
+        # without a -inf column no mask is applied; the bytes must not move
+        terms = log_terms if dead_column else st.floats(min_value=-30, max_value=30)
+        rows = np.array([[data.draw(terms) for _ in range(n)] for _ in range(r)])
+        if dead_column:
+            rows[:, data.draw(st.integers(0, n - 1))] = NEG_INF
+        assert logsumexp_p_rows(rows, p).tobytes() == masked_lp_rows(rows, p).tobytes()
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_one_term_comes_back_unchanged(self, p):
