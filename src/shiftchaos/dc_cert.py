@@ -24,8 +24,10 @@ loop and verdict ladder (level_report), which rejects witness indices off
 the domain; the counting level itself (_dc_level) compares seminorms, so
 check_dc_condition_B and check_kothe_dc run the same comparison.  Condition
 (A) comes in as a report; its own check walks the candidate set through
-density.  Verdicts come from the closed vocabulary in `reports` and are
-always horizon-stamped.
+density.  The two refutations (of condition (A) and of hypercyclicity) read
+run ends and take the dense route's arithmetic only for the cells whose
+comparison rounding could decide.  Verdicts come from the closed vocabulary
+in `reports` and are always horizon-stamped.
 """
 
 from __future__ import annotations
@@ -33,16 +35,17 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .density import IndexPredicate, density_envelope, member_chunks, naturals
+from .density import (IndexPredicate, density_envelope, envelope_of_runs, interval_runs,
+                      last_ratio_at_most, member_chunks, naturals)
 from .numerics import NEG_INF, LogScalar, SparseVector, chunk_spans, logsumexp_p_rows
-from .piecewise import count_above
+from .piecewise import concave_superlevel, count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
 from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_chunks
-from .spaces import IndexSet, seminorm
+from .spaces import AbsPlusOne, IndexSet, seminorm
 from .weights import (MAX_DENSE, Piece, overlay_row_runs, product_log_slice,
                       product_pieces, products, shift_pieces)
 
@@ -297,6 +300,12 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     prefix ratio of bad(i) exceeds delta at every N from some N0 <= settle_by
     up to the horizon, any candidate D with prefix ratio -> 1 must meet bad(i)
     with positive frequency, so the decay fails along every such D.
+
+    bad(i) comes chunk by chunk as intervals read off the runs of the
+    weights and the row (_bad_chunks), each cell on the side the dense
+    route's float puts it, and density reads the prefix ratios off their
+    ends: settles_at is one past the last N with ratio <= delta, min_ratio
+    the least ratio from there (the first N of a tie), bad_count exact.
     """
     anchors = list(anchors)
     if horizon < 1 or not anchors:
@@ -306,22 +315,18 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     rows = []
     all_ok = True
     for i in anchors:
-        # prefix counts carry over; the min runs over the N past the last low
-        bad, last_low, least = 0, 0, None
-        for first, _, vals in basis_orbit_logs(op, i, (1,), 1, horizon):
-            counts = bad + np.cumsum(vals >= log_bound)
-            bad = int(counts[-1])
-            ratios = counts / np.arange(first, first + counts.size)
-            low = np.flatnonzero(ratios <= delta)
-            start = first
-            if low.size:
-                last_low, least = first + int(low[-1]), None
-                start = last_low + 1
-                ratios = ratios[int(low[-1]) + 1:]
-            if ratios.size:
-                at = int(np.argmin(ratios))
-                if least is None or ratios[at] < least[0]:
-                    least = (float(ratios[at]), start + at)
+        # the last low N, the least ratio past it and its N, bad cells so far
+        last_low, least, bad = 0, None, 0
+        for n0, n1, starts, ends in _bad_chunks(op, i, horizon, log_bound):
+            low = last_ratio_at_most(interval_runs(starts, ends, n0, n1, n0, bad), delta)
+            if low:
+                last_low, least = low, None
+            if low < n1:
+                env = envelope_of_runs(interval_runs(starts, ends, max(low + 1, n0), n1,
+                                                     n0, bad))
+                if least is None or env.lower < least[0]:
+                    least = (env.lower, env.lower_at)
+            bad += int(np.sum(ends - starts + 1))
         n0 = last_low + 1  # just past the last low N
         ok = n0 <= min(settle_by, horizon)
         min_ratio, min_at = least if ok else (0.0, n0)
@@ -332,6 +337,199 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     params = {"horizon": horizon, "bound": bound, "delta": delta,
               "settle_by": settle_by}
     return CertificateReport("dc-condition-A-refutation", verdict, params, rows)
+
+
+Intervals = tuple[np.ndarray, np.ndarray]  # starts, ends: sorted, disjoint
+_NO_CELLS = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+_U = 2.0 ** -53  # the unit roundoff of float64
+
+
+def _bad_chunks(op: ShiftOperator, i: int, horizon: int, level: float
+                ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(n0, n1, starts, ends) per chunk [n0, n1] of [1, horizon]: the n in it
+    with ln |P(i, n) a(i - n, 1)| >= level, as intervals, each cell on the
+    side the dense route's float puts it.
+
+    On each piece of _OrbitPieces f(n) is concave, so its cells at least
+    level + margin form one interval, sure to be in the set, and those at
+    least level - margin a wider one; every other cell is sure to be out.
+    The cells between, within margin of the level, are undecided: rounding
+    could put their dense floats on either side, so _DenseCells evaluates
+    them with the dense route's own arithmetic.  Without run structure
+    every cell is undecided, and that is the dense scan itself.
+    """
+    # past alive the orbit has left N: no cell there reaches a level
+    alive = horizon if op.space.index_set is IndexSet.Z else min(horizon, i - 1)
+    dense, carry = _DenseCells(op, i), (0.0, 0.0, 0.0)
+    for n0, n1 in chunk_spans(1, horizon):
+        if n0 > alive:
+            yield n0, n1, *_NO_CELLS
+            continue
+        hi = min(n1, alive)
+        pieces = None if carry is None else _OrbitPieces.of(op, i, n0, hi, carry)
+        if pieces is None:  # no runs: from here on every cell is undecided
+            carry, sure, undecided = None, _NO_CELLS, (np.array([n0]), np.array([hi]))
+        else:
+            carry = pieces.carry
+            sure, undecided = pieces.split_at(level)
+        hit = dense(*undecided, level)
+        starts, ends = np.concatenate((sure[0], hit[0])), np.concatenate((sure[1], hit[1]))
+        order = np.argsort(starts, kind="stable")
+        yield n0, n1, starts[order], ends[order]
+
+
+@dataclass(frozen=True)
+class _OrbitPieces:
+    """f(n) = ln |P(i, n)| + ln a(i - n, 1) over pieces [n0, n1] of a chunk
+    on which the weight w_{i-n} and the row are constant, or the row's base
+    is |j| + 1 (s(J)) and j = i - n keeps its sign: there
+
+        f(n) = (A + slope * (n - B)) + (r + power * ln(|i - n| + 1)),
+
+    with ln |P(i, n)| affine and either a constant row r (power 0) or
+    ln(|j| + 1) (power 1), so f is concave.  Rows and slopes are the dense
+    route's floats (np.log once per run), so `at` is off the dense float of
+    a cell only by the dense cumsum's rounding and a few more roundings:
+    margin bounds that, per piece.  Pieces where the row is 0 (r = -inf)
+    are left out: no cell there reaches any level.
+    """
+
+    i: int
+    n0: np.ndarray
+    n1: np.ndarray
+    A: np.ndarray  # ln |P(i, B)|
+    B: np.ndarray
+    slope: np.ndarray
+    r: np.ndarray
+    power: np.ndarray
+    margin: np.ndarray
+    carry: tuple[float, float, float]  # ln |P(i, n1)| and the margin's sums, at the chunk's end
+
+    @staticmethod
+    def of(op: ShiftOperator, i: int, n0: int, n1: int,
+           carry: tuple[float, float, float]) -> "_OrbitPieces | None":
+        """The pieces of the chunk [n0, n1] (i - n on the domain throughout)
+        from one runs pass over the weights and one over the row's base,
+        given the carry of the chunk before; None where either has no runs
+        (and the base is not |j| + 1), or the row rule is custom."""
+        lo, hi = i - n1, i - n0
+        matrix = op.space.matrix
+        wl, wc = op.weights.run_logs(lo, hi)
+        if wc is None or matrix.rule == "custom":
+            return None
+        affine = isinstance(matrix.base, AbsPlusOne)
+        if affine:  # split where j = i - n changes sign
+            r0, rl = np.array([n0] + ([i + 1] if n0 < i + 1 <= n1 else [])), np.zeros(2)
+        else:
+            _, rl, rc = next(matrix.run_log_rows(lo, hi, (1,)))
+            if rc is None:
+                return None
+            rl, rc = rl[::-1], rc[::-1]  # in ascending n
+            r0 = n0 + np.cumsum(rc) - rc
+        # weight runs in ascending n, and ln |P(i, n)| at their ends
+        wl, wc = wl[::-1], wc[::-1]
+        w0 = n0 + np.cumsum(wc) - wc
+        steps = wc * wl
+        steps[0] += carry[0]
+        T = np.cumsum(steps)
+        before = np.concatenate(([carry[0]], T[:-1]))
+        p0 = _union(w0, r0)
+        p1 = np.append(p0[1:] - 1, n1)
+        wt = np.searchsorted(w0, p0, "right") - 1
+        A, B, slope = before[wt], w0[wt] - 1, wl[wt]
+        r = np.zeros(p0.size) if affine else rl[np.searchsorted(r0, p0, "right") - 1]
+        power = np.full(p0.size, 1.0 if affine else 0.0)
+        # The dense cumsum rounds each partial sum once, so it is off the
+        # exact sum of the same logs by at most u * sum_{m <= n} |ln P(i, m)|
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+        # section 4.2); |ln P| is affine on a run, so its sum there lies
+        # under the chord.  T rounds one product and one sum per run, and
+        # `at` and the dense route's last addition round a few more terms,
+        # each no larger than `local`.  Doubled for slack.
+        chord = carry[1] + np.cumsum(wc * (np.abs(before + wl) + np.abs(T)) / 2)
+        chain = carry[2] + np.cumsum(np.abs(wc * wl) + np.abs(T))
+        ends_p = np.abs(np.stack((A + slope * (p0 - B), A + slope * (p1 - B))))
+        ends_r = np.abs(r) + power * np.log(np.abs(i - np.stack((p0, p1))) + 1.0)
+        local = np.abs(A) + np.abs(slope) * (p1 - B) + ends_p.max(0) + ends_r.max(0)
+        margin = 2 * _U * (1.01 * chord[wt] + chain[wt] + 4 * local)
+        keep = r > NEG_INF
+        return _OrbitPieces(i, p0[keep], p1[keep], A[keep], B[keep], slope[keep],
+                            r[keep], power[keep], margin[keep],
+                            (float(T[-1]), float(chord[-1]), float(chain[-1])))
+
+    def at(self, ns: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """f at cells ns of pieces t; the row is np.log(|j| + 1.0) as the
+        dense route takes it, and x + 0.0 == x."""
+        row = self.r[t] + self.power[t] * np.log(np.abs(self.i - ns) + 1.0)
+        return (self.A[t] + self.slope[t] * (ns - self.B[t])) + row
+
+    def peaks(self) -> np.ndarray:
+        """The n of each piece up to which f rises and after which it falls.
+
+        f'(x) = slope - power / (i - x + 1) where j >= 0 (n <= i) and
+        slope + power / (x - i + 1) past it, so f peaks inside a piece only
+        at x = i + 1 - power / slope (slope > 0) or x = i - 1 - power / slope
+        (slope < 0).  Its nearest integer is the floor or the ceiling of x,
+        and either serves: f rises up to the cell before it and falls from
+        the cell after it.
+        """
+        left = self.n1 <= self.i
+        inner = (self.power > 0) & np.where(left, self.slope > 0, self.slope < 0)
+        rises = np.where(self.power > 0, ~left & (self.slope >= 0), self.slope > 0)
+        x = (np.where(left, self.i + 1.0, self.i - 1.0)
+             - self.power / np.where(inner, self.slope, 1.0))
+        peak = np.where(inner, np.clip(np.rint(x), self.n0, self.n1),
+                        np.where(rises, self.n1, self.n0))
+        return peak.astype(np.int64)
+
+    def split_at(self, level: float) -> tuple[Intervals, Intervals]:
+        """(sure, undecided): the cells whose dense float is >= level
+        beyond doubt, and those within margin of the level, as intervals."""
+        first, last = concave_superlevel(self.at, self.n0, self.n1, self.peaks(),
+                                         level + np.stack((self.margin, -self.margin)))
+        fs, ls = first[0], last[0]
+        fu, lu = np.minimum(first[1], fs), np.maximum(last[1], ls)
+        band = np.stack((fu, fs - 1, ls + 1, lu), axis=1).reshape(-1, 2)
+        band = band[band[:, 0] <= band[:, 1]]
+        return (fs[fs <= ls], ls[fs <= ls]), (band[:, 0], band[:, 1])
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a and b: np.union1d, without the
+    numpy.ma import its first call costs a process (about 15 ms)."""
+    s = np.sort(np.concatenate((a, b)))
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
+class _DenseCells:
+    """The dense route's own floats at chosen cells of one orbit, walked
+    forward: ln |P(i, n)| from product_log_slice, carried from the last
+    cell read (only the carry is kept past it), and the row through
+    log_rows over the span of the cells asked for, added as
+    basis_orbit_logs adds them."""
+
+    def __init__(self, op: ShiftOperator, i: int):
+        self.op, self.i = op, i
+        self.at, self.carry = 0, 0.0  # ln |P(i, at)|
+
+    def __call__(self, starts: np.ndarray, ends: np.ndarray, level: float) -> Intervals:
+        """The n of the intervals [starts, ends] (past any cell read before,
+        within one chunk) whose value is >= level, as intervals."""
+        if not starts.size:
+            return _NO_CELLS
+        op, i = self.op, self.i
+        a, b = int(starts[0]), int(ends[-1])
+        for m0, m1 in chunk_spans(self.at + 1, a - 1):
+            self.carry = product_log_slice(op.weights, i, m0, m1, self.carry)[-1]
+        logs = product_log_slice(op.weights, i, a, b, self.carry)
+        self.at, self.carry = b, logs[-1]
+        _, row = next(op.space.log_rows(i - b, i - a, (1,)))
+        inside = np.zeros(b - a + 2, np.int64)
+        np.add.at(inside, starts - a, 1)
+        np.add.at(inside, ends - a + 1, -1)
+        hit = (np.cumsum(inside[:-1]) > 0) & (np.add(logs, row[::-1], out=logs) >= level)
+        edges = np.flatnonzero(np.diff(hit, prepend=False, append=False)).reshape(-1, 2)
+        return edges[:, 0] + a, edges[:, 1] + a - 1
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +906,15 @@ def refute_hypercyclicity(op: ShiftOperator, horizon: int, k_max: int = 4,
     If ||e_{a+n}||_k / |w_a ... w_{a+n-1}| >= floor for all n <= horizon and
     k <= k_max (a the leftmost domain anchor), no sequence can drag the
     forward family to zero within this range.
+
+    The minima of row - cum, with cum = ln |w_a ... w_{a+n-1}| as the dense
+    route's cumsum takes it, are read at span ends.  On a span of n where
+    the row a(a + n, k) and the weight w_{a+n-1} are constant, cum moves
+    one way and rounding is monotone, so row - cum is monotone: its least
+    float sits at an end, the first n of a tie bisected for on a falling
+    span.  cum is 0.0 exactly where every |w| is 1; otherwise one cumsum of
+    the weights' logs supplies it, chunk by chunk, with no row pass.  A
+    row without runs (s(J), custom) makes every n a span of its own.
     """
     if horizon < 1:
         raise ValueError("need a positive horizon")
@@ -716,23 +923,45 @@ def refute_hypercyclicity(op: ShiftOperator, horizon: int, k_max: int = 4,
     _resolve_mode("dense", 1, horizon)
     anchor = 1 if op.space.index_set is IndexSet.N else 0
     ks = range(1, k_max + 1)
+    values = op.weights.value_counts(anchor, anchor + horizon - 1)
+    flat = values is not None and all(abs(v) == 1.0 for v in values)
     least: dict[int, tuple[float, int]] = {}  # k -> (min, first n at it)
     carry = 0.0  # ln |w_a ... w_{a+n0-2}|
     for n0, n1 in chunk_spans(1, horizon):
-        try:
-            cum = op.weights.dense_logs(anchor + n0 - 1, anchor + n1 - 1)
-        except ValueError:  # name the zero nearest the range's end, as one read would
-            for a, b in reversed(list(chunk_spans(n1 + 1, horizon))):
-                op.weights.dense_logs(anchor + a - 1, anchor + b - 1)
-            raise
-        cum[0] += carry
-        np.cumsum(cum, out=cum)
-        carry = cum[-1]
-        for k, row in op.space.log_rows(anchor + n0, anchor + n1, ks):
-            vals = row - cum
-            at = int(np.argmin(vals))
-            if k not in least or vals[at] < least[k][0]:
-                least[k] = (float(vals[at]), n0 + at)
+        cum, cuts = None, np.zeros(1, np.int64)  # cuts: where a weight span starts
+        if not flat:
+            try:
+                cum = op.weights.dense_logs(anchor + n0 - 1, anchor + n1 - 1)
+            except ValueError:  # name the zero nearest the range's end, as one read would
+                for a, b in reversed(list(chunk_spans(n1 + 1, horizon))):
+                    op.weights.dense_logs(anchor + a - 1, anchor + b - 1)
+                raise
+            cuts = np.concatenate(([0], np.flatnonzero(np.diff(cum)) + 1))
+            cum[0] += carry
+            np.cumsum(cum, out=cum)
+            carry = cum[-1]
+        for k, logs, runs in op.space.matrix.run_log_rows(anchor + n0, anchor + n1, ks):
+            if runs is None:  # every n a span of its own
+                a, row = np.arange(logs.size), logs
+            else:  # span starts, as offsets from n0
+                row0 = np.cumsum(runs) - runs
+                a = _union(row0, cuts)
+                row = logs[np.searchsorted(row0, a, "right") - 1]
+            b = np.append(a[1:] - 1, n1 - n0)
+            vals, at = row, a
+            if cum is not None:
+                vals, last = row - cum[a], row - cum[b]
+                falls = np.flatnonzero(last < vals)
+                vals[falls], at = last[falls], a.copy()
+                lo, hi = a[falls], b[falls]  # row - cum[lo] > last >= row - cum[hi]
+                while np.any(hi - lo > 1):
+                    mid = (lo + hi) // 2
+                    tie = row[falls] - cum[mid] == last[falls]
+                    lo, hi = np.where(tie, lo, mid), np.where(tie, mid, hi)
+                at[falls] = hi
+            t = int(np.argmin(vals))
+            if k not in least or vals[t] < least[k][0]:
+                least[k] = (float(vals[t]), n0 + int(at[t]))
     log_floor = math.log(floor)
     rows = []
     overall = math.inf

@@ -7,7 +7,8 @@ ratios, so every verdict built on one carries an "at horizon N" qualifier.
 This module decides how an index set is walked.  A set with membership runs
 is walked by them alone: its envelope, strict bound and prefix counts are read
 off run ends in O(runs) at any horizon (on a run card(A cap [1, N]) is linear
-in N), and its per-N membership is spread from the runs.  Any other set is
+in N), and its per-N membership is spread from the runs.  A set given as
+sorted intervals (interval_runs) is read the same way.  Any other set is
 walked through its prefix counts, chunk by chunk (count_chunks).
 """
 
@@ -89,6 +90,10 @@ def check_counter_agreement(pred: IndexPredicate, n_max: int = 10_000) -> bool:
     return True
 
 
+# (a, b, card(A cap [1, a]), member) per run [a, b], as columns
+RunColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class DensityEnvelope:
     """Prefix-ratio extremes over [1, horizon]; a horizon statement only."""
@@ -162,21 +167,64 @@ def envelope_of_counts(chunks: Iterable[np.ndarray], start: int = 1) -> DensityE
     return DensityEnvelope(n0 - 1, last, *lower, *upper)
 
 
-def counted_runs(pred: IndexPredicate, lo: int, hi: int
-                 ) -> Iterator[tuple[int, int, int, bool]]:
-    """(a, b, card(A cap [1, a]), member) per run [a, b] of pred.runs,
-    clipped to [lo, hi] (lo >= 1).  On the run card(A cap [1, N]) is
-    card(A cap [1, a]) + member * (N - a)."""
-    before = 0  # card(A cap [1, run.start - 1])
-    for r in pred.runs(1, hi):
-        member = r.value > 0
-        if r.stop >= lo:
-            a = max(r.start, lo)
-            yield a, r.stop, before + member * (a - r.start + 1), member
-        before += member * r.count
+def counted_runs(pred: IndexPredicate, lo: int, hi: int) -> RunColumns:
+    """interval_runs of the member runs of pred.runs over [1, hi], clipped
+    to [lo, hi]."""
+    members = [r for r in pred.runs(1, hi) if r.value > 0]
+    return interval_runs([r.start for r in members], [r.stop for r in members], lo, hi)
 
 
-def envelope_of_runs(runs: Iterable[tuple[int, int, int, bool]]) -> DensityEnvelope:
+def interval_runs(starts, ends, lo: int, hi: int, first: int = 1,
+                  before: int = 0) -> RunColumns:
+    """Columns (a, b, card(A cap [1, a]), member) of the runs [a, b] of A
+    and of the gaps between them, clipped to [lo, hi] (first <= lo <= hi),
+    where the sorted disjoint intervals [starts[t], ends[t]] make up
+    A cap [first, hi] and card(A cap [1, first - 1]) = before.
+
+    On a run card(A cap [1, N]) is card(A cap [1, a]) + member * (N - a).
+    Columns are int64, or Python ints (dtype object) once hi reaches 2**53,
+    so every ratio card / N below is a correctly rounded quotient.
+    """
+    dtype = np.int64 if hi < 2**53 else object
+    s, e = np.array(starts, dtype=dtype), np.array(ends, dtype=dtype)
+    a = np.concatenate((np.array([first], dtype=dtype), np.stack((s, e + 1), axis=1).ravel()))
+    member = np.arange(a.size) % 2 == 1  # a gap at first, then member, gap, ...
+    keep = a <= hi
+    a, member = a[keep], member[keep]
+    b = np.append(a[1:] - 1, hi)
+    a, b, member = a[b >= a], b[b >= a], member[b >= a]  # drop empty gaps
+    size = np.where(member, b - a + 1, 0)
+    before = before + np.cumsum(size) - size
+    t = int(np.searchsorted(b, lo))  # the run holding lo
+    a, b, member, before = a[t:], b[t:], member[t:], before[t:]
+    before[0] += member[0] * (lo - a[0])
+    a[0] = lo
+    return a, b, before + member, member
+
+
+def last_ratio_at_most(runs: RunColumns, delta: float) -> int:
+    """The last N of the runs with card(A cap [1, N]) / N <= delta, 0 where
+    there is none.  The ratio rises on a member run and falls off one, so
+    each run holds such N as a prefix or a suffix, read at its ends."""
+    a, b, at_a, member = runs
+    at_b = at_a + member * (b - a)
+    low = np.flatnonzero(np.where(member, at_a / a <= delta, at_b / b <= delta))
+    if not low.size:
+        return 0
+    t = int(low[-1])
+    if not member[t] or at_b[t] / b[t] <= delta:
+        return int(b[t])
+    lo, hi = int(a[t]), int(b[t])  # ratio(lo) <= delta < ratio(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (at_a[t] + mid - a[t]) / mid <= delta:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def envelope_of_runs(runs: RunColumns) -> DensityEnvelope:
     """envelope_of_counts over the runs of counted_runs, in O(runs).
 
     On a run the ratio N -> card/N is monotone, weakly rising on a member
@@ -187,18 +235,20 @@ def envelope_of_runs(runs: Iterable[tuple[int, int, int, bool]]) -> DensityEnvel
     when strictly beyond it: the first N of a tie wins, as in
     envelope_of_counts.
     """
-    lower = upper = None
-    for a, b, at_a, member in runs:
-        def ratio(n: int) -> float:
-            return (at_a + member * (n - a)) / n
+    a, b, at_a, member = runs
+    first = (at_a / a).astype(float)
+    last = ((at_a + member * (b - a)) / b).astype(float)
+    least, most = np.where(member, first, last), np.where(member, last, first)
+    lo, hi = int(np.argmin(least)), int(np.argmax(most))
 
-        first, last = at_a / a, ratio(b)
-        least, most = (first, last) if member else (last, first)
-        if lower is None or least < lower[0]:
-            lower = (least, a if member else _first_reaching(ratio, a, b))
-        if upper is None or most > upper[0]:
-            upper = (most, _first_reaching(ratio, a, b) if member else a)
-    return DensityEnvelope(b, last, *lower, *upper)  # the last run ends at the horizon
+    def at(t: int, right_end: bool) -> int:
+        if not right_end:
+            return int(a[t])
+        n0, c0, m = int(a[t]), int(at_a[t]), int(member[t])
+        return _first_reaching(lambda n: (c0 + m * (n - n0)) / n, n0, int(b[t]))
+
+    return DensityEnvelope(int(b[-1]), float(last[-1]), float(least[lo]),
+                           at(lo, not member[lo]), float(most[hi]), at(hi, bool(member[hi])))
 
 
 def _first_reaching(ratio: Callable[[int], float], a: int, b: int) -> int:
@@ -237,12 +287,12 @@ def check_density(_op, D: IndexPredicate, horizon: int,
     chunks = None if D.runs is not None else count_chunks(D, horizon)
     brute = np.cumsum(D.member_mask(exhaustive_to)).astype(np.int64)
     if chunks is None:
-        runs = list(counted_runs(D, 1, horizon))
-        prefix = [at_a + member * (n - a) for a, b, at_a, member in runs
-                  for n in range(a, min(b, exhaustive_to) + 1)]
-        exhaustive_ok = bool(np.array_equal(brute, prefix))
-        strict_ok = all(den * (at_a + member * (n - a)) > num * n
-                        for a, b, at_a, member in runs for n in (a, b))
+        runs = a, b, at_a, member = counted_runs(D, 1, horizon)
+        ns = np.arange(1, exhaustive_to + 1)
+        t = np.searchsorted(b, ns)  # the run holding each n
+        exhaustive_ok = bool(np.array_equal(brute, at_a[t] + member[t] * (ns - a[t])))
+        at_b = at_a + member * (b - a)
+        strict_ok = bool(np.all(den * at_a > num * a) and np.all(den * at_b > num * b))
         env = envelope_of_runs(runs)
     else:
         exhaustive_ok = strict_ok = True

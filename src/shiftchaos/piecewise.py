@@ -12,11 +12,18 @@ often each value occurs matters: the count form {ln q: count} answers the
 same count (a sum of the counts above the threshold) and sum
 (log_sum_values) with no pieces at all.  Pieces serve the spans that are
 not flat.
+
+Where ln q is concave on each piece rather than affine (concave_superlevel),
+the cells at or above a level form one interval around the piece's peak,
+bisected for on both sides, every piece at once in numpy.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
+
+import numpy as np
 
 from .numerics import NEG_INF, logsumexp_p
 from .weights import Piece, _run_span
@@ -103,3 +110,37 @@ def log_sum_values(counts: dict[float, int]) -> float:
     ints (math.log takes them at any size), so horizons past 2**1024 are
     fine."""
     return logsumexp_p([lv + math.log(c) for lv, c in counts.items()], 1)
+
+
+def concave_superlevel(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       n0: np.ndarray, n1: np.ndarray, peak: np.ndarray,
+                       levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per level row l and piece t: the first and last n in [n0[t], n1[t]]
+    with g(n, t) >= levels[l, t], or (peak + 1, peak) where there is none.
+
+    g(ns, ts) evaluates pieces ts at cells ns, and g(., t) must rise up to
+    peak[t] and fall after it (a concave function does), so the cells at
+    least a level form one interval holding the peak.  Its two ends are
+    bisected for on either side of the peak, every piece and level at once.
+    """
+    rows, p = levels.shape
+    t = np.tile(np.arange(p), 2 * rows)
+    level = np.tile(levels.ravel(), 2)
+    pk = peak[t]
+    hit = g(pk, t) >= level
+    rising = np.arange(t.size) < t.size // 2
+    # left of the peak hi ends as the first n at the level, right of it as
+    # the first n past it
+    lo = np.where(rising, n0[t] - 1, pk)
+    hi = np.where(rising, pk, n1[t] + 1)
+    live = np.flatnonzero(hit & (hi - lo > 1))
+    while live.size:
+        mid = (lo[live] + hi[live]) // 2
+        past = (g(mid, t[live]) >= level[live]) == rising[live]
+        hi[live] = np.where(past, mid, hi[live])
+        lo[live] = np.where(past, lo[live], mid)
+        live = live[hi[live] - lo[live] > 1]
+    half = t.size // 2
+    first = np.where(hit, hi, pk + 1)[:half]
+    last = np.where(hit, hi - 1, pk)[half:]
+    return first.reshape(rows, p), last.reshape(rows, p)

@@ -234,7 +234,9 @@ class BlockSideSequence(SequenceBase):
         if hi < lo:
             return []
         off_lo, off_hi = self._offset_span(lo, hi)
-        out: list[Run] = []
+        # [first offset, last offset, value] per run, equal neighbours joined
+        # as they come (offsets are contiguous), as _merge_adjacent joins them
+        spans: list[list] = []
         b = bisect.bisect_right(self._bounds, off_lo) - 1
         cursor = self._bounds[b]
         while cursor <= off_hi:
@@ -243,19 +245,18 @@ class BlockSideSequence(SequenceBase):
                 cursor += count
                 if r_hi < off_lo or r_lo > off_hi:
                     continue
-                a, z = max(r_lo, off_lo), min(r_hi, off_hi)
-                if self.direction == 1:
-                    out.append(Run(self.origin + a, self.origin + z, value))
-                else:
-                    out.append(Run(self.origin - z, self.origin - a, value))
-                if len(out) > MAX_RUNS_PER_QUERY:
+                if spans and spans[-1][2] == value:
+                    spans[-1][1] = min(r_hi, off_hi)
+                    continue
+                spans.append([max(r_lo, off_lo), min(r_hi, off_hi), value])
+                if len(spans) > MAX_RUNS_PER_QUERY:
                     raise RuntimeError("run query exploded; range too wide for this layout")
             b += 1
             if b >= len(self._block_runs):
                 self._extend_to_offset(cursor)
-        if self.direction == -1:
-            out.reverse()
-        return _merge_adjacent(out)
+        if self.direction == 1:
+            return [Run(self.origin + a, self.origin + z, v) for a, z, v in spans]
+        return [Run(self.origin - z, self.origin - a, v) for a, z, v in reversed(spans)]
 
     def values_array(self, js: np.ndarray) -> np.ndarray:
         js = np.asarray(js)

@@ -18,8 +18,10 @@ sampling at construction.
 Dense checks read rows through SpaceSpec.log_rows(lo, hi, ks): one pass over
 the base per range (one runs_over, or one values_array without runs), ln once
 per run, every level k served from it.  Constant rows are one shared
-read-only array; power rows are k * ln base.  log_row_array serves sparse
-supports.
+read-only array; power rows are k * ln base.  The base of s(J), |j| + 1, is
+read as one float arange per sign side of j = 0 and one np.log.
+KotheMatrix.run_log_rows serves the same floats once per base run, before
+the repeat.  log_row_array serves sparse supports.
 """
 
 from __future__ import annotations
@@ -59,6 +61,21 @@ def _log_base(vals: np.ndarray) -> np.ndarray:
         raise ValueError("matrix base is negative somewhere in the probe range")
     with np.errstate(divide="ignore"):
         return np.log(vals)
+
+
+class AbsPlusOne(ClosedFormSequence):
+    """|j| + 1, the base of s(J): affine in j on each sign side of j = 0."""
+
+    def __init__(self):
+        super().__init__(lambda j: abs(j) + 1.0,
+                         vectorized=lambda js: np.abs(js.astype(float)) + 1.0)
+
+    def values_range(self, lo: int, hi: int) -> np.ndarray:
+        """|j| + 1 for j in [lo, hi]: one float arange per sign side, equal
+        bit for bit to values_array(np.arange(lo, hi + 1))."""
+        left = np.arange(1.0 - lo, max(-hi, 1), -1.0)  # j in [lo, min(hi, -1)]
+        right = np.arange(max(lo, 0) + 1.0, hi + 2.0)  # j in [max(lo, 0), hi]
+        return np.concatenate((left, right))
 
 
 class KotheMatrix:
@@ -111,24 +128,38 @@ class KotheMatrix:
             return np.array([self.log_entry(int(j), k) for j in js], dtype=float)
         return self._row(k, _log_base(self.base.values_array(np.asarray(js))))
 
-    def log_rows(self, lo: int, hi: int,
-                 ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
-        """(k, ln a(j, k) for j in [lo, hi]) per k in ks, from one base pass:
-        one runs_over (one values_array without runs), ln once per run
-        value repeated over its count.  Constant rows are one shared
-        read-only array for every k; power rows are k * logs."""
+    def run_log_rows(self, lo: int, hi: int, ks: Iterable[int]
+                     ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+        """(k, logs, counts) per k in ks: ln a(j, k) over [lo, hi] once per
+        base run with the run counts, from one runs_over, or once per index
+        (counts None) from one values_array without runs.  These are the
+        floats log_rows repeats; a constant row is one shared read-only
+        array for every k, a power row k * logs."""
         if self.rule == "custom":
             for k in ks:
                 yield k, np.array([self.log_entry(j, k) for j in range(lo, hi + 1)],
-                                  dtype=float)
+                                  dtype=float), None
             return
-        vals, counts = run_arrays(self.base, lo, hi)
-        logs = _log_base(vals)
-        if counts is not None:
-            logs = np.repeat(logs, counts)
+        if isinstance(self.base, AbsPlusOne):  # no value below 1 to check
+            logs, counts = np.log(self.base.values_range(lo, hi)), None
+        else:
+            vals, counts = run_arrays(self.base, lo, hi)
+            logs = _log_base(vals)
         logs.flags.writeable = False
         for k in ks:
-            yield k, self._row(k, logs)
+            yield k, self._row(k, logs), counts
+
+    def log_rows(self, lo: int, hi: int,
+                 ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+        """(k, ln a(j, k) for j in [lo, hi]) per k in ks: run_log_rows with
+        each run value repeated over its count.  Constant rows are one
+        shared read-only array for every k."""
+        last = row = None
+        for k, logs, counts in self.run_log_rows(lo, hi, ks):
+            if logs is not last:
+                last, row = logs, logs if counts is None else np.repeat(logs, counts)
+                row.flags.writeable = False
+            yield k, row
 
     def log_row_runs(self, k: int, lo: int, hi: int) -> list[Run] | None:
         """Row k as maximal runs of ln a(j, k); None without run structure."""
@@ -234,9 +265,7 @@ def c0_space(index_set: IndexSet, nu: SequenceBase | None = None,
 def rapidly_decreasing_space(index_set: IndexSet, p: float = 1,
                              metric_depth: int = DEFAULT_METRIC_DEPTH) -> SpaceSpec:
     """s(J): a(j, k) = (|j| + 1)^k."""
-    base = ClosedFormSequence(lambda j: abs(j) + 1.0,
-                              vectorized=lambda js: np.abs(js.astype(float)) + 1.0)
-    return SpaceSpec(p, KotheMatrix("power", base, description="(|j|+1)^k rows"),
+    return SpaceSpec(p, KotheMatrix("power", AbsPlusOne(), description="(|j|+1)^k rows"),
                      index_set, metric_depth)
 
 

@@ -70,17 +70,22 @@ class WeightSpec:
             return ZERO
         return LogScalar.from_real(self.seq.value_at(j))
 
-    def dense_logs(self, lo: int, hi: int) -> np.ndarray:
-        """ln |w_j| for on-domain j in [lo, hi] from one runs pass: ln |v|
-        once per run, repeated over its count (once per index without runs).
-        A zero raises, naming the zero nearest hi."""
+    def run_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(ln |v| once per run, run counts) for on-domain j in [lo, hi] from
+        one runs pass; (once per index, None) without runs.  A zero raises,
+        naming the zero nearest hi."""
         vals, counts = run_arrays(self.seq, lo, hi)
         zeros = np.flatnonzero(vals == 0.0)
         if zeros.size:
             z = int(zeros[-1])
             stop = z if counts is None else int(counts[:z + 1].sum()) - 1  # end of run z
             raise _zero_weight(lo + stop)
-        logs = np.log(np.abs(vals))
+        return np.log(np.abs(vals)), counts
+
+    def dense_logs(self, lo: int, hi: int) -> np.ndarray:
+        """ln |w_j| for on-domain j in [lo, hi]: run_logs repeated over the
+        run counts."""
+        logs, counts = self.run_logs(lo, hi)
         return logs if counts is None else np.repeat(logs, counts)
 
     def runs_over(self, lo: int, hi: int) -> list[Run] | None:

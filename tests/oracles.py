@@ -283,6 +283,60 @@ def refute_hc_minima_reference(op: ShiftOperator, horizon: int,
     return out
 
 
+def exact_run_count(op: ShiftOperator, i: int, N: int, k: int, bound) -> int:
+    """card {n <= N : (|i - n| + 1)^k |P(i, n)| >= bound}, in Fractions and
+    ints, with one pass over the weight runs.
+
+    A weight run, split where j = i - n changes sign, holds
+    q(n) = P0 |w|^(n - a) (|i - n| + 1)^k over n in [a, b] (P0 = |P(i, a)|),
+    and q(n + 1) / q(n) = |w| (c(n + 1) / c(n))^k with c(n) = |i - n| + 1
+    falls as n grows, so q rises to one peak and falls after it.  The peak
+    is bisected for on that ratio, then the first and last n at the bound
+    on either side of it.  On N the walk stops where the orbit leaves it.
+    """
+    bound = Fraction(bound)
+    lo, hi = op.space.index_set.clip(i - N, i - 1)
+    runs = op.weights.runs_over(lo, hi) if hi >= lo else []
+    if runs is None:
+        raise ValueError("the run-level oracle needs run-structured weights")
+    total, before = 0, Fraction(1)  # before: |P(i, n)| just before the run
+    for r in reversed(runs):  # ascending n
+        w, a_run, b_run = Fraction(abs(r.value)), i - r.stop, i - r.start
+        if w == 0:
+            raise ValueError(f"weight at {r.stop} is zero")
+        for a, b in ((a_run, min(b_run, i)), (max(a_run, i + 1), b_run)):
+            if a > b:
+                continue
+            p0 = before * w ** (a - a_run + 1)
+
+            def q(n: int) -> Fraction:
+                return p0 * w ** (n - a) * (abs(i - n) + 1) ** k
+
+            def rises(n: int) -> bool:  # q(n + 1) >= q(n)
+                return w * Fraction(abs(i - n - 1) + 1, abs(i - n) + 1) ** k >= 1
+
+            peak = _first(a, b, lambda n: not rises(n)) if a < b else a
+            if q(peak) < bound:
+                continue
+            first = _first(a, peak, lambda n: q(n) >= bound)
+            last = _first(peak, b + 1, lambda n: q(n) < bound) - 1
+            total += last - first + 1
+        before *= w ** (b_run - a_run + 1)
+    return total
+
+
+def _first(lo: int, hi: int, past) -> int:
+    """The least n in [lo, hi] with past(n), past monotone false-to-true;
+    hi when none before it is."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def naive_forward_product(w: WeightSpec, i: int, n: int) -> float:
     """|w_i * ... * w_{i+n-1}| by direct multiplication."""
     out = 1.0

@@ -42,8 +42,10 @@ def _zero_weights():
 # (name, operator, anchors): each anchor's orbit at horizon 200 starts off
 # chunk boundaries for every size in CHUNKS
 LAYOUTS = [
+    # the orbit of 150 crosses j = 0 at n = 150, where the run route splits
+    # its pieces: at CHUNK 1, 7 and 64 here and against the references
     ("ex1-on-s(Z)", ShiftOperator(rapidly_decreasing_space(IndexSet.Z), twt.ex1_weights()),
-     [-3, 0, 4]),
+     [-3, 0, 4, 150]),
     ("negative-on-power-rows-Z",
      ShiftOperator(SpaceSpec(1, KotheMatrix("power", ramp_nu()), IndexSet.Z),
                    twt.NEGATIVE_CASE[1]), [-2, 1, 5]),

@@ -40,8 +40,9 @@ from shiftchaos.sequences import (
     ramp_plateau,
 )
 from shiftchaos.shift import ShiftOperator
-from shiftchaos.spaces import IndexSet, KotheMatrix, SpaceSpec, lp_space
-from shiftchaos.weights import Piece, bilateral_weights, unilateral_weights
+from shiftchaos.spaces import (IndexSet, KotheMatrix, SpaceSpec, lp_space,
+                               rapidly_decreasing_space)
+from shiftchaos.weights import Piece, WeightSpec, bilateral_weights, unilateral_weights
 from test_piecewise import _rounded_log
 
 N_SEQ_ALT = catalog.N_SEQ_FORMS["alternating-powers-dip"]
@@ -465,6 +466,128 @@ class TestConditionA:
         # products 2^-n: the bad set has vanishing density, nothing to refute
         rep = refute_dc_condition_A(halfweights_op, [0], 1000)
         assert rep.verdict == "inconclusive"
+
+
+def _exact_cell_count(op: ShiftOperator, i: int, N: int, k: int, bound) -> int:
+    """card {n <= N : (|i - n| + 1)^k |P(i, n)| >= bound}, one Fraction
+    product per index."""
+    bound, prod, count = Fraction(bound), Fraction(1), 0
+    for n in range(1, N + 1):
+        if not op.space.index_set.contains(i - n):
+            break
+        prod *= Fraction(abs(op.weights.seq.value_at(i - n)))
+        count += prod * (abs(i - n) + 1) ** k >= bound
+    return count
+
+
+def _block_layout(left: list, right: list, rows: str) -> ShiftOperator:
+    """Each side one block of (value, count) runs repeated; rows of s(Z), or
+    power rows over a ramp base, whose runs cut the pieces too."""
+    weights = bilateral_weights(BlockSideSequence(lambda n: left, -1, -1),
+                                BlockSideSequence(lambda n: right, 0, 1))
+    if rows == "s":
+        return ShiftOperator(rapidly_decreasing_space(IndexSet.Z), weights)
+    return ShiftOperator(SpaceSpec(1, KotheMatrix("power", _ramp_base()), IndexSet.Z), weights)
+
+
+# dyadic values and integer rows meet bounds 1/2, 1, 3 exactly: ties abound
+_RUNS = st.lists(st.tuples(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]), st.integers(1, 6)),
+                 min_size=1, max_size=4)
+
+
+class TestRunRoute:
+    """Both refutations read run ends; a cell gets the dense route's
+    arithmetic only where rounding could decide its comparison."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_RUNS, _RUNS, st.integers(-10, 40), st.integers(1, 120), st.integers(1, 3),
+           st.sampled_from([0.5, 1.0, 3.0, 10.0]))
+    def test_exact_run_count_matches_the_cell_count(self, left, right, i, N, k, bound):
+        op = _block_layout(left, right, "s")
+        assert oracles.exact_run_count(op, i, N, k, bound) == _exact_cell_count(op, i, N, k, bound)
+
+    @pytest.mark.parametrize("name", ["ex1_s_Z_hc_not_dc", "ex3_s_Z_hc_not_mly"])
+    def test_exact_run_count_on_segment_horizons(self, name):
+        op = catalog.build_example(name)
+        for N in (catalog.segment_end(t) for t in (1, 2, 3)):
+            for i in (-3, 0, 5, 60):
+                for k, bound in ((1, 0.5), (2, 3.0), (3, 1.0)):
+                    assert (oracles.exact_run_count(op, i, N, k, bound)
+                            == _exact_cell_count(op, i, N, k, bound)), (N, i, k, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_RUNS, _RUNS, st.sampled_from(["s", "ramp"]), st.integers(-10, 40),
+           st.integers(1, 150), st.sampled_from([0.5, 1.0, 3.0]),
+           st.sampled_from([1 / 6, 0.25, 0.5]))
+    def test_refutations_match_the_dense_references(self, left, right, rows, i, N, bound,
+                                                    delta):
+        op = _block_layout(left, right, rows)
+        rep = refute_dc_condition_A(op, [i], N, bound, delta, N)
+        assert rep.rows == oracles.refute_a_rows_reference(op, [i], N, bound, delta, N)
+        rep = refute_hypercyclicity(op, N, k_max=3)
+        assert ([(r["seminorm"], r["min_value"].logmag, r["min_at_n"]) for r in rep.rows]
+                == oracles.refute_hc_minima_reference(op, N, 3))
+
+    def test_ex1_bad_counts_are_the_exact_counts_but_the_ties(self, ex1_op):
+        # n = 61 from -2 and n = 63 from 0 reach |j| + 1 = 64 with
+        # |P| = 2^-7: an exact tie at the bound, which the dense cumsum's
+        # rounding leaves below it
+        N, ties = 10**5, {-2: 61, 0: 63}
+        rep = refute_dc_condition_A(ex1_op, range(-3, 4), N)
+        for row in rep.rows:
+            i = row["anchor"]
+            exact = oracles.exact_run_count(ex1_op, i, N, 1, 0.5)
+            assert row["bad_count"] == exact - (i in ties), i
+            if i in ties:
+                n = ties[i]
+                assert _exact_cell_count(ex1_op, i, n, 1, 0.5) \
+                    == _exact_cell_count(ex1_op, i, n - 1, 1, 0.5) + 1
+                assert _exact_cell_count(ex1_op, i, n, 1, math.nextafter(0.5, 1)) \
+                    == _exact_cell_count(ex1_op, i, n - 1, 1, math.nextafter(0.5, 1))
+
+    @staticmethod
+    def _dense_cells(monkeypatch) -> dict[str, int]:
+        """Cells read on the dense route: product slices, weight logs, rows."""
+        cells = {"slices": 0, "weights": 0, "rows": 0}
+
+        def counted(fn, key, size):
+            @functools.wraps(fn)
+            def spy(*args, **kw):
+                out = fn(*args, **kw)
+                cells[key] += size(out)
+                return out
+            return spy
+
+        monkeypatch.setattr(dc_cert, "product_log_slice",
+                            counted(dc_cert.product_log_slice, "slices", len))
+        monkeypatch.setattr(WeightSpec, "dense_logs",
+                            counted(WeightSpec.dense_logs, "weights", len))
+
+        def rows(fn):
+            @functools.wraps(fn)
+            def spy(*args, **kw):
+                for k, row in fn(*args, **kw):
+                    cells["rows"] += row.size
+                    yield k, row
+            return spy
+
+        monkeypatch.setattr(KotheMatrix, "log_rows", rows(KotheMatrix.log_rows))
+        return cells
+
+    def test_ex1_refutation_reads_dense_cells_only_up_to_its_tie(self, monkeypatch):
+        op = catalog.build_example("ex1_s_Z_hc_not_dc")
+        cells = self._dense_cells(monkeypatch)
+        for anchor, most in ((0, 64), (1, 0)):
+            rep = refute_dc_condition_A(op, [anchor], 10**7)
+            assert rep.verdict == "condition-A-refuted-at-horizon"
+            assert max(cells.values()) <= most, (anchor, cells)
+            cells.update(dict.fromkeys(cells, 0))
+
+    def test_ex2_hypercyclicity_refutation_reads_no_dense_cell(self, monkeypatch):
+        op = catalog.build_example("ex2_kothe_dc_not_hc")
+        cells = self._dense_cells(monkeypatch)
+        assert refute_hypercyclicity(op, 4 * 10**6).verdict == "refuted-at-horizon"
+        assert cells == {"slices": 0, "weights": 0, "rows": 0}
 
 
 class TestLpC0Forms:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -91,11 +91,21 @@ class TestLogScalar:
 
 class TestReductions:
     @given(st.lists(finite_reals, min_size=1, max_size=20))
+    # cancellation: 6.2e-7 relative off the sum, yet within the bound below
+    @example([1e6, -999999.9999])
     def test_logadd_matches_sum(self, xs):
         acc = ZERO
         for x in xs:
             acc = logadd(acc, LogScalar.from_real(x))
-        assert close(acc.to_real(), math.fsum(xs), rel=1e-9)
+        # Every step rounds a log of magnitude at most lam and an exp, so
+        # it errs by a few (lam + 1) ulps of a partial sum, each at most
+        # sum |x|: the condition-scaled bound c * u * sum |x| / |sum x|,
+        # relative, with c = 8 (lam + 1) per term.  No fixed relative
+        # tolerance holds under cancellation.
+        mags = [abs(x) for x in xs if x]
+        lam = max([abs(math.log(m)) for m in mags] + [math.log(math.fsum(mags) or 1.0)])
+        bound = 8 * (lam + 1) * len(xs) * 2.0**-53 * math.fsum(mags)
+        assert abs(acc.to_real() - math.fsum(xs)) <= bound
 
     @given(st.lists(nonzero_reals, min_size=1, max_size=20),
            st.sampled_from([1.0, 2.0, 3.0]))

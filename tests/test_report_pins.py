@@ -49,6 +49,21 @@ EXTRA_CHECKS = {
                     "b3358eb6272471ee26986fd1b9b4d1dca2f6792767a883c507083ece63f577d2"),
 }
 
+# The dense-sweep refutations at their benchmark horizons: ex1's condition-(A)
+# refutation at 10**7 for every anchor -3..3 (anchors -2 and 0 each meet an
+# exact tie, at n = 61 and n = 63), and ex2's hypercyclicity refutation at
+# 4 * 10**6
+REFUTE_A_SHA256 = {
+    -3: "2a0752ecc97567a2857bba8c1178a850c0509363a625a47e732815f4772abd8e",
+    -2: "e962e3a54b9dfbf166cf69ed5b062f987439d7de680a2ab8c891569b97c1acd3",
+    -1: "48089c0f975aec4a3fcc40d6fe0b0345fe4819bb36374a8fb54ba32947fd4194",
+    0: "9d0110e31065b9c3553e2828c46322e3fa8eea4a6132f7cacc8cbefc0e11e6bf",
+    1: "77782dd169bd21cda17ab2df3b2918a9c7c2ffad9b1e05c695b2166bcb1a9fd6",
+    2: "e272f15685cb1ca642a1e1926d5d583cba3fc62ea03a9b12d48b36748f85b7ed",
+    3: "facc62ff33239a242f5d91be8af17a0944bd2ad078497a28a716ef4e5779af9e",
+}
+HC_REFUTE_SHA256 = "747c9aeb8890b0bf222160e20ec0e76e63776146e36d7210fe409c3182227c87"
+
 
 def _sha(report) -> str:
     return hashlib.sha256(report.to_json().encode()).hexdigest()
@@ -67,3 +82,17 @@ def test_catalog_check_reports_are_pinned(name):
 def test_uncatalogued_kind_reports_are_pinned(kind, halfweights_op):
     cfg, sha = EXTRA_CHECKS[kind]
     assert _sha(catalog.run_check(halfweights_op, cfg)) == sha
+
+
+@pytest.mark.parametrize("anchor", sorted(REFUTE_A_SHA256))
+def test_dense_sweep_refute_a_reports_are_pinned(anchor, ex1_op):
+    cfg = {"kind": "dc", "refute_A": {"anchors": [anchor], "horizon": 10_000_000,
+                                      "bound": 0.5, "delta": 1 / 6, "settle_by": 50}}
+    assert _sha(catalog.run_check(ex1_op, cfg)) == REFUTE_A_SHA256[anchor]
+
+
+def test_dense_sweep_hypercyclicity_refutation_is_pinned():
+    op = catalog.build_example("ex2_kothe_dc_not_hc")
+    cfg = {"kind": "hypercyclicity",
+           "refute": {"horizon": 4_000_000, "k_max": 4, "floor": 1.0}}
+    assert _sha(catalog.run_check(op, cfg)) == HC_REFUTE_SHA256
