@@ -75,6 +75,8 @@ class AbsPlusOne(ClosedFormSequence):
         bit for bit to values_array(np.arange(lo, hi + 1))."""
         left = np.arange(1.0 - lo, max(-hi, 1), -1.0)  # j in [lo, min(hi, -1)]
         right = np.arange(max(lo, 0) + 1.0, hi + 2.0)  # j in [max(lo, 0), hi]
+        if not (left.size and right.size):  # one side: no second buffer to fill
+            return left if left.size else right
         return np.concatenate((left, right))
 
 
@@ -131,35 +133,48 @@ class KotheMatrix:
     def run_log_rows(self, lo: int, hi: int, ks: Iterable[int]
                      ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
         """(k, logs, counts) per k in ks: ln a(j, k) over [lo, hi] once per
-        base run with the run counts, from one runs_over, or once per index
-        (counts None) from one values_array without runs.  These are the
-        floats log_rows repeats; a constant row is one shared read-only
-        array for every k, a power row k * logs."""
+        base run with the run counts, or once per index (counts None) on a
+        closed-form base or a custom rule: the floats log_rows repeats."""
         if self.rule == "custom":
             for k in ks:
-                yield k, np.array([self.log_entry(j, k) for j in range(lo, hi + 1)],
-                                  dtype=float), None
+                yield k, self._custom_row(k, lo, hi), None
             return
-        if isinstance(self.base, AbsPlusOne):  # no value below 1 to check
-            logs, counts = np.log(self.base.values_range(lo, hi)), None
-        else:
-            vals, counts = run_arrays(self.base, lo, hi)
-            logs = _log_base(vals)
-        logs.flags.writeable = False
+        logs, counts = self._base_logs(lo, hi)
         for k in ks:
             yield k, self._row(k, logs), counts
 
     def log_rows(self, lo: int, hi: int,
                  ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
-        """(k, ln a(j, k) for j in [lo, hi]) per k in ks: run_log_rows with
-        each run value repeated over its count.  Constant rows are one
-        shared read-only array for every k."""
-        last = row = None
-        for k, logs, counts in self.run_log_rows(lo, hi, ks):
-            if logs is not last:
-                last, row = logs, logs if counts is None else np.repeat(logs, counts)
-                row.flags.writeable = False
-            yield k, row
+        """(k, ln a(j, k) for j in [lo, hi]) per k in ks, from one base pass
+        (_base_logs), ln once per run value repeated over its count.
+        Constant rows are one shared read-only array for every k; power rows
+        are k * logs."""
+        if self.rule == "custom":
+            for k in ks:
+                yield k, self._custom_row(k, lo, hi)
+            return
+        logs, counts = self._base_logs(lo, hi)
+        if counts is not None:
+            logs = np.repeat(logs, counts)
+            logs.flags.writeable = False
+        for k in ks:
+            yield k, self._row(k, logs)
+
+    def _custom_row(self, k: int, lo: int, hi: int) -> np.ndarray:
+        return np.array([self.log_entry(j, k) for j in range(lo, hi + 1)], dtype=float)
+
+    def _base_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """ln base(j) over [lo, hi], read-only, once per run with the run
+        counts from one runs_over, or once per index (counts None) from one
+        values_array; |j| + 1 is one float arange per sign side and has no
+        value below 1 to check."""
+        if isinstance(self.base, AbsPlusOne):
+            logs, counts = np.log(self.base.values_range(lo, hi)), None
+        else:
+            vals, counts = run_arrays(self.base, lo, hi)
+            logs = _log_base(vals)
+        logs.flags.writeable = False
+        return logs, counts
 
     def log_row_runs(self, k: int, lo: int, hi: int) -> list[Run] | None:
         """Row k as maximal runs of ln a(j, k); None without run structure."""
