@@ -45,7 +45,7 @@ from .numerics import NEG_INF, LogScalar, SparseVector, chunk_spans, logsumexp_p
 from .piecewise import concave_superlevel, count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
 from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_chunks
-from .spaces import AbsPlusOne, IndexSet, seminorm
+from .spaces import IndexSet, seminorm
 from .weights import (MAX_DENSE, Piece, overlay_row_runs, product_log_slice,
                       product_pieces, products, shift_pieces)
 
@@ -417,7 +417,7 @@ class _OrbitPieces:
         wl, wc = op.weights.run_logs(lo, hi)
         if wc is None or matrix.rule == "custom":
             return None
-        affine = isinstance(matrix.base, AbsPlusOne)
+        affine = matrix.sign_affine
         if affine:  # split where j = i - n changes sign
             r0, rl = np.array([n0] + ([i + 1] if n0 < i + 1 <= n1 else [])), np.zeros(2)
         else:
@@ -469,18 +469,18 @@ class _OrbitPieces:
         f'(x) = slope - power / (i - x + 1) where j >= 0 (n <= i) and
         slope + power / (x - i + 1) past it, so f peaks inside a piece only
         at x = i + 1 - power / slope (slope > 0) or x = i - 1 - power / slope
-        (slope < 0).  Its nearest integer is the floor or the ceiling of x,
-        and either serves: f rises up to the cell before it and falls from
-        the cell after it.
+        (slope < 0).  The integer peak is floor(x) or floor(x) + 1, the one
+        f is larger at: not always the nearer, as f is not symmetric about x.
         """
         left = self.n1 <= self.i
         inner = (self.power > 0) & np.where(left, self.slope > 0, self.slope < 0)
         rises = np.where(self.power > 0, ~left & (self.slope >= 0), self.slope > 0)
         x = (np.where(left, self.i + 1.0, self.i - 1.0)
              - self.power / np.where(inner, self.slope, 1.0))
-        peak = np.where(inner, np.clip(np.rint(x), self.n0, self.n1),
-                        np.where(rises, self.n1, self.n0))
-        return peak.astype(np.int64)
+        below = np.clip(np.floor(x), self.n0, self.n1).astype(np.int64)
+        above, t = np.minimum(below + 1, self.n1), np.arange(below.size)
+        peak = np.where(self.at(above, t) > self.at(below, t), above, below)
+        return np.where(inner, peak, np.where(rises, self.n1, self.n0))
 
     def split_at(self, level: float) -> tuple[Intervals, Intervals]:
         """(sure, undecided): the cells whose dense float is >= level

@@ -264,6 +264,15 @@ def _first_reaching(ratio: Callable[[int], float], a: int, b: int) -> int:
     return a
 
 
+def _above(num: int, den: int, cards: np.ndarray, ns: np.ndarray) -> bool:
+    """den * card > num * N at every (card, N), exactly: on int64 columns
+    while den * N stays below 2**63 (0 <= card <= N, num < den), on Python
+    ints past it."""
+    if ns.size and den * int(ns[-1]) >= 2**63:
+        cards, ns = cards.astype(object), ns.astype(object)
+    return bool(np.all(den * cards > num * ns))
+
+
 def check_density(_op, D: IndexPredicate, horizon: int,
                   threshold: tuple[int, int] = (1, 6),
                   exhaustive_to: int = 50) -> CertificateReport:
@@ -292,7 +301,7 @@ def check_density(_op, D: IndexPredicate, horizon: int,
         t = np.searchsorted(b, ns)  # the run holding each n
         exhaustive_ok = bool(np.array_equal(brute, at_a[t] + member[t] * (ns - a[t])))
         at_b = at_a + member * (b - a)
-        strict_ok = bool(np.all(den * at_a > num * a) and np.all(den * at_b > num * b))
+        strict_ok = _above(num, den, at_a, a) and _above(num, den, at_b, b)
         env = envelope_of_runs(runs)
     else:
         exhaustive_ok = strict_ok = True
@@ -304,7 +313,7 @@ def check_density(_op, D: IndexPredicate, horizon: int,
                     exhaustive_ok &= bool(np.array_equal(
                         brute[n0 - 1:n0 - 1 + counts.size], counts[:exhaustive_to - n0 + 1]))
                 ns = np.arange(n0, n0 + counts.size, dtype=np.int64)
-                strict_ok &= bool(np.all(den * counts > num * ns))
+                strict_ok &= _above(num, den, counts, ns)
                 yield counts
 
         env = envelope_of_counts(checked())

@@ -160,6 +160,12 @@ class KotheMatrix:
         for k in ks:
             yield k, self._row(k, logs)
 
+    @property
+    def sign_affine(self) -> bool:
+        """Whether the base is |j| + 1 (s(J)): affine in j on each sign side
+        of j = 0, so ln a(j, 1) = ln(|j| + 1) is concave there."""
+        return isinstance(self.base, AbsPlusOne)
+
     def _custom_row(self, k: int, lo: int, hi: int) -> np.ndarray:
         return np.array([self.log_entry(j, k) for j in range(lo, hi + 1)], dtype=float)
 
@@ -168,7 +174,7 @@ class KotheMatrix:
         counts from one runs_over, or once per index (counts None) from one
         values_array; |j| + 1 is one float arange per sign side and has no
         value below 1 to check."""
-        if isinstance(self.base, AbsPlusOne):
+        if self.sign_affine:
             logs, counts = np.log(self.base.values_range(lo, hi)), None
         else:
             vals, counts = run_arrays(self.base, lo, hi)

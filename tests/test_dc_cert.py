@@ -519,6 +519,10 @@ class TestRunRoute:
     @given(_RUNS, _RUNS, st.sampled_from(["s", "ramp"]), st.integers(-10, 40),
            st.integers(1, 150), st.sampled_from([0.5, 1.0, 3.0]),
            st.sampled_from([1 / 6, 0.25, 0.5]))
+    # |w| = 1.96 from i = 5: f(n) = n ln 1.96 + ln(6 - n) peaks in x at
+    # 4.51, yet f(4) > f(5), and e^3.375 lies between them
+    @example([(1.0, 1)], [(1.96, 5)], "s", 5, 8, math.exp(3.375), 0.25)
+    @example([(1.0, 1)], [(1.495, 5)], "s", 5, 8, 10.0, 0.25)
     def test_refutations_match_the_dense_references(self, left, right, rows, i, N, bound,
                                                     delta):
         op = _block_layout(left, right, rows)

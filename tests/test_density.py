@@ -184,6 +184,18 @@ class TestRunRoute:
         assert (density_envelope(runs, horizon, start)
                 == density_envelope(cells, horizon, start))
 
+    def test_strict_bound_is_exact_past_int64(self):
+        # den * N passes 2**63 (int64 would wrap to False at 2 * 10**12),
+        # and den itself passes it in the last two: the least ratio is 1/3
+        # (at N = 3), one side or the other of num/den
+        runs = run_set([(1, True), (2, False)], True)
+        cells = replace(runs, runs=None)
+        for num, den, above in ((10**12, 3 * 10**12 + 1, True), (10**12, 3 * 10**12 - 1, False),
+                                (2**70, 3 * 2**70 + 1, True), (2**70, 3 * 2**70 - 1, False)):
+            for D, horizon in ((runs, 2 * 10**12), (runs, 10**4), (cells, 10**4)):
+                rep = check_density(None, D, horizon, (num, den))
+                assert rep.rows[0]["strict_above_threshold"] is above, (num, den, horizon)
+
     def test_first_n_of_a_float_tie_inside_a_run(self):
         # past about 10**8 the ratios (N - 1) / N of a member run round to
         # the same float as the horizon's, and past 2**53 the ratios 1 / N
