@@ -4,12 +4,12 @@ Upper and lower densities are limits of prefix ratios card(A cap [1, N]) / N;
 at a finite horizon all we can report is the running envelope of those
 ratios, so every verdict built on one carries an "at horizon N" qualifier.
 
-This module decides how an index set is walked.  A set with membership runs
-is walked by them alone: its envelope, strict bound and prefix counts are read
-off run ends in O(runs) at any horizon (on a run card(A cap [1, N]) is linear
-in N), and its per-N membership is spread from the runs.  A set given as
-sorted intervals (interval_runs) is read the same way.  Any other set is
-walked through its prefix counts, chunk by chunk (count_chunks).
+This module decides how an index set is walked: as blocks of runs
+(run_columns), read off run ends.  A set with membership runs is one block,
+in O(runs) at any horizon (on a run card(A cap [1, N]) is linear in N), and
+its per-N membership is spread from the runs; a set without runs is one
+block per chunk, every N a run of its own.  Sorted intervals (interval_runs)
+are read the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class IndexPredicate:
     members, 0.0 off them), for sets made of few long runs; a set with runs
     is walked by them alone.  count_array is the counter of a set without
     runs: count over an int64 numpy array of horizons, which lets
-    count_chunks walk it past the member-by-member bound.
+    run_columns walk it past the member-by-member bound.
     """
 
     member: Callable[[int], bool]
@@ -90,7 +90,8 @@ def check_counter_agreement(pred: IndexPredicate, n_max: int = 10_000) -> bool:
     return True
 
 
-# (a, b, card(A cap [1, a]), member) per run [a, b], as columns
+# (a, b, card(A cap [1, a]), member) per run [a, b], as columns; b is a
+# itself where every run is one N
 RunColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -108,63 +109,50 @@ class DensityEnvelope:
 
 def density_envelope(pred: IndexPredicate, horizon: int,
                      start: int = 1) -> DensityEnvelope:
-    """Envelope of prefix ratios for N in [start, horizon], read off run
-    ends when the predicate has runs, else from count_chunks."""
+    """Envelope of prefix ratios for N in [start, horizon], read off the
+    blocks of run_columns."""
     if horizon < start or start < 1:
         raise ValueError("need 1 <= start <= horizon")
+    return envelope_of_blocks(run_columns(pred, start, horizon))
+
+
+def run_columns(pred: IndexPredicate, lo: int, hi: int) -> Iterator[RunColumns]:
+    """The runs of A over [lo, hi] (1 <= lo <= hi) as consecutive RunColumns
+    blocks: one block from the set's runs (counted_runs) where it has them;
+    else one per chunk of [lo, hi], every N a run of its own, counted by the
+    vectorized counter, or by the member test over [1, hi] at once, so then
+    only up to hi = MAX_MEMBER_WALK (checked at the call, before any walk)."""
     if pred.runs is not None:
-        return envelope_of_runs(counted_runs(pred, start, horizon))
-    return envelope_of_counts((counts[max(start - n0, 0):]
-                               for n0, counts in count_chunks(pred, horizon)
-                               if n0 + counts.size > start), start)
+        return iter([counted_runs(pred, lo, hi)])
+    count = pred.count_array
+    if count is None:
+        if hi > MAX_MEMBER_WALK:
+            raise ValueError("set has no vectorized counter for a horizon this large")
+        walked = np.cumsum(pred.member_mask(hi), dtype=np.int64)
+        count = lambda ns: walked[ns[0] - 1:ns[-1]]
 
+    def cells() -> Iterator[RunColumns]:
+        before = int(count(np.array([lo - 1]))[0]) if lo > 1 else 0
+        for n0, n1 in chunk_spans(lo, hi):
+            ns = np.arange(n0, n1 + 1, dtype=np.int64)
+            at = count(ns).astype(np.int64, copy=False)
+            yield ns, ns, at, at > np.concatenate(([before], at[:-1]))  # count steps up
+            before = at[-1]
 
-def count_chunks(pred: IndexPredicate, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(n0, card(A cap [1, N]) for N in [n0, n1]) per chunk [n0, n1] of
-    [1, horizon], as int64: from the vectorized counter where there is one,
-    else by the member test over the whole horizon at once, so then only up
-    to a horizon of MAX_MEMBER_WALK (checked at the call, before any
-    walk)."""
-    spans = chunk_spans(1, horizon)
-    if pred.count_array is not None:
-        return ((n0, pred.count_array(np.arange(n0, n1 + 1, dtype=np.int64)).astype(np.int64))
-                for n0, n1 in spans)
-    if horizon > MAX_MEMBER_WALK:
-        raise ValueError("set has no vectorized counter for a horizon this large")
-    counts = np.cumsum(pred.member_mask(horizon), dtype=np.int64)
-    return ((n0, counts[n0 - 1:n1]) for n0, n1 in spans)
+    return cells()
 
 
 def member_chunks(pred: IndexPredicate, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
     """(n0, whether N is in A for N in [n0, n1]) per chunk [n0, n1] of
     [1, horizon], as bool: spread over the runs where the set has them,
-    else the steps of count_chunks."""
+    else the member column of run_columns' blocks."""
     if pred.runs is not None:
         for n0, n1 in chunk_spans(1, horizon):
             runs = pred.runs(n0, n1)
             yield n0, np.repeat([r.value > 0 for r in runs], [r.count for r in runs])
         return
-    before = 0
-    for n0, counts in count_chunks(pred, horizon):
-        yield n0, np.diff(counts, prepend=before) == 1
-        before = counts[-1]
-
-
-def envelope_of_counts(chunks: Iterable[np.ndarray], start: int = 1) -> DensityEnvelope:
-    """Envelope of counts[t] / N at N = start + t over consecutive chunks of
-    the prefix counts card(A cap [1, N]), for callers that already hold or
-    stream them.  The first N of a tie wins, as in one argmin/argmax."""
-    n0, lower, upper = start, None, None
-    for counts in chunks:
-        ratios = np.asarray(counts, dtype=np.int64) / np.arange(n0, n0 + len(counts),
-                                                                dtype=np.int64)
-        lo_i, hi_i = int(np.argmin(ratios)), int(np.argmax(ratios))
-        if lower is None or ratios[lo_i] < lower[0]:
-            lower = (float(ratios[lo_i]), n0 + lo_i)
-        if upper is None or ratios[hi_i] > upper[0]:
-            upper = (float(ratios[hi_i]), n0 + hi_i)
-        n0, last = n0 + len(counts), float(ratios[-1])
-    return DensityEnvelope(n0 - 1, last, *lower, *upper)
+    for a, _, _, member in run_columns(pred, 1, horizon):
+        yield int(a[0]), member
 
 
 def counted_runs(pred: IndexPredicate, lo: int, hi: int) -> RunColumns:
@@ -225,20 +213,22 @@ def last_ratio_at_most(runs: RunColumns, delta: float) -> int:
 
 
 def envelope_of_runs(runs: RunColumns) -> DensityEnvelope:
-    """envelope_of_counts over the runs of counted_runs, in O(runs).
+    """Envelope of the prefix ratios card(A cap [1, N]) / N over one block
+    of runs, in O(runs).
 
     On a run the ratio N -> card/N is monotone, weakly rising on a member
     run and falling off one, so its extremes lie at the run's ends; the
     float ratios are correctly rounded quotients, so they are monotone too.
     Where the extreme is the right end, the first N of the run with that
     float ratio is bisected for, and a later run replaces an extreme only
-    when strictly beyond it: the first N of a tie wins, as in
-    envelope_of_counts.
+    when strictly beyond it: the first N of a tie wins, as in one
+    argmin/argmax over every N.
     """
     a, b, at_a, member = runs
-    first = (at_a / a).astype(float)
-    last = ((at_a + member * (b - a)) / b).astype(float)
-    least, most = np.where(member, first, last), np.where(member, last, first)
+    first = np.asarray(at_a / a, dtype=float)
+    last = first if b is a else np.asarray((at_a + member * (b - a)) / b, dtype=float)
+    least, most = ((first, first) if b is a else  # every run one N
+                   (np.where(member, first, last), np.where(member, last, first)))
     lo, hi = int(np.argmin(least)), int(np.argmax(most))
 
     def at(t: int, right_end: bool) -> int:
@@ -249,6 +239,18 @@ def envelope_of_runs(runs: RunColumns) -> DensityEnvelope:
 
     return DensityEnvelope(int(b[-1]), float(last[-1]), float(least[lo]),
                            at(lo, not member[lo]), float(most[hi]), at(hi, bool(member[hi])))
+
+
+def envelope_of_blocks(blocks: Iterable[RunColumns]) -> DensityEnvelope:
+    """envelope_of_runs over consecutive blocks; a later block replaces an
+    extreme only when strictly beyond it, so the first N of a tie wins."""
+    envs = map(envelope_of_runs, blocks)
+    env = next(envs)
+    for e in envs:
+        lower = (e.lower, e.lower_at) if e.lower < env.lower else (env.lower, env.lower_at)
+        upper = (e.upper, e.upper_at) if e.upper > env.upper else (env.upper, env.upper_at)
+        env = DensityEnvelope(e.horizon, e.ratio_at_horizon, *lower, *upper)
+    return env
 
 
 def _first_reaching(ratio: Callable[[int], float], a: int, b: int) -> int:
@@ -281,9 +283,8 @@ def check_density(_op, D: IndexPredicate, horizon: int,
     counts the envelope reads with brute counting on the exhaustive prefix,
     which holds at most MAX_MEMBER_WALK indices.
 
-    With membership runs every test reads run ends, since on a run both
-    card and den * card - num * N are linear in N.  Without, the counts are
-    walked chunk by chunk.
+    Every test reads the run ends of run_columns' blocks, since on a run
+    both card and den * card - num * N are linear in N.
     """
     if horizon < 1 or exhaustive_to < 0:
         raise ValueError("need horizon >= 1 and exhaustive_to >= 0")
@@ -293,30 +294,24 @@ def check_density(_op, D: IndexPredicate, horizon: int,
     num, den = threshold
     exhaustive_to = min(exhaustive_to, horizon)
     agree = check_counter_agreement(D, min(10_000, horizon))
-    chunks = None if D.runs is not None else count_chunks(D, horizon)
+    blocks = run_columns(D, 1, horizon)
     brute = np.cumsum(D.member_mask(exhaustive_to)).astype(np.int64)
-    if chunks is None:
-        runs = a, b, at_a, member = counted_runs(D, 1, horizon)
-        ns = np.arange(1, exhaustive_to + 1)
-        t = np.searchsorted(b, ns)  # the run holding each n
-        exhaustive_ok = bool(np.array_equal(brute, at_a[t] + member[t] * (ns - a[t])))
-        at_b = at_a + member * (b - a)
-        strict_ok = _above(num, den, at_a, a) and _above(num, den, at_b, b)
-        env = envelope_of_runs(runs)
-    else:
-        exhaustive_ok = strict_ok = True
+    exhaustive_ok = strict_ok = True
 
-        def checked():  # the prefix test and the strict bound, chunk by chunk
-            nonlocal exhaustive_ok, strict_ok
-            for n0, counts in chunks:
-                if n0 <= exhaustive_to:
-                    exhaustive_ok &= bool(np.array_equal(
-                        brute[n0 - 1:n0 - 1 + counts.size], counts[:exhaustive_to - n0 + 1]))
-                ns = np.arange(n0, n0 + counts.size, dtype=np.int64)
-                strict_ok &= _above(num, den, counts, ns)
-                yield counts
+    def checked():  # the prefix test and the strict bound, block by block
+        nonlocal exhaustive_ok, strict_ok
+        for runs in blocks:
+            a, b, at_a, member = runs
+            if a[0] <= exhaustive_to:
+                ns = np.arange(a[0], min(b[-1], exhaustive_to) + 1)
+                t = np.searchsorted(b, ns)  # the run holding each n
+                exhaustive_ok &= bool(np.array_equal(
+                    brute[ns - 1], at_a[t] + member[t] * (ns - a[t])))
+            strict_ok &= _above(num, den, at_a, a) and (
+                b is a or _above(num, den, at_a + member * (b - a), b))
+            yield runs
 
-        env = envelope_of_counts(checked())
+    env = envelope_of_blocks(checked())
     ok = agree and exhaustive_ok and strict_ok
     rows = [{"min_ratio": env.lower, "min_ratio_at": env.lower_at,
              "ratio_at_horizon": env.ratio_at_horizon,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .numerics import NEG_INF, ZERO, LogScalar, SparseVector
 from .piecewise import log_sum, log_sum_values
 from .reports import CertificateReport
 from .shift import ShiftOperator, orbit_product_logs, orbit_seminorm_log_chunks
-from .spaces import IndexSet, seminorm
+from .spaces import IndexSet, add_metric_levels, seminorm
 from .weights import product_log_slice
 
 # An MLY schedule is a DC schedule.
@@ -85,48 +85,9 @@ def cesaro_distance_series(op: ShiftOperator, anchor: int, N: int) -> CesaroSeri
     depth = op.space.metric_depth
     for n0, n1, logs in orbit_product_logs(op, anchor, 1, N):
         rows = op.space.log_rows(anchor - n1, anchor - n0, range(1, depth + 1))
-        _add_metric_levels(terms[n0 - 1:n1], logs, rows, op.space.matrix.rule, depth)
+        add_metric_levels(terms[n0 - 1:n1], logs, rows, op.space.matrix.rule, depth)
     averages = np.cumsum(terms) / np.arange(1, N + 1)
     return CesaroSeries(anchor, terms, averages)
-
-
-def _add_metric_levels(acc: np.ndarray, logs: np.ndarray,
-                       rows: Iterator[tuple[int, np.ndarray]], rule: str,
-                       depth: int) -> None:
-    """acc += 2^-k min(1, e^(logs + row_k reversed)) for k = 1..depth, in
-    order, cell by cell; rows yields (k, row_k) lazily from k = 1.
-
-    Per-cell work runs only where a level can still change a term, and every
-    cell sees the float operations of the plain level loop.  A constant row
-    is one clipped array c for every level; a cell with c == 0 adds 0 at
-    every level, so only the others are summed.  On a power row whose
-    ln base has no entry below 0, rounded k * ln base and rounded
-    logs + row_k do not fall as k grows, so once every cell of a level reads
-    logs + row_k >= 0, every later level reads min(1, .) = 1 exactly and
-    adds 2^-k, and its row is never built.
-    """
-    if rule == "constant":
-        _, row = next(rows)
-        clipped = np.minimum(np.add(logs, row[::-1], out=logs), 0.0, out=logs)
-        np.exp(clipped, out=clipped)  # min(1, ||.||_k)
-        live = np.flatnonzero(clipped)
-        c, part = clipped[live], acc[live]
-        for k in range(1, depth + 1):
-            part += math.pow(2.0, -k) * c
-        acc[live] = part
-        return
-    vals = np.empty_like(logs)
-    for k, row in rows:
-        if k == 1:  # ln base
-            rising = rule == "power" and row.min() >= 0.0
-        np.minimum(np.add(logs, row[::-1], out=vals), 0.0, out=vals)
-        saturated = rising and not vals.any()  # NaN counts as nonzero
-        np.exp(vals, out=vals)
-        acc += np.multiply(math.pow(2.0, -k), vals, out=vals)
-        if saturated:
-            for k in range(k + 1, depth + 1):
-                acc += math.pow(2.0, -k)
-            return
 
 
 def _running_min(averages: np.ndarray, start: int) -> tuple[float, int]:

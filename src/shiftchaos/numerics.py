@@ -128,7 +128,14 @@ ONE = LogScalar(1, 0.0)
 
 
 def logadd(a: LogScalar, b: LogScalar) -> LogScalar:
-    """Signed addition a + b without leaving the log domain."""
+    """Signed addition a + b without leaving the log domain.
+
+    With opposite signs, a and b given as rounded logs (from_real), the
+    result is within 8 (lam + 1) u (|a| + |b|) of a + b, u = 2^-53 and lam
+    the largest |ln| of |a|, |b| and |a| + |b| (test_logadd_matches_sum):
+    condition-scaled, so it grows relative to |a + b| under cancellation.
+    Only metric's x - y reaches this branch, at indices x and y share.
+    """
     if a.sign == 0:
         return b
     if b.sign == 0:

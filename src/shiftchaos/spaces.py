@@ -302,29 +302,62 @@ def seminorm(space: SpaceSpec, x: SparseVector, k: int) -> LogScalar:
     return LogScalar.from_log(1, logsumexp_p(terms, space.p))
 
 
-def seminorm_logs(space: SpaceSpec, x: SparseVector, k_hi: int) -> np.ndarray:
-    """log ||x||_k for k = 1..k_hi, one row read per k (metric helper)."""
-    items = x.items_sorted()
-    if not items:
-        return np.full(k_hi, NEG_INF)
-    js = np.array([j for j, _ in items])
-    vlogs = np.array([v.logmag for _, v in items])
-    return np.array([logsumexp_p(space.matrix.log_row_array(k, js) + vlogs, space.p)
-                     for k in range(1, k_hi + 1)])
+def add_metric_levels(acc: np.ndarray, logs: np.ndarray,
+                      rows: Iterator[tuple[int, np.ndarray]], rule: str,
+                      depth: int) -> None:
+    """acc += 2^-k min(1, e^(logs + row_k reversed)) for k = 1..depth, in
+    order, cell by cell; rows yields (k, row_k) lazily from k = 1: matrix
+    rows under the Cesaro series' cells, ln||x - y||_k under metric's one.
+
+    Per-cell work runs only where a level can still change a term, and every
+    cell sees the float operations of the plain level loop.  A constant row
+    is one clipped array c for every level; a cell with c == 0 adds 0 at
+    every level, so only the others are summed.  On a power rule whose
+    row_1 has no entry below 0, rounded logs + row_k do not fall as k grows
+    (rounded k * ln base does not; nor does ||x - y||_k, the matrix being
+    nondecreasing in k), so once every cell of a level reads
+    logs + row_k >= 0, every later level reads min(1, .) = 1 exactly and
+    adds 2^-k, and its row is never built.
+    """
+    if rule == "constant":
+        _, row = next(rows)
+        clipped = np.minimum(np.add(logs, row[::-1], out=logs), 0.0, out=logs)
+        np.exp(clipped, out=clipped)  # min(1, ||.||_k)
+        live = np.flatnonzero(clipped)
+        c, part = clipped[live], acc[live]
+        for k in range(1, depth + 1):
+            part += math.pow(2.0, -k) * c
+        acc[live] = part
+        return
+    vals = np.empty_like(logs)
+    for k, row in rows:
+        if k == 1:
+            rising = rule == "power" and row.min() >= 0.0
+        np.minimum(np.add(logs, row[::-1], out=vals), 0.0, out=vals)
+        saturated = rising and not vals.any()  # NaN counts as nonzero
+        np.exp(vals, out=vals)
+        acc += np.multiply(math.pow(2.0, -k), vals, out=vals)
+        if saturated:
+            for k in range(k + 1, depth + 1):
+                acc += math.pow(2.0, -k)
+            return
 
 
 def metric(space: SpaceSpec, x: SparseVector, y: SparseVector) -> float:
-    """Truncated invariant metric d(x, y); underestimates by <= 2^-K_max."""
-    diff = x - y
-    if diff.is_zero():
-        return 0.0
-    logs = seminorm_logs(space, diff, space.metric_depth)
-    total = 0.0
-    for k in range(1, space.metric_depth + 1):
-        lm = logs[k - 1]
-        clipped = 1.0 if lm >= 0.0 else math.exp(lm)
-        total += (2.0 ** -k) * clipped
-    return total
+    """Truncated invariant metric d(x, y); underestimates by <= 2^-K_max.
+
+    x - y is one cell of add_metric_levels, its level k ln||x - y||_k read
+    through log_row_array (log_rows' floats) and logsumexp_p, so a
+    single-point vector's distance to 0 is its Cesaro series term bit for bit.
+    """
+    items = (x - y).items_sorted()
+    js = np.array([j for j, _ in items], dtype=np.int64)
+    vlogs = np.array([v.logmag for _, v in items])
+    levels = ((k, np.array([logsumexp_p(space.matrix.log_row_array(k, js) + vlogs, space.p)]))
+              for k in range(1, space.metric_depth + 1))
+    total = np.zeros(1)
+    add_metric_levels(total, np.zeros(1), levels, space.matrix.rule, space.metric_depth)
+    return float(total[0])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from shiftchaos.density import DensityEnvelope
 from shiftchaos.numerics import LogScalar, SparseVector
 from shiftchaos.reports import CertificateReport
 from shiftchaos.sequences import BlockSideSequence, ConstantSequence, SplitSequence
@@ -398,6 +399,17 @@ def brute_prefix_counts(member, n_max: int) -> list[int]:
         c += 1 if member(n) else 0
         out.append(c)
     return out
+
+
+def brute_envelope(member, horizon: int, start: int = 1) -> DensityEnvelope:
+    """The envelope of the prefix ratios card{j <= N : member(j)} / N for N
+    in [start, horizon], by brute counting and one argmin and one argmax over
+    every N, so the first N of a tie."""
+    counts = np.array(brute_prefix_counts(member, horizon), dtype=np.int64)
+    ratios = counts[start - 1:] / np.arange(start, horizon + 1, dtype=np.int64)
+    lo, hi = int(np.argmin(ratios)), int(np.argmax(ratios))
+    return DensityEnvelope(horizon, float(ratios[-1]), float(ratios[lo]), start + lo,
+                           float(ratios[hi]), start + hi)
 
 
 def expanding_blocks_count_array(ns: np.ndarray) -> np.ndarray:

@@ -99,14 +99,14 @@ def test_criterion_02_dc_condition_A_refuted(ex1_op):
                                 bound=0.5, delta=1 / 6, settle_by=50)
     elapsed = time.perf_counter() - t0
     row = rep.rows[0]
-    # independent stepwise count of {n : |P(0,n)| * (n+1) >= 1/2} at 2000;
+    # independent exact count of {n : |P(0,n)| * (n+1) >= 1/2} at 2000;
     # exact ties sit on the threshold, so the log-domain count is bracketed
-    # between the strict and non-strict exact counts
-    w = ex1_op.weights
-    vals = [abs(oracles.naive_weight_product(w, 0, n)) * (n + 1)
-            for n in range(1, 2001)]
-    brute_lo = sum(1 for v in vals if v > 0.5)
-    brute_hi = sum(1 for v in vals if v >= 0.5)
+    # between the strict and non-strict exact counts.  Every (n+1)|P(0, n)|
+    # there is a dyadic rational with numerator below 2**11, so none lies
+    # strictly between 1/2 and the next float up: counting >= that float is
+    # the strict count
+    brute_lo = oracles.exact_run_count(ex1_op, 0, 2000, 1, math.nextafter(0.5, 1))
+    brute_hi = oracles.exact_run_count(ex1_op, 0, 2000, 1, 0.5)
     short = refute_dc_condition_A(ex1_op, [0], 2000,
                                   bound=0.5, delta=1 / 6, settle_by=50)
     _criterion(2, "thick-bad-set-blocks-condition-A", {

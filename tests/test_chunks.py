@@ -14,7 +14,8 @@ import pytest
 import oracles
 import test_weights as twt
 from shiftchaos import catalog, dc_cert, mly_cert, numerics, reports
-from shiftchaos.density import IndexPredicate, check_density, evens, naturals
+from shiftchaos.density import (IndexPredicate, check_density, density_envelope, evens,
+                                naturals)
 from shiftchaos.numerics import SparseVector
 from shiftchaos.sequences import ClosedFormSequence, ConstantSequence
 from shiftchaos.shift import ShiftOperator, orbit_seminorm_log_array
@@ -234,6 +235,25 @@ def test_density_check_does_not_depend_on_the_chunk_size(monkeypatch, D):
     for chunk in CHUNKS:
         monkeypatch.setattr(numerics, "CHUNK", chunk)
         assert reports() == want, chunk
+
+
+@pytest.mark.parametrize("chunk", CHUNKS + (numerics.CHUNK,))
+@pytest.mark.parametrize("D", DENSITY_SETS + [naturals()], ids=lambda d: d.name)
+def test_density_matches_the_brute_envelope(monkeypatch, D, chunk):
+    # sets with runs and without are both read by envelope_of_runs, so the
+    # reference is an outside one: brute counts, the first N of a tie
+    monkeypatch.setattr(numerics, "CHUNK", chunk)
+    for horizon in (1, 2, 6, 64, 300, 1000):
+        for start in {1, 2, 7, horizon} & set(range(1, horizon + 1)):
+            assert (density_envelope(D, horizon, start)
+                    == oracles.brute_envelope(D.member, horizon, start)), (horizon, start)
+        want = oracles.brute_envelope(D.member, horizon)
+        counts = oracles.brute_prefix_counts(D.member, horizon)
+        for num, den in ((1, 6), (1, 3), (1, 2), (2, 3)):
+            row = check_density(None, D, horizon, (num, den)).rows[0]
+            assert (row["min_ratio"], row["min_ratio_at"]) == (want.lower, want.lower_at)
+            assert row["strict_above_threshold"] == all(
+                den * c > num * n for n, c in enumerate(counts, 1)), (horizon, num, den)
 
 
 # each set with runs, and a vectorized counter for its cell route

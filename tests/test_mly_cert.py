@@ -16,8 +16,9 @@ from shiftchaos import catalog
 from shiftchaos.dc_cert import WitnessTerm, single_term_pieces
 from shiftchaos.piecewise import log_sum
 from shiftchaos.sequences import BlockSideSequence, SplitSequence
-from shiftchaos.shift import ShiftOperator
-from shiftchaos.spaces import IndexSet, lp_space
+from shiftchaos.numerics import LogScalar, SparseVector
+from shiftchaos.shift import ShiftOperator, orbit_product_logs
+from shiftchaos.spaces import IndexSet, lp_space, metric
 from shiftchaos.weights import bilateral_weights, unilateral_weights
 from shiftchaos.mly_cert import (
     anchor_equivalence_probe,
@@ -49,6 +50,23 @@ class TestCesaroSeries:
             series = cesaro_distance_series(op, 0, 300)
             for a, b in zip(brute, series.averages):
                 assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_terms_are_the_metric_of_the_orbit_point(self, name):
+        # the series and spaces.metric share one level sum, so each term is
+        # d(P(i, n) e_{i-n}, 0) bit for bit, with ln|P(i, n)| read off the
+        # orbit's product slices; where the orbit has left N it reads 0
+        op = catalog.build_example(name)
+        zero = SparseVector.zero()
+        for i in (-3, 0, 5, 40):
+            if not op.space.index_set.contains(i):
+                continue
+            terms = cesaro_distance_series(op, i, 600).terms.tolist()
+            logs = np.concatenate([logs for _, _, logs in orbit_product_logs(op, i, 1, 600)])
+            for n, (term, log) in enumerate(zip(terms, logs.tolist()), 1):
+                want = 0.0 if log == -math.inf else metric(
+                    op.space, SparseVector({i - n: LogScalar(1, log)}), zero)
+                assert term == want, (i, n)
 
     def test_average_drift_bounded(self, ex3_op):
         # terms live in [0, 1], so consecutive averages move by < 1/(n+1)

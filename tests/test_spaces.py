@@ -30,7 +30,6 @@ from shiftchaos.spaces import (
     metric,
     rapidly_decreasing_space,
     seminorm,
-    seminorm_logs,
 )
 
 
@@ -143,14 +142,6 @@ class TestSeminormProperties:
         lhs = seminorm(space, x + y, k).to_real()
         rhs = seminorm(space, x, k).to_real() + seminorm(space, y, k).to_real()
         assert lhs <= rhs * (1 + 1e-9) + 1e-12
-
-    @given(space_cases, entry_dicts)
-    def test_seminorm_logs_agree(self, case, d):
-        _, space = case
-        x = make_vector(space, d)
-        logs = seminorm_logs(space, x, 6)
-        for k in range(1, 7):
-            assert abs(float(logs[k - 1]) - seminorm(space, x, k).logmag) < 1e-9
 
 
 class TestMetricProperties:
