@@ -4,7 +4,11 @@ Both weight sequences and Kothe-matrix row bases are built from the same
 machinery: a side is an infinite concatenation of finite blocks, each block a
 short list of (value, count) runs, laid rightward from a start index or
 leftward from an end index.  Counts are Python ints, so blocks of size 10**200
-stay exact; block boundaries come from cached prefix sums extended lazily.
+stay exact.  Block boundaries are cached prefix sums of the block sizes,
+extended lazily; a block's runs are listed only when a query clips it.  A
+generator may give a block's size (block_size) and the value counts over
+blocks 1..n (counts_through) in closed form; a plain callable answers both
+from its runs, so every block it reaches is listed once.
 
 A sequence exposes four access paths and every consumer picks the cheapest
 one available:
@@ -12,9 +16,9 @@ one available:
   runs_over(lo, hi)     maximal constant runs covering [lo, hi] (None when the
                         sequence has no run structure)
   value_counts(lo, hi)  exact count of each distinct value on [lo, hi] (None
-                        without run structure); block layouts serve it from
-                        per-block prefix counts in O(log blocks) plus the runs
-                        of the two end blocks
+                        without run structure); block layouts serve it as a
+                        difference of prefix counts, found in O(log blocks),
+                        plus the runs of the two end blocks
   values_array(js)      vectorized probe for dense numpy sweeps
 """
 
@@ -114,7 +118,9 @@ class BlockSideSequence(SequenceBase):
     in scan order along the stacking direction.  direction +1 stacks blocks
     rightward from `origin`; direction -1 stacks them leftward starting at
     `origin` (the first block's first run sits at `origin` and the block
-    grows toward smaller indices).
+    grows toward smaller indices).  When blocks also has block_size(n) and
+    counts_through(n) ({value: count} over blocks 1..n, keys in the order
+    the runs first give them), sizes and whole-block counts come from those.
     """
 
     def __init__(self, blocks: BlockGenerator, origin: int, direction: int):
@@ -123,32 +129,43 @@ class BlockSideSequence(SequenceBase):
         self.blocks = blocks
         self.origin = origin
         self.direction = direction
+        self._size_of = getattr(blocks, "block_size", None)
+        self._counts_through = getattr(blocks, "counts_through", None)
         # _bounds[n] = total count of blocks 1..n (Python ints)
         self._bounds: list[int] = [0]
-        self._block_runs: list[list[tuple[float, int]]] = []
+        # block n -> its runs, for every block a query clipped (and every
+        # block reached when blocks gives no block_size)
+        self._block_runs: dict[int, list[tuple[float, int]]] = {}
         # _counts[n] = {value: count} over blocks 1..n, built only on demand
+        # when blocks gives no counts_through
         self._counts: list[dict[float, int]] = [{}]
 
-    def _block_size(self, runs: list[tuple[float, int]]) -> int:
-        total = 0
-        for value, count in runs:
-            if count <= 0:
-                raise ValueError(f"nonpositive run count {count}")
-            total += int(count)
-        return total
+    def _runs(self, n: int) -> list[tuple[float, int]]:
+        """Runs of block n (1-based), listed once."""
+        runs = self._block_runs.get(n)
+        if runs is None:
+            runs = [(float(v), int(c)) for v, c in self.blocks(n)]
+            if not runs:
+                raise ValueError(f"block {n} is empty")
+            for _, count in runs:
+                if count <= 0:
+                    raise ValueError(f"nonpositive run count {count}")
+            self._block_runs[n] = runs
+        return runs
+
+    def _block_size(self, n: int) -> int:
+        if self._size_of is not None:
+            return self._size_of(n)
+        return sum(count for _, count in self._runs(n))
 
     def _extend_to_offset(self, offset: int) -> None:
         """Grow cached prefix sums until they cover 0-based offset `offset`."""
         while self._bounds[-1] <= offset:
-            n = len(self._block_runs) + 1
+            n = len(self._bounds)
             if n > MAX_CACHED_BLOCKS:
                 raise ValueError(f"offset {offset} from origin {self.origin} lies past the "
                                  f"{MAX_CACHED_BLOCKS} blocks a layout side caches")
-            runs = [(float(v), int(c)) for v, c in self.blocks(n)]
-            if not runs:
-                raise ValueError(f"block {n} is empty")
-            self._block_runs.append(runs)
-            self._bounds.append(self._bounds[-1] + self._block_size(runs))
+            self._bounds.append(self._bounds[-1] + self._block_size(n))
 
     def _offset_of(self, j: int) -> int:
         """Distance from origin measured along the stacking direction."""
@@ -162,7 +179,7 @@ class BlockSideSequence(SequenceBase):
         if n < 1:
             raise ValueError("block numbers start at 1")
         self._extend_to_offset(0)
-        while len(self._block_runs) < n:
+        while len(self._bounds) <= n:
             self._extend_to_offset(self._bounds[-1])
         first_off, last_off = self._bounds[n - 1], self._bounds[n] - 1
         if self.direction == 1:
@@ -171,9 +188,9 @@ class BlockSideSequence(SequenceBase):
 
     def _value_at_offset(self, off: int) -> float:
         self._extend_to_offset(off)
-        b = bisect.bisect_right(self._bounds, off) - 1
-        rel = off - self._bounds[b]
-        for value, count in self._block_runs[b]:
+        n = bisect.bisect_right(self._bounds, off)
+        rel = off - self._bounds[n - 1]
+        for value, count in self._runs(n):
             if rel < count:
                 return value
             rel -= count
@@ -193,10 +210,12 @@ class BlockSideSequence(SequenceBase):
         return off_lo, off_hi
 
     def _prefix_counts(self, n: int) -> dict[float, int]:
-        """{value: count} over blocks 1..n (blocks must already be cached)."""
+        """{value: count} over blocks 1..n (their bounds must be cached)."""
+        if self._counts_through is not None:
+            return self._counts_through(n)
         while len(self._counts) <= n:
             acc = dict(self._counts[-1])
-            for value, count in self._block_runs[len(self._counts) - 1]:
+            for value, count in self._runs(len(self._counts)):
                 acc[value] = acc.get(value, 0) + count
             self._counts.append(acc)
         return self._counts[n]
@@ -205,7 +224,7 @@ class BlockSideSequence(SequenceBase):
                           off_lo: int, off_hi: int) -> None:
         """Add the counts of 0-based block b clipped to offsets [off_lo, off_hi]."""
         cursor = self._bounds[b]
-        for value, count in self._block_runs[b]:
+        for value, count in self._runs(b + 1):
             a, z = max(cursor, off_lo), min(cursor + count - 1, off_hi)
             cursor += count
             if a <= z:
@@ -240,7 +259,7 @@ class BlockSideSequence(SequenceBase):
         b = bisect.bisect_right(self._bounds, off_lo) - 1
         cursor = self._bounds[b]
         while cursor <= off_hi:
-            for value, count in self._block_runs[b]:
+            for value, count in self._runs(b + 1):
                 r_lo, r_hi = cursor, cursor + count - 1
                 cursor += count
                 if r_hi < off_lo or r_lo > off_hi:
@@ -252,8 +271,6 @@ class BlockSideSequence(SequenceBase):
                 if len(spans) > MAX_RUNS_PER_QUERY:
                     raise RuntimeError("run query exploded; range too wide for this layout")
             b += 1
-            if b >= len(self._block_runs):
-                self._extend_to_offset(cursor)
         if self.direction == 1:
             return [Run(self.origin + a, self.origin + z, v) for a, z, v in spans]
         return [Run(self.origin - z, self.origin - a, v) for a, z, v in reversed(spans)]
@@ -393,18 +410,46 @@ def twos_halves_ones(base: float = 2.0) -> BlockGenerator:
     return blocks
 
 
+class _RampPlateau:
+    """ramp_plateau's generator, with block sizes and value counts in closed
+    form: plateau(n) = int(plateau_base ** n), the count the runs carry."""
+
+    def __init__(self, plateau_base):
+        self.plateau_base = plateau_base
+        self._plateaus: list[int] = []  # plateau(1), plateau(2), ...
+
+    def __call__(self, n: int) -> list[tuple[float, int]]:
+        asc = [(float(i), 1) for i in range(1, n + 1)]
+        plateau = [(float(n + 1), self.plateau_base ** n)]
+        desc = [(float(i), 1) for i in range(n, 0, -1)]
+        return asc + plateau + desc
+
+    def plateau(self, n: int) -> int:
+        while len(self._plateaus) < n:
+            count = int(self.plateau_base ** (len(self._plateaus) + 1))
+            if count <= 0:
+                raise ValueError(f"nonpositive run count {count}")
+            self._plateaus.append(count)
+        return self._plateaus[n - 1]
+
+    def block_size(self, n: int) -> int:
+        return 2 * n + self.plateau(n)
+
+    def counts_through(self, n: int) -> dict[float, int]:
+        """Over segments 1..n each v in [1, n] sits twice in the ramps of
+        segments v..n and fills segment v-1's plateau; n+1 fills segment n's."""
+        counts = {1.0: 2 * n}
+        for v in range(2, n + 1):
+            counts[float(v)] = 2 * (n - v + 1) + self.plateau(v - 1)
+        counts[float(n + 1)] = self.plateau(n)
+        return counts
+
+
 def ramp_plateau(plateau_base: int = 10) -> BlockGenerator:
     """Segment n: ascending ramp 1..n, plateau n+1 repeated plateau_base^n
     times, descending ramp n..1.  Values here are bases; a power-row matrix
     raises them to the k-th power per row."""
-
-    def blocks(n: int) -> list[tuple[float, int]]:
-        asc = [(float(i), 1) for i in range(1, n + 1)]
-        plateau = [(float(n + 1), plateau_base ** n)]
-        desc = [(float(i), 1) for i in range(n, 0, -1)]
-        return asc + plateau + desc
-
-    return blocks
+    return _RampPlateau(plateau_base)
 
 
 TEMPLATES: dict[str, Callable] = {

@@ -346,17 +346,25 @@ def add_metric_levels(acc: np.ndarray, logs: np.ndarray,
 def metric(space: SpaceSpec, x: SparseVector, y: SparseVector) -> float:
     """Truncated invariant metric d(x, y); underestimates by <= 2^-K_max.
 
-    x - y is one cell of add_metric_levels, its level k ln||x - y||_k read
-    through log_row_array (log_rows' floats) and logsumexp_p, so a
-    single-point vector's distance to 0 is its Cesaro series term bit for bit.
+    x - y is one cell of add_metric_levels, its level k ln||x - y||_k taken
+    by logsumexp_p over log_row_array's floats (log_rows' floats), so a
+    single-point vector's distance to 0 is its Cesaro series term bit for
+    bit.  The base is read once per call and each level is KotheMatrix._row
+    of its logs; a custom rule reads log_row_array per level.
     """
     items = (x - y).items_sorted()
     js = np.array([j for j, _ in items], dtype=np.int64)
     vlogs = np.array([v.logmag for _, v in items])
-    levels = ((k, np.array([logsumexp_p(space.matrix.log_row_array(k, js) + vlogs, space.p)]))
-              for k in range(1, space.metric_depth + 1))
+    matrix = space.matrix
+
+    def levels() -> Iterator[tuple[int, np.ndarray]]:
+        logs = None if matrix.rule == "custom" else _log_base(matrix.base.values_array(js))
+        for k in range(1, space.metric_depth + 1):
+            row = matrix.log_row_array(k, js) if logs is None else matrix._row(k, logs)
+            yield k, np.array([logsumexp_p(row + vlogs, space.p)])
+
     total = np.zeros(1)
-    add_metric_levels(total, np.zeros(1), levels, space.matrix.rule, space.metric_depth)
+    add_metric_levels(total, np.zeros(1), levels(), matrix.rule, space.metric_depth)
     return float(total[0])
 
 

@@ -96,3 +96,38 @@ def test_dense_sweep_hypercyclicity_refutation_is_pinned():
     cfg = {"kind": "hypercyclicity",
            "refute": {"horizon": 4_000_000, "k_max": 4, "floor": 1.0}}
     assert _sha(catalog.run_check(op, cfg)) == HC_REFUTE_SHA256
+
+
+# Deep-horizon checks on the ramp/plateau layouts, at the benchmark's depths:
+# ex4's ACB probes out to segment 204 (indices near 10**205) and the pieces
+# levels at segments 20k +- 2, where sizes and counts come from closed forms
+SEG = catalog.segment_end
+
+
+def _deep_schedule(levels):
+    return [[k, SEG(s), [[SEG(s), 1.0]]] for k, s in levels]
+
+
+DEEP_HORIZON_CHECKS = {
+    "ex4-acb": ("ex4_lp_mly_not_hc",
+                {"kind": "acb", "C_grid": [1.0, 10.0, 100.0],
+                 "probes": [[f"e[{SEG(t)}]", SEG(t), 1.0, SEG(t)]
+                            for t in (8, 9, 10, 30, 204)]},
+                "92c93a42e25aa45cb5bdd4a252ab86ec0ad4bde5204d60e00fbf862fbeaab0d6"),
+    "ex2-dc-pieces": ("ex2_kothe_dc_not_hc",
+                      {"kind": "dc", "m": 1, "mode": "pieces",
+                       "schedule": _deep_schedule([(2, 38), (3, 61), (4, 82),
+                                                   (5, 99), (6, 122)])},
+                      "b78cbe1e3dd5b423b24e5c9d4f8fdeb529ed0ebe8ca50f06131867361dffdeee"),
+    "ex4-mly-pieces": ("ex4_lp_mly_not_hc",
+                       {"kind": "mly", "m": 1, "mode": "pieces", "auto_A_horizon": 0,
+                        "schedule": _deep_schedule([(1, 18), (2, 41), (3, 62), (4, 79),
+                                                    (5, 100), (6, 120)])},
+                       "a63c8aca56695bf01901a06241178b2802fba040a6a95129d675510723b39106"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DEEP_HORIZON_CHECKS))
+def test_deep_horizon_reports_are_pinned(label):
+    entry, cfg, sha = DEEP_HORIZON_CHECKS[label]
+    assert _sha(catalog.run_check(catalog.build_example(entry), cfg)) == sha

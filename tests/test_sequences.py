@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftchaos import sequences
+from shiftchaos.catalog import segment_end
 from shiftchaos.sequences import (
     BlockSideSequence,
     ClosedFormSequence,
@@ -128,6 +129,23 @@ class TestFrozenLayouts:
             side.value_at(-2551)
         assert len(side._block_runs) == 50
 
+    def test_a_bad_block_raises_on_every_query(self):
+        # runs are checked before they are cached, so a second query does
+        # not read a run list one block ahead of the bounds
+        side = BlockSideSequence(lambda n: [(float(n), 0 if n == 2 else 2)], 1, 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonpositive run count 0"):
+                side.value_at(3)
+
+    def test_runs_over_reads_no_block_past_its_range(self, monkeypatch):
+        # the last of 50 cached blocks is offsets 2450 .. 2549 (index -2550)
+        monkeypatch.setattr(sequences, "MAX_CACHED_BLOCKS", 50)
+        side = BlockSideSequence(alternating_powers(2.0), origin=-1, direction=-1)
+        assert side.runs_over(-2550, -2549) == [Run(-2550, -2549, 2.0)]
+        side = BlockSideSequence(alternating_powers(2.0), origin=1, direction=1)
+        side.runs_over(1, 2)
+        assert list(side._block_runs) == [1]
+
     def test_blocks_adjoin(self):
         for direction in (-1, 1):
             side = BlockSideSequence(alternating_powers(2.0),
@@ -191,6 +209,55 @@ class TestRunsAgainstScalar:
         assert runs[0].start == lo and runs[-1].stop == hi
         for a, b in zip(runs, runs[1:]):
             assert b.start == a.stop + 1
+
+
+class TestRampClosedForms:
+    """ramp_plateau gives block sizes and value counts in closed form; the
+    same runs served through a plain callable take the run path."""
+
+    @staticmethod
+    def pair(base, origin, direction):
+        gen = ramp_plateau(base)
+        return (BlockSideSequence(ramp_plateau(base), origin, direction),
+                BlockSideSequence(lambda n: gen(n), origin, direction))
+
+    @given(st.sampled_from([1, 2, 3, 10, 2.5]), st.sampled_from([1, -1]),
+           st.integers(1, 60), st.integers(1, 60),
+           st.integers(0, 2**256), st.integers(0, 2**256))
+    def test_closed_forms_match_the_run_path(self, base, direction, s1, s2, u, v):
+        fast, runs = self.pair(base, direction, direction)
+        ends = []
+        for s, pick in ((min(s1, s2), u), (max(s1, s2), v)):
+            lo, hi = runs.block_range(s)
+            ends.append(lo + pick % (hi - lo + 1))
+        lo, hi = sorted(ends)
+        # the closed-form side answers cold, before any other query
+        got = fast.value_counts(lo, hi)
+        assert list(got.items()) == list(runs.value_counts(lo, hi).items())
+        assert fast.runs_over(lo, hi) == runs.runs_over(lo, hi)
+        assert [fast.value_at(j) for j in (lo, hi)] == [runs.value_at(j) for j in (lo, hi)]
+        assert [fast.block_range(s) for s in (s1, s2)] == [runs.block_range(s) for s in (s1, s2)]
+
+    @pytest.mark.parametrize("base", [0, -1, "x"])
+    def test_bad_plateau_bases_raise_as_the_runs_do(self, base):
+        messages = []
+        for side in self.pair(base, 1, 1):
+            with pytest.raises((ValueError, TypeError)) as err:
+                side.value_counts(1, 5)
+            messages.append((type(err.value), str(err.value)))
+        assert messages[0] == messages[1]
+        if base != "x":
+            assert messages[0] == (ValueError, f"nonpositive run count {base}")
+
+    def test_counts_list_only_the_clipped_blocks(self):
+        # the run path lists all 200 blocks; the closed forms only the two
+        # end blocks of the span (here both ends fall in blocks 1 and 200)
+        side = BlockSideSequence(ramp_plateau(10), 1, 1)
+        side.value_counts(1, segment_end(200))
+        assert len(side._block_runs) <= 2
+        side = BlockSideSequence(ramp_plateau(10), 1, 1)
+        assert side.value_at(segment_end(199) + 300) == 201.0
+        assert len(side._block_runs) == 1
 
 
 class TestSplitSequence:
