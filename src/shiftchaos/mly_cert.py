@@ -21,7 +21,11 @@ then adds exactly 2^-k.  Every term is bit for bit the plain level loop's.
 A single-term witness is summed from value counts wherever the weight
 product is flat (every weight of modulus 1; single_term_counts), in mode
 "auto" first at every horizon; elsewhere past the dense cap from piecewise
-log-linear envelopes, so horizons like 10**200 stay exact.
+log-linear envelopes, so horizons like 10**200 stay exact.  A dense sum is
+one max-shifted pairwise sum per block of numerics.BLOCK cells, the blocks
+aligned at n = 1 and folded in order, so no chunk size moves its bits.
+check_f3's running product averages stay a logaddexp accumulate: prefix
+sums cannot share one shift without underflow.
 
 Schedules, the dense orbit kernel (shift.basis_orbit_logs) and the level
 loop (dc_cert.level_report) are the distributional-chaos module's; each level
@@ -40,7 +44,7 @@ import numpy as np
 
 from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm,
                       _level_form, _resolve_mode, level_report, schedule_dc)
-from .numerics import NEG_INF, ZERO, LogScalar, SparseVector
+from .numerics import NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_blocks
 from .piecewise import log_sum, log_sum_values
 from .reports import CertificateReport
 from .shift import ShiftOperator, orbit_product_logs, orbit_seminorm_log_chunks
@@ -173,14 +177,17 @@ def _average_log(op: ShiftOperator, entry, m: int, mode: str) -> float:
     is summed from its count form where the weights are flat (first in mode
     "auto", at every horizon: exact, with integer counts), else on the dense
     route or from pieces (dc_cert._level_form); -inf for an orbit that
-    vanishes."""
+    vanishes.
+
+    The dense route sums its cells in blocks (numerics.logsumexp_blocks):
+    within nb (A + 91) u of ln sum of the cells for nb blocks of BLOCK cells
+    and A the largest |.| of that sum and the blocks' sums, u = 2^-53, and
+    the shift by ln N rounds once more.  Nothing returns the bound yet."""
     N = entry.horizon
     form = _level_form(op, entry, m, mode)
     if form is None:
-        total = None  # the reduce carries over, seeded as its first operand
-        for _, lognum in orbit_seminorm_log_chunks(op, entry.vector(), m, 1, N):
-            total = np.logaddexp.reduce(lognum, initial=total)
-        total = float(total)
+        total = logsumexp_blocks(
+            lognum for _, lognum in orbit_seminorm_log_chunks(op, entry.vector(), m, 1, N))
     else:
         total = log_sum_values(form) if isinstance(form, dict) else log_sum(form)
     return total - math.log(N)

@@ -12,7 +12,9 @@ inequality.
 
 Every lp form (the max for p = 0, the 1/p-rooted p-power sum for p >= 1)
 goes through one formula in two shapes: logsumexp_p for a few scalar terms
-(one fsum) and logsumexp_p_rows down the columns of an array.
+(one fsum) and logsumexp_p_rows down the columns of an array.  A long dense
+log-sum (logsumexp_blocks) takes its cells in fixed blocks, so its bits do
+not depend on how the dense route chunks them.
 """
 
 from __future__ import annotations
@@ -190,6 +192,67 @@ def chunk_spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
         yield a, min(a + step - 1, hi)
 
 
+BLOCK = 1 << 12
+
+
+def logsumexp_blocks(chunks: Iterable[np.ndarray]) -> float:
+    """ln sum e^x over the cells of consecutive chunks of logs; -inf for no
+    cell or only -inf cells.
+
+    The cells are cut into blocks of BLOCK cells aligned at the first cell,
+    wherever the chunk edges fall: a block that spans chunks is gathered in
+    one buffer, whole blocks inside a chunk are read in place.  Each block
+    is one max-shifted m + ln sum e^(x - m) (numpy's sum is pairwise), a
+    block with no finite cell is skipped, and the block values are folded
+    in order with np.logaddexp.  So the bits do not depend on the chunking.
+
+    Error: with u = 2^-53, nb the number of blocks holding a finite cell
+    and A the largest |.| of ln sum e^x and of the blocks' exact values, the
+    result is within nb (A + 91) u of ln sum e^x.  In a block, the rounded
+    shift and exp (within 4 ulps) move the sum by at most (2 ln BLOCK + 8) u
+    of itself, since e^d |d| summed over the block's d = x - m <= 0 is at
+    most 2 ln BLOCK times its sum e^d >= 1; the pairwise sum (depth <= 32)
+    adds 32 u, the log (2 ulps) 4 u ln BLOCK and the shift back u A.  Each
+    fold rounds by at most (12 + A) u, and logaddexp weights its operands'
+    errors by convex weights, so they add without growing.
+    """
+    buf = np.empty(BLOCK)
+    fill = 0  # cells of the block in buf
+    total = NEG_INF
+    for x in chunks:
+        if fill:
+            t = min(BLOCK - fill, x.size)
+            buf[fill:fill + t] = x[:t]
+            fill += t
+            if fill < BLOCK:
+                continue
+            total = _fold_blocks(total, buf[None])
+            x = x[t:]
+        whole = x.size - x.size % BLOCK
+        if whole:
+            total = _fold_blocks(total, x[:whole].reshape(-1, BLOCK))
+        fill = x.size - whole
+        buf[:fill] = x[whole:]
+    if fill:
+        total = _fold_blocks(total, buf[None, :fill])
+    return float(total)
+
+
+def _fold_blocks(total: float, blocks: np.ndarray) -> float:
+    """total folded in order with each row's max-shifted log-sum; rows with
+    no finite cell are left out (-inf - (-inf) would be NaN)."""
+    m = blocks.max(axis=1)
+    live = m > NEG_INF
+    if not live.all():
+        blocks, m = blocks[live], m[live]
+    t = np.subtract(blocks, m[:, None])
+    np.exp(t, out=t)
+    s = np.sum(t, axis=1)
+    np.log(s, out=s)
+    s += m
+    return np.logaddexp.reduce(s, initial=total)
+
+
 def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
     """logsumexp_p down every column of an (r, N) array of logs, in numpy.
 
@@ -203,8 +266,15 @@ def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
     m = rows.max(axis=0)
     if p == 0:
         return m
-    if m.min() > NEG_INF:
-        return m + np.log(np.sum(np.exp(p * (rows - m)), axis=0)) / p
+    if m.min() > NEG_INF:  # m + ln(sum e^(p (rows - m))) / p, in place
+        t = np.subtract(rows, m)
+        t *= p
+        np.exp(t, out=t)
+        out = np.sum(t, axis=0)
+        np.log(out, out=out)
+        out /= p
+        out += m
+        return out
     out = np.full(rows.shape[1], NEG_INF)
     finite = m > NEG_INF  # -inf - (-inf) would be NaN
     s = np.log(np.sum(np.exp(p * (rows[:, finite] - m[finite])), axis=0))

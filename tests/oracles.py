@@ -494,3 +494,40 @@ def exact_run_average(op: ShiftOperator, index: int, N: int) -> Fraction:
             if ar.start > j:
                 ai -= 1
     return total / N
+
+
+# ---------------------------------------------------------------------------
+# log-sums: an fsum reference and numerics.logsumexp_blocks' stated bound
+
+U = 2.0 ** -53
+
+
+def _exp_shifted(x: float, m: float) -> float:
+    """e^(x - m) to about an ulp: the rounding error r of x - m, recovered
+    exactly by TwoSum, is put back as e^(x - m rounded) (1 + r)."""
+    d = x - m
+    b = d - x
+    r = (x - (d - b)) + (-m - b)
+    return math.exp(d) * (1.0 + r)
+
+
+def log_sum_reference(logs) -> float:
+    """ln sum e^x over the n finite logs by one fsum shifted by their max,
+    to within (|result| + 2 ln n + 5) u; -inf for none."""
+    xs = [x for x in np.asarray(logs, dtype=float).tolist() if x > -math.inf]
+    if not xs:
+        return -math.inf
+    m = max(xs)
+    return m + math.log(math.fsum(_exp_shifted(x, m) for x in xs))
+
+
+def log_sum_blocks_bound(logs, block: int) -> float:
+    """numerics.logsumexp_blocks' stated bound nb (A + 91) u for these cells
+    cut into blocks of `block` (A read off the references)."""
+    logs = np.asarray(logs, dtype=float)
+    sums = [log_sum_reference(logs[a:a + block]) for a in range(0, logs.size, block)]
+    sums = [s for s in sums if s > -math.inf]
+    if not sums:
+        return 0.0
+    A = max(abs(s) for s in sums + [log_sum_reference(logs)])
+    return len(sums) * (A + 91) * U

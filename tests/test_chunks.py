@@ -114,6 +114,47 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, name, op, anchors)
         assert _streamed_reports(op, anchors) == want, chunk
 
 
+def _dense_mly(op: ShiftOperator, anchors: list[int], horizon: int) -> str:
+    """One dense MLY condition-(B) level over the anchors' two-term witness."""
+    sched = dc_cert.schedule_dc(1, [(1, horizon, [(a, 1.5 - t / 4)
+                                                  for t, a in enumerate(anchors)])])
+    return _outcome(mly_cert.check_mly_condition_B, op, sched, mode="dense",
+                    auto_a_horizon=0)
+
+
+# The dense MLY average sums its cells in blocks of numerics.BLOCK aligned at
+# n = 1; a horizon of three blocks and a remainder makes CHUNK 1, 7 and 64
+# gather blocks across chunk edges.  On N the witness leaves the domain in
+# the third block, so the rest of it and the remainder hold no finite cell.
+BLOCK_SPAN = 3 * numerics.BLOCK + 17
+BLOCK_LAYOUTS = [(LAYOUTS[0][1], [0, 4]),
+                 (LAYOUTS[3][1], [2 * numerics.BLOCK + 100, 2 * numerics.BLOCK + 97])]
+
+
+@pytest.mark.usefixtures("_exact_floats")
+@pytest.mark.parametrize("op, anchors", BLOCK_LAYOUTS,
+                         ids=[LAYOUTS[0][0], LAYOUTS[3][0]])
+def test_block_sums_do_not_depend_on_the_chunk_size(monkeypatch, op, anchors):
+    monkeypatch.setattr(numerics, "CHUNK", SINGLE)
+    want = _dense_mly(op, anchors, BLOCK_SPAN)
+    assert '"pass": true' in want
+    for chunk in CHUNKS:
+        monkeypatch.setattr(numerics, "CHUNK", chunk)
+        assert _dense_mly(op, anchors, BLOCK_SPAN) == want, chunk
+
+
+@pytest.mark.usefixtures("_exact_floats")
+@pytest.mark.parametrize("name, op, anchors", LAYOUTS, ids=[l[0] for l in LAYOUTS])
+def test_small_block_sums_do_not_depend_on_the_chunk_size(monkeypatch, name, op, anchors):
+    # blocks of 16 cells: a block edge falls inside most chunks at HORIZON
+    monkeypatch.setattr(numerics, "BLOCK", 16)
+    monkeypatch.setattr(numerics, "CHUNK", SINGLE)
+    want = _dense_mly(op, anchors[:2], HORIZON)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(numerics, "CHUNK", chunk)
+        assert _dense_mly(op, anchors[:2], HORIZON) == want, chunk
+
+
 def test_zero_weights_are_named_as_one_pass_names_them(monkeypatch):
     _, op, anchors = LAYOUTS[-1]
     for chunk in (SINGLE,) + CHUNKS:

@@ -30,7 +30,7 @@ from shiftchaos.dc_cert import (
 )
 from shiftchaos.density import naturals
 from shiftchaos.mly_cert import _average_log
-from shiftchaos.numerics import NEG_INF, LogScalar
+from shiftchaos.numerics import BLOCK, NEG_INF, LogScalar
 from shiftchaos.piecewise import count_above, log_sum, log_sum_values
 from shiftchaos.sequences import (
     BlockSideSequence,
@@ -39,7 +39,7 @@ from shiftchaos.sequences import (
     SplitSequence,
     ramp_plateau,
 )
-from shiftchaos.shift import ShiftOperator
+from shiftchaos.shift import ShiftOperator, orbit_seminorm_log_array
 from shiftchaos.spaces import (IndexSet, KotheMatrix, SpaceSpec, lp_space,
                                rapidly_decreasing_space)
 from shiftchaos.weights import Piece, WeightSpec, bilateral_weights, unilateral_weights
@@ -280,8 +280,9 @@ class TestSingleTermCounts:
     def test_auto_reads_counts_as_dense_does(self, case, index, N, m, k, coeff):
         # mode "auto" reads the count form first, also within the dense cap:
         # the counts equal the dense route's, and the averages agree within
-        # the dense reduce's rounding (one per cell: 0.61 sqrt(N) ulps at
-        # most over 1,900 draws) and within a few ulps of the exact average
+        # the dense block sum's stated bound, which does not grow with N
+        # below BLOCK cells, plus a few ulps (the count form's distance from
+        # the exact average, the cells' own rounding and the shift by ln N)
         _, op = case
         if op.space.index_set is IndexSet.N:
             index = abs(index) + 1
@@ -295,7 +296,9 @@ class TestSingleTermCounts:
             assert auto == NEG_INF
             return
         scale = max(abs(dense + math.log(N)), math.log(N), 1.0)
-        assert abs(auto - dense) <= (4 + 2 * math.sqrt(N)) * math.ulp(scale)
+        cells = orbit_seminorm_log_array(op, entry.vector(), m, N)[1:]
+        assert abs(auto - dense) <= (8 * math.ulp(scale)
+                                     + oracles.log_sum_blocks_bound(cells, BLOCK))
         if op.space.matrix.rule == "constant":
             exact = Fraction(abs(coeff)) * oracles.exact_run_average(op, index, N)
             assert abs(auto - _rounded_log(exact)) <= 4 * math.ulp(scale)

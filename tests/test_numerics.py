@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import math
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from shiftchaos.numerics import (
+    BLOCK,
     NEG_INF,
     ONE,
     ZERO,
     LogScalar,
     SparseVector,
     logadd,
+    logsumexp_blocks,
     logsumexp_p,
     logsumexp_p_rows,
 )
@@ -236,6 +240,81 @@ class TestLpForm:
             logsumexp_p([0.0, 1.0], p)
         with pytest.raises(ValueError, match="p must be 0 or >= 1"):
             logsumexp_p_rows(np.zeros((2, 3)), p)
+
+
+@contextmanager
+def _no_float_warnings():
+    """A NaN, overflow or division by zero raises; underflow in exp is fine."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+
+
+def _cells(seed: int, n: int, center: float, width: float, dead: float,
+           dead_blocks: list[int]) -> np.ndarray:
+    """n logs uniform on center +- width, clipped to +-700, a share `dead`
+    of them -inf and the listed blocks of BLOCK cells wholly -inf."""
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.uniform(center - width, center + width, n), -700, 700)
+    x[rng.random(n) < dead] = NEG_INF
+    for b in dead_blocks:
+        x[b * BLOCK:(b + 1) * BLOCK] = NEG_INF
+    return x
+
+
+MAX_CELLS = 3 * BLOCK + 64
+spread_logs = st.floats(min_value=-700, max_value=700)
+# whole blocks and a remainder, so most draws span a block edge
+cell_counts = st.builds(lambda b, r: max(1, b * BLOCK + r), st.integers(0, 3),
+                        st.integers(0, 64) | st.integers(0, BLOCK - 1))
+cell_arrays = st.one_of(
+    st.builds(_cells, st.integers(0, 2**32 - 1), cell_counts, spread_logs,
+              st.sampled_from([0.0, 1.0, 30.0, 700.0]), st.sampled_from([0.0, 0.3, 0.99]),
+              st.lists(st.integers(0, 3), max_size=2)),
+    st.lists(st.one_of(spread_logs, st.just(NEG_INF)), max_size=40).map(np.array))
+
+
+class TestBlockLogSum:
+    @settings(max_examples=80)
+    @given(cell_arrays)
+    @example(_cells(1, BLOCK, 0, 700, 0.0, []))
+    @example(_cells(2, BLOCK + 1, 695, 5, 0.0, []))
+    @example(_cells(3, 3 * BLOCK + 17, -650, 50, 0.3, [0, 2]))
+    @example(_cells(4, 2 * BLOCK, 0, 700, 0.0, [1]))
+    def test_within_the_stated_bound_of_fsum(self, cells):
+        with _no_float_warnings():
+            got = logsumexp_blocks([cells])
+        want = oracles.log_sum_reference(cells)
+        if want == NEG_INF:
+            assert got == NEG_INF
+            return
+        n = int(np.count_nonzero(cells > NEG_INF))
+        slack = (abs(want) + 2 * math.log(n) + 5) * oracles.U  # the reference's own
+        assert abs(got - want) <= oracles.log_sum_blocks_bound(cells, BLOCK) + slack
+
+    @given(cell_arrays, st.lists(st.integers(0, MAX_CELLS), max_size=8))
+    @example(_cells(5, 3 * BLOCK + 17, 0, 1, 0.3, [1]),
+             [1, BLOCK - 1, BLOCK, BLOCK, 2 * BLOCK + 1, 3 * BLOCK])
+    def test_any_chunking_gives_the_same_bits(self, cells, cuts):
+        cells.flags.writeable = False  # the dense route's chunks may be read-only
+        chunks = np.split(cells, sorted(c for c in cuts if c <= cells.size))
+        with _no_float_warnings():
+            want = logsumexp_blocks([cells])
+            got = logsumexp_blocks(chunks)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_no_finite_cell_gives_minus_inf(self):
+        with _no_float_warnings():
+            assert logsumexp_blocks([]) == NEG_INF
+            assert logsumexp_blocks([np.empty(0)]) == NEG_INF
+            assert logsumexp_blocks([np.full(3 * BLOCK + 5, NEG_INF),
+                                     np.full(7, NEG_INF)]) == NEG_INF
+
+    @given(spread_logs)
+    def test_one_cell_comes_back_unchanged(self, x):
+        with _no_float_warnings():
+            assert logsumexp_blocks([np.array([NEG_INF, x, NEG_INF])]) == x
 
 
 class TestSparseVector:

@@ -6,10 +6,15 @@ params, rows and notes too."""
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
+import oracles
 from shiftchaos import catalog
+from shiftchaos.numerics import LogScalar, SparseVector
+from shiftchaos.shift import orbit_seminorm_log_array
+from shiftchaos.spaces import seminorm
 
 REPORT_SHA256 = {
     ("ex1_s_Z_hc_not_dc", 0): "262aa186deca5ae7d1a566adf3d8cf225ccd4dab1792645284b2a11271b36f45",
@@ -96,6 +101,55 @@ def test_dense_sweep_hypercyclicity_refutation_is_pinned():
     cfg = {"kind": "hypercyclicity",
            "refute": {"horizon": 4_000_000, "k_max": 4, "floor": 1.0}}
     assert _sha(catalog.run_check(op, cfg)) == HC_REFUTE_SHA256
+
+
+# The dense-sweep two-term MLY levels: ex4 at N_k = segment_end(2k), k = 1..3,
+# with witness e_N + e_(N - offset) for every offset the benchmark draws
+TWO_TERM_DENSE = {
+    -2: ([[1, 116, [[116, 1.0], [118, 1.0]]],
+          [2, 11130, [[11130, 1.0], [11132, 1.0]]],
+          [3, 1111152, [[1111152, 1.0], [1111154, 1.0]]]],
+         "5ff23790c4a584f5169237e055df0c08d8ce4844494bbcf348cfd651274699ec"),
+    -1: ([[1, 116, [[116, 1.0], [117, 1.0]]],
+          [2, 11130, [[11130, 1.0], [11131, 1.0]]],
+          [3, 1111152, [[1111152, 1.0], [1111153, 1.0]]]],
+         "6880ecc41682551fc832a93645bfce3f31f6d3db5e8583b935209692a2017f49"),
+    # k = 3 prints 4.35681946164e+0, the exact sum's digits
+    # (test_two_term_dense_level_prints_the_exact_digits)
+    1: ([[1, 116, [[116, 1.0], [115, 1.0]]],
+         [2, 11130, [[11130, 1.0], [11129, 1.0]]],
+         [3, 1111152, [[1111152, 1.0], [1111151, 1.0]]]],
+        "531106326ac2f68fa6860120693b9617a8e596a435c4c0533692c97e243d7f46"),
+    2: ([[1, 116, [[116, 1.0], [114, 1.0]]],
+         [2, 11130, [[11130, 1.0], [11128, 1.0]]],
+         [3, 1111152, [[1111152, 1.0], [1111150, 1.0]]]],
+        "fd4f1149da868cc7fbb237dcc7f97e6aa35c3ac6ecc45eb8f421bfce62145ad3"),
+}
+
+
+def _two_term_dense(schedule) -> dict:
+    return {"kind": "mly", "m": 1, "mode": "dense", "auto_A_horizon": 0,
+            "schedule": schedule}
+
+
+@pytest.mark.parametrize("offset", sorted(TWO_TERM_DENSE))
+def test_dense_sweep_two_term_levels_are_pinned(offset, ex4_op):
+    schedule, sha = TWO_TERM_DENSE[offset]
+    assert _sha(catalog.run_check(ex4_op, _two_term_dense(schedule))) == sha
+
+
+def test_two_term_dense_level_prints_the_exact_digits(ex4_op):
+    # offset 1 at k = 3 averages 4.3568194616443...: a sum that rounds once
+    # per cell drifted 2,400 ulps high there and printed 4.35681946165e+0
+    schedule = TWO_TERM_DENSE[1][0][2:]  # the k = 3 level
+    k, N, terms = schedule[0]
+    x = SparseVector.from_terms(terms)
+    cells = orbit_seminorm_log_array(ex4_op, x, 1, N)[1:]
+    want = (oracles.log_sum_reference(cells) - math.log(N)
+            - seminorm(ex4_op.space, x, k).logmag)
+    row = catalog.run_check(ex4_op, _two_term_dense(schedule)).rows[0]
+    assert row["average"].decimal_str() == LogScalar(1, want).decimal_str() \
+        == "4.35681946164e+0"
 
 
 # Deep-horizon checks on the ramp/plateau layouts, at the benchmark's depths:
