@@ -23,10 +23,13 @@ numerics (logsumexp_p_rows).  The four condition-(B) checks share one level
 loop and verdict ladder (level_report), which rejects witness indices off
 the domain; the counting level itself (_dc_level) compares seminorms, so
 check_dc_condition_B and check_kothe_dc run the same comparison.  Condition
-(A) comes in as a report; its own check walks the candidate set through
-density.  The two refutations (of condition (A) and of hypercyclicity) read
-run ends and take the dense route's arithmetic only for the cells whose
-comparison rounding could decide.  Verdicts come from the closed vocabulary
+(A) comes in as a report.  Its own check, and the two refutations (of
+condition (A) and of hypercyclicity), read run ends and take the dense
+route's arithmetic only for the cells whose comparison rounding could
+decide: condition (A) and its refutation split the orbit pieces of every
+anchor and level of a chunk at once (_bad_chunks), and condition (A) reads
+the candidate set's run blocks at the ends of the violating intervals.
+Anchors must lie in the domain.  Verdicts come from the closed vocabulary
 in `reports` and are always horizon-stamped.
 """
 
@@ -34,17 +37,17 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .density import (IndexPredicate, density_envelope, envelope_of_runs, interval_runs,
-                      last_ratio_at_most, member_chunks, naturals)
+                      last_ratio_at_most, members_in, naturals, run_columns)
 from .numerics import NEG_INF, LogScalar, SparseVector, chunk_spans, logsumexp_p_rows
 from .piecewise import concave_superlevel, count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
-from .shift import ShiftOperator, basis_orbit_logs, orbit_seminorm_log_chunks
+from .shift import ShiftOperator, _lockstep, basis_orbit_logs, orbit_seminorm_log_chunks
 from .spaces import IndexSet, seminorm
 from .weights import (MAX_DENSE, Piece, overlay_row_runs, product_log_slice,
                       product_pieces, products, shift_pieces)
@@ -245,8 +248,14 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     "Eventually at this horizon" means: past the last violating n in D, the
     remaining D-tail is clean and makes up at least tail_fraction_min of
     D cap [1, horizon] (a nonnegligible settled stretch, not a lucky last
-    sample).  Verdicts speak only about the checked range.  D is walked by
-    density, by its runs where it has them, per anchor in the orbit's chunks.
+    sample).  Verdicts speak only about the checked range.
+
+    The violating n of every anchor and level come chunk by chunk as
+    intervals (_bad_chunks: one split of all their pieces, the dense
+    route's arithmetic only on cells rounding could decide), and D's run
+    block over the chunk is read at their ends (density.members_in): per
+    anchor and level, how many members violate, the last one, and the
+    members up to it.
     """
     D = D if D is not None else naturals()
     anchors = list(anchors)
@@ -254,6 +263,7 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
         raise ValueError("need a positive horizon and at least one anchor")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _require_anchors(op, anchors)
     _resolve_mode("dense", 1, horizon)
     env = density_envelope(D, horizon)
     d_total = D.prefix_count(horizon)
@@ -265,30 +275,40 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     params["set_ratio_at_horizon"] = env.ratio_at_horizon
     params["set_ratio_lower"] = env.lower
     log_tol = math.log(decay_tol)
+    # per anchor and level (key anchor * k_max + k - 1): violations, the
+    # last violating n, members in [1, last]
+    keys = len(anchors) * k_max
+    viol, last, through = np.zeros(keys, np.int64), [0] * keys, [0] * keys
+    blocks, runs = run_columns(D, 1, horizon), None
+    for _, n1, (key, starts, ends) in _bad_chunks(op, anchors, horizon, log_tol,
+                                                 tuple(range(1, k_max + 1))):
+        if not starts.size:
+            continue
+        while runs is None or runs[1][-1] < n1:  # D's block over the chunk
+            runs = next(blocks)
+        count, upto, at = members_in(runs, starts, ends)
+        viol += np.bincount(key, count, keys).astype(np.int64)
+        hit = np.flatnonzero(count)  # by key, then n: each key's last
+        for t in hit[np.diff(key[hit], append=keys) != 0].tolist():
+            last[key[t]], through[key[t]] = int(at[t]), int(upto[t])
     rows = []
-    all_ok = True
-    for i in anchors:
-        # per level: violations, last violating n, members in [1, last]
-        levels, at = [[0, 0, 0] for _ in range(k_max)], None
-        members, mask, before = member_chunks(D, horizon), np.zeros(0, bool), 0
-        for n0, k, vals in basis_orbit_logs(op, i, range(1, k_max + 1), 1, horizon):
-            if n0 != at:  # the chunk's membership; before: the members ahead of it
-                before += int(np.count_nonzero(mask))
-                at, mask = next(members)
-            viol = mask & (vals >= log_tol)
-            n_viol = int(np.count_nonzero(viol))
-            if n_viol:
-                last = viol.size - 1 - int(np.argmax(viol[::-1]))
-                levels[k - 1] = [levels[k - 1][0] + n_viol, n0 + last,
-                                 before + int(np.count_nonzero(mask[:last + 1]))]
-        for k, (n_viol, last, through) in enumerate(levels, 1):
-            tail = d_total - through
-            ok = n_viol == 0 or tail >= tail_fraction_min * d_total
-            all_ok = all_ok and ok
-            rows.append({"anchor": i, "seminorm": k, "violations": n_viol,
-                         "last_violation": last, "tail_members": tail, "ok": ok})
-    verdict = "condition-A-holds-at-horizon" if all_ok else "condition-failed"
+    for key in range(keys):
+        n_viol, tail = int(viol[key]), d_total - through[key]
+        rows.append({"anchor": anchors[key // k_max], "seminorm": key % k_max + 1,
+                     "violations": n_viol, "last_violation": last[key],
+                     "tail_members": tail,
+                     "ok": n_viol == 0 or tail >= tail_fraction_min * d_total})
+    verdict = ("condition-A-holds-at-horizon" if all(r["ok"] for r in rows)
+               else "condition-failed")
     return CertificateReport("dc-condition-A", verdict, params, rows)
+
+
+def _require_anchors(op: ShiftOperator, anchors: Iterable[int]) -> None:
+    """An anchor names a basis vector e_i, so it must lie in the domain."""
+    domain = op.space.index_set
+    for i in anchors:
+        if not domain.contains(i):
+            raise ValueError(f"anchor {i} is outside the domain {domain.value}")
 
 
 def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: int,
@@ -302,129 +322,173 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     with positive frequency, so the decay fails along every such D.
 
     bad(i) comes chunk by chunk as intervals read off the runs of the
-    weights and the row (_bad_chunks), each cell on the side the dense
-    route's float puts it, and density reads the prefix ratios off their
-    ends: settles_at is one past the last N with ratio <= delta, min_ratio
-    the least ratio from there (the first N of a tie), bad_count exact.
+    weights and the row (_bad_chunks at level 1), each cell on the side the
+    dense route's float puts it, and density reads the prefix ratios off
+    their ends: settles_at is one past the last N with ratio <= delta,
+    min_ratio the least ratio from there (the first N of a tie), bad_count
+    exact.
     """
     anchors = list(anchors)
     if horizon < 1 or not anchors:
         raise ValueError("need a positive horizon and at least one anchor")
+    _require_anchors(op, anchors)
     _resolve_mode("dense", 1, horizon)
     log_bound = math.log(bound)
-    rows = []
-    all_ok = True
-    for i in anchors:
-        # the last low N, the least ratio past it and its N, bad cells so far
-        last_low, least, bad = 0, None, 0
-        for n0, n1, starts, ends in _bad_chunks(op, i, horizon, log_bound):
-            low = last_ratio_at_most(interval_runs(starts, ends, n0, n1, n0, bad), delta)
+    # per anchor: the last low N, the least ratio past it and its N, bad cells so far
+    last_low, least, bad = [0] * len(anchors), [None] * len(anchors), [0] * len(anchors)
+    for n0, n1, (key, starts, ends) in _bad_chunks(op, anchors, horizon, log_bound, (1,)):
+        cut = np.searchsorted(key, np.arange(len(anchors) + 1))
+        for a, (s, e) in enumerate(zip(cut[:-1], cut[1:])):
+            starts_a, ends_a = starts[s:e], ends[s:e]
+            runs = interval_runs(starts_a, ends_a, n0, n1, n0, bad[a])
+            low = last_ratio_at_most(runs, delta)
             if low:
-                last_low, least = low, None
+                last_low[a], least[a] = low, None
             if low < n1:
-                env = envelope_of_runs(interval_runs(starts, ends, max(low + 1, n0), n1,
-                                                     n0, bad))
-                if least is None or env.lower < least[0]:
-                    least = (env.lower, env.lower_at)
-            bad += int(np.sum(ends - starts + 1))
-        n0 = last_low + 1  # just past the last low N
+                env = envelope_of_runs(interval_runs(starts_a, ends_a, max(low + 1, n0), n1,
+                                                     n0, bad[a]))
+                if least[a] is None or env.lower < least[a][0]:
+                    least[a] = (env.lower, env.lower_at)
+            bad[a] += int(np.sum(ends_a - starts_a + 1))
+    rows = []
+    for i, low, at_least, count in zip(anchors, last_low, least, bad):
+        n0 = low + 1  # just past the last low N
         ok = n0 <= min(settle_by, horizon)
-        min_ratio, min_at = least if ok else (0.0, n0)
-        all_ok = all_ok and ok
+        min_ratio, min_at = at_least if ok else (0.0, n0)
         rows.append({"anchor": i, "settles_at": n0, "min_ratio": min_ratio,
-                     "min_ratio_at": min_at, "bad_count": bad, "ok": ok})
-    verdict = "condition-A-refuted-at-horizon" if all_ok else "inconclusive"
+                     "min_ratio_at": min_at, "bad_count": count, "ok": ok})
+    verdict = ("condition-A-refuted-at-horizon" if all(r["ok"] for r in rows)
+               else "inconclusive")
     params = {"horizon": horizon, "bound": bound, "delta": delta,
               "settle_by": settle_by}
     return CertificateReport("dc-condition-A-refutation", verdict, params, rows)
 
 
-Intervals = tuple[np.ndarray, np.ndarray]  # starts, ends: sorted, disjoint
-_NO_CELLS = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+# (key, start, end) columns of intervals, sorted by key, then by start, and
+# disjoint within a key; key = anchor * levels + level, the positions of
+# the anchor and of its k in the lists asked for
+Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
+_NO_CELLS = (np.zeros(0, np.int64),) * 3
 _U = 2.0 ** -53  # the unit roundoff of float64
 
 
-def _bad_chunks(op: ShiftOperator, i: int, horizon: int, level: float
-                ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """(n0, n1, starts, ends) per chunk [n0, n1] of [1, horizon]: the n in it
-    with ln |P(i, n) a(i - n, 1)| >= level, as intervals, each cell on the
-    side the dense route's float puts it.
+def _bad_chunks(op: ShiftOperator, anchors: list[int], horizon: int, level: float,
+                ks: tuple[int, ...]) -> Iterator[tuple[int, int, Cells]]:
+    """(n0, n1, cells) per chunk [n0, n1] of [1, horizon]: per anchor i and
+    k in ks the n in it with ln |P(i, n) a(i - n, k)| >= level, as
+    intervals, each cell on the side the dense route's float puts it.
 
-    On each piece of _OrbitPieces f(n) is concave, so its cells at least
+    On each piece of _OrbitPieces f_k(n) is concave, so its cells at least
     level + margin form one interval, sure to be in the set, and those at
     least level - margin a wider one; every other cell is sure to be out.
-    The cells between, within margin of the level, are undecided: rounding
+    The pieces of every anchor and level in a chunk are split at once.  The
+    cells between, within margin of the level, are undecided: rounding
     could put their dense floats on either side, so _DenseCells evaluates
     them with the dense route's own arithmetic.  Without run structure
     every cell is undecided, and that is the dense scan itself.
+
+    The anchors' orbits are walked in step (shift._lockstep), so an error
+    surfaces as if each anchor ran to the end in turn.
     """
+    dense = [_DenseCells(op, i, ks, a * len(ks)) for a, i in enumerate(anchors)]
+    walks = [_orbit_walk(op, i, horizon, level, cells) for i, cells in zip(anchors, dense)]
+    for (n0, n1), step in zip(chunk_spans(1, horizon), _lockstep(walks)):
+        parts = [s for s in step if not isinstance(s, _OrbitPieces)]  # decided cells
+        pieces = [s for s in step if isinstance(s, _OrbitPieces)]
+        if pieces:
+            sure, undecided = _OrbitPieces.stack(pieces).split_at(level)
+            parts.append(sure)
+            owner = undecided[0] // len(ks)  # np.unique would import numpy.ma
+            for a in sorted(set(owner.tolist())):
+                mine = owner == a
+                parts.append(dense[a](tuple(c[mine] for c in undecided), level))
+        if len(parts) == 1:
+            key, starts, ends = parts[0]
+        else:
+            key, starts, ends = (np.concatenate(c) for c in zip(*parts))
+            order = np.lexsort((starts, key))
+            key, starts, ends = key[order], starts[order], ends[order]
+        yield n0, n1, (key, starts, ends)
+
+
+def _orbit_walk(op: ShiftOperator, i: int, horizon: int, level: float,
+                dense: "_DenseCells") -> Iterator["_OrbitPieces | Cells"]:
+    """Per chunk of [1, horizon], the orbit of i as pieces of every level
+    (keys from dense's first key), or its cells at or above the level where
+    no piece is needed: none once the orbit has left N, every cell from
+    dense where the runs give out."""
     # past alive the orbit has left N: no cell there reaches a level
     alive = horizon if op.space.index_set is IndexSet.Z else min(horizon, i - 1)
-    dense, carry = _DenseCells(op, i), (0.0, 0.0, 0.0)
+    carry = (0.0, 0.0, 0.0)
     for n0, n1 in chunk_spans(1, horizon):
-        if n0 > alive:
-            yield n0, n1, *_NO_CELLS
-            continue
         hi = min(n1, alive)
-        pieces = None if carry is None else _OrbitPieces.of(op, i, n0, hi, carry)
-        if pieces is None:  # no runs: from here on every cell is undecided
-            carry, sure, undecided = None, _NO_CELLS, (np.array([n0]), np.array([hi]))
+        if n0 > hi:
+            yield _NO_CELLS
+            continue
+        built = None if carry is None else _OrbitPieces.of(op, i, n0, hi, carry, dense.ks,
+                                                           dense.key0)
+        if built is None:  # no runs: from here on every cell is undecided
+            carry, every = None, dense.key0 + np.arange(len(dense.ks))
+            yield dense((every, np.full(every.size, n0), np.full(every.size, hi)), level)
         else:
-            carry = pieces.carry
-            sure, undecided = pieces.split_at(level)
-        hit = dense(*undecided, level)
-        starts, ends = np.concatenate((sure[0], hit[0])), np.concatenate((sure[1], hit[1]))
-        order = np.argsort(starts, kind="stable")
-        yield n0, n1, starts[order], ends[order]
+            pieces, carry = built
+            yield pieces
 
 
 @dataclass(frozen=True)
 class _OrbitPieces:
-    """f(n) = ln |P(i, n)| + ln a(i - n, 1) over pieces [n0, n1] of a chunk
-    on which the weight w_{i-n} and the row are constant, or the row's base
-    is |j| + 1 (s(J)) and j = i - n keeps its sign: there
+    """f_k(n) = ln |P(i, n)| + ln a(i - n, k) over pieces [n0, n1] of a
+    chunk on which the weight w_{i-n} and the row are constant, or the row's
+    base is |j| + 1 (s(J)) and j = i - n keeps its sign: there
 
-        f(n) = (A + slope * (n - B)) + (r + power * ln(|i - n| + 1)),
+        f_k(n) = (A + slope * (n - B)) + (r + power * ln(|i - n| + 1)),
 
     with ln |P(i, n)| affine and either a constant row r (power 0) or
-    ln(|j| + 1) (power 1), so f is concave.  Rows and slopes are the dense
-    route's floats (np.log once per run), so `at` is off the dense float of
-    a cell only by the dense cumsum's rounding and a few more roundings:
-    margin bounds that, per piece.  Pieces where the row is 0 (r = -inf)
-    are left out: no cell there reaches any level.
+    power * ln(|j| + 1) (power k on power rows, 1 on constant ones), so f_k
+    is concave.  Pieces of several anchors and levels stack, each under the
+    key of its anchor and level.  Rows and slopes are the dense route's
+    floats (np.log once per run, k * ln base as KotheMatrix._row takes it),
+    so `at` is off the dense float of a cell only by the dense cumsum's
+    rounding and a few more roundings: margin bounds that, per piece.
+    Pieces where the row is 0 (r = -inf) are left out: no cell there
+    reaches any level.
     """
 
-    i: int
+    key: np.ndarray
+    i: np.ndarray
     n0: np.ndarray
     n1: np.ndarray
     A: np.ndarray  # ln |P(i, B)|
     B: np.ndarray
     slope: np.ndarray
     r: np.ndarray
-    power: np.ndarray
+    power: np.ndarray | None  # None: every piece has power 0, else every piece >= 1
     margin: np.ndarray
-    carry: tuple[float, float, float]  # ln |P(i, n1)| and the margin's sums, at the chunk's end
 
     @staticmethod
-    def of(op: ShiftOperator, i: int, n0: int, n1: int,
-           carry: tuple[float, float, float]) -> "_OrbitPieces | None":
-        """The pieces of the chunk [n0, n1] (i - n on the domain throughout)
-        from one runs pass over the weights and one over the row's base,
-        given the carry of the chunk before; None where either has no runs
-        (and the base is not |j| + 1), or the row rule is custom."""
+    def of(op: ShiftOperator, i: int, n0: int, n1: int, carry: tuple[float, float, float],
+           ks: tuple[int, ...], key0: int
+           ) -> "tuple[_OrbitPieces, tuple[float, float, float]] | None":
+        """The pieces of every level in ks (keys from key0) over the chunk
+        [n0, n1] (i - n on the domain throughout), from one runs pass over
+        the weights and one over the row's base, and the carry for the next
+        chunk (ln |P(i, n1)| and the margin's sums), given the carry of the
+        chunk before; None where either has no runs (and the base is not
+        |j| + 1), or the row rule is custom."""
         lo, hi = i - n1, i - n0
         matrix = op.space.matrix
         wl, wc = op.weights.run_logs(lo, hi)
         if wc is None or matrix.rule == "custom":
             return None
-        affine = matrix.sign_affine
-        if affine:  # split where j = i - n changes sign
-            r0, rl = np.array([n0] + ([i + 1] if n0 < i + 1 <= n1 else [])), np.zeros(2)
+        if matrix.sign_affine:  # split where j = i - n changes sign
+            r0 = np.array([n0, i + 1] if n0 < i + 1 <= n1 else [n0])
+            rl = np.zeros((len(ks), r0.size))
         else:
-            _, rl, rc = next(matrix.run_log_rows(lo, hi, (1,)))
+            rows = [(row, rc) for _, row, rc in matrix.run_log_rows(lo, hi, ks)]
+            rc = rows[0][1]
             if rc is None:
                 return None
-            rl, rc = rl[::-1], rc[::-1]  # in ascending n
+            rl, rc = np.stack([row[::-1] for row, _ in rows]), rc[::-1]  # in ascending n
             r0 = n0 + np.cumsum(rc) - rc
         # weight runs in ascending n, and ln |P(i, n)| at their ends
         wl, wc = wl[::-1], wc[::-1]
@@ -437,30 +501,47 @@ class _OrbitPieces:
         p1 = np.append(p0[1:] - 1, n1)
         wt = np.searchsorted(w0, p0, "right") - 1
         A, B, slope = before[wt], w0[wt] - 1, wl[wt]
-        r = np.zeros(p0.size) if affine else rl[np.searchsorted(r0, p0, "right") - 1]
-        power = np.full(p0.size, 1.0 if affine else 0.0)
+        r = rl[:, np.searchsorted(r0, p0, "right") - 1]  # (levels, pieces)
         # The dense cumsum rounds each partial sum once, so it is off the
         # exact sum of the same logs by at most u * sum_{m <= n} |ln P(i, m)|
         # (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
         # section 4.2); |ln P| is affine on a run, so its sum there lies
         # under the chord.  T rounds one product and one sum per run, and
         # `at` and the dense route's last addition round a few more terms,
-        # each no larger than `local`.  Doubled for slack.
+        # each no larger than `local` (|ln P| is at most |A| + |slope| (n - B)
+        # on a piece).  Doubled for slack.
         chord = carry[1] + np.cumsum(wc * (np.abs(before + wl) + np.abs(T)) / 2)
         chain = carry[2] + np.cumsum(np.abs(wc * wl) + np.abs(T))
-        ends_p = np.abs(np.stack((A + slope * (p0 - B), A + slope * (p1 - B))))
-        ends_r = np.abs(r) + power * np.log(np.abs(i - np.stack((p0, p1))) + 1.0)
-        local = np.abs(A) + np.abs(slope) * (p1 - B) + ends_p.max(0) + ends_r.max(0)
+        local = 2 * (np.abs(A) + np.abs(slope) * (p1 - B)) + np.abs(r)
+        power = None
+        if matrix.sign_affine:  # times the larger ln(|j| + 1) of the piece's ends
+            power = np.outer(np.array(ks if matrix.rule == "power" else [1] * len(ks), float),
+                             np.ones(p0.size))
+            local += power * np.log(np.maximum(np.abs(i - p0), np.abs(i - p1)) + 1.0)
         margin = 2 * _U * (1.01 * chord[wt] + chain[wt] + 4 * local)
-        keep = r > NEG_INF
-        return _OrbitPieces(i, p0[keep], p1[keep], A[keep], B[keep], slope[keep],
-                            r[keep], power[keep], margin[keep],
-                            (float(T[-1]), float(chord[-1]), float(chain[-1])))
+        cell = np.flatnonzero(r > NEG_INF)  # level * pieces + piece
+        t = cell % p0.size
+        pieces = _OrbitPieces(key0 + cell // p0.size, np.full(t.size, i), p0[t], p1[t], A[t],
+                              B[t], slope[t], r.ravel()[cell],
+                              None if power is None else power.ravel()[cell],
+                              margin.ravel()[cell])
+        return pieces, (float(T[-1]), float(chord[-1]), float(chain[-1]))
+
+    @staticmethod
+    def stack(parts: list["_OrbitPieces"]) -> "_OrbitPieces":
+        """The pieces of every part, in order: one split serves them all."""
+        if len(parts) == 1:
+            return parts[0]
+        columns = {f.name: [getattr(p, f.name) for p in parts] for f in fields(_OrbitPieces)}
+        return _OrbitPieces(**{name: None if col[0] is None else np.concatenate(col)
+                               for name, col in columns.items()})
 
     def at(self, ns: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """f at cells ns of pieces t; the row is np.log(|j| + 1.0) as the
-        dense route takes it, and x + 0.0 == x."""
-        row = self.r[t] + self.power[t] * np.log(np.abs(self.i - ns) + 1.0)
+        """f at cells ns of pieces t; the row is power * np.log(|j| + 1.0)
+        as the dense route takes it, and x + 0.0 == x."""
+        row = self.r[t]
+        if self.power is not None:
+            row = row + self.power[t] * np.log(np.abs(self.i[t] - ns) + 1.0)
         return (self.A[t] + self.slope[t] * (ns - self.B[t])) + row
 
     def peaks(self) -> np.ndarray:
@@ -472,26 +553,38 @@ class _OrbitPieces:
         (slope < 0).  The integer peak is floor(x) or floor(x) + 1, the one
         f is larger at: not always the nearer, as f is not symmetric about x.
         """
+        if self.power is None:  # affine: an end
+            return np.where(self.slope > 0, self.n1, self.n0)
         left = self.n1 <= self.i
-        inner = (self.power > 0) & np.where(left, self.slope > 0, self.slope < 0)
-        rises = np.where(self.power > 0, ~left & (self.slope >= 0), self.slope > 0)
+        inner = np.where(left, self.slope > 0, self.slope < 0)
         x = (np.where(left, self.i + 1.0, self.i - 1.0)
              - self.power / np.where(inner, self.slope, 1.0))
         below = np.clip(np.floor(x), self.n0, self.n1).astype(np.int64)
         above, t = np.minimum(below + 1, self.n1), np.arange(below.size)
         peak = np.where(self.at(above, t) > self.at(below, t), above, below)
-        return np.where(inner, peak, np.where(rises, self.n1, self.n0))
+        return np.where(inner, peak, np.where(~left & (self.slope >= 0), self.n1, self.n0))
 
-    def split_at(self, level: float) -> tuple[Intervals, Intervals]:
+    def split_at(self, level: float) -> tuple[Cells, Cells]:
         """(sure, undecided): the cells whose dense float is >= level
-        beyond doubt, and those within margin of the level, as intervals."""
-        first, last = concave_superlevel(self.at, self.n0, self.n1, self.peaks(),
-                                         level + np.stack((self.margin, -self.margin)))
+        beyond doubt, and those within margin of the level, as intervals
+        under each piece's key.  Where every f is affine, the bisection
+        starts from each real crossing, or from the last cell where f is
+        flat."""
+        levels = level + np.stack((self.margin, -self.margin))
+        guess = None
+        if self.power is None:
+            flat = self.slope == 0
+            with np.errstate(over="ignore"):
+                guess = np.where(flat, self.n1, self.B + (levels - self.A - self.r)
+                                 / np.where(flat, 1.0, self.slope))
+        first, last = concave_superlevel(self.at, self.n0, self.n1, self.peaks(), levels,
+                                         guess)
         fs, ls = first[0], last[0]
         fu, lu = np.minimum(first[1], fs), np.maximum(last[1], ls)
         band = np.stack((fu, fs - 1, ls + 1, lu), axis=1).reshape(-1, 2)
-        band = band[band[:, 0] <= band[:, 1]]
-        return (fs[fs <= ls], ls[fs <= ls]), (band[:, 0], band[:, 1])
+        some, sure = band[:, 0] <= band[:, 1], fs <= ls
+        return ((self.key[sure], fs[sure], ls[sure]),
+                (np.repeat(self.key, 2)[some], band[some, 0], band[some, 1]))
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -504,32 +597,39 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _DenseCells:
     """The dense route's own floats at chosen cells of one orbit, walked
     forward: ln |P(i, n)| from product_log_slice, carried from the last
-    cell read (only the carry is kept past it), and the row through
-    log_rows over the span of the cells asked for, added as
-    basis_orbit_logs adds them."""
+    cell read (only the carry is kept past it), and the rows of every level
+    in ks through one log_rows over the span of the cells asked for, added
+    as basis_orbit_logs adds them.  Cells are keyed key0 + the position of
+    their k."""
 
-    def __init__(self, op: ShiftOperator, i: int):
-        self.op, self.i = op, i
+    def __init__(self, op: ShiftOperator, i: int, ks: tuple[int, ...], key0: int):
+        self.op, self.i, self.ks, self.key0 = op, i, ks, key0
         self.at, self.carry = 0, 0.0  # ln |P(i, at)|
 
-    def __call__(self, starts: np.ndarray, ends: np.ndarray, level: float) -> Intervals:
-        """The n of the intervals [starts, ends] (past any cell read before,
-        within one chunk) whose value is >= level, as intervals."""
+    def __call__(self, cells: Cells, level: float) -> Cells:
+        """The n of the intervals (past any cell read before, within one
+        chunk) whose value at their level is >= level, as intervals."""
+        key, starts, ends = cells
         if not starts.size:
             return _NO_CELLS
         op, i = self.op, self.i
-        a, b = int(starts[0]), int(ends[-1])
+        a, b = int(starts.min()), int(ends.max())
         for m0, m1 in chunk_spans(self.at + 1, a - 1):
             self.carry = product_log_slice(op.weights, i, m0, m1, self.carry)[-1]
         logs = product_log_slice(op.weights, i, a, b, self.carry)
         self.at, self.carry = b, logs[-1]
-        _, row = next(op.space.log_rows(i - b, i - a, (1,)))
-        inside = np.zeros(b - a + 2, np.int64)
-        np.add.at(inside, starts - a, 1)
-        np.add.at(inside, ends - a + 1, -1)
-        hit = (np.cumsum(inside[:-1]) > 0) & (np.add(logs, row[::-1], out=logs) >= level)
-        edges = np.flatnonzero(np.diff(hit, prepend=False, append=False)).reshape(-1, 2)
-        return edges[:, 0] + a, edges[:, 1] + a - 1
+        out = []
+        for t, (_, row) in enumerate(op.space.log_rows(i - b, i - a, self.ks), self.key0):
+            mine = key == t
+            if not mine.any():
+                continue
+            inside = np.zeros(b - a + 2, np.int64)
+            np.add.at(inside, starts[mine] - a, 1)
+            np.add.at(inside, ends[mine] - a + 1, -1)
+            hit = (np.cumsum(inside[:-1]) > 0) & (logs + row[::-1] >= level)
+            edges = np.flatnonzero(np.diff(hit, prepend=False, append=False)).reshape(-1, 2)
+            out.append((np.full(len(edges), t), edges[:, 0] + a, edges[:, 1] + a - 1))
+        return tuple(np.concatenate(c) for c in zip(*out)) if out else _NO_CELLS
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ ratios, so every verdict built on one carries an "at horizon N" qualifier.
 
 This module decides how an index set is walked: as blocks of runs
 (run_columns), read off run ends.  A set with membership runs is one block,
-in O(runs) at any horizon (on a run card(A cap [1, N]) is linear in N), and
-its per-N membership is spread from the runs; a set without runs is one
-block per chunk, every N a run of its own.  Sorted intervals (interval_runs)
-are read the same way.
+in O(runs) at any horizon (on a run card(A cap [1, N]) is linear in N); a
+set without runs is one block per chunk, every N a run of its own.  Sorted
+intervals (interval_runs) are read the same way, and a block is read at the
+ends of sorted intervals (members_in).
 """
 
 from __future__ import annotations
@@ -142,17 +142,23 @@ def run_columns(pred: IndexPredicate, lo: int, hi: int) -> Iterator[RunColumns]:
     return cells()
 
 
-def member_chunks(pred: IndexPredicate, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(n0, whether N is in A for N in [n0, n1]) per chunk [n0, n1] of
-    [1, horizon], as bool: spread over the runs where the set has them,
-    else the member column of run_columns' blocks."""
-    if pred.runs is not None:
-        for n0, n1 in chunk_spans(1, horizon):
-            runs = pred.runs(n0, n1)
-            yield n0, np.repeat([r.value > 0 for r in runs], [r.count for r in runs])
-        return
-    for a, _, _, member in run_columns(pred, 1, horizon):
-        yield int(a[0]), member
+def members_in(runs: RunColumns, starts: np.ndarray, ends: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per interval [s, e] inside the span of one block of runs:
+    card(A cap [s, e]), card(A cap [1, e]), and the last member of A in
+    [s, e] where the first is positive, all read at run ends.
+
+    On a run card(A cap [1, N]) = card(A cap [1, a]) + member * (N - a).
+    The last member of A up to e is the least N with card(A cap [1, N]) equal
+    to that at e; the run holding it is the first whose end count reaches
+    it, a member run where [s, e] holds a member.
+    """
+    a, b, at_a, member = runs
+    ts, te = np.searchsorted(b, starts), np.searchsorted(b, ends)
+    upto = at_a[te] + member[te] * (ends - a[te])
+    count = upto - (at_a[ts] + member[ts] * (starts - a[ts])) + member[ts]
+    t = np.searchsorted(at_a + member * (b - a), upto)
+    return count, upto, a[t] + upto - at_a[t]
 
 
 def counted_runs(pred: IndexPredicate, lo: int, hi: int) -> RunColumns:

@@ -42,8 +42,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm,
-                      _level_form, _resolve_mode, level_report, schedule_dc)
+from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm, _level_form,
+                      _require_anchors, _resolve_mode, level_report, schedule_dc)
 from .numerics import NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_blocks
 from .piecewise import log_sum, log_sum_values
 from .reports import CertificateReport
@@ -114,6 +114,7 @@ def check_mly_condition_A(op: ShiftOperator, anchor: int, horizon: int,
     """
     if not 1 <= start <= horizon:
         raise ValueError("need 1 <= start <= horizon")
+    _require_anchors(op, [anchor])
     series = cesaro_distance_series(op, anchor, horizon)
     running_min, at = _running_min(series.averages, start)
     if running_min < pass_tol:
@@ -146,6 +147,7 @@ def anchor_equivalence_probe(op: ShiftOperator, anchors: Iterable[int],
     anchors = list(anchors)
     if not anchors:
         raise ValueError("need at least one anchor")
+    _require_anchors(op, anchors)
     rows = []
     outcomes = set()
     for a in anchors:

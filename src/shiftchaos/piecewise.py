@@ -114,7 +114,8 @@ def log_sum_values(counts: dict[float, int]) -> float:
 
 def concave_superlevel(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        n0: np.ndarray, n1: np.ndarray, peak: np.ndarray,
-                       levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                       levels: np.ndarray, guess: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Per level row l and piece t: the first and last n in [n0[t], n1[t]]
     with g(n, t) >= levels[l, t], or (peak + 1, peak) where there is none.
 
@@ -122,25 +123,46 @@ def concave_superlevel(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     peak[t] and fall after it (a concave function does), so the cells at
     least a level form one interval holding the peak.  Its two ends are
     bisected for on either side of the peak, every piece and level at once.
+
+    guess[l, t], where given, estimates where piece t crosses level l (its
+    one crossing, or the last n of a piece that never falls below it).  The
+    search first probes the cells floor(guess) and floor(guess) + 1 in one
+    step, clipped into each bracket, so an estimate within a cell of the end
+    settles it there; the probes only narrow the brackets, so no estimate
+    (infinite or NaN included) can move an end.
     """
     rows, p = levels.shape
-    t = np.tile(np.arange(p), 2 * rows)
-    level = np.tile(levels.ravel(), 2)
+    half = rows * p
+    t = np.arange(2 * half) % p
+    level = levels.ravel()
+    level = np.concatenate((level, level))
     pk = peak[t]
-    hit = g(pk, t) >= level
-    rising = np.arange(t.size) < t.size // 2
+    hit = g(pk[:half], t[:half]) >= level[:half]  # the same on either side
+    hit = np.concatenate((hit, hit))
+    rising = np.arange(2 * half) < half
     # left of the peak hi ends as the first n at the level, right of it as
     # the first n past it
-    lo = np.where(rising, n0[t] - 1, pk)
-    hi = np.where(rising, pk, n1[t] + 1)
+    lo = np.concatenate((n0[t[:half]] - 1, pk[half:]))
+    hi = np.concatenate((pk[:half], n1[t[half:]] + 1))
     live = np.flatnonzero(hit & (hi - lo > 1))
+    if guess is not None and live.size:
+        # one step probing c and c + 1, lo <= c < c + 1 < hi: past(lo) is
+        # false, so past(c) moves hi to c, else past(c + 1) leaves
+        # (c, c + 1), else lo moves to c + 1
+        both = np.concatenate((live, live))
+        c = np.fmin(np.fmax(np.floor(guess).ravel()[live % half], lo[live]), hi[live] - 2)
+        c = c.astype(np.int64)  # a NaN estimate reads lo
+        past = (g(np.concatenate((c, c + 1)), t[both]) >= level[both]) == rising[both]
+        at_c, at_next = past[:live.size] & (c > lo[live]), past[live.size:]
+        hi[live] = np.where(at_c, c, np.where(at_next, c + 1, hi[live]))
+        lo[live] = np.where(at_c, lo[live], np.where(at_next, c, c + 1))
+        live = live[hi[live] - lo[live] > 1]
     while live.size:
         mid = (lo[live] + hi[live]) // 2
         past = (g(mid, t[live]) >= level[live]) == rising[live]
         hi[live] = np.where(past, mid, hi[live])
         lo[live] = np.where(past, lo[live], mid)
         live = live[hi[live] - lo[live] > 1]
-    half = t.size // 2
     first = np.where(hit, hi, pk + 1)[:half]
     last = np.where(hit, hi - 1, pk)[half:]
     return first.reshape(rows, p), last.reshape(rows, p)

@@ -169,7 +169,13 @@ def test_zero_weights_are_named_as_one_pass_names_them(monkeypatch):
         assert reports[-1].startswith("ValueError: weight at -101 is zero")
 
 
-@pytest.mark.parametrize("chunk", (7, SINGLE))
+# ln decay_tol from -6.9 to 92: on every layout some level crosses the
+# orbit's pieces inside them, not only at their ends; 0.5 meets exact ties
+# on s(Z) under dyadic weights
+DECAY_TOLS = (1e-3, 0.37, 0.5, 7.3, 1e3, 1e9, 1e20, 1e40)
+
+
+@pytest.mark.parametrize("chunk", (7, 64, SINGLE))
 @pytest.mark.parametrize("name, op, anchors", LAYOUTS[:-1], ids=[l[0] for l in LAYOUTS[:-1]])
 def test_carried_state_matches_whole_horizon_references(monkeypatch, name, op, anchors,
                                                         chunk):
@@ -179,10 +185,10 @@ def test_carried_state_matches_whole_horizon_references(monkeypatch, name, op, a
         assert rep.rows == oracles.refute_a_rows_reference(op, anchors, HORIZON, bound,
                                                            delta, HORIZON)
     for D in CANDIDATE_SETS:
-        for decay_tol in (0.5, 1e3):
-            rep = dc_cert.check_dc_condition_A(op, D(), anchors, HORIZON, decay_tol, 3, 0.3)
+        for decay_tol in DECAY_TOLS:
+            rep = dc_cert.check_dc_condition_A(op, D(), anchors, HORIZON, decay_tol, 4, 0.3)
             assert rep.rows == oracles.condition_a_rows_reference(
-                op, D().member, anchors, HORIZON, decay_tol, 3, 0.3), D().name
+                op, D().member, anchors, HORIZON, decay_tol, 4, 0.3), (D().name, decay_tol)
     rep = dc_cert.refute_hypercyclicity(op, HORIZON, k_max=3)
     assert [(r["seminorm"], r["min_value"].logmag, r["min_at_n"]) for r in rep.rows] \
         == oracles.refute_hc_minima_reference(op, HORIZON, 3)
@@ -207,6 +213,23 @@ LEVEL_BY_LEVEL = [
 ]
 # the last n before an orbit of the zero-weights layout meets a zero weight
 BEFORE_ZERO = {0: 100, 10: 4}
+# no run structure in the rows (both above) or in the weights: condition
+# (A) reads every cell of every level the dense way
+WITHOUT_RUNS = LEVEL_BY_LEVEL + [
+    ("closed-form-weights-on-s(N)",
+     ShiftOperator(rapidly_decreasing_space(IndexSet.N), twt.CLOSED_CASE[1]))]
+
+
+@pytest.mark.parametrize("chunk", (7, SINGLE))
+@pytest.mark.parametrize("name, op", WITHOUT_RUNS, ids=[l[0] for l in WITHOUT_RUNS])
+def test_condition_a_without_runs_matches_the_references(monkeypatch, chunk, name, op):
+    monkeypatch.setattr(numerics, "CHUNK", chunk)
+    anchors = [40, 150] if op.space.index_set is IndexSet.N else [0, 5]
+    for D in CANDIDATE_SETS:
+        for decay_tol in (0.5, 1e3):
+            rep = dc_cert.check_dc_condition_A(op, D(), anchors, HORIZON, decay_tol, 4, 0.3)
+            assert rep.rows == oracles.condition_a_rows_reference(
+                op, D().member, anchors, HORIZON, decay_tol, 4, 0.3), (D().name, decay_tol)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS + (SINGLE,))

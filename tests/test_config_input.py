@@ -180,6 +180,18 @@ def test_lp_c0_dc_inputs_off_their_range_exit_3(key, value, message):
     assert _run_item("rolewicz_lp_N", item) == (3, "", f"error: {message}\n")
 
 
+# an anchor names a basis vector e_i: on N, anchor 0 read condition (A)
+# holding (dc and mly) and the refutation inconclusive
+@pytest.mark.parametrize("item", [
+    {"kind": "dc", "condition_A": {"anchors": [5, 0], "horizon": 100}},
+    {"kind": "dc", "refute_A": {"anchors": [0], "horizon": 100}},
+    {"kind": "mly", "condition_A": {"anchor": 0, "horizon": 100}},
+], ids=["dc-condition-A", "dc-refute-A", "mly-condition-A"])
+def test_anchors_off_the_domain_exit_3(item):
+    assert _run_item("rolewicz_lp_N", item) == (
+        3, "", "error: anchor 0 is outside the domain N\n")
+
+
 NAN = float("nan")
 WITNESS_L2_N = {"kind": "hypercyclicity",
                 "witness": {"n_seq": [1, 2, 3, 4, 5], "ell_window": [5, 5]}}

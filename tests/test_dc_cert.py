@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shiftchaos import catalog, dc_cert
+from shiftchaos import catalog, dc_cert, shift
 from shiftchaos.dc_cert import (
     DCWitnessEntry,
     WitnessTerm,
@@ -417,6 +419,18 @@ class TestConditionA:
         rep = check_dc_condition_A(ex2_op, empty, [1], 100)
         assert rep.verdict == "inconclusive"
 
+    @pytest.mark.parametrize("anchor", [0, -5])
+    def test_anchor_off_the_domain_is_rejected(self, rolewicz_op, anchor):
+        # e_0 is no basis vector of l2(N): it read condition-A-holds with no
+        # violation, and the refutation inconclusive
+        with pytest.raises(ValueError, match=f"anchor {anchor} is outside the domain N"):
+            check_dc_condition_A(rolewicz_op, naturals(), [1, anchor], 100)
+
+    @pytest.mark.parametrize("anchor", [0, -5])
+    def test_refutation_anchor_off_the_domain_is_rejected(self, rolewicz_op, anchor):
+        with pytest.raises(ValueError, match=f"anchor {anchor} is outside the domain N"):
+            refute_dc_condition_A(rolewicz_op, [anchor], 100)
+
     def test_fails_on_rolewicz_products(self, rolewicz_op):
         # doubling weights: backward products grow, no decay along N
         rep = check_dc_condition_A(rolewicz_op, naturals(), [10 ** 6], 1000)
@@ -552,23 +566,39 @@ class TestRunRoute:
                 assert _exact_cell_count(ex1_op, i, n, 1, math.nextafter(0.5, 1)) \
                     == _exact_cell_count(ex1_op, i, n - 1, 1, math.nextafter(0.5, 1))
 
+    @pytest.mark.parametrize("name", ["ex1_s_Z_hc_not_dc", "ex3_s_Z_hc_not_mly"])
+    def test_condition_a_counts_are_the_exact_counts_but_the_ties(self, name):
+        # every level's violations along N are its bad cells; on ex1 level 1
+        # meets the ties of test_ex1_bad_counts_are_the_exact_counts_but_the_ties,
+        # which the dense cumsum leaves below the bound, and no other level does
+        op = catalog.build_example(name)
+        N, ties = 10**5, {("ex1_s_Z_hc_not_dc", -2, 1), ("ex1_s_Z_hc_not_dc", 0, 1)}
+        rep = check_dc_condition_A(op, naturals(), range(-3, 4), N, 0.5, 4)
+        assert len(rep.rows) == 7 * 4
+        for row in rep.rows:
+            i, k = row["anchor"], row["seminorm"]
+            exact = oracles.exact_run_count(op, i, N, k, 0.5)
+            assert row["violations"] == exact - ((name, i, k) in ties), (i, k)
+
+    @staticmethod
+    def _counted(fn, cells: dict[str, int], key: str, size):
+        """fn, adding size(its result) to cells[key] on every call."""
+        @functools.wraps(fn)
+        def spy(*args, **kw):
+            out = fn(*args, **kw)
+            cells[key] += size(out)
+            return out
+        return spy
+
     @staticmethod
     def _dense_cells(monkeypatch) -> dict[str, int]:
         """Cells read on the dense route: product slices, weight logs, rows."""
         cells = {"slices": 0, "weights": 0, "rows": 0}
-
-        def counted(fn, key, size):
-            @functools.wraps(fn)
-            def spy(*args, **kw):
-                out = fn(*args, **kw)
-                cells[key] += size(out)
-                return out
-            return spy
-
+        counted = TestRunRoute._counted
         monkeypatch.setattr(dc_cert, "product_log_slice",
-                            counted(dc_cert.product_log_slice, "slices", len))
+                            counted(dc_cert.product_log_slice, cells, "slices", len))
         monkeypatch.setattr(WeightSpec, "dense_logs",
-                            counted(WeightSpec.dense_logs, "weights", len))
+                            counted(WeightSpec.dense_logs, cells, "weights", len))
 
         def rows(fn):
             @functools.wraps(fn)
@@ -589,6 +619,31 @@ class TestRunRoute:
             assert rep.verdict == "condition-A-refuted-at-horizon"
             assert max(cells.values()) <= most, (anchor, cells)
             cells.update(dict.fromkeys(cells, 0))
+
+    def test_ex2_condition_a_reads_only_band_cells(self, monkeypatch):
+        # the dense scan read every cell of every orbit, 4.5 * 10**6 here
+        op = catalog.build_example("ex2_kothe_dc_not_hc")
+        cells = self._dense_cells(monkeypatch)
+        monkeypatch.setattr(shift, "product_log_slice",
+                            self._counted(shift.product_log_slice, cells, "slices", len))
+        rep = check_dc_condition_A(op, naturals(), range(-4, 5), 500_000, 1e-6, 4)
+        assert rep.verdict == "condition-A-holds-at-horizon"
+        assert cells["slices"] < 1000, cells
+
+    def test_run_route_leaves_numpy_ma_unimported(self):
+        # np.unique and np.union1d import numpy.ma on their first call
+        # (about 15 ms and 1 MB in a fresh process); ex1's refutation at
+        # anchor 0 reaches the band cells, ex2's condition (A) every level
+        code = ("import sys\n"
+                "from shiftchaos import catalog, dc_cert\n"
+                "from shiftchaos.density import naturals\n"
+                "dc_cert.refute_dc_condition_A(catalog.build_example('ex1_s_Z_hc_not_dc'),"
+                " [0, 1], 1000)\n"
+                "dc_cert.check_dc_condition_A(catalog.build_example('ex2_kothe_dc_not_hc'),"
+                " naturals(), [-2, 2], 1000)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
     def test_ex2_hypercyclicity_refutation_reads_no_dense_cell(self, monkeypatch):
         op = catalog.build_example("ex2_kothe_dc_not_hc")

@@ -20,9 +20,10 @@ from shiftchaos.density import (
     check_density,
     density_envelope,
     evens,
-    member_chunks,
+    members_in,
     naturals,
     prefix_ratio,
+    run_columns,
 )
 from shiftchaos.sequences import BlockSideSequence, Run, alternating_powers
 from shiftchaos.weights import bilateral_weights
@@ -75,10 +76,12 @@ class TestExpandingProductBlocks:
 
     def test_ratio_floor_exact(self):
         # 6 * count(N) > N for every N up to a million: ratio > 1/6 exactly,
-        # counting the members spread from the runs cell by cell
+        # each count read off the run of run_columns' block holding N
         p = expanding_product_blocks()
-        counts = np.cumsum(np.concatenate([m for _, m in member_chunks(p, 10**6)]))
+        (a, b, at_a, member), = run_columns(p, 1, 10**6)
         ns = np.arange(1, 10**6 + 1, dtype=np.int64)
+        t = np.searchsorted(b, ns)
+        counts = at_a[t] + member[t] * (ns - a[t])
         assert counts.size == ns.size and np.all(6 * counts > ns)
         assert [int(counts[n - 1]) for n in (6, 12, 10**6)] == [p.count(n) for n in
                                                                  (6, 12, 10**6)]
@@ -183,6 +186,29 @@ class TestRunRoute:
         start = min(start, horizon)
         assert (density_envelope(runs, horizon, start)
                 == density_envelope(cells, horizon, start))
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=1, max_size=5),
+           st.integers(1, 8), st.booleans(), st.booleans(), st.integers(1, 300),
+           st.lists(st.integers(0, 301), max_size=12))
+    def test_members_in_intervals_are_the_brute_counts(self, pattern, reps, tail, by_cell,
+                                                      horizon, cuts):
+        # sorted disjoint intervals of [1, horizon] against the set's own
+        # runs, or every N a run of its own (one block per chunk of CHUNK)
+        D = run_set(pattern * reps, tail)
+        if by_cell:
+            D = replace(D, runs=None)
+        (block,) = run_columns(D, 1, horizon)
+        edges = sorted({c for c in cuts if 1 <= c <= horizon + 1})
+        starts, ends = np.array(edges[0::2], np.int64), np.array(edges[1::2], np.int64) - 1
+        starts = starts[:ends.size]  # [s, e] holds a single N where e = s
+        count, upto, last = members_in(block, starts, ends)
+        mask = D.member_mask(horizon)
+        for t, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+            inside = np.flatnonzero(mask[s - 1:e]) + s
+            assert count[t] == inside.size and upto[t] == mask[:e].sum(), (s, e)
+            if inside.size:
+                assert last[t] == inside[-1], (s, e)
 
     def test_strict_bound_is_exact_past_int64(self):
         # den * N passes 2**63 (int64 would wrap to False at 2 * 10**12),

@@ -122,6 +122,17 @@ class TestConditionA:
         with pytest.raises(ValueError):
             check_mly_condition_A(ex3_op, 0, 100, start=101)
 
+    @pytest.mark.parametrize("anchor", [0, -5])
+    def test_anchor_off_the_domain_is_rejected(self, rolewicz_op, anchor):
+        # e_0 is no basis vector of l2(N): the series of 0 read a running
+        # minimum of 0.0 and condition (A) held
+        with pytest.raises(ValueError, match=f"anchor {anchor} is outside the domain N"):
+            check_mly_condition_A(rolewicz_op, anchor, 100)
+
+    def test_probe_anchor_off_the_domain_is_rejected(self, rolewicz_op):
+        with pytest.raises(ValueError, match="anchor 0 is outside the domain N"):
+            anchor_equivalence_probe(rolewicz_op, [1, 0], 100)
+
     def test_anchor_agreement(self, ex4_op, rolewicz_op):
         rep = anchor_equivalence_probe(ex4_op, [0, -3, 5], 10_000)
         assert rep.verdict == "agrees"

@@ -20,7 +20,7 @@ import oracles
 from shiftchaos import catalog
 from shiftchaos.dc_cert import WitnessTerm, schedule_dc, single_term_counts, single_term_pieces
 from shiftchaos.mly_cert import _average_log
-from shiftchaos.piecewise import count_above
+from shiftchaos.piecewise import concave_superlevel, count_above
 from shiftchaos.sequences import BlockSideSequence, ConstantSequence, alternating_powers
 from shiftchaos.shift import ShiftOperator, basis_orbit_logs
 from shiftchaos.spaces import IndexSet, lp_space
@@ -96,3 +96,36 @@ class TestSlopedPieces:
         n_pieces = len(single_term_pieces(op, entry.terms[0], 1, N))
         scale = max(abs(want + math.log(N)), math.log(N), 1.0)
         assert abs(got - want) <= (4 + 2 * n_pieces) * math.ulp(scale), (got, want)
+
+
+# integer-valued concave pieces: f(n) = -a (n - m)^2 + c, or affine where a = 0
+_CONCAVE = st.tuples(st.integers(0, 3), st.integers(-5, 40), st.integers(-30, 30),
+                     st.integers(-3, 3), st.integers(0, 12), st.integers(0, 30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_CONCAVE, min_size=1, max_size=6), st.integers(-40, 40),
+       st.lists(st.one_of(st.floats(-100, 100), st.just(math.nan), st.just(math.inf),
+                          st.just(-math.inf)), min_size=12, max_size=12))
+def test_concave_superlevel_ends_do_not_depend_on_the_guess(pieces, level, guesses):
+    # any estimate of a crossing, off by a cell, far off, infinite or NaN,
+    # gives the ends a plain bisection (and a scan of every cell) gives
+    a, m, c, slope, n0, length = (np.array(x) for x in zip(*pieces))
+    n1 = n0 + length
+
+    def g(ns, ts):
+        return (-a[ts] * (ns - m[ts]) ** 2 + slope[ts] * ns + c[ts]).astype(float)
+
+    cells = [np.arange(lo, hi + 1) for lo, hi in zip(n0, n1)]
+    vals = [g(ns, np.full(ns.size, t)) for t, ns in enumerate(cells)]
+    peak = np.array([ns[int(np.argmax(v))] for ns, v in zip(cells, vals)])
+    levels = np.array([[level] * len(pieces), [level + 3] * len(pieces)], dtype=float)
+    want = concave_superlevel(g, n0, n1, peak, levels)
+    for l, row in enumerate(levels):
+        for t, (ns, v) in enumerate(zip(cells, vals)):
+            at = ns[v >= row[t]]
+            first, last = (at[0], at[-1]) if at.size else (peak[t] + 1, peak[t])
+            assert (want[0][l, t], want[1][l, t]) == (first, last)
+    guess = np.array(guesses[:levels.size]).reshape(levels.shape)
+    got = concave_superlevel(g, n0, n1, peak, levels, guess)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

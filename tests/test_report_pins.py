@@ -96,6 +96,29 @@ def test_dense_sweep_refute_a_reports_are_pinned(anchor, ex1_op):
     assert _sha(catalog.run_check(ex1_op, cfg)) == REFUTE_A_SHA256[anchor]
 
 
+# ex2's condition (A) at the dense-sweep horizon 5 * 10**5, levels 1..4, for
+# every anchor the benchmark draws from
+CONDITION_A_SHA256 = {
+    -4: "6411c4bfcd4b4de4c0f56e578f87f2ba876ee1f330f819ff8fda907b723d849c",
+    -3: "223e1208c2b3b906176f7e5221a443e38fd66a3cc0e581280b7962bb7c1d39f1",
+    -2: "a430a113964f52a32e660cc9ab04251145abfda35268f5d56f40ef6cfc17ad75",
+    -1: "7dd84325e5a4caf8324c34df2cb4c48ebfdbc6f83348e2f95018b5376b37f3bb",
+    0: "01c225299222e1660e8fae85487af63a3abf49e088897fca574bff0a4e10d9e3",
+    1: "535384aadfde4e5d63d062ab8f6857cf450c0250bf2f14ba59b6977c3bc5c173",
+    2: "e1a9265d18af9140ebbe8d6c2f60869fb10aa1d563732fe44927e2237fe1f8c9",
+    3: "12bf80772c93fa97819c796940ba46d11ad491d2bf133a37a290183c3f3ae800",
+    4: "7e037fac9fc77990a97bcd7ec46e14d434ad26f8bc0bbdbdbe245c06cb540382",
+}
+
+
+def test_dense_sweep_condition_a_reports_are_pinned(ex2_op):
+    for anchor, sha in CONDITION_A_SHA256.items():
+        cfg = {"kind": "dc", "condition_A": {"set": "naturals", "anchors": [anchor],
+                                             "horizon": 500_000, "decay_tol": 1e-6,
+                                             "k_max": 4}}
+        assert _sha(catalog.run_check(ex2_op, cfg)) == sha, anchor
+
+
 def test_dense_sweep_hypercyclicity_refutation_is_pinned():
     op = catalog.build_example("ex2_kothe_dc_not_hc")
     cfg = {"kind": "hypercyclicity",
