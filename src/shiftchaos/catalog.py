@@ -262,7 +262,8 @@ def _read(key: str, raw):
 class Check:
     """A check function, looked up on its module at call time (a tracer that
     rebinds it sees the call), and the config keys it reads.  `defaults` are
-    config defaults of parameters the function requires; under a key in
+    config defaults of parameters the function requires (a callable one is
+    called with the operator); under a key in
     `blocks` sits an object whose check's report is the argument; `fixed`
     arguments are not config keys."""
 
@@ -274,7 +275,8 @@ class Check:
     fixed: dict = field(default_factory=dict)
 
     def __call__(self, op: ShiftOperator, node: dict) -> CertificateReport:
-        args, given = dict(self.fixed), {**self.defaults, **node}
+        defaults = {k: v(op) if callable(v) else v for k, v in self.defaults.items()}
+        args, given = dict(self.fixed), {**defaults, **node}
         for key in (k for k in self.keys if k in given):
             sub = self.blocks.get(key)
             args[PARAMS.get(key, key)] = sub(op, given[key]) if sub else _read(key, given[key])
@@ -288,7 +290,7 @@ _DC_A = Check(dc_cert, "check_dc_condition_A",
                "tail_fraction_min"), defaults={"set": "naturals"})
 _MLY_A = Check(mly_cert, "check_mly_condition_A",
                ("anchor", "horizon", "pass_tol", "refute_floor", "start"),
-               defaults={"anchor": 0})
+               defaults={"anchor": lambda op: op.space.index_set.first})
 _B = ("m", "schedule", "mode", "condition_A")  # the condition-(B) checks
 
 # kind -> {trigger: check}: the first check whose trigger key the item has

@@ -26,9 +26,10 @@ check_dc_condition_B and check_kothe_dc run the same comparison.  Condition
 (A) comes in as a report.  Its own check, and the two refutations (of
 condition (A) and of hypercyclicity), read run ends and take the dense
 route's arithmetic only for the cells whose comparison rounding could
-decide: condition (A) and its refutation split the orbit pieces of every
-anchor and level of a chunk at once (_bad_chunks), and condition (A) reads
-the candidate set's run blocks at the ends of the violating intervals.
+decide: condition (A) and its refutation walk their horizon in steps of a
+few chunks and split the orbit pieces of every anchor and level of a step
+at once (_bad_steps), and condition (A) reads the candidate set's run
+blocks at the ends of the violating intervals.
 Anchors must lie in the domain.  Verdicts come from the closed vocabulary
 in `reports` and are always horizon-stamped.
 """
@@ -42,8 +43,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .density import (IndexPredicate, density_envelope, envelope_of_runs, interval_runs,
-                      last_ratio_at_most, members_in, naturals, run_columns)
+from . import numerics
+from .density import (IndexPredicate, RunColumns, density_envelope, envelope_of_runs,
+                      interval_runs, last_ratio_at_most, members_in, naturals, run_columns)
 from .numerics import NEG_INF, LogScalar, SparseVector, chunk_spans, logsumexp_p_rows
 from .piecewise import concave_superlevel, count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
@@ -250,10 +252,10 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     D cap [1, horizon] (a nonnegligible settled stretch, not a lucky last
     sample).  Verdicts speak only about the checked range.
 
-    The violating n of every anchor and level come chunk by chunk as
-    intervals (_bad_chunks: one split of all their pieces, the dense
+    The violating n of every anchor and level come step by step as
+    intervals (_bad_steps: one split of all their pieces, the dense
     route's arithmetic only on cells rounding could decide), and D's run
-    block over the chunk is read at their ends (density.members_in): per
+    blocks over the step are read at their ends (density.members_in): per
     anchor and level, how many members violate, the last one, and the
     members up to it.
     """
@@ -280,12 +282,11 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     keys = len(anchors) * k_max
     viol, last, through = np.zeros(keys, np.int64), [0] * keys, [0] * keys
     blocks, runs = run_columns(D, 1, horizon), None
-    for _, n1, (key, starts, ends) in _bad_chunks(op, anchors, horizon, log_tol,
-                                                 tuple(range(1, k_max + 1))):
+    for n0, n1, (key, starts, ends) in _bad_steps(op, anchors, horizon, log_tol,
+                                                  tuple(range(1, k_max + 1))):
         if not starts.size:
             continue
-        while runs is None or runs[1][-1] < n1:  # D's block over the chunk
-            runs = next(blocks)
+        runs = _runs_through(blocks, runs, n0, n1)
         count, upto, at = members_in(runs, starts, ends)
         viol += np.bincount(key, count, keys).astype(np.int64)
         hit = np.flatnonzero(count)  # by key, then n: each key's last
@@ -301,6 +302,23 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     verdict = ("condition-A-holds-at-horizon" if all(r["ok"] for r in rows)
                else "condition-failed")
     return CertificateReport("dc-condition-A", verdict, params, rows)
+
+
+def _runs_through(blocks: Iterator[RunColumns], runs: RunColumns | None, n0: int,
+                  n1: int) -> RunColumns:
+    """D's runs over the step [n0, n1] as one block: those of `runs`, the
+    block read before, from n0 on, then every block after it up to the one
+    holding n1 (a set without runs gives one block per chunk, so a step
+    spans several, and skipping one would miscount)."""
+    held = []
+    if runs is not None and runs[1][-1] >= n0:
+        t = int(np.searchsorted(runs[1], n0))  # the first run ending at n0 or later
+        held.append(tuple(c[t:] for c in runs))
+    while not held or held[-1][1][-1] < n1:
+        block = next(blocks)
+        if block[1][-1] >= n0:
+            held.append(block)
+    return held[0] if len(held) == 1 else tuple(np.concatenate(c) for c in zip(*held))
 
 
 def _require_anchors(op: ShiftOperator, anchors: Iterable[int]) -> None:
@@ -321,8 +339,8 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     up to the horizon, any candidate D with prefix ratio -> 1 must meet bad(i)
     with positive frequency, so the decay fails along every such D.
 
-    bad(i) comes chunk by chunk as intervals read off the runs of the
-    weights and the row (_bad_chunks at level 1), each cell on the side the
+    bad(i) comes step by step as intervals read off the runs of the
+    weights and the row (_bad_steps at level 1), each cell on the side the
     dense route's float puts it, and density reads the prefix ratios off
     their ends: settles_at is one past the last N with ratio <= delta,
     min_ratio the least ratio from there (the first N of a tie), bad_count
@@ -336,7 +354,7 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     log_bound = math.log(bound)
     # per anchor: the last low N, the least ratio past it and its N, bad cells so far
     last_low, least, bad = [0] * len(anchors), [None] * len(anchors), [0] * len(anchors)
-    for n0, n1, (key, starts, ends) in _bad_chunks(op, anchors, horizon, log_bound, (1,)):
+    for n0, n1, (key, starts, ends) in _bad_steps(op, anchors, horizon, log_bound, (1,)):
         cut = np.searchsorted(key, np.arange(len(anchors) + 1))
         for a, (s, e) in enumerate(zip(cut[:-1], cut[1:])):
             starts_a, ends_a = starts[s:e], ends[s:e]
@@ -370,18 +388,32 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
 Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
 _NO_CELLS = (np.zeros(0, np.int64),) * 3
 _U = 2.0 ** -53  # the unit roundoff of float64
+# The run route walks [1, horizon] in steps of STEP_CHUNKS chunks: each step
+# costs a fixed set of numpy calls, and its arrays grow with the runs and
+# pieces it holds.  Under tracemalloc (ex1's refutation from anchor 0) 4
+# chunks keep the peak at 4 * 2**20 cells within 1.25 times the peak at
+# 2**20; 8 chunks and the whole horizon at once do not (README).
+STEP_CHUNKS = 4
 
 
-def _bad_chunks(op: ShiftOperator, anchors: list[int], horizon: int, level: float,
-                ks: tuple[int, ...]) -> Iterator[tuple[int, int, Cells]]:
-    """(n0, n1, cells) per chunk [n0, n1] of [1, horizon]: per anchor i and
+def _steps(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """[lo, hi] cut into consecutive steps of STEP_CHUNKS * numerics.CHUNK
+    cells (the last may be shorter); none when hi < lo."""
+    step = STEP_CHUNKS * numerics.CHUNK
+    for a in range(lo, hi + 1, step):
+        yield a, min(a + step - 1, hi)
+
+
+def _bad_steps(op: ShiftOperator, anchors: list[int], horizon: int, level: float,
+               ks: tuple[int, ...]) -> Iterator[tuple[int, int, Cells]]:
+    """(n0, n1, cells) per step [n0, n1] of [1, horizon]: per anchor i and
     k in ks the n in it with ln |P(i, n) a(i - n, k)| >= level, as
     intervals, each cell on the side the dense route's float puts it.
 
     On each piece of _OrbitPieces f_k(n) is concave, so its cells at least
     level + margin form one interval, sure to be in the set, and those at
     least level - margin a wider one; every other cell is sure to be out.
-    The pieces of every anchor and level in a chunk are split at once.  The
+    The pieces of every anchor and level in a step are split at once.  The
     cells between, within margin of the level, are undecided: rounding
     could put their dense floats on either side, so _DenseCells evaluates
     them with the dense route's own arithmetic.  Without run structure
@@ -392,7 +424,7 @@ def _bad_chunks(op: ShiftOperator, anchors: list[int], horizon: int, level: floa
     """
     dense = [_DenseCells(op, i, ks, a * len(ks)) for a, i in enumerate(anchors)]
     walks = [_orbit_walk(op, i, horizon, level, cells) for i, cells in zip(anchors, dense)]
-    for (n0, n1), step in zip(chunk_spans(1, horizon), _lockstep(walks)):
+    for (n0, n1), step in zip(_steps(1, horizon), _lockstep(walks)):
         parts = [s for s in step if not isinstance(s, _OrbitPieces)]  # decided cells
         pieces = [s for s in step if isinstance(s, _OrbitPieces)]
         if pieces:
@@ -413,14 +445,14 @@ def _bad_chunks(op: ShiftOperator, anchors: list[int], horizon: int, level: floa
 
 def _orbit_walk(op: ShiftOperator, i: int, horizon: int, level: float,
                 dense: "_DenseCells") -> Iterator["_OrbitPieces | Cells"]:
-    """Per chunk of [1, horizon], the orbit of i as pieces of every level
+    """Per step of [1, horizon], the orbit of i as pieces of every level
     (keys from dense's first key), or its cells at or above the level where
     no piece is needed: none once the orbit has left N, every cell from
     dense where the runs give out."""
     # past alive the orbit has left N: no cell there reaches a level
     alive = horizon if op.space.index_set is IndexSet.Z else min(horizon, i - 1)
     carry = (0.0, 0.0, 0.0)
-    for n0, n1 in chunk_spans(1, horizon):
+    for n0, n1 in _steps(1, horizon):
         hi = min(n1, alive)
         if n0 > hi:
             yield _NO_CELLS
@@ -438,7 +470,7 @@ def _orbit_walk(op: ShiftOperator, i: int, horizon: int, level: float,
 @dataclass(frozen=True)
 class _OrbitPieces:
     """f_k(n) = ln |P(i, n)| + ln a(i - n, k) over pieces [n0, n1] of a
-    chunk on which the weight w_{i-n} and the row are constant, or the row's
+    step on which the weight w_{i-n} and the row are constant, or the row's
     base is |j| + 1 (s(J)) and j = i - n keeps its sign: there
 
         f_k(n) = (A + slope * (n - B)) + (r + power * ln(|i - n| + 1)),
@@ -469,11 +501,11 @@ class _OrbitPieces:
     def of(op: ShiftOperator, i: int, n0: int, n1: int, carry: tuple[float, float, float],
            ks: tuple[int, ...], key0: int
            ) -> "tuple[_OrbitPieces, tuple[float, float, float]] | None":
-        """The pieces of every level in ks (keys from key0) over the chunk
+        """The pieces of every level in ks (keys from key0) over the step
         [n0, n1] (i - n on the domain throughout), from one runs pass over
         the weights and one over the row's base, and the carry for the next
-        chunk (ln |P(i, n1)| and the margin's sums), given the carry of the
-        chunk before; None where either has no runs (and the base is not
+        step (ln |P(i, n1)| and the margin's sums), given the carry of the
+        step before; None where either has no runs (and the base is not
         |j| + 1), or the row rule is custom."""
         lo, hi = i - n1, i - n0
         matrix = op.space.matrix
@@ -598,8 +630,8 @@ class _DenseCells:
     """The dense route's own floats at chosen cells of one orbit, walked
     forward: ln |P(i, n)| from product_log_slice, carried from the last
     cell read (only the carry is kept past it), and the rows of every level
-    in ks through one log_rows over the span of the cells asked for, added
-    as basis_orbit_logs adds them.  Cells are keyed key0 + the position of
+    in ks through one log_rows per slice of the cells asked for, added as
+    basis_orbit_logs adds them.  Cells are keyed key0 + the position of
     their k."""
 
     def __init__(self, op: ShiftOperator, i: int, ks: tuple[int, ...], key0: int):
@@ -607,11 +639,28 @@ class _DenseCells:
         self.at, self.carry = 0, 0.0  # ln |P(i, at)|
 
     def __call__(self, cells: Cells, level: float) -> Cells:
-        """The n of the intervals (past any cell read before, within one
-        chunk) whose value at their level is >= level, as intervals."""
+        """The n of the intervals (past any cell read before) whose value at
+        their level is >= level, as intervals: read in CHUNK-cell slices of
+        the span from the first cell asked for to the last, skipping slices
+        that hold no cell."""
         key, starts, ends = cells
         if not starts.size:
             return _NO_CELLS
+        out = []
+        for m0, m1 in chunk_spans(int(starts.min()), int(ends.max())):
+            inside = (starts <= m1) & (ends >= m0)
+            if inside.any():
+                out.append(self._read(key[inside], np.maximum(starts[inside], m0),
+                                      np.minimum(ends[inside], m1), level))
+        if len(out) < 2:
+            return out[0] if out else _NO_CELLS
+        key, starts, ends = (np.concatenate(c) for c in zip(*out))
+        order = np.lexsort((starts, key))
+        return key[order], starts[order], ends[order]
+
+    def _read(self, key: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+              level: float) -> Cells:
+        """__call__ on the intervals of one slice."""
         op, i = self.op, self.i
         a, b = int(starts.min()), int(ends.max())
         for m0, m1 in chunk_spans(self.at + 1, a - 1):
@@ -1021,7 +1070,7 @@ def refute_hypercyclicity(op: ShiftOperator, horizon: int, k_max: int = 4,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     _resolve_mode("dense", 1, horizon)
-    anchor = 1 if op.space.index_set is IndexSet.N else 0
+    anchor = op.space.index_set.first
     ks = range(1, k_max + 1)
     values = op.weights.value_counts(anchor, anchor + horizon - 1)
     flat = values is not None and all(abs(v) == 1.0 for v in values)

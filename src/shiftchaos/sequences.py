@@ -3,18 +3,23 @@
 Both weight sequences and Kothe-matrix row bases are built from the same
 machinery: a side is an infinite concatenation of finite blocks, each block a
 short list of (value, count) runs, laid rightward from a start index or
-leftward from an end index.  Counts are Python ints, so blocks of size 10**200
-stay exact.  Block boundaries are cached prefix sums of the block sizes,
-extended lazily; a block's runs are listed only when a query clips it.  A
-generator may give a block's size (block_size) and the value counts over
-blocks 1..n (counts_through) in closed form; a plain callable answers both
-from its runs, so every block it reaches is listed once.
+leftward from an end index.  Block boundaries are cached prefix sums of the
+block sizes, extended lazily.  A generator may give a block's size
+(block_size) and the value counts over blocks 1..n (counts_through) in
+closed form; a plain callable answers both from its runs, so every block it
+reaches is listed once.  A generator may also list blocks b0..b1 at once as
+numpy arrays (block_arrays): alternating_powers and twos_halves_ones do, and
+a run query on their side lists every block the side reaches into one table
+of arrays, so it pays per run in numpy, not in Python.  The others (ramp_plateau,
+plain callables) list a block's runs only when a query clips it, with
+Python int counts, so blocks of size 10**200 stay exact.
 
-A sequence exposes four access paths and every consumer picks the cheapest
+A sequence exposes five access paths and every consumer picks the cheapest
 one available:
   value_at(j)           single probe
   runs_over(lo, hi)     maximal constant runs covering [lo, hi] (None when the
                         sequence has no run structure)
+  run_arrays(lo, hi)    the same runs as (values, counts) arrays
   value_counts(lo, hi)  exact count of each distinct value on [lo, hi] (None
                         without run structure); block layouts serve it as a
                         difference of prefix counts, found in O(log blocks),
@@ -26,12 +31,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 MAX_RUNS_PER_QUERY = 2_000_000
-# blocks one side may cache (about 75 MB on the alternating layouts); every
+# blocks one side may cache (peak 13 MB with their bounds on the alternating
+# layouts once a run query lists their runs into one run table); every
 # catalog and benchmark check stays under about 5,000
 MAX_CACHED_BLOCKS = 100_000
 
@@ -54,13 +60,22 @@ class Run:
 
 
 class SequenceBase:
-    """Duck-typed interface; subclasses override the three access paths."""
+    """Duck-typed interface; subclasses override the access paths they serve."""
 
     def value_at(self, j: int) -> float:
         raise NotImplementedError
 
     def runs_over(self, lo: int, hi: int) -> list[Run] | None:
         return None
+
+    def run_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(values, counts) of the runs of runs_over(lo, hi), in index order;
+        None without run structure (empty arrays for an empty range)."""
+        runs = self.runs_over(lo, hi) if hi >= lo else []
+        if runs is None:
+            return None
+        return (np.array([r.value for r in runs], dtype=float),
+                np.array([r.count for r in runs], dtype=np.int64))
 
     def value_counts(self, lo: int, hi: int) -> dict[float, int] | None:
         return None
@@ -109,6 +124,58 @@ class ClosedFormSequence(SequenceBase):
 
 
 BlockGenerator = Callable[[int], list[tuple[float, int]]]
+_NO_RUNS = (np.zeros(0), np.zeros(0, np.int64))
+
+
+class _RunTable:
+    """The runs of every block a side's bounds reach (bounds[n] = total
+    count of blocks 1..n), for a generator with block_arrays: arrays in scan
+    order of each run's value, count and first offset.  A run query lists
+    the blocks the bounds added since the last one, in one block_arrays
+    call, and the arrays double their capacity as they grow; single probes
+    never list them.  Its length and iteration give the blocks reached, as
+    the dict of listed blocks does on the list path."""
+
+    def __init__(self, blocks, bounds: list[int]):
+        self.blocks, self.bounds = blocks, bounds
+        self.m = self.n = 0  # blocks and runs listed
+        self._values = np.zeros(0)
+        self._counts = np.zeros(0, np.int64)
+        self._starts = np.zeros(0, np.int64)
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, len(self) + 1))
+
+    def _list(self) -> None:
+        """List every block the bounds reach."""
+        m = len(self)
+        if m <= self.m:
+            return
+        values, counts = self.blocks.block_arrays(self.m + 1, m)
+        n = self.n + values.size
+        if n > self._values.size:
+            cap = max(n, 2 * self._values.size)
+            self._values, self._counts, self._starts = (
+                np.concatenate((a[:self.n], np.empty(cap - self.n, a.dtype)))
+                for a in (self._values, self._counts, self._starts))
+        self._values[self.n:n] = values
+        self._counts[self.n:n] = counts
+        self._starts[self.n:n] = self.bounds[self.m] + np.cumsum(counts) - counts
+        self.m, self.n = m, n
+
+    def span(self, off_lo: int, off_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, counts) of the runs over offsets [off_lo, off_hi] (inside
+        the bounds), in scan order, the two end runs clipped."""
+        self._list()
+        starts = self._starts[:self.n]
+        r0 = int(np.searchsorted(starts, off_lo, "right")) - 1
+        r1 = int(np.searchsorted(starts, off_hi, "right"))
+        edges = np.append(starts[r0:r1], off_hi + 1)
+        edges[0] = off_lo
+        return self._values[r0:r1], np.diff(edges)
 
 
 class BlockSideSequence(SequenceBase):
@@ -121,6 +188,11 @@ class BlockSideSequence(SequenceBase):
     grows toward smaller indices).  When blocks also has block_size(n) and
     counts_through(n) ({value: count} over blocks 1..n, keys in the order
     the runs first give them), sizes and whole-block counts come from those.
+    When it also has block_arrays(b0, b1) (the values, float64, and counts,
+    int64, of the runs of blocks b0..b1 in scan order), run queries list
+    every block the bounds reach with it into one _RunTable and are
+    answered from that table in numpy; a single probe and the end blocks of
+    a count read still list their block through blocks(n).
     """
 
     def __init__(self, blocks: BlockGenerator, origin: int, direction: int):
@@ -133,16 +205,20 @@ class BlockSideSequence(SequenceBase):
         self._counts_through = getattr(blocks, "counts_through", None)
         # _bounds[n] = total count of blocks 1..n (Python ints)
         self._bounds: list[int] = [0]
-        # block n -> its runs, for every block a query clipped (and every
-        # block reached when blocks gives no block_size)
-        self._block_runs: dict[int, list[tuple[float, int]]] = {}
+        # block n -> its runs, for every block a probe or a count read
+        # clipped (and every block reached when blocks gives no block_size)
+        self._listed: dict[int, list[tuple[float, int]]] = {}
+        # the blocks whose runs the side holds: with block_arrays, every block
+        # the bounds reach, in the _RunTable that run queries read; else _listed
+        self._arrays = hasattr(blocks, "block_arrays")
+        self._block_runs = _RunTable(blocks, self._bounds) if self._arrays else self._listed
         # _counts[n] = {value: count} over blocks 1..n, built only on demand
         # when blocks gives no counts_through
         self._counts: list[dict[float, int]] = [{}]
 
     def _runs(self, n: int) -> list[tuple[float, int]]:
         """Runs of block n (1-based), listed once."""
-        runs = self._block_runs.get(n)
+        runs = self._listed.get(n)
         if runs is None:
             runs = [(float(v), int(c)) for v, c in self.blocks(n)]
             if not runs:
@@ -150,7 +226,7 @@ class BlockSideSequence(SequenceBase):
             for _, count in runs:
                 if count <= 0:
                     raise ValueError(f"nonpositive run count {count}")
-            self._block_runs[n] = runs
+            self._listed[n] = runs
         return runs
 
     def _block_size(self, n: int) -> int:
@@ -249,9 +325,31 @@ class BlockSideSequence(SequenceBase):
         self._add_block_counts(out, b_hi, off_lo, off_hi)
         return out
 
+    def run_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, counts) of the maximal runs over [lo, hi] in index order;
+        from the run table: its runs over the span, the two end runs
+        clipped, equal neighbours joined, reversed on a leftward side."""
+        if not self._arrays:
+            return super().run_arrays(lo, hi)
+        if hi < lo:
+            return _NO_RUNS
+        values, counts = self._block_runs.span(*self._offset_span(lo, hi))
+        keep = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        if keep.size > MAX_RUNS_PER_QUERY:
+            raise RuntimeError("run query exploded; range too wide for this layout")
+        values, counts = values[keep], np.add.reduceat(counts, keep)
+        if self.direction == 1:
+            return values, counts
+        return values[::-1], counts[::-1]
+
     def runs_over(self, lo: int, hi: int) -> list[Run]:
         if hi < lo:
             return []
+        if self._arrays:  # the run table's arrays, counts as Python ints
+            values, counts = self.run_arrays(lo, hi)
+            stops = (np.cumsum(counts) - 1).tolist()
+            return [Run(lo + z - c + 1, lo + z, v)
+                    for v, c, z in zip(values.tolist(), counts.tolist(), stops)]
         off_lo, off_hi = self._offset_span(lo, hi)
         # [first offset, last offset, value] per run, equal neighbours joined
         # as they come (offsets are contiguous), as _merge_adjacent joins them
@@ -280,20 +378,19 @@ class BlockSideSequence(SequenceBase):
         if js.size == 0:
             return np.zeros(0)
         lo, hi = int(js.min()), int(js.max())
-        runs = self.runs_over(lo, hi)
-        return fill_from_runs(runs, lo, hi)[js - lo]
+        values, counts = self.run_arrays(lo, hi)
+        return np.repeat(values, counts)[js - lo]
 
 
 def run_arrays(seq: SequenceBase, lo: int,
                hi: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(values, counts) of the runs covering [lo, hi] from one runs_over, so
-    per-value work is done once per run; (one value per index, None) from
-    one values_array when the sequence has no run structure."""
-    runs = seq.runs_over(lo, hi) if hi >= lo else []
-    if runs is None:
+    """(values, counts) of the runs covering [lo, hi] from seq.run_arrays,
+    so per-value work is done once per run; (one value per index, None)
+    from one values_array when the sequence has no run structure."""
+    arrays = seq.run_arrays(lo, hi)
+    if arrays is None:
         return seq.values_array(np.arange(lo, hi + 1)), None
-    return (np.array([r.value for r in runs], dtype=float),
-            np.array([r.count for r in runs], dtype=np.int64))
+    return arrays
 
 
 def _merge_adjacent(runs: list[Run]) -> list[Run]:
@@ -341,6 +438,26 @@ class SplitSequence(SequenceBase):
             parts.extend(right)
         return _merge_adjacent(parts)
 
+    def run_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
+        if hi < lo:
+            return _NO_RUNS
+        parts = []
+        if lo < self.split:
+            parts.append(self.negative.run_arrays(lo, min(hi, self.split - 1)))
+            if parts[-1] is None:
+                return None
+        if hi >= self.split:
+            parts.append(self.nonnegative.run_arrays(max(lo, self.split), hi))
+            if parts[-1] is None:
+                return None
+        if len(parts) == 1:
+            return parts[0]
+        (lv, lc), (rv, rc) = parts
+        if lv[-1] == rv[0]:  # equal runs meet at the split: one run, as _merge_adjacent joins them
+            lc = np.append(lc[:-1], lc[-1] + rc[0])
+            rv, rc = rv[1:], rc[1:]
+        return np.concatenate((lv, rv)), np.concatenate((lc, rc))
+
     def value_counts(self, lo: int, hi: int) -> dict[float, int] | None:
         if hi < lo:
             return {}
@@ -377,6 +494,53 @@ def constant(value: float) -> ConstantSequence:
     return ConstantSequence(value)
 
 
+def _tally(runs) -> dict[float, int]:
+    """{value: count} over (value, count) pairs, keys in first-seen order
+    (as the runs of blocks 1..n first give them), zero counts left out."""
+    out: dict[float, int] = {}
+    for value, count in runs:
+        if count:
+            out[value] = out.get(value, 0) + count
+    return out
+
+
+class _AlternatingPowers:
+    """alternating_powers' generator, with block sizes, value counts and
+    block runs in closed form.  Its values are base, 1.0 / base and
+    1.0 / (1.0 / base), the floats the runs carry (the last need not be
+    base)."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def __call__(self, n: int) -> list[tuple[float, int]]:
+        up = self.base if n % 2 == 1 else 1.0 / self.base
+        return [(up, n), (1.0 / up, n)]
+
+    def _values(self) -> tuple[float, float, float]:
+        down = 1.0 / self.base
+        return float(self.base), down, 1.0 / down
+
+    def block_size(self, n: int) -> int:
+        return 2 * n
+
+    def counts_through(self, n: int) -> dict[float, int]:
+        """Odd blocks m <= n give m of base then m of 1 / base, odd^2 in
+        all; even blocks m of 1 / base then m of 1 / (1 / base),
+        even * (even + 1) in all."""
+        up, down, back = self._values()
+        odd, even = (n + 1) // 2, n // 2
+        return _tally(((up, odd * odd), (down, odd * odd),
+                       (down, even * (even + 1)), (back, even * (even + 1))))
+
+    def block_arrays(self, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
+        up, down, back = self._values()
+        n = np.arange(b0, b1 + 1, dtype=np.int64)
+        odd = n % 2 == 1
+        values = np.stack((np.where(odd, up, down), np.where(odd, down, back)), axis=1)
+        return values.ravel(), np.repeat(n, 2)
+
+
 def alternating_powers(base: float = 2.0) -> BlockGenerator:
     """Block n (scan order): n copies of one power of `base`, then n of its
     inverse, the leading power alternating with the block parity.
@@ -384,12 +548,43 @@ def alternating_powers(base: float = 2.0) -> BlockGenerator:
     Cumulative products along the scan rise then fall back to 1 on odd
     blocks, dip then recover on even blocks.
     """
+    return _AlternatingPowers(base)
 
-    def blocks(n: int) -> list[tuple[float, int]]:
-        up = base if n % 2 == 1 else 1.0 / base
-        return [(up, n), (1.0 / up, n)]
 
-    return blocks
+class _TwosHalvesOnes:
+    """twos_halves_ones' generator, with block sizes, value counts and block
+    runs in closed form."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def __call__(self, n: int) -> list[tuple[float, int]]:
+        if n % 2 == 1:
+            t = (n + 1) // 2
+            return [(1.0, t * t)]
+        t = n // 2
+        return [(1.0 / self.base, t), (self.base, t)]
+
+    def block_size(self, n: int) -> int:
+        t = (n + 1) // 2
+        return t * t if n % 2 == 1 else n
+
+    def counts_through(self, n: int) -> dict[float, int]:
+        """Blocks 2t - 1 <= n give t^2 ones; blocks 2t <= n give t of 1 / base then t of base."""
+        odd, even = (n + 1) // 2, n // 2
+        halves = even * (even + 1) // 2
+        return _tally(((1.0, odd * (odd + 1) * (2 * odd + 1) // 6),
+                       (1.0 / self.base, halves), (float(self.base), halves)))
+
+    def block_arrays(self, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two slots per block, the second dropped on odd blocks (one run of ones)."""
+        down, up = 1.0 / self.base, float(self.base)
+        n = np.arange(b0, b1 + 1, dtype=np.int64)
+        odd, t = n % 2 == 1, (n + 1) // 2
+        values = np.stack((np.where(odd, 1.0, down), np.full(n.size, up)), axis=1).ravel()
+        counts = np.stack((np.where(odd, t * t, t), t), axis=1).ravel()
+        keep = np.stack((np.ones(n.size, bool), ~odd), axis=1).ravel()
+        return values[keep], counts[keep]
 
 
 def twos_halves_ones(base: float = 2.0) -> BlockGenerator:
@@ -399,15 +594,7 @@ def twos_halves_ones(base: float = 2.0) -> BlockGenerator:
     then t copies of `base`, so cumulative products along the scan dip to
     base^-t and recover.
     """
-
-    def blocks(n: int) -> list[tuple[float, int]]:
-        if n % 2 == 1:
-            t = (n + 1) // 2
-            return [(1.0, t * t)]
-        t = n // 2
-        return [(1.0 / base, t), (base, t)]
-
-    return blocks
+    return _TwosHalvesOnes(base)
 
 
 class _RampPlateau:

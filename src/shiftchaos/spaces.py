@@ -48,6 +48,11 @@ class IndexSet(enum.Enum):
     def contains(self, j: int) -> bool:
         return j >= 1 if self is IndexSet.N else True
 
+    @property
+    def first(self) -> int:
+        """The first index: 1 on N, the origin 0 on Z."""
+        return 1 if self is IndexSet.N else 0
+
     def clip(self, lo: int, hi: int) -> tuple[int, int]:
         """Intersect [lo, hi] with the index set; may come back empty (lo > hi)."""
         if self is IndexSet.N:

@@ -114,6 +114,29 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, name, op, anchors)
         assert _streamed_reports(op, anchors) == want, chunk
 
 
+# The run route walks dc_cert.STEP_CHUNKS chunks at a step: at CHUNK 1 and 7
+# step ends fall inside HORIZON, at CHUNK 64 only inside this horizon
+STEP_HORIZON = 600
+
+
+@pytest.mark.usefixtures("_exact_floats")
+@pytest.mark.parametrize("name, op, anchors", LAYOUTS, ids=[l[0] for l in LAYOUTS])
+def test_run_route_reports_do_not_depend_on_the_step(monkeypatch, name, op, anchors):
+    def reports():
+        return [_outcome(dc_cert.refute_dc_condition_A, op, anchors, STEP_HORIZON,
+                         settle_by=STEP_HORIZON),
+                _outcome(dc_cert.refute_dc_condition_A, op, anchors, STEP_HORIZON,
+                         bound=10.0, delta=0.25, settle_by=STEP_HORIZON),
+                *(_outcome(dc_cert.check_dc_condition_A, op, D(), anchors, STEP_HORIZON,
+                           decay_tol=0.5, k_max=3) for D in CANDIDATE_SETS)]
+
+    monkeypatch.setattr(numerics, "CHUNK", SINGLE)
+    want = reports()
+    monkeypatch.setattr(numerics, "CHUNK", 64)
+    assert len(list(dc_cert._steps(1, STEP_HORIZON))) == 3
+    assert reports() == want
+
+
 def _dense_mly(op: ShiftOperator, anchors: list[int], horizon: int) -> str:
     """One dense MLY condition-(B) level over the anchors' two-term witness."""
     sched = dc_cert.schedule_dc(1, [(1, horizon, [(a, 1.5 - t / 4)

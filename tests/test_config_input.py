@@ -192,6 +192,18 @@ def test_anchors_off_the_domain_exit_3(item):
         3, "", "error: anchor 0 is outside the domain N\n")
 
 
+@pytest.mark.parametrize("entry, item, anchor, exit_code", [
+    ("rolewicz_lp_N", {"kind": "orbit", "horizon": 40}, 1, 0),
+    ("rolewicz_lp_N", {"kind": "mly", "condition_A": {"horizon": 100}}, 1, 0),
+    ("ex1_s_Z_hc_not_dc", {"kind": "orbit", "horizon": 40}, 0, 2),
+], ids=["orbit-on-N", "mly-condition-A-on-N", "orbit-on-Z"])
+def test_a_left_out_anchor_is_the_domains_first_index(entry, item, anchor, exit_code):
+    # the default was 0 on every domain, so on N both items exited 3
+    code, out, err = _run_item(entry, item)
+    assert (code, err) == (exit_code, "")
+    assert f"param anchor = {anchor}\n" in out
+
+
 NAN = float("nan")
 WITNESS_L2_N = {"kind": "hypercyclicity",
                 "witness": {"n_seq": [1, 2, 3, 4, 5], "ell_window": [5, 5]}}

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shiftchaos import catalog, dc_cert, shift
+from shiftchaos import catalog, dc_cert, sequences, shift
 from shiftchaos.dc_cert import (
     DCWitnessEntry,
     WitnessTerm,
@@ -450,14 +450,14 @@ class TestConditionA:
                     for name in ("ex2_kothe_dc_not_hc", "ex4_lp_mly_not_hc"))
         scanned = []
 
-        def count_reads(base):
-            read = base.runs_over
+        def count_reads(base):  # a base pass is one run_arrays
+            read = base.run_arrays
 
             def counted(lo, hi):
                 scanned.append(base)
                 return read(lo, hi)
 
-            monkeypatch.setattr(base, "runs_over", counted)
+            monkeypatch.setattr(base, "run_arrays", counted)
 
         count_reads(ex2.space.matrix.base)
         count_reads(ex4.space.matrix.base)
@@ -629,6 +629,35 @@ class TestRunRoute:
         rep = check_dc_condition_A(op, naturals(), range(-4, 5), 500_000, 1e-6, 4)
         assert rep.verdict == "condition-A-holds-at-horizon"
         assert cells["slices"] < 1000, cells
+
+    @staticmethod
+    def _run_route_work(monkeypatch) -> dict[str, int]:
+        """Calls of _OrbitPieces.of (one per anchor and step) and of the
+        alternating and twos/halves/ones generators block by block."""
+        work = {"steps": 0, "blocks": 0}
+        counted = TestRunRoute._counted
+        monkeypatch.setattr(dc_cert._OrbitPieces, "of", staticmethod(
+            counted(dc_cert._OrbitPieces.of, work, "steps", lambda out: 1)))
+        for gen in (sequences._AlternatingPowers, sequences._TwosHalvesOnes):
+            monkeypatch.setattr(gen, "__call__", counted(gen.__call__, work, "blocks",
+                                                         lambda out: 1))
+        return work
+
+    def test_run_route_work_is_pinned(self, monkeypatch):
+        # ex1's refutation at 10**7 walked 39 chunks of 2**18 cells and
+        # listed its alternating side block by block; steps are 4 chunks,
+        # and the side's blocks come as arrays.  Built first: the weights'
+        # spot checks probe a few blocks one by one
+        ex1, ex2 = (catalog.build_example(name)
+                    for name in ("ex1_s_Z_hc_not_dc", "ex2_kothe_dc_not_hc"))
+        work = self._run_route_work(monkeypatch)
+        rep = refute_dc_condition_A(ex1, [0], 10**7)
+        assert rep.verdict == "condition-A-refuted-at-horizon"
+        assert work["steps"] <= 10 and work["blocks"] == 0, work
+        work.update(dict.fromkeys(work, 0))
+        rep = check_dc_condition_A(ex2, naturals(), range(-4, 5), 500_000, 1e-6, 4)
+        assert rep.verdict == "condition-A-holds-at-horizon"
+        assert work["steps"] == 9, work  # one step for each anchor
 
     def test_run_route_leaves_numpy_ma_unimported(self):
         # np.unique and np.union1d import numpy.ma on their first call

@@ -16,6 +16,7 @@ from shiftchaos.sequences import (
     ClosedFormSequence,
     ConstantSequence,
     Run,
+    SequenceBase,
     SplitSequence,
     alternating_powers,
     constant,
@@ -258,6 +259,102 @@ class TestRampClosedForms:
         side = BlockSideSequence(ramp_plateau(10), 1, 1)
         assert side.value_at(segment_end(199) + 300) == 201.0
         assert len(side._block_runs) == 1
+
+
+ARRAY_TEMPLATES = [alternating_powers, twos_halves_ones]
+# 1 / (1 / 49) is not 49, and base 1 joins every run of a side into one
+ARRAY_BASES = [2, 3, 0.5, 1.0, 49.0]
+
+
+def _list_path(gen):
+    """The same blocks through a plain callable: the per-block list path."""
+    return lambda n: gen(n)
+
+
+def _same_arrays(got, want):
+    assert got[0].dtype == np.float64 and got[1].dtype == np.int64
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestBlockArrays:
+    """alternating_powers and twos_halves_ones list blocks as arrays, with
+    block sizes and value counts in closed form; the same blocks served
+    through a plain callable take the per-block list path."""
+
+    @staticmethod
+    def pair(template, base, origin, direction):
+        gen = template(base)
+        return (BlockSideSequence(template(base), origin, direction),
+                BlockSideSequence(_list_path(gen), origin, direction))
+
+    @given(st.sampled_from(ARRAY_TEMPLATES), st.sampled_from(ARRAY_BASES),
+           st.integers(1, 80), st.integers(1, 80))
+    def test_closed_forms_match_the_runs(self, template, base, b0, b1):
+        gen = template(base)
+        b0, b1 = sorted((b0, b1))
+        for n in (b0, b1):
+            runs = [(float(v), int(c)) for v, c in gen(n)]
+            assert gen.block_size(n) == sum(c for _, c in runs)
+        want = {}
+        for n in range(1, b1 + 1):
+            for v, c in gen(n):
+                want[float(v)] = want.get(float(v), 0) + c
+        assert list(gen.counts_through(b1).items()) == list(want.items())
+        listed = [(float(v), c) for n in range(b0, b1 + 1) for v, c in gen(n)]
+        _same_arrays(gen.block_arrays(b0, b1),
+                     (np.array([v for v, _ in listed]), np.array([c for _, c in listed])))
+
+    @given(st.sampled_from(ARRAY_TEMPLATES), st.sampled_from(ARRAY_BASES),
+           st.sampled_from([1, -1]), st.integers(1, 70), st.integers(1, 70),
+           st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_arrays_match_the_list_path(self, template, base, direction, s1, s2, u, v):
+        # ends anywhere in two blocks, so spans cross block ends, and from
+        # the origin (the first cell of block 1) when u picks it
+        fast, runs = self.pair(template, base, direction, direction)
+        ends = []
+        for s, pick in ((min(s1, s2), u), (max(s1, s2), v)):
+            lo, hi = runs.block_range(s)
+            ends.append(lo + pick % (hi - lo + 1))
+        lo, hi = sorted(ends)
+        # the array side answers cold, before any other query
+        _same_arrays(fast.run_arrays(lo, hi), runs.run_arrays(lo, hi))
+        got = fast.runs_over(lo, hi)
+        assert got == runs.runs_over(lo, hi)
+        assert all(type(r.count) is int for r in got)
+        assert list(fast.value_counts(lo, hi).items()) == list(runs.value_counts(lo, hi).items())
+        assert [fast.value_at(j) for j in (lo, hi)] == [runs.value_at(j) for j in (lo, hi)]
+        assert [fast.block_range(s) for s in (s1, s2)] == [runs.block_range(s) for s in (s1, s2)]
+        js = np.arange(lo, hi + 1)
+        assert fast.values_array(js).tobytes() == runs.values_array(js).tobytes()
+
+    @given(st.sampled_from(ARRAY_TEMPLATES), st.sampled_from(ARRAY_TEMPLATES),
+           st.sampled_from(ARRAY_BASES), st.integers(1, 3000), st.integers(0, 3000))
+    def test_split_arrays_match_the_list_path(self, left, right, base, back, ahead):
+        # spans cross the split at 0: equal runs meeting there are joined
+        def split(arrays):
+            make = (lambda t: t(base)) if arrays else (lambda t: _list_path(t(base)))
+            return SplitSequence(BlockSideSequence(make(left), -1, -1),
+                                 BlockSideSequence(make(right), 0, 1), split=0)
+
+        fast, runs = split(True), split(False)
+        lo, hi = -back, ahead
+        # the reference: arrays of the list path's runs_over, joined by _merge_adjacent
+        want = SequenceBase.run_arrays(runs, lo, hi)
+        _same_arrays(fast.run_arrays(lo, hi), want)
+        _same_arrays(runs.run_arrays(lo, hi), want)
+        assert fast.runs_over(lo, hi) == runs.runs_over(lo, hi)
+        assert sequences.run_arrays(fast, lo, hi)[1] is not None
+
+    @pytest.mark.parametrize("template", ARRAY_TEMPLATES)
+    def test_a_query_past_the_run_cap_raises_on_both_paths(self, monkeypatch, template):
+        monkeypatch.setattr(sequences, "MAX_RUNS_PER_QUERY", 10)
+        for side in self.pair(template, 2.0, 1, 1):
+            assert len(side.runs_over(1, 20)) <= 10
+            with pytest.raises(RuntimeError, match="run query exploded"):
+                side.runs_over(1, 2000)
+        with pytest.raises(RuntimeError, match="run query exploded"):
+            self.pair(template, 2.0, 1, 1)[0].run_arrays(1, 2000)
 
 
 class TestSplitSequence:

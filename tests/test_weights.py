@@ -300,18 +300,19 @@ class TestProductTable:
 
     def test_one_runs_pass_per_side(self, monkeypatch):
         # the table reads each side's runs once and never probes values cell
-        # by cell; a return to per-cell passes fails here without any timing
+        # by cell; a return to per-cell passes fails here without any timing.
+        # A side's runs pass is run_arrays (a run table, or runs_over beneath)
         scanned = []
-        runs_over = BlockSideSequence.runs_over
+        run_arrays = BlockSideSequence.run_arrays
 
         def counted(self, lo, hi):
             scanned.append(self)
-            return runs_over(self, lo, hi)
+            return run_arrays(self, lo, hi)
 
         def no_cells(self, js):
             raise AssertionError("the table probed values cell by cell")
 
-        monkeypatch.setattr(BlockSideSequence, "runs_over", counted)
+        monkeypatch.setattr(BlockSideSequence, "run_arrays", counted)
         monkeypatch.setattr(BlockSideSequence, "values_array", no_cells)
         w = ex1_weights()
         table = product_log_table(w, 0, 10**6)
