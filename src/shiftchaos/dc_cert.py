@@ -955,12 +955,13 @@ def check_mop_sufficient(op: ShiftOperator, alphas: Callable[[int], float],
 
 
 def _count_at_least(nu, lo: int, hi: int, alpha: float) -> int:
-    """card{j in [lo, hi] : nu(j) >= alpha}, run-based when possible."""
+    """card{j in [lo, hi] : nu(j) >= alpha}, from nu's value counts when it
+    keeps them (O(log blocks) on a block layout at any depth)."""
     if hi < lo:
         return 0
-    runs = nu.runs_over(lo, hi)
-    if runs is not None:
-        return sum(r.count for r in runs if r.value >= alpha)
+    counts = nu.value_counts(lo, hi)
+    if counts is not None:
+        return sum(count for value, count in counts.items() if value >= alpha)
     if hi - lo + 1 > MAX_DENSE:
         raise ValueError("window too large for valuewise counting")
     vals = nu.values_array(np.arange(lo, hi + 1))

@@ -14,17 +14,20 @@ of arrays, so it pays per run in numpy, not in Python.  The others (ramp_plateau
 plain callables) list a block's runs only when a query clips it, with
 Python int counts, so blocks of size 10**200 stay exact.
 
-A sequence exposes five access paths and every consumer picks the cheapest
+A sequence exposes four access paths and every consumer picks the cheapest
 one available:
   value_at(j)           single probe
-  runs_over(lo, hi)     maximal constant runs covering [lo, hi] (None when the
-                        sequence has no run structure)
-  run_arrays(lo, hi)    the same runs as (values, counts) arrays
+  run_arrays(lo, hi)    (values, counts) of the maximal constant runs covering
+                        [lo, hi] (None when the sequence has no run
+                        structure); runs_over(lo, hi) is the same runs as a
+                        list of Run, derived from it once in SequenceBase
   value_counts(lo, hi)  exact count of each distinct value on [lo, hi] (None
                         without run structure); block layouts serve it as a
                         difference of prefix counts, found in O(log blocks),
                         plus the runs of the two end blocks
-  values_array(js)      vectorized probe for dense numpy sweeps
+  values_array(js)      probe at an index array: vectorized on a closed form,
+                        one value_at per index elsewhere (sparse supports;
+                        ranges read run_arrays)
 """
 
 from __future__ import annotations
@@ -59,29 +62,45 @@ class Run:
         return self.stop - self.start + 1
 
 
+def _count_dtype(lo: int, hi: int):
+    """Run counts over [lo, hi] are int64 while its length fits one, and
+    Python ints (dtype object) from 2**63 indices on."""
+    return np.int64 if hi - lo < 2**63 - 1 else object
+
+
 class SequenceBase:
-    """Duck-typed interface; subclasses override the access paths they serve."""
+    """Duck-typed interface; subclasses override the access paths they serve.
+    A sequence with run structure implements run_arrays, the one run query."""
 
     def value_at(self, j: int) -> float:
         raise NotImplementedError
 
-    def runs_over(self, lo: int, hi: int) -> list[Run] | None:
+    def run_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(values, counts) of the maximal runs over [lo, hi] in index order
+        (empty arrays for an empty range), values float64 and counts of
+        _count_dtype; None without run structure."""
         return None
 
-    def run_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """(values, counts) of the runs of runs_over(lo, hi), in index order;
-        None without run structure (empty arrays for an empty range)."""
-        runs = self.runs_over(lo, hi) if hi >= lo else []
-        if runs is None:
+    def runs_over(self, lo: int, hi: int) -> list[Run] | None:
+        """The runs of run_arrays(lo, hi) as Runs; None without run structure."""
+        arrays = self.run_arrays(lo, hi)
+        if arrays is None:
             return None
-        return (np.array([r.value for r in runs], dtype=float),
-                np.array([r.count for r in runs], dtype=np.int64))
+        values, counts = arrays
+        runs, start = [], lo
+        for value, count in zip(values.tolist(), counts.tolist()):
+            runs.append(Run(start, start + count - 1, value))
+            start += count
+        return runs
 
     def value_counts(self, lo: int, hi: int) -> dict[float, int] | None:
         return None
 
     def values_array(self, js: np.ndarray) -> np.ndarray:
         return np.array([self.value_at(int(j)) for j in js], dtype=float)
+
+
+_NO_RUNS = (np.zeros(0), np.zeros(0, np.int64))
 
 
 class ConstantSequence(SequenceBase):
@@ -91,16 +110,13 @@ class ConstantSequence(SequenceBase):
     def value_at(self, j: int) -> float:
         return self.value
 
-    def runs_over(self, lo: int, hi: int) -> list[Run]:
+    def run_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         if hi < lo:
-            return []
-        return [Run(lo, hi, self.value)]
+            return _NO_RUNS
+        return np.array([self.value]), np.array([hi - lo + 1], _count_dtype(lo, hi))
 
     def value_counts(self, lo: int, hi: int) -> dict[float, int]:
         return {self.value: hi - lo + 1} if hi >= lo else {}
-
-    def values_array(self, js: np.ndarray) -> np.ndarray:
-        return np.full(len(js), self.value)
 
 
 class ClosedFormSequence(SequenceBase):
@@ -114,9 +130,6 @@ class ClosedFormSequence(SequenceBase):
     def value_at(self, j: int) -> float:
         return float(self.fn(j))
 
-    def runs_over(self, lo: int, hi: int) -> None:
-        return None
-
     def values_array(self, js: np.ndarray) -> np.ndarray:
         if self.vectorized is not None:
             return np.asarray(self.vectorized(js), dtype=float)
@@ -124,7 +137,6 @@ class ClosedFormSequence(SequenceBase):
 
 
 BlockGenerator = Callable[[int], list[tuple[float, int]]]
-_NO_RUNS = (np.zeros(0), np.zeros(0, np.int64))
 
 
 class _RunTable:
@@ -205,8 +217,9 @@ class BlockSideSequence(SequenceBase):
         self._counts_through = getattr(blocks, "counts_through", None)
         # _bounds[n] = total count of blocks 1..n (Python ints)
         self._bounds: list[int] = [0]
-        # block n -> its runs, for every block a probe or a count read
-        # clipped (and every block reached when blocks gives no block_size)
+        # block n -> its runs, for every block a probe, a count read or a
+        # run query without the table clipped (and every block reached when
+        # blocks gives no block_size)
         self._listed: dict[int, list[tuple[float, int]]] = {}
         # the blocks whose runs the side holds: with block_arrays, every block
         # the bounds reach, in the _RunTable that run queries read; else _listed
@@ -326,14 +339,29 @@ class BlockSideSequence(SequenceBase):
         return out
 
     def run_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(values, counts) of the maximal runs over [lo, hi] in index order;
-        from the run table: its runs over the span, the two end runs
-        clipped, equal neighbours joined, reversed on a leftward side."""
-        if not self._arrays:
-            return super().run_arrays(lo, hi)
+        """The runs over the span in scan order, the two end runs clipped
+        (from the run table, or from the blocks they reach listed one by
+        one), then equal neighbours joined and reversed on a leftward side."""
         if hi < lo:
             return _NO_RUNS
-        values, counts = self._block_runs.span(*self._offset_span(lo, hi))
+        off_lo, off_hi = self._offset_span(lo, hi)
+        if self._arrays:
+            values, counts = self._block_runs.span(off_lo, off_hi)
+        else:
+            runs: list[tuple[float, int]] = []
+            b = bisect.bisect_right(self._bounds, off_lo) - 1
+            cursor = self._bounds[b]
+            while cursor <= off_hi:
+                b += 1
+                for value, count in self._runs(b):
+                    a, z = max(cursor, off_lo), min(cursor + count - 1, off_hi)
+                    cursor += count
+                    if a <= z:
+                        runs.append((value, z - a + 1))
+                if len(runs) > MAX_RUNS_PER_QUERY:
+                    raise RuntimeError("run query exploded; range too wide for this layout")
+            values = np.array([v for v, _ in runs])
+            counts = np.array([c for _, c in runs], _count_dtype(lo, hi))
         keep = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
         if keep.size > MAX_RUNS_PER_QUERY:
             raise RuntimeError("run query exploded; range too wide for this layout")
@@ -342,44 +370,9 @@ class BlockSideSequence(SequenceBase):
             return values, counts
         return values[::-1], counts[::-1]
 
-    def runs_over(self, lo: int, hi: int) -> list[Run]:
-        if hi < lo:
-            return []
-        if self._arrays:  # the run table's arrays, counts as Python ints
-            values, counts = self.run_arrays(lo, hi)
-            stops = (np.cumsum(counts) - 1).tolist()
-            return [Run(lo + z - c + 1, lo + z, v)
-                    for v, c, z in zip(values.tolist(), counts.tolist(), stops)]
-        off_lo, off_hi = self._offset_span(lo, hi)
-        # [first offset, last offset, value] per run, equal neighbours joined
-        # as they come (offsets are contiguous), as _merge_adjacent joins them
-        spans: list[list] = []
-        b = bisect.bisect_right(self._bounds, off_lo) - 1
-        cursor = self._bounds[b]
-        while cursor <= off_hi:
-            for value, count in self._runs(b + 1):
-                r_lo, r_hi = cursor, cursor + count - 1
-                cursor += count
-                if r_hi < off_lo or r_lo > off_hi:
-                    continue
-                if spans and spans[-1][2] == value:
-                    spans[-1][1] = min(r_hi, off_hi)
-                    continue
-                spans.append([max(r_lo, off_lo), min(r_hi, off_hi), value])
-                if len(spans) > MAX_RUNS_PER_QUERY:
-                    raise RuntimeError("run query exploded; range too wide for this layout")
-            b += 1
-        if self.direction == 1:
-            return [Run(self.origin + a, self.origin + z, v) for a, z, v in spans]
-        return [Run(self.origin - z, self.origin - a, v) for a, z, v in reversed(spans)]
-
-    def values_array(self, js: np.ndarray) -> np.ndarray:
-        js = np.asarray(js)
-        if js.size == 0:
-            return np.zeros(0)
-        lo, hi = int(js.min()), int(js.max())
-        values, counts = self.run_arrays(lo, hi)
-        return np.repeat(values, counts)[js - lo]
+    # the Run view of run_arrays, named in this class body too so that it can
+    # be wrapped on the class (perfbench/tracer.py looks it up in __dict__)
+    runs_over = SequenceBase.runs_over
 
 
 def run_arrays(seq: SequenceBase, lo: int,
@@ -393,24 +386,6 @@ def run_arrays(seq: SequenceBase, lo: int,
     return arrays
 
 
-def _merge_adjacent(runs: list[Run]) -> list[Run]:
-    out: list[Run] = []
-    for r in runs:
-        if out and out[-1].value == r.value and out[-1].stop + 1 == r.start:
-            out[-1] = Run(out[-1].start, r.stop, r.value)
-        else:
-            out.append(r)
-    return out
-
-
-def fill_from_runs(runs: list[Run], lo: int, hi: int) -> np.ndarray:
-    """Dense value array over [lo, hi] from covering runs."""
-    out = np.empty(hi - lo + 1)
-    for r in runs:
-        out[r.start - lo : r.stop - lo + 1] = r.value
-    return out
-
-
 class SplitSequence(SequenceBase):
     """Two-sided sequence: `negative` serves j <= split-1, `nonnegative` j >= split."""
 
@@ -421,22 +396,6 @@ class SplitSequence(SequenceBase):
 
     def value_at(self, j: int) -> float:
         return self.nonnegative.value_at(j) if j >= self.split else self.negative.value_at(j)
-
-    def runs_over(self, lo: int, hi: int) -> list[Run] | None:
-        if hi < lo:
-            return []
-        parts: list[Run] = []
-        if lo < self.split:
-            left = self.negative.runs_over(lo, min(hi, self.split - 1))
-            if left is None:
-                return None
-            parts.extend(left)
-        if hi >= self.split:
-            right = self.nonnegative.runs_over(max(lo, self.split), hi)
-            if right is None:
-                return None
-            parts.extend(right)
-        return _merge_adjacent(parts)
 
     def run_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
         if hi < lo:
@@ -452,8 +411,10 @@ class SplitSequence(SequenceBase):
                 return None
         if len(parts) == 1:
             return parts[0]
+        if _count_dtype(lo, hi) is object:  # a joined run past 2**63 stays exact
+            parts = [(v, c.astype(object)) for v, c in parts]
         (lv, lc), (rv, rc) = parts
-        if lv[-1] == rv[0]:  # equal runs meet at the split: one run, as _merge_adjacent joins them
+        if lv[-1] == rv[0]:  # equal runs meet at the split: one run
             lc = np.append(lc[:-1], lc[-1] + rc[0])
             rv, rc = rv[1:], rc[1:]
         return np.concatenate((lv, rv)), np.concatenate((lc, rc))
@@ -473,16 +434,6 @@ class SplitSequence(SequenceBase):
                 return None
             for value, count in right.items():
                 out[value] = out.get(value, 0) + count
-        return out
-
-    def values_array(self, js: np.ndarray) -> np.ndarray:
-        js = np.asarray(js)
-        out = np.empty(len(js))
-        neg = js < self.split
-        if np.any(neg):
-            out[neg] = self.negative.values_array(js[neg])
-        if np.any(~neg):
-            out[~neg] = self.nonnegative.values_array(js[~neg])
         return out
 
 

@@ -16,7 +16,7 @@ nonnegative, monotone in k, some positive entry in every row) is enforced by
 sampling at construction.
 
 Dense checks read rows through SpaceSpec.log_rows(lo, hi, ks): one pass over
-the base per range (one runs_over, or one values_array without runs), ln once
+the base per range (one run_arrays, or one values_array without runs), ln once
 per run, every level k served from it.  Constant rows are one shared
 read-only array; power rows are k * ln base.  The base of s(J), |j| + 1, is
 read as one float arange per sign side of j = 0 and one np.log.
@@ -176,7 +176,7 @@ class KotheMatrix:
 
     def _base_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
         """ln base(j) over [lo, hi], read-only, once per run with the run
-        counts from one runs_over, or once per index (counts None) from one
+        counts from one run_arrays, or once per index (counts None) from one
         values_array; |j| + 1 is one float arange per sign side and has no
         value below 1 to check."""
         if self.sign_affine:

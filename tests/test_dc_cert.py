@@ -394,7 +394,7 @@ class TestSingleTermCounts:
         monkeypatch.setattr(weights, "overlay_row_runs", walked)
         monkeypatch.setattr(dc_cert, "overlay_row_runs", walked)
         monkeypatch.setattr(KotheMatrix, "log_row_runs", walked)
-        monkeypatch.setattr(BlockSideSequence, "runs_over", walked)
+        monkeypatch.setattr(BlockSideSequence, "run_arrays", walked)  # runs_over reads it too
         seg = catalog.segment_end
         ex2, ex4 = (catalog.build_example(name)
                     for name in ("ex2_kothe_dc_not_hc", "ex4_lp_mly_not_hc"))
@@ -759,6 +759,29 @@ class TestMopSufficient:
             assert r["tail_ratio"] < 1 / (2 * r["k"])
             assert r["large_count"] * r["k"] > (r["k"] - 1) * r["N_k"]
             assert r["pass"]
+
+    @pytest.mark.parametrize("nu", [ConstantSequence(2.0),
+                                    BlockSideSequence(ramp_plateau(10), 1, 1),
+                                    ClosedFormSequence(lambda j: float(j % 7))],
+                             ids=["constant", "ramp-plateau", "closed-form"])
+    def test_window_count_matches_a_brute_count(self, monkeypatch, nu):
+        # the window count reads value counts (values one by one on a closed
+        # form), never a run list
+        def no_runs(self, lo, hi):
+            raise AssertionError("the window count read a run list")
+
+        monkeypatch.setattr(sequences.SequenceBase, "runs_over", no_runs)
+        monkeypatch.setattr(BlockSideSequence, "runs_over", no_runs)
+        for lo, hi in [(1, 1), (1, 12), (5, 130), (100, 1200), (7, 6)]:
+            for alpha in (0.5, 1.0, 2.0, 3.5, 4.0, 5.0):
+                want = sum(nu.value_at(j) >= alpha for j in range(lo, hi + 1))
+                assert dc_cert._count_at_least(nu, lo, hi, alpha) == want
+        if isinstance(nu, BlockSideSequence):
+            # at depth: every value is at least 1, and only segment 200's
+            # plateau (10**200 copies of 201) reaches 201
+            end = catalog.segment_end(200)
+            assert dc_cert._count_at_least(nu, 1, end, 1.0) == end
+            assert dc_cert._count_at_least(nu, 1, end, 201.0) == 10**200
 
     def test_unweighted_inconclusive(self, unweighted_op):
         rep = check_mop_sufficient(

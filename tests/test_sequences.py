@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -16,11 +17,9 @@ from shiftchaos.sequences import (
     ClosedFormSequence,
     ConstantSequence,
     Run,
-    SequenceBase,
     SplitSequence,
     alternating_powers,
     constant,
-    fill_from_runs,
     ramp_plateau,
     side_from_template,
     twos_halves_ones,
@@ -184,9 +183,7 @@ class TestRunsAgainstScalar:
     def test_runs_match_value_at(self, case, off_span):
         _, side = case
         lo, hi = side_window(side, *off_span)
-        runs = side.runs_over(lo, hi)
-        filled = fill_from_runs(runs, lo, hi)
-        assert list(filled) == eval_naive(side, lo, hi)
+        assert list(np.repeat(*side.run_arrays(lo, hi))) == eval_naive(side, lo, hi)
 
     @given(side_cases(), offsets)
     def test_values_array_matches(self, case, off_span):
@@ -339,8 +336,9 @@ class TestBlockArrays:
 
         fast, runs = split(True), split(False)
         lo, hi = -back, ahead
-        # the reference: arrays of the list path's runs_over, joined by _merge_adjacent
-        want = SequenceBase.run_arrays(runs, lo, hi)
+        # the reference: the values index by index, equal neighbours grouped
+        grouped = [(v, len(list(g))) for v, g in groupby(eval_naive(runs, lo, hi))]
+        want = (np.array([v for v, _ in grouped]), np.array([c for _, c in grouped], np.int64))
         _same_arrays(fast.run_arrays(lo, hi), want)
         _same_arrays(runs.run_arrays(lo, hi), want)
         assert fast.runs_over(lo, hi) == runs.runs_over(lo, hi)
@@ -373,8 +371,7 @@ class TestSplitSequence:
     def test_runs_stitch_across_split(self, win):
         s = self.split()
         lo, hi = win
-        runs = s.runs_over(lo, hi)
-        assert list(fill_from_runs(runs, lo, hi)) == eval_naive(s, lo, hi)
+        assert list(np.repeat(*s.run_arrays(lo, hi))) == eval_naive(s, lo, hi)
         js = np.arange(lo, hi + 1)
         assert list(s.values_array(js)) == eval_naive(s, lo, hi)
         assert s.value_counts(lo, hi) == Counter(eval_naive(s, lo, hi))
@@ -383,6 +380,37 @@ class TestSplitSequence:
         s = SplitSequence(ClosedFormSequence(lambda j: 2.0), constant(0.5), split=0)
         assert s.value_counts(1, 5) == {0.5: 5}
         assert s.value_counts(-1, 5) is None
+
+
+class TestSpansPastInt64:
+    """A run query over 2**63 indices or more keeps its counts as Python
+    ints (dtype object), exact, in every access path."""
+
+    CASES = {
+        "constant": (ConstantSequence(2.0), 0, 10**30),
+        "split-equal": (SplitSequence(constant(2.0), constant(2.0)), -10**30, 10**30),
+        "split-unequal": (SplitSequence(constant(2.0), constant(0.5)), -10**30, 10**30),
+        "ramp-right": (BlockSideSequence(ramp_plateau(10), 1, 1), 1, segment_end(25)),
+        "ramp-left": (BlockSideSequence(ramp_plateau(10), -1, -1), -segment_end(25), -1),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_counts_are_exact_python_ints(self, name):
+        seq, lo, hi = self.CASES[name]
+        values, counts = seq.run_arrays(lo, hi)
+        assert counts.dtype == object
+        counts = counts.tolist()
+        assert all(type(c) is int for c in counts)
+        assert sum(counts) == hi - lo + 1
+        assert all(a != b for a, b in zip(values, values[1:]))
+        runs = seq.runs_over(lo, hi)
+        assert [(r.value, r.count) for r in runs] == list(zip(values.tolist(), counts))
+        assert runs[0].start == lo and runs[-1].stop == hi
+        tally: dict[float, int] = {}
+        for v, c in zip(values.tolist(), counts):
+            tally[v] = tally.get(v, 0) + c
+        assert tally == seq.value_counts(lo, hi)
+        assert seq.run_arrays(lo, lo + 20)[1].dtype == np.int64  # a short span keeps int64
 
 
 class TestTemplateFactory:

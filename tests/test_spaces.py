@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shiftchaos import catalog
 from shiftchaos.numerics import NEG_INF, SparseVector
 from shiftchaos.sequences import (
     BlockSideSequence,
@@ -284,3 +286,25 @@ class TestContinuity:
         w = unilateral_weights(ClosedFormSequence(lambda j: 0.0 if j == 50 else 2.0))
         with pytest.raises(ValueError, match="weight at 50 is zero"):
             continuity_check(rolewicz_op.space, w, (1, 200))
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_reads_do_not_grow_with_the_span():
+    # e_1 + e_{10**7} on ex2's row base (constant 1 left of 1, the ramp side
+    # from 1): two probes, not one array over [1, 10**7] (76 MiB)
+    space = catalog.build_example("ex2_kothe_dc_not_hc").space
+    x = SparseVector.basis(1) + SparseVector.basis(10**7)
+    assert _peak(lambda: metric(space, x, SparseVector.zero())) < 2**20
+    space = catalog.build_example("ex2_kothe_dc_not_hc").space
+    js = np.array([1, 10**7])
+    assert _peak(lambda: space.matrix.log_row_array(3, js)) < 2**20
+    assert list(space.matrix.log_row_array(3, js)) == [
+        space.matrix.log_entry(1, 3), space.matrix.log_entry(10**7, 3)]

@@ -166,7 +166,7 @@ class TestProduct:
         def no_walk(self, lo, hi):
             raise AssertionError("product walked the runs")
 
-        monkeypatch.setattr(BlockSideSequence, "runs_over", no_walk)
+        monkeypatch.setattr(BlockSideSequence, "run_arrays", no_walk)  # runs_over reads it too
         w = ex1_weights()
         # blocks 1..999 of the negative side fill [-999000, -1] with 499500
         # twos and 499500 halves; block 1000 opens with 1000 more halves
@@ -301,7 +301,7 @@ class TestProductTable:
     def test_one_runs_pass_per_side(self, monkeypatch):
         # the table reads each side's runs once and never probes values cell
         # by cell; a return to per-cell passes fails here without any timing.
-        # A side's runs pass is run_arrays (a run table, or runs_over beneath)
+        # A side's runs pass is run_arrays (its run table, or its listed blocks)
         scanned = []
         run_arrays = BlockSideSequence.run_arrays
 
