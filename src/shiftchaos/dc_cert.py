@@ -171,9 +171,10 @@ def single_term_counts(op: ShiftOperator, term: WitnessTerm, m: int,
 
     Flat means every weight on the alive range [i - alive_hi, i - 1] has
     |w| = 1; then only the row's value counts matter, read in O(log blocks).
-    Keys are the floats the piece route builds, (m ln v) + ln |b|, so counts
-    match it exactly.  None (take the piece route) when a weight has
-    |w| != 1, the row rule is custom, or a sequence keeps no value counts.
+    Keys are (m ln v) + ln |b| with m ln v the float every row reader gives
+    (KotheMatrix.log_row_counts), so counts match the piece and dense routes
+    and the seminorms exactly.  None (take the piece route) when a weight
+    has |w| != 1, the row rule is custom, or a sequence keeps no value counts.
     """
     i = term.index
     alive_hi = n_hi
@@ -479,7 +480,7 @@ class _OrbitPieces:
     power * ln(|j| + 1) (power k on power rows, 1 on constant ones), so f_k
     is concave.  Pieces of several anchors and levels stack, each under the
     key of its anchor and level.  Rows and slopes are the dense route's
-    floats (np.log once per run, k * ln base as KotheMatrix._row takes it),
+    floats (np.log once per run, k * ln base, as run_log_rows gives them),
     so `at` is off the dense float of a cell only by the dense cumsum's
     rounding and a few more roundings: margin bounds that, per piece.
     Pieces where the row is 0 (r = -inf) are left out: no cell there
@@ -985,11 +986,10 @@ def check_hypercyclicity_witness(op: ShiftOperator, n_seq: Sequence[int],
     stripped) is reported alongside, with its own settle index.
 
     All 2 |window| T products come from one weights.products call, in the
-    order anchor, family, probe.  Each distinct row index is read once,
-    as ln a(j, 1), and row k is KotheMatrix._row(k, .) of those reads, so
-    every entry is the float log_entry(j, k) gives; a custom row rule reads
-    log_entry(j, k) once per index and k.  Backward terms whose orbit left
-    the domain read no row.  Settle indices are found with numpy.
+    order anchor, family, probe.  Every level's row comes from one
+    log_row_array read of the distinct row indices, each read once (int64
+    indices, or Python ints past 2**63); backward terms whose orbit left the
+    domain read no row.  Settle indices are found with numpy.
     """
     n_seq = [int(n) for n in n_seq]
     if not n_seq or any(b <= a for a, b in zip(n_seq, n_seq[1:])) or n_seq[0] < 1:
@@ -1016,14 +1016,11 @@ def check_hypercyclicity_witness(op: ShiftOperator, n_seq: Sequence[int],
                           for ell, fams in zip(ells, live)
                           for s, keeps in zip((-1, 1), fams)
                           for n, keep in zip(n_seq, keeps)]).reshape(shape)
-        matrix = op.space.matrix
-        if matrix.rule == "custom":
-            row_logs = [np.array([matrix.log_entry(j, k) for j in cols]) for k in ks]
-        else:
-            base = np.array([matrix.log_entry(j, 1) for j in cols])
-            row_logs = [matrix._row(k, base) for k in ks]
+        js = list(cols)  # np.array would guess uint64 or float64 past int64
+        fits = -2**63 <= min(js) and max(js) < 2**63
+        rows = op.space.matrix.log_row_array(np.array(js, np.int64 if fits else object), ks)
         back = live[:, 0]
-        for row in row_logs:
+        for row in rows:
             vb = np.full(back.shape, NEG_INF)
             vb[back] = row[where[:, 0][back]] + logs[:, 0][back]
             vf = row[where[:, 1]] - logs[:, 1]

@@ -21,6 +21,7 @@ one available:
                         [lo, hi] (None when the sequence has no run
                         structure); runs_over(lo, hi) is the same runs as a
                         list of Run, derived from it once in SequenceBase
+                        through runs_of, which Kothe row runs share
   value_counts(lo, hi)  exact count of each distinct value on [lo, hi] (None
                         without run structure); block layouts serve it as a
                         difference of prefix counts, found in O(log blocks),
@@ -68,6 +69,15 @@ def _count_dtype(lo: int, hi: int):
     return np.int64 if hi - lo < 2**63 - 1 else object
 
 
+def runs_of(values: np.ndarray, counts: np.ndarray, lo: int) -> list[Run]:
+    """The runs (values, counts) laid end to end from index lo, as Runs."""
+    runs, start = [], lo
+    for value, count in zip(values.tolist(), counts.tolist()):
+        runs.append(Run(start, start + count - 1, value))
+        start += count
+    return runs
+
+
 class SequenceBase:
     """Duck-typed interface; subclasses override the access paths they serve.
     A sequence with run structure implements run_arrays, the one run query."""
@@ -84,14 +94,7 @@ class SequenceBase:
     def runs_over(self, lo: int, hi: int) -> list[Run] | None:
         """The runs of run_arrays(lo, hi) as Runs; None without run structure."""
         arrays = self.run_arrays(lo, hi)
-        if arrays is None:
-            return None
-        values, counts = arrays
-        runs, start = [], lo
-        for value, count in zip(values.tolist(), counts.tolist()):
-            runs.append(Run(start, start + count - 1, value))
-            start += count
-        return runs
+        return None if arrays is None else runs_of(*arrays, lo)
 
     def value_counts(self, lo: int, hi: int) -> dict[float, int] | None:
         return None

@@ -15,13 +15,14 @@ Matrices are generator-backed (never materialized); their contract (entries
 nonnegative, monotone in k, some positive entry in every row) is enforced by
 sampling at construction.
 
-Dense checks read rows through SpaceSpec.log_rows(lo, hi, ks): one pass over
-the base per range (one run_arrays, or one values_array without runs), ln once
-per run, every level k served from it.  Constant rows are one shared
-read-only array; power rows are k * ln base.  The base of s(J), |j| + 1, is
-read as one float arange per sign side of j = 0 and one np.log.
-KotheMatrix.run_log_rows serves the same floats once per base run, before
-the repeat.  log_row_array serves sparse supports.
+KotheMatrix reads ln a(j, k) through one query per shape, each taking
+numpy's log of the base value (times k on power rows), so every reader gets
+the same float: log_entry(j, k) at one index, log_row_array(js, ks) over an
+index array (every k from one base read), run_log_rows(lo, hi, ks) over a
+range, once per base run (|j| + 1 as one float arange per sign side of 0).
+SpaceSpec.log_rows repeats run_log_rows over its counts for the dense
+checks; log_row_runs is its Run view and log_row_counts its count form (from
+the base's value_counts).  Constant rows are one shared read-only array.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .numerics import NEG_INF, LogScalar, SparseVector, logsumexp_p
 from .sequences import (ClosedFormSequence, ConstantSequence, Run, SequenceBase,
-                        run_arrays)
+                        run_arrays, runs_of)
 
 DEFAULT_METRIC_DEPTH = 40
 CONDITION_C_SLACK = 1e-12
@@ -62,7 +63,7 @@ class IndexSet(enum.Enum):
 
 def _log_base(vals: np.ndarray) -> np.ndarray:
     """ln of matrix base values (-inf at zeros); a negative value raises."""
-    if np.any(vals < 0):
+    if (vals < 0).any():
         raise ValueError("matrix base is negative somewhere in the probe range")
     with np.errstate(divide="ignore"):
         return np.log(vals)
@@ -110,7 +111,8 @@ class KotheMatrix:
         self.description = description
 
     def log_entry(self, j: int, k: int) -> float:
-        """ln a(j, k); -inf encodes a zero entry."""
+        """ln a(j, k) at one index, the float log_row_array gives there
+        (numpy's log of the base value); -inf encodes a zero entry."""
         if k < 1:
             raise ValueError("seminorm indices start at 1")
         if self.rule == "custom":
@@ -120,7 +122,7 @@ class KotheMatrix:
             raise ValueError(f"matrix base is negative at j={j}")
         if v == 0.0:
             return NEG_INF
-        lv = math.log(v)
+        lv = float(np.log(v))
         return lv if self.rule == "constant" else k * lv
 
     def _row(self, k: int, logs: np.ndarray) -> np.ndarray:
@@ -128,51 +130,38 @@ class KotheMatrix:
         rows (k = 1 returns logs itself; 1 * x == x bit for bit)."""
         return logs if self.rule == "constant" or k == 1 else k * logs
 
-    def log_row_array(self, k: int, js: np.ndarray) -> np.ndarray:
-        """ln a(j, k) over an arbitrary index array (sparse supports);
-        ranges read through log_rows."""
+    def log_row_array(self, js: np.ndarray, ks: Iterable[int]) -> np.ndarray:
+        """ln a(j, k) over an index array (sparse supports) as one array,
+        row t for the t-th k in ks as run_log_rows orders them, from one
+        base read; constant rows are one read-only row broadcast over ks."""
+        ks = list(ks)
         if self.rule == "custom":
-            return np.array([self.log_entry(int(j), k) for j in js], dtype=float)
-        return self._row(k, _log_base(self.base.values_array(np.asarray(js))))
+            return np.array([[self.log_fn(int(j), k) for j in js] for k in ks],
+                            dtype=float).reshape(len(ks), len(js))
+        logs = _log_base(self.base.values_array(np.asarray(js)))
+        if self.rule == "constant":
+            return np.broadcast_to(logs, (len(ks), logs.size))
+        return np.array(ks, dtype=float)[:, None] * logs
 
     def run_log_rows(self, lo: int, hi: int, ks: Iterable[int]
                      ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
         """(k, logs, counts) per k in ks: ln a(j, k) over [lo, hi] once per
         base run with the run counts, or once per index (counts None) on a
-        closed-form base or a custom rule: the floats log_rows repeats."""
+        closed-form base or a custom rule (log_row_array's rows)."""
         if self.rule == "custom":
-            for k in ks:
-                yield k, self._custom_row(k, lo, hi), None
+            ks = list(ks)
+            for k, row in zip(ks, self.log_row_array(range(lo, hi + 1), ks)):
+                yield k, row, None
             return
         logs, counts = self._base_logs(lo, hi)
         for k in ks:
             yield k, self._row(k, logs), counts
-
-    def log_rows(self, lo: int, hi: int,
-                 ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
-        """(k, ln a(j, k) for j in [lo, hi]) per k in ks, from one base pass
-        (_base_logs), ln once per run value repeated over its count.
-        Constant rows are one shared read-only array for every k; power rows
-        are k * logs."""
-        if self.rule == "custom":
-            for k in ks:
-                yield k, self._custom_row(k, lo, hi)
-            return
-        logs, counts = self._base_logs(lo, hi)
-        if counts is not None:
-            logs = np.repeat(logs, counts)
-            logs.flags.writeable = False
-        for k in ks:
-            yield k, self._row(k, logs)
 
     @property
     def sign_affine(self) -> bool:
         """Whether the base is |j| + 1 (s(J)): affine in j on each sign side
         of j = 0, so ln a(j, 1) = ln(|j| + 1) is concave there."""
         return isinstance(self.base, AbsPlusOne)
-
-    def _custom_row(self, k: int, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.log_entry(j, k) for j in range(lo, hi + 1)], dtype=float)
 
     def _base_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
         """ln base(j) over [lo, hi], read-only, once per run with the run
@@ -188,36 +177,28 @@ class KotheMatrix:
         return logs, counts
 
     def log_row_runs(self, k: int, lo: int, hi: int) -> list[Run] | None:
-        """Row k as maximal runs of ln a(j, k); None without run structure."""
-        if self.rule == "custom":
+        """Row k over [lo, hi] as the Runs of run_log_rows' floats; None for
+        a custom rule or a base without runs, which is not read index by
+        index."""
+        arrays = None if self.rule == "custom" else self.base.run_arrays(lo, hi)
+        if arrays is None:
             return None
-        runs = self.base.runs_over(lo, hi)
-        if runs is None:
-            return None
-        out = []
-        for r in runs:
-            if r.value < 0:
-                raise ValueError("matrix base is negative somewhere in the run range")
-            lv = math.log(r.value) if r.value > 0 else NEG_INF
-            out.append(Run(r.start, r.stop, lv if self.rule == "constant" else k * lv))
-        return out
+        values, counts = arrays
+        return runs_of(self._row(k, _log_base(values)), counts, lo)
 
     def log_row_counts(self, k: int, lo: int, hi: int) -> dict[float, int] | None:
         """Row k over [lo, hi] as {ln a(j, k): count}, from the base's
-        value_counts; zero entries are left out.  Keys are the floats
-        log_row_runs gives.  None for a custom rule or a base that keeps no
-        value counts."""
-        if self.rule == "custom":
-            return None
-        counts = self.base.value_counts(lo, hi)
+        value_counts (O(log blocks), no run walk) and one log of its
+        distinct values, the floats of the other row readers; zero entries
+        are left out.  None for a custom rule or a base that keeps no value
+        counts."""
+        counts = None if self.rule == "custom" else self.base.value_counts(lo, hi)
         if counts is None:
             return None
+        logs = self._row(k, _log_base(np.fromiter(counts, float, len(counts))))
         out: dict[float, int] = {}
-        for v, c in counts.items():
-            if v < 0:
-                raise ValueError("matrix base is negative somewhere in the run range")
-            if v > 0:
-                lv = math.log(v) if self.rule == "constant" else k * math.log(v)
+        for lv, c in zip(logs.tolist(), counts.values()):
+            if lv > NEG_INF:
                 out[lv] = out.get(lv, 0) + c
         return out
 
@@ -260,17 +241,18 @@ class SpaceSpec:
 
     def log_rows(self, lo: int, hi: int,
                  ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
-        """KotheMatrix.log_rows over [lo, hi] with -inf on off-domain indices."""
+        """(k, ln a(j, k) for j in [lo, hi]) per k in ks, read-only:
+        run_log_rows' floats repeated over their counts, -inf on off-domain
+        indices.  A row shared across ks (constant rule) is built once."""
         a = min(self.index_set.clip(lo, hi)[0], hi + 1)  # first on-domain j
-        if a <= lo:
-            yield from self.matrix.log_rows(lo, hi, ks)
-            return
-        last = padded = None
-        for k, row in self.matrix.log_rows(a, hi, ks):
-            if row is not last:  # a shared constant row is padded once
-                last, padded = row, np.concatenate((np.full(a - lo, NEG_INF), row))
-                padded.flags.writeable = False
-            yield k, padded
+        last = row = None
+        for k, logs, counts in self.matrix.run_log_rows(a, hi, ks):
+            if logs is not last:
+                last, row = logs, logs if counts is None else np.repeat(logs, counts)
+                if a > lo:
+                    row = np.concatenate((np.full(a - lo, NEG_INF), row))
+                row.flags.writeable = False
+            yield k, row
 
 
 def lp_space(p: float, index_set: IndexSet, nu: SequenceBase | None = None,
@@ -352,24 +334,18 @@ def metric(space: SpaceSpec, x: SparseVector, y: SparseVector) -> float:
     """Truncated invariant metric d(x, y); underestimates by <= 2^-K_max.
 
     x - y is one cell of add_metric_levels, its level k ln||x - y||_k taken
-    by logsumexp_p over log_row_array's floats (log_rows' floats), so a
-    single-point vector's distance to 0 is its Cesaro series term bit for
-    bit.  The base is read once per call and each level is KotheMatrix._row
-    of its logs; a custom rule reads log_row_array per level.
+    by logsumexp_p over row k of one log_row_array read of its support (the
+    floats of log_rows), so a single-point vector's distance to 0 is its
+    Cesaro series term bit for bit.
     """
     items = (x - y).items_sorted()
     js = np.array([j for j, _ in items], dtype=np.int64)
     vlogs = np.array([v.logmag for _, v in items])
-    matrix = space.matrix
-
-    def levels() -> Iterator[tuple[int, np.ndarray]]:
-        logs = None if matrix.rule == "custom" else _log_base(matrix.base.values_array(js))
-        for k in range(1, space.metric_depth + 1):
-            row = matrix.log_row_array(k, js) if logs is None else matrix._row(k, logs)
-            yield k, np.array([logsumexp_p(row + vlogs, space.p)])
-
+    ks = range(1, space.metric_depth + 1)
+    levels = ((k, np.array([logsumexp_p(row + vlogs, space.p)]))
+              for k, row in zip(ks, space.matrix.log_row_array(js, ks)))
     total = np.zeros(1)
-    add_metric_levels(total, np.zeros(1), levels(), matrix.rule, space.metric_depth)
+    add_metric_levels(total, np.zeros(1), levels, space.matrix.rule, space.metric_depth)
     return float(total[0])
 
 

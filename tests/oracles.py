@@ -223,7 +223,7 @@ def dense_row_reference(space: SpaceSpec, k: int, lo: int, hi: int) -> np.ndarra
     js = np.arange(lo, hi + 1)
     live = js >= 1 if space.index_set is IndexSet.N else np.ones(js.size, dtype=bool)
     row = np.full(js.size, -math.inf)
-    row[live] = space.matrix.log_row_array(k, js[live])
+    row[live] = space.matrix.log_row_array(js[live], [k])[0]
     return row
 
 

@@ -608,7 +608,7 @@ class TestRunRoute:
                     yield k, row
             return spy
 
-        monkeypatch.setattr(KotheMatrix, "log_rows", rows(KotheMatrix.log_rows))
+        monkeypatch.setattr(SpaceSpec, "log_rows", rows(SpaceSpec.log_rows))
         return cells
 
     def test_ex1_refutation_reads_dense_cells_only_up_to_its_tie(self, monkeypatch):
@@ -845,7 +845,7 @@ class TestHypercyclicityWitness:
         op = catalog.operator_from_config(config)
         n_seq = catalog.n_seq_from_config(item["witness"]["n_seq"])
         lo, hi = item["witness"]["ell_window"]
-        reads, entries = [], []
+        reads, entries, row_reads = [], [], []
 
         def counting(obj, name, log):
             real = getattr(obj, name)
@@ -854,13 +854,28 @@ class TestHypercyclicityWitness:
         counting(op.weights, "value_counts", reads)
         counting(op.weights.seq, "value_at", reads)
         counting(op.space.matrix, "log_entry", entries)
+        counting(op.space.matrix, "log_row_array", row_reads)
         rep = catalog.run_check(op, item)
         assert rep.verdict == "witnessed"
         ends = {e for ell in range(lo, hi + 1) for n in n_seq
                 for e in (ell - n, ell, ell + n)}
         assert len(reads) <= len(ends)
         rows = {ell + s * n for ell in range(lo, hi + 1) for n in n_seq for s in (-1, 1)}
-        assert sorted(entries) == sorted((j, 1) for j in rows)
+        assert entries == [] and len(row_reads) == 1
+        js, ks = row_reads[0]
+        assert sorted(js.tolist()) == sorted(rows)  # each row index once
+        assert list(ks) == list(range(1, item["witness"]["k_max"] + 1))
+
+    @pytest.mark.parametrize("name", ["ex2_kothe_dc_not_hc", "ex4_lp_mly_not_hc"])
+    def test_row_indices_past_int64(self, name):
+        # rows at ell -+ 10**19 and 10**30 pass 2**63: read as Python ints,
+        # not cast to uint64 or float64, and not refused
+        op = catalog.build_example(name)
+        rep = check_hypercyclicity_witness(op, [10**5, 10**19, 10**30], (-2, 2), k_max=3)
+        assert rep.verdict == "not-witnessed-at-depth"
+        assert rep.params["scalar_settle_index"] == rep.params["seminorm_settle_index"] == 4
+        assert [(r["ell"], r["seminorm_settle"]) for r in rep.rows] == \
+            [(ell, 4) for ell in range(-2, 3)]
 
 
 @functools.cache
