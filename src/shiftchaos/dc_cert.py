@@ -50,7 +50,7 @@ from .numerics import NEG_INF, LogScalar, SparseVector, chunk_spans, logsumexp_p
 from .piecewise import concave_superlevel, count_above
 from .reports import POSITIVE_VERDICTS, CertificateReport
 from .shift import ShiftOperator, _lockstep, basis_orbit_logs, orbit_seminorm_log_chunks
-from .spaces import IndexSet, seminorm
+from .spaces import IndexSet, index_array, seminorm
 from .weights import (MAX_DENSE, Piece, overlay_row_runs, product_log_slice,
                       product_pieces, products, shift_pieces)
 
@@ -1016,9 +1016,7 @@ def check_hypercyclicity_witness(op: ShiftOperator, n_seq: Sequence[int],
                           for ell, fams in zip(ells, live)
                           for s, keeps in zip((-1, 1), fams)
                           for n, keep in zip(n_seq, keeps)]).reshape(shape)
-        js = list(cols)  # np.array would guess uint64 or float64 past int64
-        fits = -2**63 <= min(js) and max(js) < 2**63
-        rows = op.space.matrix.log_row_array(np.array(js, np.int64 if fits else object), ks)
+        rows = op.space.matrix.log_row_array(index_array(list(cols)), ks)
         back = live[:, 0]
         for row in rows:
             vb = np.full(back.shape, NEG_INF)

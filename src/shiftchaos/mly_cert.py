@@ -11,12 +11,15 @@ exceedances:
 
 Averages are accumulated in the log domain; series terms are genuine metric
 values in [0, 1].  The series reads the orbit's product logs chunk by chunk
-(shift.orbit_product_logs) and pulls the matrix rows one level at a time.
-It does per-cell work only where a level can still change a term: on
-constant rows only cells whose clipped value min(1, ||.||) is not 0 are
-summed, and on power rows with ln base >= 0 a chunk stops building rows at
-the first level where every cell reads ||.||_k >= 1, since each later level
-then adds exactly 2^-k.  Every term is bit for bit the plain level loop's.
+(shift.orbit_product_logs) and row 1 of the matrix (spaces.add_metric_levels,
+whose accumulator starts at zero).  It does per-cell work only where a
+level can still change a term: on constant rows only cells whose clipped
+value min(1, ||.||) is not 0 are summed.  On power rows with no finite
+ln base below 0 a cell with ||.||_1 >= 1 reads 1 at every level, so its
+term is the constant 0 + 2^-1 + ... + 2^-depth; the level loop runs on the
+other cells only, gathered, with row k built there as k * row_1, and stops
+at the first level where all of them read ||.||_k >= 1.  Every term is bit
+for bit the plain level loop's.
 
 A single-term witness is summed from value counts wherever the weight
 product is flat (every weight of modulus 1; single_term_counts), in mode

@@ -12,7 +12,8 @@ inequality.
 
 Every lp form (the max for p = 0, the 1/p-rooted p-power sum for p >= 1)
 goes through one formula in two shapes: logsumexp_p for a few scalar terms
-(one fsum) and logsumexp_p_rows down the columns of an array.  A long dense
+(one fsum) and logsumexp_p_rows down the columns of an array, folding its
+rows one at a time in the order an axis-0 sum adds them.  A long dense
 log-sum (logsumexp_blocks) takes its cells in fixed blocks, so its bits do
 not depend on how the dense route chunks them.
 """
@@ -256,21 +257,30 @@ def _fold_blocks(total: float, blocks: np.ndarray) -> float:
 def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
     """logsumexp_p down every column of an (r, N) array of logs, in numpy.
 
-    A single row is returned as is; an all -inf column gives -inf.  Where
-    every column has a finite max, no column is masked: the axis-0 sum adds
-    the rows in order either way, so the bytes are the masked form's.
+    A single row is returned as is; an all -inf column gives -inf.  The
+    rows are folded one at a time into (N,) buffers, with no (r, N)
+    temporary: the max by np.maximum, then e^(p (row - m)) added in row
+    order, which is how an axis-0 sum adds them, so the bytes are the
+    stacked formula's.  Where every column has a finite max, no column is
+    masked; the bytes are the masked form's either way.
     """
     _check_p(p)
     if rows.shape[0] == 1:
         return rows[0]
-    m = rows.max(axis=0)
+    m = np.maximum(rows[0], rows[1])
+    for row in rows[2:]:
+        np.maximum(m, row, out=m)
     if p == 0:
         return m
-    if m.min() > NEG_INF:  # m + ln(sum e^(p (rows - m))) / p, in place
-        t = np.subtract(rows, m)
-        t *= p
-        np.exp(t, out=t)
-        out = np.sum(t, axis=0)
+    if m.min() > NEG_INF:  # m + ln(sum e^(p (rows - m))) / p
+        out, t = np.empty_like(m), np.empty_like(m)
+        for i, row in enumerate(rows):
+            e = out if i == 0 else t
+            np.subtract(row, m, out=e)
+            e *= p
+            np.exp(e, out=e)
+            if i:
+                out += t
         np.log(out, out=out)
         out /= p
         out += m

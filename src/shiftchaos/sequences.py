@@ -5,14 +5,17 @@ machinery: a side is an infinite concatenation of finite blocks, each block a
 short list of (value, count) runs, laid rightward from a start index or
 leftward from an end index.  Block boundaries are cached prefix sums of the
 block sizes, extended lazily.  A generator may give a block's size
-(block_size) and the value counts over blocks 1..n (counts_through) in
-closed form; a plain callable answers both from its runs, so every block it
-reaches is listed once.  A generator may also list blocks b0..b1 at once as
-numpy arrays (block_arrays): alternating_powers and twos_halves_ones do, and
-a run query on their side lists every block the side reaches into one table
-of arrays, so it pays per run in numpy, not in Python.  The others (ramp_plateau,
-plain callables) list a block's runs only when a query clips it, with
-Python int counts, so blocks of size 10**200 stay exact.
+(block_size, or block_sizes over a range of blocks) and the value counts
+over blocks 1..n (counts_through) in closed form; a plain callable answers
+both from its runs, so every block it reaches is listed once.  A generator
+may also list blocks b0..b1 at once as numpy arrays (block_arrays) with
+their sizes (block_sizes): alternating_powers and twos_halves_ones do.
+Their bounds grow in batches of one np.cumsum, and a run query on their
+side lists every block the side reaches into one table of arrays, so it
+pays per run in numpy, not in Python.  The others (ramp_plateau, plain
+callables) grow their bounds one block at a time and list a block's runs
+only when a query clips it, with Python int counts, so blocks of size
+10**200 stay exact.
 
 A sequence exposes four access paths and every consumer picks the cheapest
 one available:
@@ -200,14 +203,16 @@ class BlockSideSequence(SequenceBase):
     in scan order along the stacking direction.  direction +1 stacks blocks
     rightward from `origin`; direction -1 stacks them leftward starting at
     `origin` (the first block's first run sits at `origin` and the block
-    grows toward smaller indices).  When blocks also has block_size(n) and
-    counts_through(n) ({value: count} over blocks 1..n, keys in the order
-    the runs first give them), sizes and whole-block counts come from those.
-    When it also has block_arrays(b0, b1) (the values, float64, and counts,
-    int64, of the runs of blocks b0..b1 in scan order), run queries list
-    every block the bounds reach with it into one _RunTable and are
-    answered from that table in numpy; a single probe and the end blocks of
-    a count read still list their block through blocks(n).
+    grows toward smaller indices).  When blocks also has block_size(n), or
+    block_sizes(b0, b1) (the int64 sizes of blocks b0..b1, which grows the
+    bounds in batches), and counts_through(n) ({value: count} over blocks
+    1..n, keys in the order the runs first give them), sizes and
+    whole-block counts come from those.  When it also has block_arrays(b0,
+    b1) (the values, float64, and counts, int64, of the runs of blocks
+    b0..b1 in scan order), run queries list every block the bounds reach
+    with it into one _RunTable and are answered from that table in numpy; a
+    single probe and the end blocks of a count read still list their block
+    through blocks(n).
     """
 
     def __init__(self, blocks: BlockGenerator, origin: int, direction: int):
@@ -217,12 +222,13 @@ class BlockSideSequence(SequenceBase):
         self.origin = origin
         self.direction = direction
         self._size_of = getattr(blocks, "block_size", None)
+        self._sizes_of = getattr(blocks, "block_sizes", None)
         self._counts_through = getattr(blocks, "counts_through", None)
         # _bounds[n] = total count of blocks 1..n (Python ints)
         self._bounds: list[int] = [0]
         # block n -> its runs, for every block a probe, a count read or a
         # run query without the table clipped (and every block reached when
-        # blocks gives no block_size)
+        # blocks gives no block sizes)
         self._listed: dict[int, list[tuple[float, int]]] = {}
         # the blocks whose runs the side holds: with block_arrays, every block
         # the bounds reach, in the _RunTable that run queries read; else _listed
@@ -251,13 +257,24 @@ class BlockSideSequence(SequenceBase):
         return sum(count for _, count in self._runs(n))
 
     def _extend_to_offset(self, offset: int) -> None:
-        """Grow cached prefix sums until they cover 0-based offset `offset`."""
-        while self._bounds[-1] <= offset:
-            n = len(self._bounds)
+        """Grow cached prefix sums until they cover 0-based offset `offset`,
+        up to the first block that reaches past it.  With block_sizes the
+        sizes come in batches of blocks (more than twice the blocks cached),
+        each one np.cumsum cut at that block; else one block at a time."""
+        bounds = self._bounds
+        while bounds[-1] <= offset:
+            n = len(bounds)
             if n > MAX_CACHED_BLOCKS:
                 raise ValueError(f"offset {offset} from origin {self.origin} lies past the "
                                  f"{MAX_CACHED_BLOCKS} blocks a layout side caches")
-            self._bounds.append(self._bounds[-1] + self._block_size(n))
+            if self._sizes_of is None:
+                bounds.append(bounds[-1] + self._block_size(n))
+                continue
+            sizes = self._sizes_of(n, min(2 * n + 64, MAX_CACHED_BLOCKS))
+            ends = bounds[-1] + np.cumsum(sizes)
+            if offset < int(ends[-1]):
+                ends = ends[:int(np.searchsorted(ends, offset, "right")) + 1]
+            bounds.extend(ends.tolist())
 
     def _offset_of(self, j: int) -> int:
         """Distance from origin measured along the stacking direction."""
@@ -475,8 +492,8 @@ class _AlternatingPowers:
         down = 1.0 / self.base
         return float(self.base), down, 1.0 / down
 
-    def block_size(self, n: int) -> int:
-        return 2 * n
+    def block_sizes(self, b0: int, b1: int) -> np.ndarray:
+        return 2 * np.arange(b0, b1 + 1, dtype=np.int64)
 
     def counts_through(self, n: int) -> dict[float, int]:
         """Odd blocks m <= n give m of base then m of 1 / base, odd^2 in
@@ -519,9 +536,10 @@ class _TwosHalvesOnes:
         t = n // 2
         return [(1.0 / self.base, t), (self.base, t)]
 
-    def block_size(self, n: int) -> int:
+    def block_sizes(self, b0: int, b1: int) -> np.ndarray:
+        n = np.arange(b0, b1 + 1, dtype=np.int64)
         t = (n + 1) // 2
-        return t * t if n % 2 == 1 else n
+        return np.where(n % 2 == 1, t * t, n)
 
     def counts_through(self, n: int) -> dict[float, int]:
         """Blocks 2t - 1 <= n give t^2 ones; blocks 2t <= n give t of 1 / base then t of base."""

@@ -28,6 +28,7 @@ the base's value_counts).  Constant rows are one shared read-only array.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -293,18 +294,22 @@ def add_metric_levels(acc: np.ndarray, logs: np.ndarray,
                       rows: Iterator[tuple[int, np.ndarray]], rule: str,
                       depth: int) -> None:
     """acc += 2^-k min(1, e^(logs + row_k reversed)) for k = 1..depth, in
-    order, cell by cell; rows yields (k, row_k) lazily from k = 1: matrix
-    rows under the Cesaro series' cells, ln||x - y||_k under metric's one.
+    order, cell by cell; acc must hold zeros on entry and logs is the
+    caller's to overwrite.  rows yields the rows (k, row_k) of a matrix of
+    this rule over the cells (SpaceSpec.log_rows) lazily from k = 1.
 
     Per-cell work runs only where a level can still change a term, and every
-    cell sees the float operations of the plain level loop.  A constant row
-    is one clipped array c for every level; a cell with c == 0 adds 0 at
-    every level, so only the others are summed.  On a power rule whose
-    row_1 has no entry below 0, rounded logs + row_k do not fall as k grows
-    (rounded k * ln base does not; nor does ||x - y||_k, the matrix being
-    nondecreasing in k), so once every cell of a level reads
-    logs + row_k >= 0, every later level reads min(1, .) = 1 exactly and
-    adds 2^-k, and its row is never built.
+    cell gets the floats of the plain level loop.  A constant row is one
+    clipped array c for every level; a cell with c == 0 adds 0 at every
+    level, so only the others are summed.  Power row k is k * row_1
+    (KotheMatrix._row), so only row 1 is read from rows.  Where row_1 has
+    no finite entry below 0, rounded logs + k * row_1 does not fall as k
+    grows (-inf entries stay -inf).  So a cell with logs + row_1 >= 0 reads
+    min(1, .) = 1 at every level and its term is the fold 0 + 2^-1 + ... +
+    2^-depth.  The level loop runs on the other cells only (NaN and -inf
+    ones among them), gathered, with row k built there as k * row_1, and
+    stops at the first level where all of them read logs + row_k >= 0.  On
+    any other rows it runs on every cell, with every row of rows.
     """
     if rule == "constant":
         _, row = next(rows)
@@ -316,11 +321,32 @@ def add_metric_levels(acc: np.ndarray, logs: np.ndarray,
             part += math.pow(2.0, -k) * c
         acc[live] = part
         return
+    _, row = next(rows)
+    row = row[::-1]
+    falls = row.min() < 0.0 and ((row < 0.0) & (row > NEG_INF)).any()  # k * row_1 may fall
+    if rule != "power" or falls:
+        rest = ((k, r[::-1]) for k, r in rows)
+        _add_levels(acc, logs, itertools.chain([(1, row)], rest), depth, rising=False)
+        return
+    vals = np.add(logs, row)
+    live = np.flatnonzero(np.minimum(vals, 0.0, out=vals))  # NaN counts as nonzero
+    acc[...] = _saturated_term(depth)
+    row, part = row[live], np.zeros(live.size)
+    _add_levels(part, logs[live], ((k, k * row) for k in range(1, depth + 1)), depth,
+                rising=True)
+    acc[live] = part
+
+
+def _add_levels(acc: np.ndarray, logs: np.ndarray,
+                rows: Iterable[tuple[int, np.ndarray]], depth: int,
+                rising: bool) -> None:
+    """The plain level loop: acc += 2^-k min(1, e^(logs + row_k)) per (k,
+    row_k) of rows, in order.  With rising, logs + row_k does not fall as k
+    grows, so once every cell of a level reads logs + row_k >= 0, each later
+    level adds exactly 2^-k and its row is never built."""
     vals = np.empty_like(logs)
     for k, row in rows:
-        if k == 1:
-            rising = rule == "power" and row.min() >= 0.0
-        np.minimum(np.add(logs, row[::-1], out=vals), 0.0, out=vals)
+        np.minimum(np.add(logs, row, out=vals), 0.0, out=vals)
         saturated = rising and not vals.any()  # NaN counts as nonzero
         np.exp(vals, out=vals)
         acc += np.multiply(math.pow(2.0, -k), vals, out=vals)
@@ -330,22 +356,45 @@ def add_metric_levels(acc: np.ndarray, logs: np.ndarray,
             return
 
 
+def _saturated_term(depth: int) -> float:
+    """0 + 2^-1 + ... + 2^-depth folded in order: the term of a cell that
+    reads min(1, .) = 1 at every level."""
+    c = 0.0
+    for k in range(1, depth + 1):
+        c += math.pow(2.0, -k)
+    return c
+
+
+def index_array(js: list[int]) -> np.ndarray:
+    """Indices as an int64 array while they fit one, else as Python ints
+    (dtype object); np.array would guess uint64 or float64 past int64."""
+    fits = not js or (-2**63 <= min(js) and max(js) < 2**63)
+    return np.array(js, np.int64 if fits else object)
+
+
 def metric(space: SpaceSpec, x: SparseVector, y: SparseVector) -> float:
     """Truncated invariant metric d(x, y); underestimates by <= 2^-K_max.
 
-    x - y is one cell of add_metric_levels, its level k ln||x - y||_k taken
-    by logsumexp_p over row k of one log_row_array read of its support (the
+    x - y is one cell of the level loop, its level k ln||x - y||_k taken by
+    logsumexp_p over row k of one log_row_array read of its support (the
     floats of log_rows), so a single-point vector's distance to 0 is its
-    Cesaro series term bit for bit.
+    Cesaro series term bit for bit.  ln||x - y||_k is not k ln||x - y||_1,
+    so on power rows every level up to the first saturated one is read
+    (||x - y||_k does not fall as k grows: the matrix is nondecreasing in
+    k).
     """
     items = (x - y).items_sorted()
-    js = np.array([j for j, _ in items], dtype=np.int64)
+    js = index_array([j for j, _ in items])
     vlogs = np.array([v.logmag for _, v in items])
-    ks = range(1, space.metric_depth + 1)
+    rule, depth = space.matrix.rule, space.metric_depth
+    ks = range(1, depth + 1)
     levels = ((k, np.array([logsumexp_p(row + vlogs, space.p)]))
               for k, row in zip(ks, space.matrix.log_row_array(js, ks)))
     total = np.zeros(1)
-    add_metric_levels(total, np.zeros(1), levels, space.matrix.rule, space.metric_depth)
+    if rule == "constant":
+        add_metric_levels(total, np.zeros(1), levels, rule, depth)
+    else:
+        _add_levels(total, np.zeros(1), levels, depth, rising=rule == "power")
     return float(total[0])
 
 

@@ -4,6 +4,7 @@ dense check must not grow with its horizon."""
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -21,7 +22,8 @@ from shiftchaos.sequences import ClosedFormSequence, ConstantSequence
 from shiftchaos.shift import ShiftOperator, orbit_seminorm_log_array
 from shiftchaos.spaces import (IndexSet, KotheMatrix, SpaceSpec, c0_space, lp_space,
                                rapidly_decreasing_space)
-from shiftchaos.weights import bilateral_weights, product_log_slice, products
+from shiftchaos.weights import (bilateral_weights, product_log_slice, products,
+                                unilateral_weights)
 from test_spaces import ramp_nu
 
 SINGLE = 1 << 30  # one chunk for every horizon here
@@ -198,23 +200,36 @@ def test_zero_weights_are_named_as_one_pass_names_them(monkeypatch):
 DECAY_TOLS = (1e-3, 0.37, 0.5, 7.3, 1e3, 1e9, 1e20, 1e40)
 
 
+@functools.cache
+def _whole_horizon_references(name: str) -> tuple:
+    """The references test_carried_state_matches_whole_horizon_references
+    compares a layout's reports with at every chunk size, built once."""
+    _, op, anchors = next(layout for layout in LAYOUTS if layout[0] == name)
+    refute_a = [oracles.refute_a_rows_reference(op, anchors, HORIZON, bound, delta, HORIZON)
+                for bound, delta in ((0.5, 1 / 6), (10.0, 0.25))]
+    condition_a = [oracles.condition_a_rows_reference(op, D().member, anchors, HORIZON,
+                                                      decay_tol, 4, 0.3)
+                   for D in CANDIDATE_SETS for decay_tol in DECAY_TOLS]
+    return refute_a, condition_a, oracles.refute_hc_minima_reference(op, HORIZON, 3)
+
+
 @pytest.mark.parametrize("chunk", (7, 64, SINGLE))
 @pytest.mark.parametrize("name, op, anchors", LAYOUTS[:-1], ids=[l[0] for l in LAYOUTS[:-1]])
 def test_carried_state_matches_whole_horizon_references(monkeypatch, name, op, anchors,
                                                         chunk):
     monkeypatch.setattr(numerics, "CHUNK", chunk)
-    for bound, delta in ((0.5, 1 / 6), (10.0, 0.25)):
+    refute_a, condition_a, refute_hc = _whole_horizon_references(name)
+    for (bound, delta), want in zip(((0.5, 1 / 6), (10.0, 0.25)), refute_a):
         rep = dc_cert.refute_dc_condition_A(op, anchors, HORIZON, bound, delta, HORIZON)
-        assert rep.rows == oracles.refute_a_rows_reference(op, anchors, HORIZON, bound,
-                                                           delta, HORIZON)
+        assert rep.rows == want
+    wants = iter(condition_a)
     for D in CANDIDATE_SETS:
         for decay_tol in DECAY_TOLS:
             rep = dc_cert.check_dc_condition_A(op, D(), anchors, HORIZON, decay_tol, 4, 0.3)
-            assert rep.rows == oracles.condition_a_rows_reference(
-                op, D().member, anchors, HORIZON, decay_tol, 4, 0.3), (D().name, decay_tol)
+            assert rep.rows == next(wants), (D().name, decay_tol)
     rep = dc_cert.refute_hypercyclicity(op, HORIZON, k_max=3)
     assert [(r["seminorm"], r["min_value"].logmag, r["min_at_n"]) for r in rep.rows] \
-        == oracles.refute_hc_minima_reference(op, HORIZON, 3)
+        == refute_hc
 
 
 def _doubling_on(matrix: KotheMatrix) -> ShiftOperator:
@@ -255,10 +270,39 @@ def test_condition_a_without_runs_matches_the_references(monkeypatch, chunk, nam
                 op, D().member, anchors, HORIZON, decay_tol, 4, 0.3), (D().name, decay_tol)
 
 
+# On s(N) under weights 1/2 the orbit of 150 reads ln(151 - n) - n ln 2 at
+# level 1: >= 0 for the first n (decided at level 1), below 0 but crossing
+# it at a later level further on, below 0 at every level near j = 1, and
+# -inf from n = 150 on, where the orbit has left N
+HALVES_ON_S_N = ("halves-on-s(N)", ShiftOperator(rapidly_decreasing_space(IndexSet.N),
+                                                 unilateral_weights(ConstantSequence(0.5))),
+                 [150, 40])
+CESARO_LAYOUTS = (LAYOUTS + [(name, op, [0, 5]) for name, op in LEVEL_BY_LEVEL]
+                  + [HALVES_ON_S_N])
+
+
+@functools.cache
+def _cesaro_reference(name: str, a: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """oracles.cesaro_terms_reference of a layout, built once for every chunk
+    size that compares with it."""
+    op = next(layout[1] for layout in CESARO_LAYOUTS if layout[0] == name)
+    return oracles.cesaro_terms_reference(op, a, N)
+
+
+def test_the_saturating_layout_mixes_every_kind_of_cell():
+    _, op, (a, _) = HALVES_ON_S_N
+    first = oracles.orbit_logs_reference(op, a, 1, 0.0, 1, HORIZON)
+    last = oracles.orbit_logs_reference(op, a, op.space.metric_depth, 0.0, 1, HORIZON)
+    finite = first > -np.inf
+    assert np.count_nonzero(first >= 0) > 1
+    assert np.count_nonzero((first < 0) & (last >= 0)) > 1
+    assert np.count_nonzero(finite & (last < 0)) > 1
+    assert np.count_nonzero(~finite) == HORIZON - a + 1
+
+
 @pytest.mark.parametrize("chunk", CHUNKS + (SINGLE,))
-@pytest.mark.parametrize("name, op, anchors",
-                         LAYOUTS + [(name, op, [0, 5]) for name, op in LEVEL_BY_LEVEL],
-                         ids=[l[0] for l in LAYOUTS] + [l[0] for l in LEVEL_BY_LEVEL])
+@pytest.mark.parametrize("name, op, anchors", CESARO_LAYOUTS,
+                         ids=[l[0] for l in CESARO_LAYOUTS])
 def test_cesaro_series_matches_the_level_loop_bytewise(monkeypatch, chunk, name, op,
                                                        anchors):
     # the series skips cells and levels whose terms are already decided;
@@ -271,7 +315,7 @@ def test_cesaro_series_matches_the_level_loop_bytewise(monkeypatch, chunk, name,
                 mly_cert.cesaro_distance_series(op, a, N)
             N = BEFORE_ZERO[a]
         series = mly_cert.cesaro_distance_series(op, a, N)
-        terms, averages = oracles.cesaro_terms_reference(op, a, N)
+        terms, averages = _cesaro_reference(name, a, N)
         assert series.terms.tobytes() == terms.tobytes(), a
         assert series.averages.tobytes() == averages.tobytes(), a
 

@@ -222,6 +222,28 @@ class TestLpForm:
             rows[:, data.draw(st.integers(0, n - 1))] = NEG_INF
         assert logsumexp_p_rows(rows, p).tobytes() == masked_lp_rows(rows, p).tobytes()
 
+    @pytest.mark.parametrize("dead_columns", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 2.5])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_folded_rows_match_the_stacked_formula_bytewise(self, r, p, dead_columns):
+        # the rows are folded one at a time; the bytes are those of one
+        # (r, N) max-shifted array summed down axis 0, masked where a
+        # column is all -inf.  Ties between rows, -inf in some rows only,
+        # spans of 1e-300 and of 700 between rows in a column
+        rng = np.random.default_rng(r * 10 + int(2 * p))
+        rows = rng.normal(scale=20.0, size=(r, 4099))
+        rows[1, ::5] = rows[0, ::5]
+        rows[0, 2::11] = rows[1, 2::11] + 1e-300
+        rows[0, 3::13] = rows[1, 3::13] - 700.0
+        rows[-1, 1::7] = NEG_INF
+        if dead_columns:
+            rows[:, 4::17] = NEG_INF
+            want = masked_lp_rows(rows, p)
+        else:
+            m = rows.max(axis=0)
+            want = m + np.log(np.sum(np.exp(p * (rows - m)), axis=0)) / p
+        assert logsumexp_p_rows(rows, p).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_one_term_comes_back_unchanged(self, p):
         x = 1.2345678901234567

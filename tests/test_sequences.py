@@ -290,9 +290,9 @@ class TestBlockArrays:
     def test_closed_forms_match_the_runs(self, template, base, b0, b1):
         gen = template(base)
         b0, b1 = sorted((b0, b1))
-        for n in (b0, b1):
-            runs = [(float(v), int(c)) for v, c in gen(n)]
-            assert gen.block_size(n) == sum(c for _, c in runs)
+        sizes = gen.block_sizes(b0, b1)
+        assert sizes.dtype == np.int64
+        assert sizes.tolist() == [sum(c for _, c in gen(n)) for n in range(b0, b1 + 1)]
         want = {}
         for n in range(1, b1 + 1):
             for v, c in gen(n):
@@ -353,6 +353,54 @@ class TestBlockArrays:
                 side.runs_over(1, 2000)
         with pytest.raises(RuntimeError, match="run query exploded"):
             self.pair(template, 2.0, 1, 1)[0].run_arrays(1, 2000)
+
+
+def _bounds_one_at_a_time(gen, offset: int, cap: int) -> tuple[list[int], bool]:
+    """Block bounds grown block by block from the runs until they cover
+    offset, and whether the cap on cached blocks stopped them first."""
+    bounds = [0]
+    while bounds[-1] <= offset:
+        if len(bounds) > cap:
+            return bounds, True
+        bounds.append(bounds[-1] + sum(c for _, c in gen(len(bounds))))
+    return bounds, False
+
+
+BOUND_LAYOUTS = [(alternating_powers, 2.0), (alternating_powers, 3), (twos_halves_ones, 2.0),
+                 (twos_halves_ones, 49.0), (ramp_plateau, 10), (ramp_plateau, 2)]
+
+
+# offsets at and around block ends, backwards and forwards, out to where
+# every cap below stops the block layouts (ramp_plateau's reach 10**30 in
+# 30 blocks)
+BOUND_QUERIES = [0, 1, 2, 5, 3, 64, 65, 66, 200, 131, 2549, 2550, 2551, 10**4, 10**5,
+                 7, 2 * 10**5, 10**6, 10**9, 10**30]
+
+
+@pytest.mark.parametrize("list_path", [False, True])
+@pytest.mark.parametrize("template, base", BOUND_LAYOUTS)
+@pytest.mark.parametrize("cap", [1, 50, 700, 3000])
+def test_batched_bounds_are_the_one_at_a_time_bounds(monkeypatch, template, base,
+                                                     list_path, cap):
+    # block_sizes grows the bounds in batches cut at the first block past
+    # the offset; each query leaves the bounds the block-by-block growth
+    # leaves, and past the cap both stop at the same block with one error
+    monkeypatch.setattr(sequences, "MAX_CACHED_BLOCKS", cap)
+    gen = template(base)
+    side = BlockSideSequence(_list_path(gen) if list_path else template(base), 1, 1)
+    reach = 0
+    for off in BOUND_QUERIES:
+        reach = max(reach, off)
+        want, capped = _bounds_one_at_a_time(gen, reach, cap)
+        if capped:
+            with pytest.raises(ValueError, match=f"offset {off} from origin 1 lies "
+                                                 f"past the {cap} blocks"):
+                side.value_at(1 + off)
+            assert side._bounds == want
+            return
+        side.value_at(1 + off)
+        assert side._bounds == want
+        assert all(type(b) is int for b in side._bounds)
 
 
 class TestSplitSequence:

@@ -371,3 +371,18 @@ def test_sparse_reads_do_not_grow_with_the_span():
     assert _peak(lambda: space.matrix.log_row_array(js, [3])) < 2**20
     assert list(space.matrix.log_row_array(js, [3])[0]) == [
         space.matrix.log_entry(1, 3), space.matrix.log_entry(10**7, 3)]
+
+
+@pytest.mark.parametrize("j", [10**19, -(10**19), 2**63, 10**30])
+@pytest.mark.parametrize("c", [1e-40, 1e-3, 1.0])
+def test_metric_reads_supports_past_int64(j, c):
+    # an index past int64 is read as a Python int, as seminorm reads it; the
+    # distance to 0 is sum_k 2^-k min(1, ||x||_k) from the seminorms
+    space = catalog.build_example("ex2_kothe_dc_not_hc").space
+    for x in (SparseVector.basis(j, c), SparseVector.from_terms([(1, c), (j, c)])):
+        want = 0.0
+        for k in range(1, space.metric_depth + 1):
+            level = np.exp(np.minimum([seminorm(space, x, k).logmag], 0.0))
+            want += math.pow(2.0, -k) * float(level[0])
+        assert metric(space, x, SparseVector.zero()) == want
+        assert metric(space, SparseVector.zero(), x) == want
