@@ -8,13 +8,15 @@ i.e. the scalar that survives when the n-th shift iterate hits the basis
 vector e_i.  On the natural numbers the convention w_j = 0 for j < 1 makes
 P(i, n) vanish as soon as the orbit falls off the left edge.
 
-Products are served three ways, mirroring the sequence layer:
+Every reader takes ln |w_j| from _log_abs, numpy's log as for the matrix
+rows, so the routes below agree at ties.  Products are served three ways:
   products(w, pairs)          exact counts: fsum of count * ln|v| over the
                               per-value counts of the weights on each span
                               [i-n, i-1], from one read per gap between the
                               sorted distinct span ends (cached per-block
                               prefix counts, O(log blocks) plus the runs of
-                              two end blocks each); fine for n ~ 10**200.
+                              two end blocks each; closed forms one value
+                              per index); fine for n ~ 10**200.
                               product(w, i, n) is its one-pair case
   product_log_slice(w, i, a, b, carry)
                               ln|P(i, n)| for n in [a, b] from one runs pass
@@ -33,7 +35,7 @@ Products are served three ways, mirroring the sequence layer:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -49,6 +51,11 @@ MAX_DENSE = 20_000_000
 
 def _zero_weight(j: int) -> ValueError:
     return ValueError(f"weight at {j} is zero; weights must be nonzero on-domain")
+
+
+def _log_abs(vals) -> np.ndarray:
+    """ln |v| of nonzero weight values: the one weight log of every reader."""
+    return np.log(np.abs(np.asarray(vals, dtype=float)))
 
 
 class WeightSpec:
@@ -68,7 +75,8 @@ class WeightSpec:
     def weight_at(self, j: int) -> LogScalar:
         if not self.index_set.contains(j):
             return ZERO
-        return LogScalar.from_real(self.seq.value_at(j))
+        v = self.seq.value_at(j)
+        return ZERO if v == 0.0 else LogScalar(1 if v > 0 else -1, _log_abs(v).item())
 
     def run_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(ln |v| once per run, run counts) for on-domain j in [lo, hi] from
@@ -80,7 +88,7 @@ class WeightSpec:
             z = int(zeros[-1])
             stop = z if counts is None else int(counts[:z + 1].sum()) - 1  # end of run z
             raise _zero_weight(lo + stop)
-        return np.log(np.abs(vals)), counts
+        return _log_abs(vals), counts
 
     def dense_logs(self, lo: int, hi: int) -> np.ndarray:
         """ln |w_j| for on-domain j in [lo, hi]: run_logs repeated over the
@@ -89,7 +97,8 @@ class WeightSpec:
         return logs if counts is None else np.repeat(logs, counts)
 
     def runs_over(self, lo: int, hi: int) -> list[Run] | None:
-        """Signed-value runs clipped to the domain (off-domain part dropped)."""
+        """Signed-value runs clipped to the domain (off-domain part dropped).
+        Nothing in the package reads it: perfbench/tracer.py wraps it by name."""
         lo, hi = self.index_set.clip(lo, hi)
         if hi < lo:
             return []
@@ -131,13 +140,12 @@ def products(w: WeightSpec, pairs: Sequence[tuple[int, int]]
     prefix counts at its two ends, over the sorted distinct ends of all
     spans: every gap between consecutive ends costs one value_counts read
     (one value_at for a one-index gap), so spans that share or nest ends
-    share their reads.  Counts are exact Python ints, so spans of length
-    10**200 work, and each span is one fsum of the terms count * ln|v|,
-    whatever the batch.  A span over a gap without value
-    counts (closed-form weights) counts its own indices, one value_at each,
-    up to MAX_DENSE of them.  Pairs are settled in order, so a zero weight
-    raises for the first pair whose span holds one, naming the zero nearest
-    that span's right end.
+    share their reads.  On a gap without value counts (closed-form weights)
+    the read is one value per index, up to MAX_DENSE of them.  Counts are
+    exact Python ints, so spans of length 10**200 work, and each span is
+    one fsum of the terms count * ln|v|, whatever the batch.  Pairs are
+    settled in order, so a zero weight raises for the first pair whose span
+    holds one, naming the zero nearest that span's right end.
     """
     signs, logs = [1] * len(pairs), [0.0] * len(pairs)
     pos, los, stops = [], [], []  # the spans [lo, stop - 1] and their pairs
@@ -150,21 +158,20 @@ def products(w: WeightSpec, pairs: Sequence[tuple[int, int]]
             pos.append(p)
             los.append(i - n)
             stops.append(i)
-    if not pos:
-        return signs, logs
     ends = sorted(set(los).union(stops))
     # per distinct value (0.0 and -0.0 alike): its count on each gap between
-    # consecutive ends (gap t ends at ends[t]); the gaps without counts
+    # consecutive ends (gap t ends at ends[t])
     gap_counts: dict[float, list[int]] = {}
-    uncounted = []
-    for t, (a, b) in enumerate(zip(ends, ends[1:]), 1):
-        if b == a + 1:
-            gap = ((w.seq.value_at(a), 1),)
+    for t, (lo, stop) in enumerate(zip(ends, ends[1:]), 1):
+        if stop == lo + 1:
+            gap = ((w.seq.value_at(lo), 1),)
         else:
-            gap = w.value_counts(a, b - 1)
-            if gap is None:
-                uncounted.append(t)
-                continue
+            gap = w.value_counts(lo, stop - 1)
+            if gap is None:  # no runs either: the gap's values one by one
+                if stop - lo > MAX_DENSE:
+                    raise ValueError("closed-form weights cannot take products "
+                                     f"of length {stop - lo}")
+                gap = Counter(run_arrays(w.seq, lo, stop - 1)[0].tolist())
             gap = gap.items()
         for v, c in gap:
             if v not in gap_counts:
@@ -178,48 +185,21 @@ def products(w: WeightSpec, pairs: Sequence[tuple[int, int]]
         prefix = list(accumulate(col))
         counts[v] = [prefix[y] - prefix[x] for x, y in zip(a, b)]
     # c * ln|v| as a Python int times a float, one tuple of terms per span
-    logv = {v: math.log(abs(v)) for v in counts if v != 0.0}
-    terms = list(zip(*[[c * lv for c in counts[v]] for v, lv in logv.items()]))
-    terms = terms or [()] * len(pos)
+    nonzero = [v for v in counts if v != 0.0]
+    logv = zip(nonzero, _log_abs(nonzero).tolist())
+    terms = list(zip(*[[c * lv for c in counts[v]] for v, lv in logv])) or [()] * len(pos)
     odd = [sum(cs) % 2 for cs in zip(*[cs for v, cs in counts.items() if v < 0])]
     odd = odd or [0] * len(pos)
     zeros = counts.get(0.0, [0] * len(pos))
-    # span s holds the gaps a[s] + 1 .. b[s]
-    closed = [bisect_right(uncounted, y) > bisect_right(uncounted, x)
-              for x, y in zip(a, b)] if uncounted else [False] * len(pos)
     for s, (p, lo, stop) in enumerate(zip(pos, los, stops)):
-        if closed[s]:
-            by_index = _counts_by_index(w, lo, stop - 1)
-            zeros[s] = by_index.get(0.0, 0)
-            odd[s] = sum(c for v, c in by_index.items() if v < 0) % 2
-            terms[s] = [c * math.log(abs(v)) for v, c in by_index.items() if v != 0.0]
         if zeros[s]:
-            raise _zero_weight(_nearest_zero(w, lo, stop - 1))
+            w.run_logs(lo, stop - 1)  # raises, naming the zero nearest stop - 1
         logs[p] = math.fsum(terms[s])
         if logs[p] == NEG_INF:
             raise ValueError(f"ln |P| over [{lo}, {stop - 1}] overflows to -inf")
         if odd[s]:
             signs[p] = -1
     return signs, logs
-
-
-def _counts_by_index(w: WeightSpec, lo: int, hi: int) -> dict[float, int]:
-    """{value: count} on [lo, hi] from one value_at per index."""
-    if hi - lo + 1 > MAX_DENSE:
-        raise ValueError(f"closed-form weights cannot take products of length {hi - lo + 1}")
-    counts: dict[float, int] = {}
-    for j in range(lo, hi + 1):
-        v = w.seq.value_at(j)
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
-def _nearest_zero(w: WeightSpec, lo: int, hi: int) -> int:
-    """The largest j in [lo, hi] with w_j = 0 (one exists)."""
-    runs = w.runs_over(lo, hi)
-    if runs is None:
-        return next(j for j in range(hi, lo - 1, -1) if w.seq.value_at(j) == 0.0)
-    return max(r.stop for r in runs if r.value == 0.0)
 
 
 def forward_product(w: WeightSpec, i: int, n: int) -> LogScalar:
@@ -309,8 +289,10 @@ def _run_span(slope: float, length) -> float:
 def product_pieces(w: WeightSpec, i: int, n_lo: int, n_hi: int) -> list[Piece]:
     """ln |P(i, n)| for n in [n_lo, n_hi] as log-linear pieces.
 
-    Requires run-structured weights.  Unilateral annihilation (i - n < 1)
-    appears as a trailing zero piece, never as an error.
+    Requires run-structured weights, asked of value_counts (a sequence keeps
+    counts exactly where it has runs), so a closed form is never read index
+    by index.  Unilateral annihilation (i - n < 1) appears as a trailing
+    zero piece, never as an error.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError(f"bad n range [{n_lo}, {n_hi}]")
@@ -325,17 +307,17 @@ def product_pieces(w: WeightSpec, i: int, n_lo: int, n_hi: int) -> list[Piece]:
     out = [Piece(n_lo, n_lo, base.logmag, 0.0)]
     cur_log = base.logmag  # ln |P(i, n)| at the end of the last piece
     if alive_hi > n_lo:
-        runs = w.runs_over(i - alive_hi, i - n_lo - 1)
-        if runs is None:
+        lo, hi = i - alive_hi, i - n_lo - 1
+        if w.value_counts(lo, hi) is None:
             raise ValueError("piecewise products need run-structured weights")
-        for r in reversed(runs):  # descending index order = ascending n
-            if r.value == 0.0:
-                raise _zero_weight(r.stop)
-            a, b = i - r.stop, i - r.start  # piece over n in [a, b]
-            slope = math.log(abs(r.value))
+        slopes, counts = w.run_logs(lo, hi)
+        n = n_lo + 1
+        # descending index order = ascending n: a piece over n in [n, n + c - 1]
+        for slope, c in zip(slopes[::-1].tolist(), counts[::-1].tolist()):
             start_log = cur_log + slope
-            out.append(Piece(a, b, start_log, slope))
-            cur_log = start_log + _run_span(slope, b - a)
+            out.append(Piece(n, n + c - 1, start_log, slope))
+            cur_log = start_log + _run_span(slope, c - 1)
+            n += c
     if alive_hi < n_hi:
         out.append(Piece(alive_hi + 1, n_hi, NEG_INF, 0.0))
     return coalesce_pieces(out)

@@ -8,6 +8,7 @@ frozen into the tests were produced by these functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -56,6 +57,15 @@ def total_length(pieces: list[Piece]) -> int:
     return sum(p.count for p in pieces)
 
 
+@functools.cache
+def log_tie() -> float:
+    """An integer v <= 2 * 10**5 whose numpy log and math.log differ in the
+    last bit (9,170 on one x86-64 build), or 94,869 where none does."""
+    vs = np.arange(2.0, 200_001.0)
+    differ = np.flatnonzero(np.log(vs) != np.array([math.log(v) for v in vs.tolist()]))
+    return float(vs[differ[0]]) if differ.size else 94_869.0
+
+
 # ---------------------------------------------------------------------------
 # reference implementations
 
@@ -83,8 +93,9 @@ def exact_count_product_log(w: WeightSpec, i: int, n: int) -> tuple[int, float]:
     generator's (value, count) runs on longer ones (so a ramp span out to
     ``segment_end(201)`` stays cheap, and neither route reads the cached
     prefix counts behind ``value_counts``).  The sign is the parity of the
-    negative values' counts and the log magnitude fsum(c * ln|v|).
-    Off-domain ranges give (0, -inf).
+    negative values' counts and the log magnitude fsum(c * ln|v|), with
+    ln|v| numpy's log: the library's float input, so the comparison stays
+    bitwise.  Off-domain ranges give (0, -inf).
     """
     if n == 0:
         return 1, 0.0
@@ -99,7 +110,7 @@ def exact_count_product_log(w: WeightSpec, i: int, n: int) -> tuple[int, float]:
         _add_counts_by_blocks(w.seq, i - n, i - 1, counts)
     negatives = sum(c for v, c in counts.items() if v < 0)
     return (-1 if negatives % 2 else 1,
-            math.fsum(c * math.log(abs(v)) for v, c in counts.items()))
+            math.fsum(c * float(np.log(abs(v))) for v, c in counts.items()))
 
 
 def _add_counts_by_blocks(seq, lo: int, hi: int, counts: dict[float, int]) -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import tracemalloc
 from collections import Counter
@@ -263,18 +262,9 @@ class TestLogRows:
                 assert str(got.value) == str(want.value)
 
 
-@functools.cache
-def log_tie() -> float:
-    """An integer v <= 2 * 10**5 whose numpy log and math.log differ in the
-    last bit (9,170 on one x86-64 build), or 94,869 where none does."""
-    vs = np.arange(2.0, 200_001.0)
-    differ = np.flatnonzero(np.log(vs) != np.array([math.log(v) for v in vs.tolist()]))
-    return float(vs[differ[0]]) if differ.size else 94_869.0
-
-
 def row_bases() -> dict:
     """name -> (base, anchors the ranges start near)."""
-    v = log_tie()
+    v = oracles.log_tie()
     side = BlockSideSequence(ramp_plateau(10), 1, 1)
     return {"constant": (constant(v), (-40, 10**6)),
             "split": (SplitSequence(constant(v), side, split=1), (-40, 10**6)),
@@ -314,13 +304,37 @@ class TestOneFloatPerEntry:
         from shiftchaos.mly_cert import check_kothe_mly, check_mly_condition_B
         from shiftchaos.shift import ShiftOperator
         from shiftchaos.weights import unilateral_weights
-        op = ShiftOperator(lp_space(1, IndexSet.N, nu=constant(log_tie())),
+        op = ShiftOperator(lp_space(1, IndexSet.N, nu=constant(oracles.log_tie())),
                            unilateral_weights(constant(1.0)))
         sched = schedule_dc(1, [(1, 3, [(5, 1.0)])])
         for check in (check_dc_condition_B, check_kothe_dc):
             assert check(op, sched, mode=mode).rows[0]["count"] == 0
         for check in (check_mly_condition_B, check_kothe_mly):
             assert check(op, sched, mode=mode).rows[0]["average"].logmag == 0.0
+
+    @pytest.mark.parametrize("mode", ["auto", "dense", "pieces"])
+    def test_routes_agree_at_a_weight_log_tie(self, mode):
+        # l1(N) with weights == v and level k = v, N = 1 on e_10: the average
+        # ||B e_10||_1 = |w_9| is v = k exactly.  numpy's and math's logs of v
+        # differ, so a route reading another log of v than the count form's
+        # lands an ulp off the others and can flip the level.  That the level
+        # passes (the average equals k) also needs ln k from the same log
+        # (ROADMAP item 3), so only agreement across the modes is asserted
+        from shiftchaos.dc_cert import check_dc_condition_B, check_kothe_dc, schedule_dc
+        from shiftchaos.mly_cert import check_kothe_mly, check_mly_condition_B
+        from shiftchaos.shift import ShiftOperator
+        from shiftchaos.weights import product, unilateral_weights
+        v = oracles.log_tie()
+        op = ShiftOperator(lp_space(1, IndexSet.N), unilateral_weights(constant(v)))
+        sched = schedule_dc(1, [(int(v), 1, [(10, 1.0)])])
+        for check in (check_mly_condition_B, check_kothe_mly,
+                      check_dc_condition_B, check_kothe_dc):
+            got, dense = check(op, sched, mode=mode), check(op, sched, mode="dense")
+            assert got.verdict == dense.verdict
+            [row], [want] = got.rows, dense.rows
+            assert row.get("count") == want.get("count")
+            if "average" in want:
+                assert row["average"].logmag.hex() == product(op.weights, 10, 1).logmag.hex()
 
 
 class TestContinuity:

@@ -71,6 +71,11 @@ NEGATIVE_CASE = ("alternating-negative", bilateral_weights(
     BlockSideSequence(alternating_powers(-2.0), 0, 1)))
 
 
+# a value whose numpy log and math.log differ in the last bit
+TIE_CASE = ("log-tie-Z", bilateral_weights(ConstantSequence(-oracles.log_tie()),
+                                           ConstantSequence(oracles.log_tie())))
+
+
 CLOSED_CASE = ("closed-form-N", unilateral_weights(ClosedFormSequence(
     lambda j: -1.5 if j % 5 == 0 else 0.75 + (j % 3) / 4)))
 
@@ -94,7 +99,7 @@ def pair_lists(draw):
     """A weight case and a pair list: unsorted, with repeats and n = 0, spans
     that leave the half line, spans up to 10**6 long and, on the ramp
     layout, spans out to segment_end(201)."""
-    name, w = draw(st.sampled_from(WEIGHT_CASES + [NEGATIVE_CASE]))
+    name, w = draw(st.sampled_from(WEIGHT_CASES + [NEGATIVE_CASE, TIE_CASE]))
     lengths = st.one_of(st.integers(0, 60), st.integers(0, 2_000), st.integers(0, 10**6))
     pairs = draw(st.lists(st.tuples(st.integers(-300, 300), lengths), min_size=1,
                           max_size=8))
@@ -107,6 +112,35 @@ def pair_lists(draw):
     pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
     draw(st.randoms(use_true_random=False)).shuffle(pairs)
     return name, w, pairs
+
+
+def tie_weights() -> dict:
+    """name -> weight sequence on Z, each reading v = log_tie() or values
+    near it."""
+    v = oracles.log_tie()
+    return {"constant": constant(v), "negative": constant(-v),
+            "split": SplitSequence(constant(v), BlockSideSequence(ramp_plateau(10), 1, 1),
+                                   split=1),
+            "closed": ClosedFormSequence(lambda j: v + j % 3),
+            "closed-vectorized": ClosedFormSequence(lambda j: v + j % 3,
+                                                    vectorized=lambda js: v + js % 3)}
+
+
+class TestOneFloatPerWeight:
+    @settings(max_examples=200)
+    @given(st.sampled_from(sorted(tie_weights())), st.integers(-40, 80),
+           st.integers(0, 20), st.integers(0, 20))
+    def test_every_reader_takes_the_same_float(self, name, j, back, ahead):
+        w = WeightSpec(IndexSet.Z, tie_weights()[name])
+        logs, counts = w.run_logs(j - back, j + ahead)
+        want = (logs if counts is None else np.repeat(logs, counts))[back].hex()
+        assert w.dense_logs(j - back, j + ahead)[back].hex() == want
+        assert w.weight_at(j).logmag.hex() == want
+        assert products(w, [(j + 1, 1)])[1][0].hex() == want
+        assert product_log_slice(w, j + 1, 1, 1)[0].hex() == want
+        assert product_pieces(w, j + 1, 1, 1)[0].log0.hex() == want
+        if counts is not None:  # a piece's slope is the weight's log too
+            assert product_pieces(w, j + 1, 0, 1)[-1].slope.hex() == want
 
 
 class TestProduct:
@@ -202,9 +236,10 @@ class TestProduct:
                             lambda self, j: reads.append(j) or value_at(self, j))
         pairs = [(400, 300), (400, 100), (350, 50), (402, 2), (401, 1)]
         signs, logs = products(w, pairs)
-        # a span over a gap without counts reads each of its own indices; the
-        # span [400, 401] is two one-index gaps, read once each
-        assert len(reads) == 300 + 100 + 50 + 2
+        # each gap between span ends is read once, one value_at per index,
+        # so the batch reads each index of [100, 401], the union of its
+        # spans, once however many spans hold it
+        assert sorted(reads) == list(range(100, 402))
         for (i, n), sign, logmag in zip(pairs, signs, logs):
             assert (sign, logmag) == oracles.exact_count_product_log(w, i, n)
             assert product(w, i, n) == LogScalar(sign, logmag)
