@@ -32,6 +32,10 @@ one available:
   values_array(js)      probe at an index array: vectorized on a closed form,
                         one value_at per index elsewhere (sparse supports;
                         ranges read run_arrays)
+and one cost query, block_count(lo, hi): the blocks [lo, hi] reaches, read
+off the cached bounds (a constant is one block; None without run
+structure), so a consumer can weigh one run read of a range against many
+count reads inside it.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ MAX_RUNS_PER_QUERY = 2_000_000
 # layouts once a run query lists their runs into one run table); every
 # catalog and benchmark check stays under about 5,000
 MAX_CACHED_BLOCKS = 100_000
+
+
+class RunQueryTooWide(RuntimeError):
+    """A run query that would return more than MAX_RUNS_PER_QUERY runs."""
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,10 @@ class SequenceBase:
     def value_counts(self, lo: int, hi: int) -> dict[float, int] | None:
         return None
 
+    def block_count(self, lo: int, hi: int) -> int | None:
+        """Blocks that [lo, hi] reaches; None without run structure."""
+        return None
+
     def values_array(self, js: np.ndarray) -> np.ndarray:
         return np.array([self.value_at(int(j)) for j in js], dtype=float)
 
@@ -123,6 +135,9 @@ class ConstantSequence(SequenceBase):
 
     def value_counts(self, lo: int, hi: int) -> dict[float, int]:
         return {self.value: hi - lo + 1} if hi >= lo else {}
+
+    def block_count(self, lo: int, hi: int) -> int:
+        return 1 if hi >= lo else 0
 
 
 class ClosedFormSequence(SequenceBase):
@@ -358,6 +373,13 @@ class BlockSideSequence(SequenceBase):
         self._add_block_counts(out, b_hi, off_lo, off_hi)
         return out
 
+    def block_count(self, lo: int, hi: int) -> int:
+        if hi < lo:
+            return 0
+        off_lo, off_hi = self._offset_span(lo, hi)
+        return (bisect.bisect_right(self._bounds, off_hi)
+                - bisect.bisect_right(self._bounds, off_lo) + 1)
+
     def run_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The runs over the span in scan order, the two end runs clipped
         (from the run table, or from the blocks they reach listed one by
@@ -379,12 +401,12 @@ class BlockSideSequence(SequenceBase):
                     if a <= z:
                         runs.append((value, z - a + 1))
                 if len(runs) > MAX_RUNS_PER_QUERY:
-                    raise RuntimeError("run query exploded; range too wide for this layout")
+                    raise RunQueryTooWide("run query exploded; range too wide for this layout")
             values = np.array([v for v, _ in runs])
             counts = np.array([c for _, c in runs], _count_dtype(lo, hi))
         keep = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
         if keep.size > MAX_RUNS_PER_QUERY:
-            raise RuntimeError("run query exploded; range too wide for this layout")
+            raise RunQueryTooWide("run query exploded; range too wide for this layout")
         values, counts = values[keep], np.add.reduceat(counts, keep)
         if self.direction == 1:
             return values, counts
@@ -455,6 +477,14 @@ class SplitSequence(SequenceBase):
             for value, count in right.items():
                 out[value] = out.get(value, 0) + count
         return out
+
+    def block_count(self, lo: int, hi: int) -> int | None:
+        sides = []
+        if lo < self.split:
+            sides.append(self.negative.block_count(lo, min(hi, self.split - 1)))
+        if hi >= self.split:
+            sides.append(self.nonnegative.block_count(max(lo, self.split), hi))
+        return None if None in sides else sum(sides)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,12 @@ Every reader takes ln |w_j| from _log_abs, numpy's log as for the matrix
 rows, so the routes below agree at ties.  Products are served three ways:
   products(w, pairs)          exact counts: fsum of count * ln|v| over the
                               per-value counts of the weights on each span
-                              [i-n, i-1], from one read per gap between the
-                              sorted distinct span ends (cached per-block
+                              [i-n, i-1], as differences of prefix counts
+                              at the sorted distinct span ends.  Those come
+                              from one run_arrays read of the covered
+                              interval when it reaches fewer blocks than
+                              the ends have gaps (a witness batch), else
+                              from one read per gap (cached per-block
                               prefix counts, O(log blocks) plus the runs of
                               two end blocks each; closed forms one value
                               per index); fine for n ~ 10**200.
@@ -37,13 +41,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .numerics import NEG_INF, ZERO, LogScalar
-from .sequences import Run, SequenceBase, SplitSequence, run_arrays
+from .sequences import (Run, RunQueryTooWide, SequenceBase, SplitSequence, _count_dtype,
+                        run_arrays)
 from .spaces import IndexSet
 
 MAX_DENSE = 20_000_000
@@ -138,68 +142,114 @@ def products(w: WeightSpec, pairs: Sequence[tuple[int, int]]
 
     Each span [i-n, i-1] takes its per-value counts as the difference of the
     prefix counts at its two ends, over the sorted distinct ends of all
-    spans: every gap between consecutive ends costs one value_counts read
-    (one value_at for a one-index gap), so spans that share or nest ends
-    share their reads.  On a gap without value counts (closed-form weights)
-    the read is one value per index, up to MAX_DENSE of them.  Counts are
-    exact Python ints, so spans of length 10**200 work, and each span is
-    one fsum of the terms count * ln|v|, whatever the batch.  Pairs are
-    settled in order, so a zero weight raises for the first pair whose span
-    holds one, naming the zero nearest that span's right end.
+    spans.  Those prefix counts come from one of two reads:
+      one run read   when the interval the spans cover reaches fewer blocks
+                     (block_count) than there are gaps between consecutive
+                     ends, one run_arrays call over it: each end's count of
+                     each value is a cumsum of that value's run counts up
+                     to the run the end falls in (np.searchsorted on the
+                     run ends), plus its part of that run;
+      a read per gap otherwise (one-pair products, deep spans over many
+                     blocks, closed forms, and an interval of more than
+                     MAX_RUNS_PER_QUERY runs): one value_counts read (one
+                     value_at for a one-index gap), so spans that share or
+                     nest ends share their reads.  On a gap without value
+                     counts (closed-form weights) the read is one value
+                     per index, up to MAX_DENSE of them.
+    Counts are int64 while the covered interval fits one and exact Python
+    ints past 2**63, so spans of length 10**200 work, and each span is one
+    fsum of the terms count * ln|v| over the batch's distinct values,
+    whichever read served it.  Pairs are settled in order, so a zero weight
+    raises for the first pair whose span holds one, naming the zero nearest
+    that span's right end.
     """
-    signs, logs = [1] * len(pairs), [0.0] * len(pairs)
-    pos, los, stops = [], [], []  # the spans [lo, stop - 1] and their pairs
-    for p, (i, n) in enumerate(pairs):
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if n and w.index_set is IndexSet.N and i - n < 1:
-            signs[p], logs[p] = 0, NEG_INF
-        elif n:
-            pos.append(p)
-            los.append(i - n)
-            stops.append(i)
-    ends = sorted(set(los).union(stops))
-    # per distinct value (0.0 and -0.0 alike): its count on each gap between
-    # consecutive ends (gap t ends at ends[t])
-    gap_counts: dict[float, list[int]] = {}
-    for t, (lo, stop) in enumerate(zip(ends, ends[1:]), 1):
-        if stop == lo + 1:
-            gap = ((w.seq.value_at(lo), 1),)
+    if any(n < 0 for _, n in pairs):
+        raise ValueError("n must be >= 0")
+    signs, logs = np.ones(len(pairs), np.int64), np.zeros(len(pairs))
+    half = w.index_set is IndexSet.N
+    if half:  # spans leaving the half line: exact zeros
+        off = [p for p, (i, n) in enumerate(pairs) if n and i - n < 1]
+        signs[off], logs[off] = 0, NEG_INF
+    # the spans [lo, stop - 1] of the pairs in pos
+    pos = [p for p, (i, n) in enumerate(pairs) if n and not (half and i - n < 1)]
+    los = [pairs[p][0] - pairs[p][1] for p in pos]
+    stops = [pairs[p][0] for p in pos]
+    if not pos:
+        return signs.tolist(), logs.tolist()
+    lo, hi = min(los), max(stops) - 1
+    dtype = _count_dtype(lo, hi)
+    # ends as offsets from lo, and where each span's two ends sit among them
+    ends, at = np.unique(np.array([e - lo for e in los + stops], dtype),
+                         return_inverse=True)
+    blocks, read = w.seq.block_count(lo, hi), None
+    if blocks is not None and blocks < ends.size - 1:
+        try:
+            read = _run_prefix_counts(w.seq, lo, hi, ends)
+        except RunQueryTooWide:  # blocks of very many runs: read per gap instead
+            pass
+    values, pre = read or _gap_prefix_counts(w, lo, ends.tolist(), dtype)
+    counts = pre[:, at[len(pos):]] - pre[:, at[:len(pos)]]  # value x span
+    zero = values == 0.0
+    held = (counts[zero] != 0).any(axis=0)
+    logv = _log_abs(values[~zero])
+    if dtype is object:  # a Python int times a Python float, exactly as below 2**63
+        logv = logv.astype(object)
+    sums = np.array([math.fsum(terms)
+                     for terms in (counts[~zero] * logv[:, None]).T.tolist()])
+    bad = np.flatnonzero(held | (sums == NEG_INF))
+    if bad.size:  # the first pair in order that holds a zero or underflows
+        s = int(bad[0])
+        if held[s]:
+            w.run_logs(los[s], stops[s] - 1)  # raises, naming the zero nearest stop - 1
+        raise ValueError(f"ln |P| over [{los[s]}, {stops[s] - 1}] overflows to -inf")
+    logs[pos] = sums
+    signs[pos] = np.where(counts[values < 0.0].sum(axis=0) % 2 == 1, -1, 1)
+    return signs.tolist(), logs.tolist()
+
+
+def _run_prefix_counts(seq: SequenceBase, lo: int, hi: int, ends: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values, each one's count on [lo, lo + e) at each offset e
+    of ends) from one run_arrays read of [lo, hi]."""
+    vals, counts = seq.run_arrays(lo, hi)
+    past = np.cumsum(counts)  # offset just past each run
+    r = np.searchsorted(past, ends, "right")  # the runs wholly before each end
+    values, which = np.unique(vals, return_inverse=True)  # 0.0 and -0.0 alike
+    order = np.argsort(which, kind="stable")  # runs grouped by value, in index order
+    bounds = np.searchsorted(which[order], np.arange(values.size + 1))
+    pre = np.empty((values.size, ends.size), counts.dtype)
+    for u, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        runs = order[a:b]
+        cum = np.concatenate((np.zeros(1, counts.dtype), np.cumsum(counts[runs])))
+        pre[u] = cum[np.searchsorted(runs, r)]
+    inside = np.flatnonzero(r < vals.size)  # ends that fall in a run, not past the last
+    run = r[inside]
+    pre[which[run], inside] += ends[inside] - (past[run] - counts[run])
+    return values, pre
+
+
+def _gap_prefix_counts(w: WeightSpec, lo: int, ends: list[int], dtype
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values, each one's count on [lo, lo + e) at each offset e
+    of ends) from one read of each gap between consecutive ends."""
+    cols: dict[float, list[int]] = {}  # 0.0 and -0.0 alike
+    for t, (a, b) in enumerate(zip(ends, ends[1:]), 1):
+        start, stop = lo + a, lo + b
+        if stop == start + 1:
+            gap = ((w.seq.value_at(start), 1),)
         else:
-            gap = w.value_counts(lo, stop - 1)
+            gap = w.value_counts(start, stop - 1)
             if gap is None:  # no runs either: the gap's values one by one
-                if stop - lo > MAX_DENSE:
+                if stop - start > MAX_DENSE:
                     raise ValueError("closed-form weights cannot take products "
-                                     f"of length {stop - lo}")
-                gap = Counter(run_arrays(w.seq, lo, stop - 1)[0].tolist())
+                                     f"of length {stop - start}")
+                gap = Counter(run_arrays(w.seq, start, stop - 1)[0].tolist())
             gap = gap.items()
         for v, c in gap:
-            if v not in gap_counts:
-                gap_counts[v] = [0] * len(ends)
-            gap_counts[v][t] = c
-    at = {e: t for t, e in enumerate(ends)}
-    a, b = [at[e] for e in los], [at[e] for e in stops]
-    # each span's count of v: the difference of v's prefix counts at its ends
-    counts: dict[float, list[int]] = {}
-    for v, col in gap_counts.items():
-        prefix = list(accumulate(col))
-        counts[v] = [prefix[y] - prefix[x] for x, y in zip(a, b)]
-    # c * ln|v| as a Python int times a float, one tuple of terms per span
-    nonzero = [v for v in counts if v != 0.0]
-    logv = zip(nonzero, _log_abs(nonzero).tolist())
-    terms = list(zip(*[[c * lv for c in counts[v]] for v, lv in logv])) or [()] * len(pos)
-    odd = [sum(cs) % 2 for cs in zip(*[cs for v, cs in counts.items() if v < 0])]
-    odd = odd or [0] * len(pos)
-    zeros = counts.get(0.0, [0] * len(pos))
-    for s, (p, lo, stop) in enumerate(zip(pos, los, stops)):
-        if zeros[s]:
-            w.run_logs(lo, stop - 1)  # raises, naming the zero nearest stop - 1
-        logs[p] = math.fsum(terms[s])
-        if logs[p] == NEG_INF:
-            raise ValueError(f"ln |P| over [{lo}, {stop - 1}] overflows to -inf")
-        if odd[s]:
-            signs[p] = -1
-    return signs, logs
+            if v not in cols:
+                cols[v] = [0] * len(ends)
+            cols[v][t] = c
+    return np.array(list(cols)), np.cumsum(np.array(list(cols.values()), dtype), axis=1)
 
 
 def forward_product(w: WeightSpec, i: int, n: int) -> LogScalar:

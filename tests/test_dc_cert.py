@@ -866,6 +866,39 @@ class TestHypercyclicityWitness:
         assert sorted(js.tolist()) == sorted(rows)  # each row index once
         assert list(ks) == list(range(1, item["witness"]["k_max"] + 1))
 
+    @pytest.mark.parametrize("name", ["ex1_s_Z_hc_not_dc", "ex3_s_Z_hc_not_mly"])
+    def test_witness_products_read_the_weights_once(self, monkeypatch, name):
+        # 241 blocks against about 2,630 gaps: the batch takes every span
+        # count from one run read, and reads no gap
+        config = catalog.export_config(name)
+        item = config["checks"][0]
+        op = catalog.operator_from_config(config)
+        inside, reads = [], []
+        products = dc_cert.products
+
+        def in_products(*args):
+            inside.append(True)
+            try:
+                return products(*args)
+            finally:
+                inside.pop()
+
+        def counted(attr):
+            real = getattr(op.weights.seq, attr)
+
+            def read(*args):
+                if inside:
+                    reads.append(attr)
+                return real(*args)
+
+            monkeypatch.setattr(op.weights.seq, attr, read)
+
+        monkeypatch.setattr(dc_cert, "products", in_products)
+        for attr in ("run_arrays", "value_at", "value_counts"):
+            counted(attr)
+        assert catalog.run_check(op, item).verdict == "witnessed"
+        assert reads == ["run_arrays"]
+
     @pytest.mark.parametrize("name", ["ex2_kothe_dc_not_hc", "ex4_lp_mly_not_hc"])
     def test_row_indices_past_int64(self, name):
         # rows at ell -+ 10**19 and 10**30 pass 2**63: read as Python ints,

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shiftchaos import sequences
 from shiftchaos.catalog import segment_end
 from shiftchaos.numerics import ONE, LogScalar
 from shiftchaos.sequences import (
@@ -98,8 +99,18 @@ def anchor_for(w: WeightSpec, raw: int) -> int:
 def pair_lists(draw):
     """A weight case and a pair list: unsorted, with repeats and n = 0, spans
     that leave the half line, spans up to 10**6 long and, on the ramp
-    layout, spans out to segment_end(201)."""
+    layout, spans out to segment_end(201).  Or, half the time, a witness's
+    batch: an anchor window times a rising probe list, both families, so
+    most gaps between span ends are one index long and the batch mostly
+    reaches fewer blocks than it has gaps (one run read)."""
     name, w = draw(st.sampled_from(WEIGHT_CASES + [NEGATIVE_CASE, TIE_CASE]))
+    if draw(st.booleans()):
+        first = anchor_for(w, draw(st.integers(-60, 60)))
+        probes = sorted(draw(st.lists(st.integers(1, 500), min_size=4, max_size=24,
+                                      unique=True)))
+        return name, w, [(ell + s * n, n)
+                         for ell in range(first, first + draw(st.integers(4, 8)))
+                         for s in (0, 1) for n in probes]
     lengths = st.one_of(st.integers(0, 60), st.integers(0, 2_000), st.integers(0, 10**6))
     pairs = draw(st.lists(st.tuples(st.integers(-300, 300), lengths), min_size=1,
                           max_size=8))
@@ -177,6 +188,15 @@ class TestProduct:
     # spans whose terms a plain left-to-right sum rounds off the fsum
     @example(("ramp-N", ramp_unilateral(), [(1_111_153, 1_111_152), (11_111_169, 21),
                                              (segment_end(12) + 1, segment_end(12))]))
+    # ends clustered at both sides of a 10**200 stretch that reaches two
+    # blocks: one run read, with counts past 2**63
+    @example(("ramp-N", ramp_unilateral(), [(segment_end(201) + a, 10**200 + b)
+                                             for a in (-2, 0, 3) for b in (0, 1, 7)]
+              + [(5, 0), (3, 3)]))
+    # the same past 2**63 with a negative side, so the sign parity runs on
+    # Python int counts
+    @example(TIE_CASE + ([(a, 10**70 + b) for a in range(-3, 4) for b in range(5)]
+                         + [(0, 2**63 + 1), (2**63 + 5, 2**64)],))
     def test_matches_exact_count_oracle_bitwise(self, case):
         _, w, pairs = case
         signs, logs = products(w, pairs)
@@ -227,6 +247,38 @@ class TestProduct:
             products(w, [(0, 100), (0, 150), (-150, 10)])
         with pytest.raises(ValueError, match="weight at -151 is zero"):
             products(w, [(0, 100), (-150, 10), (0, 150)])
+
+    def test_too_many_runs_for_one_read_fall_back_to_the_gaps(self, monkeypatch):
+        # four blocks of the ramp against 31 gaps, but more runs than a cap
+        # of 10: the run read refuses and each gap is read instead
+        monkeypatch.setattr(sequences, "MAX_RUNS_PER_QUERY", 10)
+        w = ramp_unilateral()
+        end = segment_end(4)
+        pairs = [(j + 1, j) for j in range(1, 31)] + [(end + 1, end)]
+        assert w.seq.block_count(1, end) == 4
+        with pytest.raises(RuntimeError, match="run query exploded"):
+            w.seq.run_arrays(1, end)
+        signs, logs = products(w, pairs)
+        for (i, n), sign, logmag in zip(pairs, signs, logs):
+            assert (sign, logmag) == oracles.exact_count_product_log(w, i, n)
+
+    def test_zero_weight_raises_on_the_one_run_read(self, monkeypatch):
+        # the one-index spans over [-100, -1] make each batch reach fewer
+        # blocks (three constants) than it has gaps, so it reads its runs
+        # once, and still names the zero of its first pair that holds one
+        def no_gap_read(*args):
+            raise AssertionError("products read a gap")
+
+        w = zero_tail_weights()
+        monkeypatch.setattr(w, "value_counts", no_gap_read)
+        monkeypatch.setattr(w.seq, "value_at", no_gap_read)
+        cluster = [(j, 1) for j in range(-99, 1)]
+        assert products(w, [(0, 100)] + cluster) == (
+            [1] * 101, [100 * math.log(2.0)] + [math.log(2.0)] * 100)
+        with pytest.raises(ValueError, match="weight at -101 is zero"):
+            products(w, [(0, 100)] + cluster + [(0, 150), (-150, 10)])
+        with pytest.raises(ValueError, match="weight at -151 is zero"):
+            products(w, [(0, 100)] + cluster + [(-150, 10), (0, 150)])
 
     def test_closed_form_weights_count_each_pair(self, monkeypatch):
         _, w = CLOSED_CASE
