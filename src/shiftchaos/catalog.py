@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from . import dc_cert, density, mly_cert
+from . import dc_cert, density, mly_cert, orbit
 from .density import IndexPredicate, evens, naturals
 from .reports import CertificateReport
 from .sequences import Run, SequenceBase, SplitSequence, side_from_template
@@ -235,7 +235,7 @@ READERS = {
     "coeffs": _optional(_floats),
     "horizons": _optional(_ints),
     "refute_floor": _optional(_positive),
-    "mode": str,
+    "mode": orbit.valid_mode,
     "schedule": lambda raw: [(int(k), int(N), [(int(i), _finite(b)) for i, b in terms])
                              for k, N, terms in raw],
     "probes": lambda raw: [(str(label), int(i), _finite(b), int(N))

@@ -10,28 +10,13 @@ where count is how many times n <= N_k the orbit ratio strictly exceeds k.
 Ratios are compared in the log domain with no tolerance slack, so engineered
 ties (ratio exactly equal to k) fail, as a strict inequality demands.
 
-Every schedule can be evaluated two ways: a dense numpy sweep for horizons up
-to ~2e7, and, for single-term witnesses, a route that stays exact at
-astronomical horizons (10**200 is fine).  That route reads value counts
-where the weight product is flat (every weight of modulus 1: one
-O(log blocks) count read, no pieces) and builds piecewise log-linear
-envelopes elsewhere.  In mode "auto" a single term reads its count form
-first, at every horizon, and falls back to the dense sweep within the caps
-(_level_form).  Every dense check reads ln |b P(i, n) a(i - n, k)|
-from shift.basis_orbit_logs and combines witness terms with the lp form of
-numerics (logsumexp_p_rows).  The four condition-(B) checks share one level
-loop and verdict ladder (level_report), which rejects witness indices off
-the domain; the counting level itself (_dc_level) compares seminorms, so
-check_dc_condition_B and check_kothe_dc run the same comparison.  Condition
-(A) comes in as a report.  Its own check, and the two refutations (of
-condition (A) and of hypercyclicity), read run ends and take the dense
-route's arithmetic only for the cells whose comparison rounding could
-decide: condition (A) and its refutation walk their horizon in steps of a
-few chunks and split the orbit pieces of every anchor and level of a step
-at once (_bad_steps), and condition (A) reads the candidate set's run
-blocks at the ends of the violating intervals.
-Anchors must lie in the domain.  Verdicts come from the closed vocabulary
-in `reports` and are always horizon-stamped.
+Routes (count form, pieces, dense sweep, run ends) are described in `orbit`.
+The four condition-(B) checks share one level loop and verdict ladder
+(level_report), which rejects witness indices off the domain; the counting
+level (_dc_level) compares seminorms, so check_dc_condition_B and
+check_kothe_dc run the same comparison.  Condition (A) comes in as a report.
+Anchors must lie in the domain.  Verdicts come from the closed vocabulary in
+`reports` and are always horizon-stamped.
 """
 
 from __future__ import annotations
@@ -47,33 +32,17 @@ from . import numerics
 from .density import (IndexPredicate, RunColumns, density_envelope, envelope_of_runs,
                       interval_runs, last_ratio_at_most, members_in, naturals, run_columns)
 from .numerics import NEG_INF, LogScalar, SparseVector, chunk_spans, logsumexp_p_rows
-from .piecewise import concave_superlevel, count_above
+# single_term_* stay importable from here: perfbench's tracer wraps dc_cert.single_term_pieces
+from .orbit import (DENSE_CELL_CAP, WitnessOrbit, WitnessTerm, require_dense,
+                    single_term_counts, single_term_pieces)
+from .piecewise import concave_superlevel
 from .reports import POSITIVE_VERDICTS, CertificateReport
-from .shift import ShiftOperator, _lockstep, basis_orbit_logs, orbit_seminorm_log_chunks
+from .shift import ShiftOperator, _lockstep, basis_orbit_logs
 from .spaces import IndexSet, index_array, seminorm
-from .weights import (MAX_DENSE, Piece, overlay_row_runs, product_log_slice,
-                      product_pieces, products, shift_pieces)
-
-# max terms * horizon cells for the dense route: a cap on time, since the
-# dense route streams its horizon in numerics.CHUNK-cell chunks
-DENSE_CELL_CAP = 40_000_000
-
+from .weights import MAX_DENSE, product_log_slice, products
 
 # ---------------------------------------------------------------------------
 # witness schedules
-
-
-@dataclass(frozen=True)
-class WitnessTerm:
-    """One coefficient b at basis index i of a witness vector."""
-
-    index: int
-    coeff: LogScalar
-
-    @staticmethod
-    def of(index: int, coeff) -> "WitnessTerm":
-        c = coeff if isinstance(coeff, LogScalar) else LogScalar.from_real(float(coeff))
-        return WitnessTerm(int(index), c)
 
 
 @dataclass(frozen=True)
@@ -135,110 +104,6 @@ def schedule_dc(m: int, entries: Iterable[tuple[int, int, Iterable[tuple[int, fl
 
 
 # ---------------------------------------------------------------------------
-# numerator evaluation, dense and piecewise
-
-
-def single_term_pieces(op: ShiftOperator, term: WitnessTerm, m: int,
-                       n_hi: int) -> list[Piece]:
-    """ln |b| * |P(i, n)| * a(i - n, m) over n in [1, n_hi] as pieces.
-
-    Unilateral annihilation shows up as a trailing zero piece; the matrix row
-    is only consulted on the alive stretch, so row generators never see
-    off-domain indices.
-    """
-    i = term.index
-    alive_hi = n_hi
-    if op.space.index_set is IndexSet.N:
-        alive_hi = min(n_hi, i - 1)
-        if alive_hi < 1:
-            return [Piece(1, n_hi, NEG_INF, 0.0)]
-    pieces = product_pieces(op.weights, i, 1, alive_hi)
-    row_runs = op.space.matrix.log_row_runs(m, i - alive_hi, i - 1)
-    if row_runs is None:
-        raise ValueError("piecewise route needs run-structured matrix rows")
-    pieces = overlay_row_runs(pieces, row_runs, anchor=i)
-    pieces = shift_pieces(pieces, term.coeff.logmag)
-    if alive_hi < n_hi:
-        pieces.append(Piece(alive_hi + 1, n_hi, NEG_INF, 0.0))
-    return pieces
-
-
-def single_term_counts(op: ShiftOperator, term: WitnessTerm, m: int,
-                       n_hi: int) -> dict[float, int] | None:
-    """The count form of single_term_pieces where P(i, n) is flat:
-    {ln |b * a(i - n, m)|: how many n in [1, n_hi] take it}, zero terms left
-    out.
-
-    Flat means every weight on the alive range [i - alive_hi, i - 1] has
-    |w| = 1; then only the row's value counts matter, read in O(log blocks).
-    Keys are (m ln v) + ln |b| with m ln v the float every row reader gives
-    (KotheMatrix.log_row_counts), so counts match the piece and dense routes
-    and the seminorms exactly.  None (take the piece route) when a weight
-    has |w| != 1, the row rule is custom, or a sequence keeps no value counts.
-    """
-    i = term.index
-    alive_hi = n_hi
-    if op.space.index_set is IndexSet.N:
-        alive_hi = min(n_hi, i - 1)
-        if alive_hi < 1:
-            return {}
-    weights = op.weights.value_counts(i - alive_hi, i - 1)
-    if weights is None or any(abs(v) != 1.0 for v in weights):
-        return None
-    rows = op.space.matrix.log_row_counts(m, i - alive_hi, i - 1)
-    if rows is None:
-        return None
-    out: dict[float, int] = {}
-    for lv, c in rows.items():
-        key = lv + term.coeff.logmag
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def _resolve_mode(mode: str, n_terms: int, horizon: int) -> str:
-    """The route of a level: mode "auto" takes the dense route within the
-    caps, else pieces for a single term.  Raises where the route cannot run,
-    so the dense checks call it with mode "dense" as their size guard."""
-    if mode not in ("auto", "dense", "pieces"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "pieces" and n_terms != 1:
-        raise ValueError("piecewise route handles single-term witnesses only")
-    fits = horizon <= MAX_DENSE and n_terms * (horizon + 1) <= DENSE_CELL_CAP
-    if mode == "dense" and not fits:
-        raise ValueError(
-            f"dense route too large ({n_terms} terms, horizon {horizon}); "
-            "single-term schedules can use mode='pieces'")
-    if mode != "auto":
-        return mode
-    if fits:
-        return "dense"
-    if n_terms == 1:
-        return "pieces"
-    raise ValueError("no feasible route: multi-term witness at a horizon "
-                     "beyond the dense cap")
-
-
-def _level_form(op: ShiftOperator, entry: DCWitnessEntry, m: int, mode: str
-                ) -> dict[float, int] | list[Piece] | None:
-    """The numerator of a level in the form its route reads: None for the
-    dense route, else the single term's count form where the weights are
-    flat, else its pieces.
-
-    Mode "auto" tries the count form first, at every horizon, and falls back
-    to dense within the caps, else to pieces; mode "pieces" reads the count
-    form or pieces, and mode "dense" always runs dense.
-    """
-    route = _resolve_mode(mode, len(entry.terms), entry.horizon)
-    if mode == "dense" or len(entry.terms) != 1:
-        return None
-    term = entry.terms[0]
-    counts = single_term_counts(op, term, m, entry.horizon)
-    if counts is None and route == "pieces":
-        return single_term_pieces(op, term, m, entry.horizon)
-    return counts
-
-
-# ---------------------------------------------------------------------------
 # condition (A): decay along a density-1 candidate set
 
 
@@ -267,7 +132,7 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     _require_anchors(op, anchors)
-    _resolve_mode("dense", 1, horizon)
+    require_dense(1, horizon)
     env = density_envelope(D, horizon)
     d_total = D.prefix_count(horizon)
     params = {"horizon": horizon, "decay_tol": decay_tol, "k_max": k_max,
@@ -351,7 +216,7 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     if horizon < 1 or not anchors:
         raise ValueError("need a positive horizon and at least one anchor")
     _require_anchors(op, anchors)
-    _resolve_mode("dense", 1, horizon)
+    require_dense(1, horizon)
     log_bound = math.log(bound)
     # per anchor: the last low N, the least ratio past it and its N, bad cells so far
     last_low, least, bad = [0] * len(anchors), [None] * len(anchors), [0] * len(anchors)
@@ -755,9 +620,6 @@ def _dc_level(op: ShiftOperator, sched: WitnessScheduleDC, mode: str
 
     The numerator is the orbit seminorm of the schedule vector x, the
     denominator its p(k)-th seminorm; a zero denominator fails the level.
-    A single term is counted from its count form where that applies (first
-    in mode "auto", at every horizon), else on the dense route or from
-    pieces (_level_form).
     """
     def level(entry: DCWitnessEntry) -> dict | str:
         k, N = entry.k, entry.horizon
@@ -765,16 +627,8 @@ def _dc_level(op: ShiftOperator, sched: WitnessScheduleDC, mode: str
         den = seminorm(op.space, entry.vector(), pk)
         if den.sign == 0:
             return f"zero denominator seminorm at k={k} (p(k)={pk})"
-        thr = math.log(k) + den.logmag
-        form = _level_form(op, entry, sched.m, mode)
-        if form is None:
-            count = sum(int(np.count_nonzero(lognum > thr)) for _, lognum
-                        in orbit_seminorm_log_chunks(op, entry.vector(), sched.m, 1, N))
-        elif isinstance(form, dict):
-            count = sum(c for lv, c in form.items() if lv > thr)
-        else:
-            count = count_above(form, thr)
-        return _count_row(k, N, count)
+        orbit = WitnessOrbit(op, entry.terms, sched.m, N, mode)
+        return _count_row(k, N, orbit.count_above(math.log(k) + den.logmag))
 
     return level
 
@@ -856,7 +710,7 @@ def check_lp_c0_dc(op: ShiftOperator, S: Iterable[int],
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
     n_max = max(horizons)
-    _resolve_mode("dense", len(S), n_max)
+    require_dense(len(S), n_max)
     logs = np.stack([product_log_slice(op.weights, i, 1, n_max) for i in S])
     rows = []
     if op.space.p == 0:
@@ -1065,7 +919,7 @@ def refute_hypercyclicity(op: ShiftOperator, horizon: int, k_max: int = 4,
         raise ValueError("need a positive horizon")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    _resolve_mode("dense", 1, horizon)
+    require_dense(1, horizon)
     anchor = op.space.index_set.first
     ks = range(1, k_max + 1)
     values = op.weights.value_counts(anchor, anchor + horizon - 1)

@@ -21,20 +21,13 @@ other cells only, gathered, with row k built there as k * row_1, and stops
 at the first level where all of them read ||.||_k >= 1.  Every term is bit
 for bit the plain level loop's.
 
-A single-term witness is summed from value counts wherever the weight
-product is flat (every weight of modulus 1; single_term_counts), in mode
-"auto" first at every horizon; elsewhere past the dense cap from piecewise
-log-linear envelopes, so horizons like 10**200 stay exact.  A dense sum is
-one max-shifted pairwise sum per block of numerics.BLOCK cells, the blocks
-aligned at n = 1 and folded in order, so no chunk size moves its bits.
-check_f3's running product averages stay a logaddexp accumulate: prefix
-sums cannot share one shift without underflow.
-
-Schedules, the dense orbit kernel (shift.basis_orbit_logs) and the level
-loop (dc_cert.level_report) are the distributional-chaos module's; each level
-here averages where that module counts.  The averaging level (_mly_level)
-compares seminorms, so check_mly_condition_B and check_kothe_mly run the
-same comparison.
+Schedules and the level loop (dc_cert.level_report) are the
+distributional-chaos module's, and a level's orbit and its route are
+`orbit`'s; each level here averages where dc_cert counts.  The averaging
+level (_mly_level) compares seminorms, so check_mly_condition_B and
+check_kothe_mly run the same comparison.  check_f3's running product
+averages stay a logaddexp accumulate: prefix sums cannot share one shift
+without underflow.
 """
 
 from __future__ import annotations
@@ -45,12 +38,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, WitnessTerm, _level_form,
-                      _require_anchors, _resolve_mode, level_report, schedule_dc)
-from .numerics import NEG_INF, ZERO, LogScalar, SparseVector, logsumexp_blocks
-from .piecewise import log_sum, log_sum_values
+from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, _require_anchors, level_report,
+                      schedule_dc)
+from .numerics import NEG_INF, ZERO, LogScalar, SparseVector
+from .orbit import WitnessOrbit, WitnessTerm, require_dense
 from .reports import CertificateReport
-from .shift import ShiftOperator, orbit_product_logs, orbit_seminorm_log_chunks
+from .shift import ShiftOperator, orbit_product_logs
 from .spaces import IndexSet, add_metric_levels, seminorm
 from .weights import product_log_slice
 
@@ -87,7 +80,7 @@ def cesaro_distance_series(op: ShiftOperator, anchor: int, N: int) -> CesaroSeri
     """
     if N < 1:
         raise ValueError("need a positive horizon")
-    _resolve_mode("dense", 1, N)
+    require_dense(1, N)
     terms = np.zeros(N)
     depth = op.space.metric_depth
     for n0, n1, logs in orbit_product_logs(op, anchor, 1, N):
@@ -178,24 +171,10 @@ def _auto_a(op: ShiftOperator, horizon: int
 
 
 def _average_log(op: ShiftOperator, entry, m: int, mode: str) -> float:
-    """ln of (1/N) * sum_{n=1..N} ||B^n (witness vector)||_m.  A single term
-    is summed from its count form where the weights are flat (first in mode
-    "auto", at every horizon: exact, with integer counts), else on the dense
-    route or from pieces (dc_cert._level_form); -inf for an orbit that
-    vanishes.
-
-    The dense route sums its cells in blocks (numerics.logsumexp_blocks):
-    within nb (A + 91) u of ln sum of the cells for nb blocks of BLOCK cells
-    and A the largest |.| of that sum and the blocks' sums, u = 2^-53, and
-    the shift by ln N rounds once more.  Nothing returns the bound yet."""
+    """ln of (1/N) * sum_{n=1..N} ||B^n (witness vector)||_m; the shift by
+    ln N rounds once more than the orbit's sum."""
     N = entry.horizon
-    form = _level_form(op, entry, m, mode)
-    if form is None:
-        total = logsumexp_blocks(
-            lognum for _, lognum in orbit_seminorm_log_chunks(op, entry.vector(), m, 1, N))
-    else:
-        total = log_sum_values(form) if isinstance(form, dict) else log_sum(form)
-    return total - math.log(N)
+    return WitnessOrbit(op, entry.terms, m, N, mode).log_sum() - math.log(N)
 
 
 def _average_row(k: int, N: int, avg_log: float) -> dict:
@@ -255,13 +234,6 @@ def check_kothe_mly(op: ShiftOperator, sched: WitnessScheduleMLY,
 # absolute Cesaro boundedness: falsification search
 
 
-def _probe_average_log(op: ShiftOperator, index: int, coeff: LogScalar,
-                       N: int) -> float:
-    """ln of (1/N) * sum_{n=1..N} ||B^n (coeff * e_index)||_1."""
-    entry = DCWitnessEntry(1, N, (WitnessTerm(index, coeff),))
-    return _average_log(op, entry, 1, "auto")
-
-
 def check_acb(op: ShiftOperator,
               probes: Sequence[tuple[str, int, float, int]],
               C_grid: Sequence[float] = (1.0, 10.0, 100.0)) -> CertificateReport:
@@ -286,8 +258,8 @@ def check_acb(op: ShiftOperator,
         norm = seminorm(op.space, SparseVector.from_terms([(index, c)]), 1)
         if norm.sign == 0:
             raise ValueError(f"probe {label!r} has zero norm")
-        avg_log = _probe_average_log(op, int(index), c, int(N))
-        results.append((label, int(N), avg_log, norm.logmag))
+        probe = DCWitnessEntry(1, int(N), (WitnessTerm(int(index), c),))
+        results.append((label, int(N), _average_log(op, probe, 1, "auto"), norm.logmag))
     rows = []
     all_witnessed = True
     for C in C_grid:
@@ -338,7 +310,7 @@ def check_f3(op: ShiftOperator, horizon: int,
         raise ValueError("the equivalence check needs constant-in-k rows")
     if horizon < 1:
         raise ValueError("need a positive horizon")
-    _resolve_mode("dense", 1, horizon)
+    require_dense(1, horizon)
     logs = product_log_slice(op.weights, 0, 1, horizon)
     ns = np.arange(1, horizon + 1)
     avg_logs = np.logaddexp.accumulate(logs) - np.log(ns)

@@ -255,6 +255,44 @@ class TestWitnessDomain:
         assert err == "error: vector has support at 0 outside IndexSet.N\n"
 
 
+class TestRouteErrors:
+    def _run(self, capsys, tmp_path, name, check):
+        cfg = catalog.export_config(name)
+        cfg["checks"] = [check]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run_cli(capsys, "run", "--config", str(path))
+
+    # mop's window scan can run out before any level reads its mode, so the
+    # mode is read as a config value in every kind
+    @pytest.mark.parametrize("kind", ["dc", "kothe_dc", "mly", "kothe_mly", "mop"])
+    def test_unknown_mode_exits_three(self, capsys, tmp_path, kind):
+        check = {"kind": kind, "m": 1, "schedule": [[2, 50, [[60, 1.0]]]]}
+        if kind == "mop":
+            check = next(c for c in catalog.export_config("unweighted_lp_N")["checks"]
+                         if c["kind"] == "mop")
+        check["mode"] = "bogus"
+        code, out, err = self._run(capsys, tmp_path, "unweighted_lp_N", check)
+        assert (code, out) == (3, "")
+        assert err == "error: config key 'mode': unknown mode 'bogus'\n"
+
+    @pytest.mark.parametrize("kind, mode, terms, horizon, message", [
+        ("dc", "pieces", [[60, 1.0], [61, 1.0]], 50,
+         "piecewise route handles single-term witnesses only"),
+        ("dc", "dense", [[60, 1.0]], 30_000_000,
+         "dense route too large (1 terms, horizon 30000000); "
+         "single-term schedules can use mode='pieces'"),
+        ("mly", "auto", [[60, 1.0], [61, 1.0]], 30_000_000,
+         "no feasible route: multi-term witness at a horizon beyond the dense cap"),
+    ])
+    def test_infeasible_route_exits_three(self, capsys, tmp_path, kind, mode, terms,
+                                          horizon, message):
+        check = {"kind": kind, "m": 1, "mode": mode, "schedule": [[2, horizon, terms]]}
+        code, out, err = self._run(capsys, tmp_path, "rolewicz_lp_N", check)
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
+
+
 class TestVanishingOrbit:
     # e_1 on N is annihilated at every n >= 1: the average is 0, so the MLY
     # level fails (exit 1) on every route; the count route reads no terms
