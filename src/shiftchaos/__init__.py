@@ -27,8 +27,7 @@ from .shift import ShiftOperator
 from .spaces import (IndexSet, KotheMatrix, SpaceSpec, c0_space,
                      condition_c_check, continuity_check, lp_space, metric,
                      rapidly_decreasing_space, seminorm)
-from .weights import (WeightSpec, bilateral_weights, forward_product, product,
-                      unilateral_weights)
+from .weights import WeightSpec, bilateral_weights, product, unilateral_weights
 
 __all__ = [
     "CATALOG", "CHECK_KINDS", "CatalogEntry", "CertificateReport",
@@ -41,7 +40,7 @@ __all__ = [
     "check_hypercyclicity_witness", "check_kothe_dc", "check_kothe_mly",
     "check_lp_c0_dc", "check_mly_condition_A", "check_mly_condition_B",
     "check_mop_sufficient", "condition_c_check", "continuity_check",
-    "density_envelope", "export_config", "forward_product", "lp_space",
+    "density_envelope", "export_config", "lp_space",
     "metric", "operator_from_config",
     "prefix_ratio", "product", "rapidly_decreasing_space",
     "refute_dc_condition_A", "refute_hypercyclicity", "run_check",

@@ -262,14 +262,6 @@ _U = 2.0 ** -53  # the unit roundoff of float64
 STEP_CHUNKS = 4
 
 
-def _steps(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """[lo, hi] cut into consecutive steps of STEP_CHUNKS * numerics.CHUNK
-    cells (the last may be shorter); none when hi < lo."""
-    step = STEP_CHUNKS * numerics.CHUNK
-    for a in range(lo, hi + 1, step):
-        yield a, min(a + step - 1, hi)
-
-
 def _bad_steps(op: ShiftOperator, anchors: list[int], horizon: int, level: float,
                ks: tuple[int, ...]) -> Iterator[tuple[int, int, Cells]]:
     """(n0, n1, cells) per step [n0, n1] of [1, horizon]: per anchor i and
@@ -290,7 +282,8 @@ def _bad_steps(op: ShiftOperator, anchors: list[int], horizon: int, level: float
     """
     dense = [_DenseCells(op, i, ks, a * len(ks)) for a, i in enumerate(anchors)]
     walks = [_orbit_walk(op, i, horizon, level, cells) for i, cells in zip(anchors, dense)]
-    for (n0, n1), step in zip(_steps(1, horizon), _lockstep(walks)):
+    for (n0, n1), step in zip(chunk_spans(1, horizon, STEP_CHUNKS * numerics.CHUNK),
+                              _lockstep(walks)):
         parts = [s for s in step if not isinstance(s, _OrbitPieces)]  # decided cells
         pieces = [s for s in step if isinstance(s, _OrbitPieces)]
         if pieces:
@@ -318,7 +311,7 @@ def _orbit_walk(op: ShiftOperator, i: int, horizon: int, level: float,
     # past alive the orbit has left N: no cell there reaches a level
     alive = horizon if op.space.index_set is IndexSet.Z else min(horizon, i - 1)
     carry = (0.0, 0.0, 0.0)
-    for n0, n1 in _steps(1, horizon):
+    for n0, n1 in chunk_spans(1, horizon, STEP_CHUNKS * numerics.CHUNK):
         hi = min(n1, alive)
         if n0 > hi:
             yield _NO_CELLS
@@ -855,16 +848,15 @@ def check_hypercyclicity_witness(op: ShiftOperator, n_seq: Sequence[int],
     log_tol = math.log(decay_tol)
     T = len(n_seq)
     # anchor-major, then the backward (ell, n) and forward (ell + n, n) family
-    signs, logs = products(op.weights, [(ell + s * n, n) for ell in ells
-                                        for s in (0, 1) for n in n_seq])
     shape = (len(ells), 2, T)
-    logs = np.array(logs).reshape(shape)
+    logs = np.array(products(op.weights, [(ell + s * n, n) for ell in ells
+                                          for s in (0, 1) for n in n_seq])).reshape(shape)
     scalar = np.maximum(_settle_indices(logs[:, 0], log_tol),
                         _settle_indices(-logs[:, 1], log_tol))
     semi = np.ones(len(ells), dtype=np.int64)
     ks = range(1, k_max + 1)
     if ks:
-        live = np.array(signs).reshape(shape) != 0  # forward terms always are
+        live = logs > NEG_INF  # forward terms always are
         cols: dict[int, int] = {}  # row index -> column, in the order met
         where = np.array([cols.setdefault(ell + s * n, len(cols)) if keep else -1
                           for ell, fams in zip(ells, live)
@@ -992,7 +984,7 @@ def search_witness_dc(op: ShiftOperator, m: int = 1,
     anchors = [i for i in range(lo, hi + 1) if op.space.index_set.contains(i)]
     if not anchors or N_max < 1:
         raise ValueError("empty anchor window or horizon")
-    if len(anchors) * N_max > DENSE_CELL_CAP:
+    if N_max > MAX_DENSE or len(anchors) * N_max > DENSE_CELL_CAP:
         raise ValueError("search window too large")
     ns = np.arange(1, N_max + 1)
     num: dict[int, np.ndarray] = {}

@@ -180,7 +180,7 @@ def _average_log(op: ShiftOperator, entry, m: int, mode: str) -> float:
 def _average_row(k: int, N: int, avg_log: float) -> dict:
     """An averaging level passes iff the average is >= k (non-strict); a
     vanishing orbit averages 0 and fails."""
-    return {"k": k, "N_k": N, "average": LogScalar.from_log(1, avg_log), "target": k,
+    return {"k": k, "N_k": N, "average": LogScalar.from_log(avg_log), "target": k,
             "pass": avg_log >= math.log(k)}
 
 
@@ -252,13 +252,13 @@ def check_acb(op: ShiftOperator,
         raise ValueError("need at least one probe")
     results = []
     for label, index, coeff, N in probes:
-        c = LogScalar.from_real(float(coeff))
-        if c.sign == 0:
+        term = WitnessTerm.of(index, coeff)
+        if term.coeff.sign == 0:
             raise ValueError(f"probe {label!r} has zero coefficient")
-        norm = seminorm(op.space, SparseVector.from_terms([(index, c)]), 1)
+        norm = seminorm(op.space, SparseVector.from_terms([(term.index, term.coeff)]), 1)
         if norm.sign == 0:
             raise ValueError(f"probe {label!r} has zero norm")
-        probe = DCWitnessEntry(1, int(N), (WitnessTerm(int(index), c),))
+        probe = DCWitnessEntry(1, int(N), (term,))
         results.append((label, int(N), _average_log(op, probe, 1, "auto"), norm.logmag))
     rows = []
     all_witnessed = True

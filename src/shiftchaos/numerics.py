@@ -3,8 +3,10 @@
 Weight products along an orbit multiply thousands of factors like 2 or 1/2,
 so their magnitudes leave IEEE double range almost immediately.  Everything
 downstream (seminorms, certificate counts, Cesaro sums) therefore carries a
-natural-log magnitude and keeps the sign separately.  A value is zero exactly
-when sign == 0 and logmag == -inf.
+natural-log magnitude.  The operator side reads magnitudes only (see
+weights); a sign survives in SparseVector's arithmetic, whose x - y
+spaces.metric takes.  A value is zero exactly when sign == 0 and
+logmag == -inf.
 
 Strict threshold comparisons ("ratio > k") happen directly on log magnitudes
 with no tolerance slack: a tie in the log domain is a failure of the strict
@@ -62,10 +64,11 @@ class LogScalar:
         return LogScalar(1 if x > 0 else -1, math.log(abs(x)))
 
     @staticmethod
-    def from_log(sign: int, logmag: float) -> "LogScalar":
-        if sign == 0 or logmag == NEG_INF:
+    def from_log(logmag: float) -> "LogScalar":
+        """The magnitude e^logmag; zero at -inf."""
+        if logmag == NEG_INF:
             return ZERO
-        return LogScalar(1 if sign > 0 else -1, float(logmag))
+        return LogScalar(1, float(logmag))
 
     def to_real(self) -> float:
         """Back to a plain float; overflows to +-inf rather than raising."""
@@ -84,31 +87,6 @@ class LogScalar:
         if self.sign == 0 or other.sign == 0:
             return ZERO
         return LogScalar(self.sign * other.sign, self.logmag + other.logmag)
-
-    def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by LogScalar zero")
-        if self.sign == 0:
-            return ZERO
-        return LogScalar(self.sign * other.sign, self.logmag - other.logmag)
-
-    def __neg__(self) -> "LogScalar":
-        if self.sign == 0:
-            return ZERO
-        return LogScalar(-self.sign, self.logmag)
-
-    def __abs__(self) -> "LogScalar":
-        if self.sign == 0:
-            return ZERO
-        return LogScalar(1, self.logmag)
-
-    def abs_pow(self, p: float) -> "LogScalar":
-        """|x| ** p in the log domain."""
-        if self.sign == 0:
-            if p <= 0:
-                raise ValueError("0 ** nonpositive power")
-            return ZERO
-        return LogScalar(1, self.logmag * p)
 
     def decimal_str(self, digits: int = 12) -> str:
         """Scientific-notation decimal string, exact about the exponent even
@@ -185,10 +163,11 @@ def logsumexp_p(logs: Iterable[float], p: float) -> float:
 CHUNK = 1 << 18
 
 
-def chunk_spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """[lo, hi] cut into consecutive spans [a, b] of CHUNK cells (the last
-    may be shorter); none when hi < lo."""
-    step = CHUNK
+def chunk_spans(lo: int, hi: int, step: int | None = None) -> Iterator[tuple[int, int]]:
+    """[lo, hi] cut into consecutive spans [a, b] of step cells, CHUNK as it
+    reads at the call when step is None (the last may be shorter); none
+    when hi < lo."""
+    step = CHUNK if step is None else step
     for a in range(lo, hi + 1, step):
         yield a, min(a + step - 1, hi)
 

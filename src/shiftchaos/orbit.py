@@ -41,15 +41,16 @@ DENSE_CELL_CAP = 40_000_000
 
 @dataclass(frozen=True)
 class WitnessTerm:
-    """One coefficient b at basis index i of a witness vector."""
+    """One coefficient |b| at basis index i of a witness vector: the indices
+    of a witness are distinct, so B^n x has one term per coordinate and no
+    seminorm of it reads the sign of b."""
 
     index: int
     coeff: LogScalar
 
     @staticmethod
-    def of(index: int, coeff) -> "WitnessTerm":
-        c = coeff if isinstance(coeff, LogScalar) else LogScalar.from_real(float(coeff))
-        return WitnessTerm(int(index), c)
+    def of(index: int, coeff: float) -> "WitnessTerm":
+        return WitnessTerm(int(index), LogScalar.from_real(abs(float(coeff))))
 
 
 def single_term_pieces(op: ShiftOperator, term: WitnessTerm, m: int,

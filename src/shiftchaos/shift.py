@@ -38,19 +38,6 @@ class ShiftOperator:
             raise ValueError("space and weights disagree about the index set")
 
 
-def apply(op: ShiftOperator, x: SparseVector) -> SparseVector:
-    """One application of B_w."""
-    terms = []
-    for j, v in x.items_sorted():
-        target = j - 1
-        if not op.space.index_set.contains(target):
-            continue
-        w = op.weights.weight_at(target)
-        if w.sign != 0:
-            terms.append((target, w * v))
-    return SparseVector.from_terms(terms)
-
-
 def orbit_seminorm_log_array(op: ShiftOperator, x: SparseVector, m: int,
                              n_max: int) -> np.ndarray:
     """ln ||B^n x||_m for n = 0..n_max as one dense array."""

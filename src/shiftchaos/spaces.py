@@ -287,7 +287,7 @@ def seminorm(space: SpaceSpec, x: SparseVector, k: int) -> LogScalar:
         if not space.index_set.contains(j):
             raise ValueError(f"vector has support at {j} outside {space.index_set}")
         terms.append(space.matrix.log_entry(j, k) + v.logmag)
-    return LogScalar.from_log(1, logsumexp_p(terms, space.p))
+    return LogScalar.from_log(logsumexp_p(terms, space.p))
 
 
 def add_metric_levels(acc: np.ndarray, logs: np.ndarray,

@@ -8,8 +8,11 @@ i.e. the scalar that survives when the n-th shift iterate hits the basis
 vector e_i.  On the natural numbers the convention w_j = 0 for j < 1 makes
 P(i, n) vanish as soon as the orbit falls off the left edge.
 
-Every reader takes ln |w_j| from _log_abs, numpy's log as for the matrix
-rows, so the routes below agree at ties.  Products are served three ways:
+Only |P(i, n)| is ever read, and negative weights stay accepted input: every
+space here is solid, so D e_j = eps_j e_j with eps_j = eps_{j-1} sgn w_{j-1}
+is an isometry of every seminorm, and D^-1 B_w D = B_|w|.  Every reader takes
+ln |w_j| from _log_abs, numpy's log as for the matrix rows, so the routes
+below agree at ties.  Products are served three ways:
   products(w, pairs)          exact counts: fsum of count * ln|v| over the
                               per-value counts of the weights on each span
                               [i-n, i-1], as differences of prefix counts
@@ -27,9 +30,7 @@ rows, so the routes below agree at ties.  Products are served three ways:
                               and one cumsum seeded with ln|P(i, a - 1)|, so
                               consecutive slices are bit for bit one cumsum;
                               shift.basis_orbit_logs walks a dense horizon
-                              (N <= ~2e7) in CHUNK-cell slices of it.  Every
-                              dense verdict compares seminorms, so the dense
-                              route carries magnitudes only: no signs
+                              (N <= ~2e7) in CHUNK-cell slices of it
   product_log_table(w, i, N)  the whole-range reference: one slice over
                               [0, N], no check reads it
   product_pieces(w, i, ...)   piecewise log-linear form for closed-form
@@ -45,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, ZERO, LogScalar
+from .numerics import NEG_INF, LogScalar
 from .sequences import (Run, RunQueryTooWide, SequenceBase, SplitSequence, _count_dtype,
                         run_arrays)
 from .spaces import IndexSet
@@ -75,12 +76,6 @@ class WeightSpec:
         for j in ([1, 2, 3, 17] if index_set is IndexSet.N else [-17, -2, -1, 0, 1, 17]):
             if seq.value_at(j) == 0.0:
                 raise _zero_weight(j)
-
-    def weight_at(self, j: int) -> LogScalar:
-        if not self.index_set.contains(j):
-            return ZERO
-        v = self.seq.value_at(j)
-        return ZERO if v == 0.0 else LogScalar(1 if v > 0 else -1, _log_abs(v).item())
 
     def run_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(ln |v| once per run, run counts) for on-domain j in [lo, hi] from
@@ -125,20 +120,18 @@ def unilateral_weights(seq: SequenceBase) -> WeightSpec:
 
 
 def product(w: WeightSpec, i: int, n: int) -> LogScalar:
-    """P(i, n) = w_{i-n} ... w_{i-1}; exact zero if the range leaves the domain.
+    """|P(i, n)| = |w_{i-n} ... w_{i-1}|; exact zero if the range leaves the
+    domain.
 
     The one-pair case of `products`.  An on-domain zero weight in the range
     raises ValueError naming its index.
     """
-    signs, logs = products(w, [(i, n)])
-    return LogScalar(signs[0], logs[0])
+    return LogScalar.from_log(products(w, [(i, n)])[0])
 
 
-def products(w: WeightSpec, pairs: Sequence[tuple[int, int]]
-             ) -> tuple[list[int], list[float]]:
-    """(signs, ln |P(i, n)|) for the (i, n) in pairs, in order, from one
-    exact-count pass; sign 0 and log -inf mark a span that leaves the
-    domain (an exact zero).
+def products(w: WeightSpec, pairs: Sequence[tuple[int, int]]) -> list[float]:
+    """ln |P(i, n)| for the (i, n) in pairs, in order, from one exact-count
+    pass; -inf marks a span that leaves the domain (an exact zero).
 
     Each span [i-n, i-1] takes its per-value counts as the difference of the
     prefix counts at its two ends, over the sorted distinct ends of all
@@ -165,17 +158,16 @@ def products(w: WeightSpec, pairs: Sequence[tuple[int, int]]
     """
     if any(n < 0 for _, n in pairs):
         raise ValueError("n must be >= 0")
-    signs, logs = np.ones(len(pairs), np.int64), np.zeros(len(pairs))
+    logs = np.zeros(len(pairs))
     half = w.index_set is IndexSet.N
     if half:  # spans leaving the half line: exact zeros
-        off = [p for p, (i, n) in enumerate(pairs) if n and i - n < 1]
-        signs[off], logs[off] = 0, NEG_INF
+        logs[[p for p, (i, n) in enumerate(pairs) if n and i - n < 1]] = NEG_INF
     # the spans [lo, stop - 1] of the pairs in pos
     pos = [p for p, (i, n) in enumerate(pairs) if n and not (half and i - n < 1)]
     los = [pairs[p][0] - pairs[p][1] for p in pos]
     stops = [pairs[p][0] for p in pos]
     if not pos:
-        return signs.tolist(), logs.tolist()
+        return logs.tolist()
     lo, hi = min(los), max(stops) - 1
     dtype = _count_dtype(lo, hi)
     # ends as offsets from lo, and where each span's two ends sit among them
@@ -203,8 +195,7 @@ def products(w: WeightSpec, pairs: Sequence[tuple[int, int]]
             w.run_logs(los[s], stops[s] - 1)  # raises, naming the zero nearest stop - 1
         raise ValueError(f"ln |P| over [{los[s]}, {stops[s] - 1}] overflows to -inf")
     logs[pos] = sums
-    signs[pos] = np.where(counts[values < 0.0].sum(axis=0) % 2 == 1, -1, 1)
-    return signs.tolist(), logs.tolist()
+    return logs.tolist()
 
 
 def _run_prefix_counts(seq: SequenceBase, lo: int, hi: int, ends: np.ndarray
@@ -250,11 +241,6 @@ def _gap_prefix_counts(w: WeightSpec, lo: int, ends: list[int], dtype
                 cols[v] = [0] * len(ends)
             cols[v][t] = c
     return np.array(list(cols)), np.cumsum(np.array(list(cols.values()), dtype), axis=1)
-
-
-def forward_product(w: WeightSpec, i: int, n: int) -> LogScalar:
-    """w_i * w_{i+1} * ... * w_{i+n-1} (the divisor in hypercyclicity checks)."""
-    return product(w, i + n, n)
 
 
 def check_dense_length(n_max: int) -> None:

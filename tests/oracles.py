@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the package's log-domain machinery: the
 oracles work with plain Python floats / Fractions and only touch the scalar
-entry points (``value_at``, ``weight_at``, ``log_entry``).  Expected values
+entry points (``value_at``, ``log_entry``).  Expected values
 frozen into the tests were produced by these functions.
 """
 
@@ -15,12 +15,12 @@ from fractions import Fraction
 import numpy as np
 
 from shiftchaos.density import DensityEnvelope
-from shiftchaos.numerics import LogScalar, SparseVector
+from shiftchaos.numerics import ZERO, LogScalar, SparseVector
 from shiftchaos.reports import CertificateReport
 from shiftchaos.sequences import BlockSideSequence, ConstantSequence, SplitSequence
-from shiftchaos.shift import ShiftOperator, apply
+from shiftchaos.shift import ShiftOperator
 from shiftchaos.spaces import IndexSet, SpaceSpec
-from shiftchaos.weights import Piece, WeightSpec, forward_product, product
+from shiftchaos.weights import Piece, WeightSpec, product
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,30 @@ def logmul(a: LogScalar, b: LogScalar) -> LogScalar:
 def shift_indices(v: SparseVector, offset: int) -> SparseVector:
     """v with every index moved by offset."""
     return SparseVector({i + offset: x for i, x in v.items_sorted()})
+
+
+def weight_at(w: WeightSpec, j: int) -> LogScalar:
+    """|w_j| with the library's float, numpy's log of |v|; zero off-domain."""
+    if not w.index_set.contains(j):
+        return ZERO
+    v = w.seq.value_at(j)
+    return ZERO if v == 0.0 else LogScalar(1, float(np.log(abs(v))))
+
+
+def forward_product(w: WeightSpec, i: int, n: int) -> LogScalar:
+    """|w_i * w_{i+1} * ... * w_{i+n-1}| (the divisor in hypercyclicity
+    checks), as the library's product |P(i + n, n)|."""
+    return product(w, i + n, n)
+
+
+def apply(op: ShiftOperator, x: SparseVector) -> SparseVector:
+    """One application of B_|w|, the shift the library's products read."""
+    terms = []
+    for j, v in x.items_sorted():
+        w = weight_at(op.weights, j - 1)
+        if w.sign != 0:
+            terms.append((j - 1, w * v))
+    return SparseVector.from_terms(terms)
 
 
 def iterate_basis(op: ShiftOperator, i: int, n: int) -> SparseVector:
@@ -78,29 +102,28 @@ def naive_weight_product(w: WeightSpec, i: int, n: int) -> float:
         return 0.0
     out = 1.0
     for j in range(i - n, i):
-        out *= abs(w.weight_at(j).to_real())
+        out *= weight_at(w, j).to_real()
     return out
 
 
 LONG_SPAN = 500  # longer spans are counted block by block
 
 
-def exact_count_product_log(w: WeightSpec, i: int, n: int) -> tuple[int, float]:
-    """(sign, ln|w_{i-n} * ... * w_{i-1}|) from per-value counts.
+def exact_count_product_log(w: WeightSpec, i: int, n: int) -> float:
+    """ln|w_{i-n} * ... * w_{i-1}| from per-value counts.
 
     Counts each distinct value exactly: index by index through ``value_at``
     on spans of at most LONG_SPAN indices, and by walking the block
     generator's (value, count) runs on longer ones (so a ramp span out to
     ``segment_end(201)`` stays cheap, and neither route reads the cached
-    prefix counts behind ``value_counts``).  The sign is the parity of the
-    negative values' counts and the log magnitude fsum(c * ln|v|), with
-    ln|v| numpy's log: the library's float input, so the comparison stays
-    bitwise.  Off-domain ranges give (0, -inf).
+    prefix counts behind ``value_counts``).  The log magnitude is
+    fsum(c * ln|v|), with ln|v| numpy's log: the library's float input, so
+    the comparison stays bitwise.  Off-domain ranges give -inf.
     """
     if n == 0:
-        return 1, 0.0
+        return 0.0
     if w.index_set is IndexSet.N and i - n < 1:
-        return 0, -math.inf
+        return -math.inf
     counts: dict[float, int] = {}
     if n <= LONG_SPAN:
         for j in range(i - n, i):
@@ -108,9 +131,7 @@ def exact_count_product_log(w: WeightSpec, i: int, n: int) -> tuple[int, float]:
             counts[v] = counts.get(v, 0) + 1
     else:
         _add_counts_by_blocks(w.seq, i - n, i - 1, counts)
-    negatives = sum(c for v, c in counts.items() if v < 0)
-    return (-1 if negatives % 2 else 1,
-            math.fsum(c * float(np.log(abs(v))) for v, c in counts.items()))
+    return math.fsum(c * float(np.log(abs(v))) for v, c in counts.items())
 
 
 def _add_counts_by_blocks(seq, lo: int, hi: int, counts: dict[float, int]) -> None:
@@ -353,7 +374,7 @@ def naive_forward_product(w: WeightSpec, i: int, n: int) -> float:
     """|w_i * ... * w_{i+n-1}| by direct multiplication."""
     out = 1.0
     for j in range(i, i + n):
-        out *= abs(w.weight_at(j).to_real())
+        out *= weight_at(w, j).to_real()
     return out
 
 
@@ -455,7 +476,7 @@ def exact_single_term_average(op: ShiftOperator, index: int,
         j = index - n
         if not op.space.index_set.contains(j):
             break
-        prod *= Fraction(abs(op.weights.weight_at(j).to_real()))
+        prod *= Fraction(weight_at(op.weights, j).to_real())
         total += prod * Fraction(op.space.matrix.base.value_at(j))
     return total / N
 

@@ -50,7 +50,7 @@ from shiftchaos.spaces import (
     metric,
     seminorm,
 )
-from shiftchaos.weights import forward_product, product
+from shiftchaos.weights import product
 
 
 def _criterion(num: int, slug: str, checks: dict[str, bool]) -> None:

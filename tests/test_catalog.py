@@ -122,6 +122,50 @@ class TestExpectedSuites:
             assert row["agrees"], f"{row['check']}: {row['actual']}"
 
 
+def _negated_weights(node):
+    """A weights subtree with every constant value and template base
+    negated.  ramp_plateau has no sign parameter, so a side built from it
+    keeps its signs."""
+    if not isinstance(node, dict):
+        return node
+    out = {key: _negated_weights(value) for key, value in node.items()}
+    if node.get("kind") == "constant":
+        out["value"] = -node["value"]
+    if "base" in node.get("params", {}):
+        out["params"]["base"] = -node["params"]["base"]
+    return out
+
+
+def _negated_coefficients(check: dict) -> dict:
+    """A check with every witness-schedule and probe coefficient negated."""
+    out = dict(check)
+    if "schedule" in check:
+        out["schedule"] = [[k, N, [[i, -c] for i, c in terms]]
+                           for k, N, terms in check["schedule"]]
+    if "probes" in check:
+        out["probes"] = [[label, i, -c, N] for label, i, c, N in check["probes"]]
+    return out
+
+
+class TestSignInvariance:
+    # D e_j = eps_j e_j with eps_j = eps_{j-1} sgn w_{j-1} is an isometry of
+    # every (solid) space here and D^-1 B_w D = B_|w|; a witness has one
+    # term per index.  So no report may read the sign of a weight or of a
+    # coefficient.
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_negated_signs_give_the_same_report_bytes(self, name):
+        config = catalog.export_config(name)
+        flipped = copy.deepcopy(config)
+        flipped["weights"] = _negated_weights(config["weights"])
+        op = catalog.operator_from_config(config)
+        flipped_op = catalog.operator_from_config(flipped)
+        assert flipped_op.weights.seq.value_at(1) < 0
+        for check in config["checks"]:
+            want = catalog.run_check(op, check).to_json()
+            got = catalog.run_check(flipped_op, _negated_coefficients(check)).to_json()
+            assert got == want, check["kind"]
+
+
 class TestExportConfig:
     def test_deepcopy_isolation(self):
         a = catalog.export_config("ex4_lp_mly_not_hc")

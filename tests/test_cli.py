@@ -292,6 +292,15 @@ class TestRouteErrors:
         assert (code, out) == (3, "")
         assert err == f"error: {message}\n"
 
+    def test_search_past_the_dense_cap_exits_three(self, capsys, tmp_path):
+        # one anchor keeps the window under DENSE_CELL_CAP, but the search
+        # has only the dense route, which stops at MAX_DENSE
+        check = {"kind": "dc_search", "m": 1, "k_range": [1], "anchor_window": [5, 5],
+                 "N_max": 20_000_001}
+        code, out, err = self._run(capsys, tmp_path, "rolewicz_lp_N", check)
+        assert (code, out) == (3, "")
+        assert err == "error: search window too large\n"
+
 
 class TestVanishingOrbit:
     # e_1 on N is annihilated at every n >= 1: the average is 0, so the MLY

@@ -49,28 +49,8 @@ class TestLogScalar:
         got = (LogScalar.from_real(a) * LogScalar.from_real(b)).to_real()
         assert close(got, a * b, rel=1e-12)
 
-    @given(nonzero_reals, nonzero_reals)
-    def test_div_matches_real(self, a, b):
-        got = (LogScalar.from_real(a) / LogScalar.from_real(b)).to_real()
-        assert close(got, a / b, rel=1e-12)
-
-    def test_div_by_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            ONE / ZERO
-
-    @given(finite_reals)
-    def test_neg_abs(self, a):
-        la = LogScalar.from_real(a)
-        assert close((-la).to_real(), -a)
-        assert close(abs(la).to_real(), abs(a))
-
-    @given(nonzero_reals, st.sampled_from([0.5, 1.0, 2.0, 3.0]))
-    def test_abs_pow(self, a, p):
-        got = LogScalar.from_real(a).abs_pow(p).to_real()
-        assert close(got, abs(a) ** p, rel=1e-11)
-
     def test_huge_magnitudes_stay_finite(self):
-        big = LogScalar.from_log(1, 5000.0)
+        big = LogScalar.from_log(5000.0)
         prod = big * big
         assert prod.logmag == 10000.0 and prod.sign == 1
         assert math.isinf(prod.to_real())
@@ -80,7 +60,7 @@ class TestLogScalar:
         s = LogScalar.from_real(-2.0).decimal_str(6)
         assert s.startswith("-2.0")
         # far outside float range: rendered via exponent arithmetic
-        s = LogScalar.from_log(1, 10000.0).decimal_str(4)
+        s = LogScalar.from_log(10000.0).decimal_str(4)
         assert "e+" in s
         mant, expo = s.split("e+")
         assert int(expo) == math.floor(10000.0 / math.log(10))
@@ -121,7 +101,7 @@ class TestReductions:
     @given(st.lists(finite_reals, min_size=1, max_size=20))
     def test_sup_abs(self, xs):
         # the p = 0 form is the max; zeros come in as -inf and drop out
-        got = LogScalar.from_log(1, logsumexp_p(
+        got = LogScalar.from_log(logsumexp_p(
             [LogScalar.from_real(x).logmag for x in xs], 0))
         assert close(got.to_real(), max(abs(x) for x in xs))
 
@@ -132,7 +112,7 @@ class TestReductions:
         assert logadd(ZERO, three) == three
         assert logadd(three, ZERO) == three
         # opposite signs with equal magnitude cancel exactly
-        assert logadd(three, -three).is_zero()
+        assert logadd(three, LogScalar(-1, three.logmag)).is_zero()
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1,
                     max_size=30),

@@ -29,7 +29,6 @@ from shiftchaos.weights import (
     WeightSpec,
     bilateral_weights,
     coalesce_pieces,
-    forward_product,
     product,
     product_log_slice,
     product_log_table,
@@ -146,8 +145,8 @@ class TestOneFloatPerWeight:
         logs, counts = w.run_logs(j - back, j + ahead)
         want = (logs if counts is None else np.repeat(logs, counts))[back].hex()
         assert w.dense_logs(j - back, j + ahead)[back].hex() == want
-        assert w.weight_at(j).logmag.hex() == want
-        assert products(w, [(j + 1, 1)])[1][0].hex() == want
+        assert oracles.weight_at(w, j).logmag.hex() == want
+        assert products(w, [(j + 1, 1)])[0].hex() == want
         assert product_log_slice(w, j + 1, 1, 1)[0].hex() == want
         assert product_pieces(w, j + 1, 1, 1)[0].log0.hex() == want
         if counts is not None:  # a piece's slope is the weight's log too
@@ -193,26 +192,30 @@ class TestProduct:
     @example(("ramp-N", ramp_unilateral(), [(segment_end(201) + a, 10**200 + b)
                                              for a in (-2, 0, 3) for b in (0, 1, 7)]
               + [(5, 0), (3, 3)]))
-    # the same past 2**63 with a negative side, so the sign parity runs on
+    # the same past 2**63 with a negative side, read as its magnitudes on
     # Python int counts
     @example(TIE_CASE + ([(a, 10**70 + b) for a in range(-3, 4) for b in range(5)]
                          + [(0, 2**63 + 1), (2**63 + 5, 2**64)],))
     def test_matches_exact_count_oracle_bitwise(self, case):
         _, w, pairs = case
-        signs, logs = products(w, pairs)
-        for (i, n), sign, logmag in zip(pairs, signs, logs):
-            want_sign, want_log = oracles.exact_count_product_log(w, i, n)
-            assert sign == want_sign
-            assert logmag.hex() == want_log.hex()
+        logs = products(w, pairs)
+        for (i, n), logmag in zip(pairs, logs):
+            assert logmag.hex() == oracles.exact_count_product_log(w, i, n).hex()
         i, n = pairs[0]
-        assert product(w, i, n) == LogScalar(signs[0], logs[0])
+        assert product(w, i, n) == LogScalar.from_log(logs[0])
 
 
     def test_negative_weights_carry_sign(self):
+        # negative weights carry no sign into P: the same spans over |w|
+        # give the same ln |P| bit for bit
         _, w = NEGATIVE_CASE
-        assert product(w, 0, 1) == LogScalar(-1, math.log(2.0))
-        assert product(w, 0, 2) == LogScalar(1, 0.0)
-        assert product(w, 0, 3).sign == -1
+        mags = bilateral_weights(BlockSideSequence(alternating_powers(2.0), -1, -1),
+                                 BlockSideSequence(alternating_powers(2.0), 0, 1))
+        pairs = [(i, n) for i in range(-40, 41, 7) for n in (0, 1, 2, 3, 50, 10**6)]
+        assert ([x.hex() for x in products(w, pairs)]
+                == [x.hex() for x in products(mags, pairs)])
+        assert product(w, 0, 1) == LogScalar(1, math.log(2.0))
+        assert product(w, 0, 3) == product(mags, 0, 3)
 
     def test_deep_product_skips_the_run_walk(self, monkeypatch):
         # n ~ 10**6 spans ~1000 blocks; the count cache must answer without
@@ -228,8 +231,8 @@ class TestProduct:
         assert product(w, 0, 999_000) == ONE
         assert product(w, 0, 10**6) == LogScalar(1, deep)
         # the batch reads the gaps between the span ends [-10**6, -999000, 0]
-        assert products(w, [(0, 10**6), (0, 999_000), (-999_000, 1_000)]) == (
-            [1, 1, 1], [deep, 0.0, 1_000 * math.log(0.5)])
+        assert products(w, [(0, 10**6), (0, 999_000), (-999_000, 1_000)]) == [
+            deep, 0.0, 1_000 * math.log(0.5)]
 
     def test_zero_weight_raises(self):
         with pytest.raises(ValueError, match="weight at -101 is zero"):
@@ -242,7 +245,7 @@ class TestProduct:
             product(closed, 0, 150)
         # a batch raises for its first pair that holds a zero
         w = zero_tail_weights()
-        assert products(w, [(0, 100), (-100, 0)]) == ([1, 1], [100 * math.log(2.0), 0.0])
+        assert products(w, [(0, 100), (-100, 0)]) == [100 * math.log(2.0), 0.0]
         with pytest.raises(ValueError, match="weight at -101 is zero"):
             products(w, [(0, 100), (0, 150), (-150, 10)])
         with pytest.raises(ValueError, match="weight at -151 is zero"):
@@ -258,9 +261,9 @@ class TestProduct:
         assert w.seq.block_count(1, end) == 4
         with pytest.raises(RuntimeError, match="run query exploded"):
             w.seq.run_arrays(1, end)
-        signs, logs = products(w, pairs)
-        for (i, n), sign, logmag in zip(pairs, signs, logs):
-            assert (sign, logmag) == oracles.exact_count_product_log(w, i, n)
+        logs = products(w, pairs)
+        for (i, n), logmag in zip(pairs, logs):
+            assert logmag == oracles.exact_count_product_log(w, i, n)
 
     def test_zero_weight_raises_on_the_one_run_read(self, monkeypatch):
         # the one-index spans over [-100, -1] make each batch reach fewer
@@ -274,7 +277,7 @@ class TestProduct:
         monkeypatch.setattr(w.seq, "value_at", no_gap_read)
         cluster = [(j, 1) for j in range(-99, 1)]
         assert products(w, [(0, 100)] + cluster) == (
-            [1] * 101, [100 * math.log(2.0)] + [math.log(2.0)] * 100)
+            [100 * math.log(2.0)] + [math.log(2.0)] * 100)
         with pytest.raises(ValueError, match="weight at -101 is zero"):
             products(w, [(0, 100)] + cluster + [(0, 150), (-150, 10)])
         with pytest.raises(ValueError, match="weight at -151 is zero"):
@@ -287,14 +290,14 @@ class TestProduct:
         monkeypatch.setattr(ClosedFormSequence, "value_at",
                             lambda self, j: reads.append(j) or value_at(self, j))
         pairs = [(400, 300), (400, 100), (350, 50), (402, 2), (401, 1)]
-        signs, logs = products(w, pairs)
+        logs = products(w, pairs)
         # each gap between span ends is read once, one value_at per index,
         # so the batch reads each index of [100, 401], the union of its
         # spans, once however many spans hold it
         assert sorted(reads) == list(range(100, 402))
-        for (i, n), sign, logmag in zip(pairs, signs, logs):
-            assert (sign, logmag) == oracles.exact_count_product_log(w, i, n)
-            assert product(w, i, n) == LogScalar(sign, logmag)
+        for (i, n), logmag in zip(pairs, logs):
+            assert logmag == oracles.exact_count_product_log(w, i, n)
+            assert product(w, i, n) == LogScalar.from_log(logmag)
         with pytest.raises(ValueError, match="closed-form weights cannot"):
             products(w, [(MAX_DENSE + 5, MAX_DENSE + 1)])
 
@@ -303,7 +306,7 @@ class TestProduct:
     def test_forward_matches_naive(self, case, raw_i, n):
         _, w = case
         i = anchor_for(w, raw_i)
-        got = forward_product(w, i, n)
+        got = oracles.forward_product(w, i, n)
         want = oracles.naive_forward_product(w, i, n)
         assert math.isclose(abs(got.to_real()), want, rel_tol=1e-10)
 
@@ -326,16 +329,16 @@ class TestProduct:
 class TestProductTable:
     @given(weight_cases, st.integers(-20, 20), st.integers(1, 80))
     def test_matches_pointwise_product(self, case, raw_i, n_max):
-        # magnitudes only: sign 0 (annihilation) exactly where the table
-        # reads -inf, and ln |P| elsewhere
+        # -inf (annihilation) exactly where products reads -inf, and
+        # ln |P| elsewhere
         _, w = case
         i = anchor_for(w, raw_i)
         table = product_log_table(w, i, n_max)
-        signs, logs = products(w, [(i, n) for n in range(n_max + 1)])
+        logs = products(w, [(i, n) for n in range(n_max + 1)])
         assert table[0] == 0.0
         for n in range(1, n_max + 1):
-            assert (table[n] == -math.inf) == (signs[n] == 0)
-            if signs[n] != 0:
+            assert (table[n] == -math.inf) == (logs[n] == -math.inf)
+            if logs[n] != -math.inf:
                 assert abs(table[n] - logs[n]) < 1e-9
 
     def test_zero_weight_raises(self):
