@@ -19,25 +19,32 @@ ln base below 0 a cell with ||.||_1 >= 1 reads 1 at every level, so its
 term is the constant 0 + 2^-1 + ... + 2^-depth; the level loop runs on the
 other cells only, gathered, with row k built there as k * row_1, and stops
 at the first level where all of them read ||.||_k >= 1.  Every term is bit
-for bit the plain level loop's.
+for bit the plain level loop's.  Condition (A) and the anchor probe stream
+the series (_cesaro_chunks): a chunk's terms fill one CHUNK buffer, whose
+cumsum is seeded with the last chunk's sum and divided in place by n, and
+the running minimum and its first n carry across chunks, so memory does
+not grow with the horizon.  Only include_series and cesaro_distance_series
+hold the whole series.
 
 Schedules and the level loop (dc_cert.level_report) are the
 distributional-chaos module's, and a level's orbit and its route are
 `orbit`'s; each level here averages where dc_cert counts.  The averaging
 level (_mly_level) compares seminorms, so check_mly_condition_B and
 check_kothe_mly run the same comparison.  check_f3's running product
-averages stay a logaddexp accumulate: prefix sums cannot share one shift
-without underflow.
+averages stay a logaddexp accumulate (prefix sums cannot share one shift
+without underflow), read chunk by chunk through orbit_product_logs with the
+accumulate seeded by the last chunk's running log sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import numerics
 from .dc_cert import (DCWitnessEntry, WitnessScheduleDC, _require_anchors, level_report,
                       schedule_dc)
 from .numerics import NEG_INF, ZERO, LogScalar, SparseVector
@@ -45,7 +52,6 @@ from .orbit import WitnessOrbit, WitnessTerm, require_dense
 from .reports import CertificateReport
 from .shift import ShiftOperator, orbit_product_logs
 from .spaces import IndexSet, add_metric_levels, seminorm
-from .weights import product_log_slice
 
 # An MLY schedule is a DC schedule.
 MLYWitnessEntry = DCWitnessEntry
@@ -72,28 +78,63 @@ class CesaroSeries:
     averages: np.ndarray
 
 
-def cesaro_distance_series(op: ShiftOperator, anchor: int, N: int) -> CesaroSeries:
-    """d(P(anchor, n) e_{anchor-n}, 0) for n = 1..N, with running averages.
+def _cesaro_chunks(op: ShiftOperator, anchor: int, N: int,
+                   terms_out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(n0, running Cesaro means at n in [n0, n1]) per chunk [n0, n1] of [1, N].
 
-    The metric is the truncated series sum_k 2^{-k} min(1, ||.||_k), so every
-    term lies in [0, 1 - 2^-depth] and averages inherit the range exactly.
+    A chunk's terms are written into one buffer of at most CHUNK cells (and
+    copied to terms_out[n0 - 1:n1] when given).  Its cumsum is seeded with
+    the last chunk's prefix sum, so the bits are one cumsum's over [1, N],
+    and it is divided by n in place; the next chunk overwrites the buffer.
     """
     if N < 1:
         raise ValueError("need a positive horizon")
     require_dense(1, N)
-    terms = np.zeros(N)
     depth = op.space.metric_depth
+    buf = np.empty(min(numerics.CHUNK, N))
+    ns = np.arange(1, buf.size + 1, dtype=float)  # n at each cell of the chunk
+    total = 0.0
     for n0, n1, logs in orbit_product_logs(op, anchor, 1, N):
+        vals = buf[:n1 - n0 + 1]
+        vals.fill(0.0)
         rows = op.space.log_rows(anchor - n1, anchor - n0, range(1, depth + 1))
-        add_metric_levels(terms[n0 - 1:n1], logs, rows, op.space.matrix.rule, depth)
-    averages = np.cumsum(terms) / np.arange(1, N + 1)
+        add_metric_levels(vals, logs, rows, op.space.matrix.rule, depth)
+        if terms_out is not None:
+            terms_out[n0 - 1:n1] = vals
+        vals[0] += total
+        np.cumsum(vals, out=vals)
+        total = vals[-1]
+        vals /= ns[:vals.size]
+        ns += vals.size
+        yield n0, vals
+
+
+def cesaro_distance_series(op: ShiftOperator, anchor: int, N: int) -> CesaroSeries:
+    """d(P(anchor, n) e_{anchor-n}, 0) for n = 1..N, with running averages:
+    the chunks of _cesaro_chunks laid end to end.
+
+    The metric is the truncated series sum_k 2^{-k} min(1, ||.||_k), so every
+    term lies in [0, 1 - 2^-depth] and averages inherit the range exactly.
+    """
+    terms, averages = np.empty(max(N, 0)), np.empty(max(N, 0))
+    for n0, vals in _cesaro_chunks(op, anchor, N, terms):
+        averages[n0 - 1:n0 - 1 + vals.size] = vals
     return CesaroSeries(anchor, terms, averages)
 
 
-def _running_min(averages: np.ndarray, start: int) -> tuple[float, int]:
-    seg = averages[start - 1:]
-    at = int(np.argmin(seg))
-    return float(seg[at]), start + at
+def _running_min(chunks: Iterable[tuple[int, np.ndarray]], start: int
+                 ) -> tuple[float, int, float]:
+    """(least average over n >= start, the first n taking it, the average
+    at the last n) of (n0, averages at n0, n0 + 1, ...) chunks."""
+    least, at, last = math.inf, start, math.nan
+    for n0, avgs in chunks:
+        skip = max(start - n0, 0)
+        if skip < avgs.size:
+            t = skip + int(np.argmin(avgs[skip:]))
+            if avgs[t] < least:  # a tie keeps the first n, as np.argmin does
+                least, at = float(avgs[t]), n0 + t
+        last = float(avgs[-1])
+    return least, at, last
 
 
 def check_mly_condition_A(op: ShiftOperator, anchor: int, horizon: int,
@@ -111,8 +152,11 @@ def check_mly_condition_A(op: ShiftOperator, anchor: int, horizon: int,
     if not 1 <= start <= horizon:
         raise ValueError("need 1 <= start <= horizon")
     _require_anchors(op, [anchor])
-    series = cesaro_distance_series(op, anchor, horizon)
-    running_min, at = _running_min(series.averages, start)
+    if include_series:
+        series = cesaro_distance_series(op, anchor, horizon)
+        running_min, at, last = _running_min([(1, series.averages)], start)
+    else:
+        running_min, at, last = _running_min(_cesaro_chunks(op, anchor, horizon), start)
     if running_min < pass_tol:
         verdict = "condition-A-holds-at-horizon"
     elif refute_floor is not None and running_min >= refute_floor:
@@ -129,7 +173,7 @@ def check_mly_condition_A(op: ShiftOperator, anchor: int, horizon: int,
                 for n in range(1, horizon + 1)]
     else:
         rows = [{"anchor": anchor, "running_min": running_min, "argmin_N": at,
-                 "average_at_horizon": float(series.averages[-1])}]
+                 "average_at_horizon": last}]
     return CertificateReport("mly-condition-A", verdict, params, rows)
 
 
@@ -147,8 +191,7 @@ def anchor_equivalence_probe(op: ShiftOperator, anchors: Iterable[int],
     rows = []
     outcomes = set()
     for a in anchors:
-        series = cesaro_distance_series(op, a, horizon)
-        running_min, at = _running_min(series.averages, 1)
+        running_min, at, _ = _running_min(_cesaro_chunks(op, a, horizon), 1)
         below = running_min < pass_tol
         outcomes.add(below)
         rows.append({"anchor": a, "running_min": running_min,
@@ -311,16 +354,13 @@ def check_f3(op: ShiftOperator, horizon: int,
     if horizon < 1:
         raise ValueError("need a positive horizon")
     require_dense(1, horizon)
-    logs = product_log_slice(op.weights, 0, 1, horizon)
-    ns = np.arange(1, horizon + 1)
-    avg_logs = np.logaddexp.accumulate(logs) - np.log(ns)
-    at = int(np.argmin(avg_logs))
-    min_avg = float(np.exp(avg_logs[at])) if avg_logs[at] > NEG_INF else 0.0
+    least, at = _product_average_min(op, horizon)
+    min_avg = float(np.exp(least)) if least > NEG_INF else 0.0
     part1 = min_avg < lim_tol
     acb = check_acb(op, probes, C_grid)
     part2 = acb.verdict == "falsified-at-horizon"
     rows = [{"part": "product-average-liminf", "ok": part1,
-             "running_min": min_avg, "argmin_N": int(ns[at])}]
+             "running_min": min_avg, "argmin_N": at}]
     for r in acb.rows:
         row = {"part": "acb"}
         row.update(r)
@@ -329,3 +369,25 @@ def check_f3(op: ShiftOperator, horizon: int,
     params = {"horizon": horizon, "lim_tol": lim_tol, "C_grid": list(C_grid),
               "acb_verdict": acb.verdict}
     return CertificateReport("mly-equivalence", verdict, params, rows)
+
+
+def _product_average_min(op: ShiftOperator, horizon: int) -> tuple[float, int]:
+    """(least ln of (1/N) sum_{n<=N} |P(0, n)| over N in [1, horizon], the
+    first N taking it), read chunk by chunk through orbit_product_logs.
+
+    Each chunk's logaddexp accumulate is seeded with the last chunk's
+    running log sum, so the bits are one accumulate's over [1, horizon].
+    """
+    ns = np.arange(1, min(numerics.CHUNK, horizon) + 1, dtype=float)  # N at each cell
+    total, least, at = NEG_INF, math.inf, 1
+    for n0, _, logs in orbit_product_logs(op, 0, 1, horizon):
+        if n0 > 1:
+            logs[0] = np.logaddexp(total, logs[0])
+        np.logaddexp.accumulate(logs, out=logs)
+        total = logs[-1]
+        logs -= np.log(ns[:logs.size])
+        ns += logs.size
+        t = int(np.argmin(logs))
+        if logs[t] < least:  # a tie keeps the first N, as np.argmin does
+            least, at = float(logs[t]), n0 + t
+    return least, at

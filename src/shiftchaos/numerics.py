@@ -234,14 +234,18 @@ def _fold_blocks(total: float, blocks: np.ndarray) -> float:
 
 
 def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """logsumexp_p down every column of an (r, N) array of logs, in numpy.
+    """logsumexp_p down every column of an (r, N) array of logs, in numpy;
+    rows is left as it was.
 
     A single row is returned as is; an all -inf column gives -inf.  The
     rows are folded one at a time into (N,) buffers, with no (r, N)
     temporary: the max by np.maximum, then e^(p (row - m)) added in row
     order, which is how an axis-0 sum adds them, so the bytes are the
-    stacked formula's.  Where every column has a finite max, no column is
-    masked; the bytes are the masked form's either way.
+    stacked formula's.  With two rows the max row adds e^0 = 1 exactly,
+    so the sum is 1 + e^(p (min - m)): one exp pass and two buffers.  At
+    p = 1 the identity scalings are skipped.  Where every column has a
+    finite max, no column is masked; the bytes are the masked form's
+    either way.
     """
     _check_p(p)
     if rows.shape[0] == 1:
@@ -252,16 +256,26 @@ def logsumexp_p_rows(rows: np.ndarray, p: float) -> np.ndarray:
     if p == 0:
         return m
     if m.min() > NEG_INF:  # m + ln(sum e^(p (rows - m))) / p
-        out, t = np.empty_like(m), np.empty_like(m)
-        for i, row in enumerate(rows):
-            e = out if i == 0 else t
-            np.subtract(row, m, out=e)
-            e *= p
-            np.exp(e, out=e)
-            if i:
-                out += t
+        if rows.shape[0] == 2:
+            out = np.minimum(rows[0], rows[1])
+            out -= m
+            if p != 1:
+                out *= p
+            np.exp(out, out=out)
+            out += 1.0
+        else:
+            out, t = np.empty_like(m), np.empty_like(m)
+            for i, row in enumerate(rows):
+                e = out if i == 0 else t
+                np.subtract(row, m, out=e)
+                if p != 1:
+                    e *= p
+                np.exp(e, out=e)
+                if i:
+                    out += t
         np.log(out, out=out)
-        out /= p
+        if p != 1:
+            out /= p
         out += m
         return out
     out = np.full(rows.shape[1], NEG_INF)

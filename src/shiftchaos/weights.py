@@ -28,7 +28,8 @@ below agree at ties.  Products are served three ways:
   product_log_slice(w, i, a, b, carry)
                               ln|P(i, n)| for n in [a, b] from one runs pass
                               and one cumsum seeded with ln|P(i, a - 1)|, so
-                              consecutive slices are bit for bit one cumsum;
+                              consecutive slices are bit for bit one cumsum
+                              (a slice on |w| = 1 is filled with the seed);
                               shift.basis_orbit_logs walks a dense horizon
                               (N <= ~2e7) in CHUNK-cell slices of it
   product_log_table(w, i, N)  the whole-range reference: one slice over
@@ -255,18 +256,25 @@ def product_log_slice(w: WeightSpec, i: int, n0: int, n1: int,
     ln |P(i, n0 - 1)| (0.0 at n0 = 0).
 
     The carry is added to the first factor before the cumsum, never after,
-    so consecutive slices are bit for bit one cumsum over [0, n1].  Entries
-    past `live` (the last n with i - n on the domain) are -inf: annihilation,
-    not an error.  A zero weight raises, naming the zero nearest n0.
+    so consecutive slices are bit for bit one cumsum over [0, n1].  Where
+    every weight of the slice has |w| = 1 (every run log is 0) each prefix
+    is carry + 0, so the slice is filled with it and neither repeated nor
+    summed.  Entries past `live` (the last n with i - n on the domain) are
+    -inf: annihilation, not an error.  A zero weight raises, naming the zero
+    nearest n0.  The array is a fresh one, the caller's to overwrite.
     """
     live = n1 if w.index_set is IndexSet.Z else max(0, min(n1, i - 1))
     a = max(n0, 1)  # the first n with a weight factor
     logs = np.empty(0)
     if live >= a:
-        la = w.dense_logs(i - live, i - a)  # entry t is ln|w_{i-live+t}|
-        la[-1] += carry  # the factor at n = a
-        logs = la[::-1]  # entry n - a, summed in place
-        np.cumsum(logs, out=logs)
+        run_logs, counts = w.run_logs(i - live, i - a)  # in index order
+        if not run_logs.any():  # |w| = 1 on the span
+            logs = np.full(live - a + 1, carry + 0.0)
+        else:
+            la = run_logs if counts is None else np.repeat(run_logs, counts)
+            la[-1] += carry  # the factor at n = a; entry t is ln|w_{i-live+t}|
+            logs = la[::-1]  # entry n - a, summed in place
+            np.cumsum(logs, out=logs)
     if (a, live) == (n0, n1):
         return logs
     out = np.full(n1 - n0 + 1, NEG_INF)

@@ -94,6 +94,15 @@ def _streamed_reports(op: ShiftOperator, anchors: list[int]) -> list[str]:
                  auto_a_horizon=0),
         _outcome(mly_cert.check_mly_condition_A, op, anchors[0], HORIZON,
                  include_series=True),
+        # the streamed readers: running min, its first N and the last average
+        _outcome(mly_cert.check_mly_condition_A, op, anchors[-1], HORIZON, start=5,
+                 refute_floor=0.5),
+        _outcome(mly_cert.anchor_equivalence_probe, op, anchors, HORIZON),
+        # f3's product averages read the weights alone: on lp(J) any layout's
+        # weights get past the constant-row guard
+        _outcome(mly_cert.check_f3, ShiftOperator(lp_space(1, op.space.index_set),
+                                                  op.weights),
+                 HORIZON, mly_cert.basis_probes([anchors[0]], [50]), C_grid=(1.0,)),
         _outcome(dc_cert.check_dc_search, op, k_range=(1, 2),
                  anchor_window=(anchors[0], anchors[0] + 3), N_max=HORIZON),
         _outcome(orbit_seminorm_log_array, op, x, 2, HORIZON),
@@ -319,30 +328,61 @@ def test_cesaro_series_matches_the_level_loop_bytewise(monkeypatch, chunk, name,
         terms, averages = _cesaro_reference(name, a, N)
         assert series.terms.tobytes() == terms.tobytes(), a
         assert series.averages.tobytes() == averages.tobytes(), a
+        # the streamed minimum carries across chunks; on a tie (every n on
+        # ex1's orbit of 150 and the ramp's of 1) the first n wins
+        for start in (1, min(9, N)):
+            at = start + int(np.argmin(averages[start - 1:]))
+            row = mly_cert.check_mly_condition_A(op, a, N, start=start).rows[0]
+            assert (row["running_min"], row["argmin_N"], row["average_at_horizon"]) \
+                == (float(averages[at - 1]), at, float(averages[-1])), (a, start)
 
 
-SLICE_CASES = twt.WEIGHT_CASES + [twt.NEGATIVE_CASE, twt.CLOSED_CASE]
+F3_CASES = [c for c in twt.WEIGHT_CASES + [twt.NEGATIVE_CASE, twt.SIGN_FLIP_CASE]
+            if c[1].index_set is IndexSet.Z]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS + (SINGLE,))
+@pytest.mark.parametrize("name, w", F3_CASES, ids=[c[0] for c in F3_CASES])
+def test_f3_minimum_matches_one_accumulate(monkeypatch, chunk, name, w):
+    # f3's running product averages, carried across chunks, against one
+    # logaddexp accumulate over [1, N]; under |w| = 1 left of 0 (sign
+    # flips) the minimum ties at 42 N, and the first must win
+    monkeypatch.setattr(numerics, "CHUNK", chunk)
+    op = ShiftOperator(lp_space(1, IndexSet.Z), w)
+    avg_logs = (np.logaddexp.accumulate(product_log_slice(w, 0, 1, HORIZON))
+                - np.log(np.arange(1, HORIZON + 1)))
+    at = int(np.argmin(avg_logs))
+    row = mly_cert.check_f3(op, HORIZON, mly_cert.basis_probes([0], [5]),
+                            C_grid=(1.0,)).rows[0]
+    assert (row["running_min"], row["argmin_N"]) == (float(np.exp(avg_logs[at])), at + 1)
+
+
+SLICE_CASES = twt.WEIGHT_CASES + [twt.NEGATIVE_CASE, twt.CLOSED_CASE, twt.SIGN_FLIP_CASE]
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("name, w", SLICE_CASES, ids=[c[0] for c in SLICE_CASES])
 def test_slices_match_products_at_every_n(monkeypatch, chunk, name, w):
     # chunked slices, each seeded with the last one's carry, against the
-    # exact products: -inf exactly where P(i, n) is an exact zero.  On N the
-    # orbits of 1, 2 and 40 leave the domain before most chunk starts
+    # exact products: -inf exactly where P(i, n) is an exact zero; and
+    # against one slice, bit for bit.  On N the orbits of 1, 2 and 40 leave
+    # the domain before most chunk starts
     monkeypatch.setattr(numerics, "CHUNK", chunk)
     anchors = [1, 2, 40, 150] if w.index_set is IndexSet.N else [-3, 0, 40]
     for i in anchors:
         logs = products(w, [(i, n) for n in range(HORIZON + 1)])
-        carry = 0.0
+        carry, slices = 0.0, []
         for n0, n1 in numerics.chunk_spans(0, HORIZON):
             got = product_log_slice(w, i, n0, n1, carry)
             carry = got[-1]
+            slices.append(got.tobytes())
             assert got.shape == (n1 - n0 + 1,)
+            assert got.flags.writeable
             for n, lm in enumerate(got.tolist(), n0):
                 assert (lm == -np.inf) == (logs[n] == -np.inf), (i, n)
                 if lm != -np.inf:
                     assert abs(lm - logs[n]) < 1e-9, (i, n)
+        assert b"".join(slices) == product_log_slice(w, i, 0, HORIZON).tobytes(), i
 
 
 DENSITY_SETS = [
@@ -436,6 +476,40 @@ def test_refute_a_memory_does_not_grow_with_the_horizon(ex1_op):
     assert _refute_a_peak(ex1_op, 10**7) <= 64 * 2**20
     small = _refute_a_peak(ex1_op, 1 << 20)
     assert _refute_a_peak(ex1_op, 4 << 20) <= 1.25 * small
+
+
+# the streamed MLY readers, each with its verdict on ex4 at both horizons
+MLY_READERS = {
+    "condition-A": (lambda op, h: mly_cert.check_mly_condition_A(op, 0, h),
+                    "condition-A-holds-at-horizon"),
+    "anchor-equivalence": (lambda op, h: mly_cert.anchor_equivalence_probe(op, [-1, 2], h),
+                           "agrees"),
+    "f3": (lambda op, h: mly_cert.check_f3(op, h, mly_cert.basis_probes([1], [50]),
+                                           C_grid=(1.0,)),
+           "not-certified-at-horizon"),
+}
+
+
+def _peak(run, want: str) -> int:
+    tracemalloc.start()
+    try:
+        rep = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == want
+    return peak
+
+
+@pytest.mark.parametrize("reader", MLY_READERS)
+def test_mly_reader_memory_does_not_grow_with_the_horizon(ex4_op, reader):
+    # whole-horizon series held three or four float arrays: 100 MiB and more
+    # at 4 * 2**20; one chunk's buffers take about 10
+    check, want = MLY_READERS[reader]
+    small = _peak(lambda: check(ex4_op, 1 << 20), want)
+    large = _peak(lambda: check(ex4_op, 4 << 20), want)
+    assert large <= 32 * 2**20
+    assert large <= 1.25 * small
 
 
 def test_chunk_spans_cover_the_range_once(monkeypatch):

@@ -396,9 +396,10 @@ class TestF3:
 
     def test_ex4_probes_walk_no_orbit(self, monkeypatch):
         # the ex4 probes lie right of the origin, where every weight is 1:
-        # acb and f3 read each probe's count form and never walk an orbit
+        # acb and f3 read each probe's count form and never walk its orbit
         # cell by cell; a level in explicit mode "dense" still does.  Every
-        # dense orbit walk runs through orbit_product_logs
+        # dense orbit walk runs through orbit_product_logs, f3's bare
+        # product averages at anchor 0 included
         from shiftchaos import mly_cert, shift
         real, walked = shift.orbit_product_logs, []
 
@@ -409,10 +410,15 @@ class TestF3:
         for module in (shift, mly_cert):
             monkeypatch.setattr(module, "orbit_product_logs", counted)
         op = catalog.build_example("ex4_lp_mly_not_hc")
+        kinds = []
         for cfg in catalog.get("ex4_lp_mly_not_hc").config["checks"]:
             if cfg["kind"] in ("acb", "f3"):
+                walked.clear()
                 assert catalog.run_check(op, cfg).verdict == cfg["expect"]
-        assert walked == []
+                assert walked == ([0] if cfg["kind"] == "f3" else []), cfg["kind"]
+                kinds.append(cfg["kind"])
+        assert sorted(kinds) == ["acb", "f3"]
+        walked.clear()
         sched = schedule_mly(1, [(1, SEG(2), [(SEG(2), 1.0)])])
         check_mly_condition_B(op, sched, mode="dense", auto_a_horizon=0)
         assert walked == [SEG(2)]

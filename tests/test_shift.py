@@ -107,7 +107,7 @@ class TestOrbitSeries:
 
 # weights for every index set, with negative and closed-form (run-less) ones
 KERNEL_WEIGHTS = {
-    IndexSet.Z: [w for _, w in twt.WEIGHT_CASES + [twt.NEGATIVE_CASE]
+    IndexSet.Z: [w for _, w in twt.WEIGHT_CASES + [twt.NEGATIVE_CASE, twt.SIGN_FLIP_CASE]
                  if w.index_set is IndexSet.Z],
     IndexSet.N: [w for _, w in twt.WEIGHT_CASES + [twt.CLOSED_CASE]
                  if w.index_set is IndexSet.N],

@@ -61,6 +61,8 @@ WEIGHT_CASES = [
     ("rolewicz", unilateral_weights(ConstantSequence(2.0))),
     ("halves-Z", bilateral_weights(ConstantSequence(0.5),
                                    ConstantSequence(0.5))),
+    # |w| = 1 on Z>=0, as in ex2 and ex4: slices there are filled with the carry
+    ("unit-right-Z", bilateral_weights(ConstantSequence(0.5), ConstantSequence(1.0))),
     ("ramp-N", ramp_unilateral()),
 ]
 
@@ -79,7 +81,14 @@ TIE_CASE = ("log-tie-Z", bilateral_weights(ConstantSequence(-oracles.log_tie()),
 CLOSED_CASE = ("closed-form-N", unilateral_weights(ClosedFormSequence(
     lambda j: -1.5 if j % 5 == 0 else 0.75 + (j % 3) / 4)))
 
-TABLE_CASES = st.sampled_from(WEIGHT_CASES + [NEGATIVE_CASE, CLOSED_CASE])
+# run-less weights with |w| = 1 and flipping signs left of 0: an orbit from
+# i > 0 enters them with a nonzero carry.  Like CLOSED_CASE it stays out of
+# WEIGHT_CASES, since product_pieces and the exact-count oracle need runs
+SIGN_FLIP_CASE = ("sign-flips-closed-Z", bilateral_weights(
+    ClosedFormSequence(lambda j: -1.0 if j % 3 == 0 else 1.0),
+    ClosedFormSequence(lambda j: -1.5 if j % 4 == 0 else 0.75)))
+
+TABLE_CASES = st.sampled_from(WEIGHT_CASES + [NEGATIVE_CASE, CLOSED_CASE, SIGN_FLIP_CASE])
 
 
 def zero_tail_weights() -> WeightSpec:
@@ -367,6 +376,9 @@ class TestProductTable:
     @given(TABLE_CASES, st.integers(-300, 300), st.integers(0, 2000))
     @example(CLOSED_CASE, 5, 0)
     @example(CLOSED_CASE, 5, 40)
+    @example(WEIGHT_CASES[4], 300, 200)  # |w| = 1 on the whole slice: filled
+    @example(SIGN_FLIP_CASE, -5, 100)
+    @example(SIGN_FLIP_CASE, 40, 200)
     @example(WEIGHT_CASES[-1], 2, 30)
     def test_matches_dense_reference_bytewise(self, case, raw_i, n_max):
         _, w = case
