@@ -268,7 +268,7 @@ def product_log_slice(w: WeightSpec, i: int, n0: int, n1: int,
     logs = np.empty(0)
     if live >= a:
         run_logs, counts = w.run_logs(i - live, i - a)  # in index order
-        if not run_logs.any():  # |w| = 1 on the span
+        if not run_logs.any():  # |w| = 1 on the span: carry + 0, as the cumsum adds it
             logs = np.full(live - a + 1, carry + 0.0)
         else:
             la = run_logs if counts is None else np.repeat(run_logs, counts)
