@@ -220,6 +220,14 @@ def _int_from(least: int):
     return read
 
 
+def _levels(v) -> list[int]:
+    """At least one level k, each >= 1 (a level reads ln k or divides by k)."""
+    ks = [_int_from(1)(x) for x in v]
+    if not ks:
+        raise ValueError("must name at least one level")
+    return ks
+
+
 # One reader per config key; a key means the same in every kind and block.
 # `set` reaches predicate_from_name at call time, so a rebound one is used.
 READERS = {
@@ -228,7 +236,8 @@ READERS = {
     "exhaustive_to": _int_from(0),
     **dict.fromkeys(("bound", "decay_tol", "floor", "lim_tol", "pass_tol"), _positive),
     **dict.fromkeys(("delta", "eps", "tail_fraction_min"), _fraction),
-    **dict.fromkeys(("anchors", "k_range", "S"), _ints),
+    **dict.fromkeys(("anchors", "S"), _ints),
+    "k_range": _levels,
     **dict.fromkeys(("anchor_window", "ell_window", "window"), _pair),
     "threshold": _threshold,
     "C_grid": lambda v: [_positive(x) for x in v],

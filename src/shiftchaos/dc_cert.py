@@ -23,21 +23,19 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import numerics
 from .density import (IndexPredicate, RunColumns, density_envelope, envelope_of_runs,
                       interval_runs, last_ratio_at_most, members_in, naturals, run_columns)
 from .numerics import NEG_INF, LogScalar, SparseVector, chunk_spans, logsumexp_p_rows
 # single_term_* stay importable from here: perfbench's tracer wraps dc_cert.single_term_pieces
-from .orbit import (DENSE_CELL_CAP, WitnessOrbit, WitnessTerm, require_dense,
-                    single_term_counts, single_term_pieces)
-from .piecewise import concave_superlevel
+from .orbit import (DENSE_CELL_CAP, WitnessOrbit, WitnessTerm, _union, require_dense,
+                    single_term_counts, single_term_pieces, superlevel_steps)
 from .reports import POSITIVE_VERDICTS, CertificateReport
-from .shift import ShiftOperator, _lockstep, basis_orbit_logs
+from .shift import ShiftOperator, basis_orbit_logs
 from .spaces import IndexSet, index_array, seminorm
 from .weights import MAX_DENSE, product_log_slice, products
 
@@ -119,11 +117,11 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     sample).  Verdicts speak only about the checked range.
 
     The violating n of every anchor and level come step by step as
-    intervals (_bad_steps: one split of all their pieces, the dense
-    route's arithmetic only on cells rounding could decide), and D's run
-    blocks over the step are read at their ends (density.members_in): per
-    anchor and level, how many members violate, the last one, and the
-    members up to it.
+    intervals (orbit.superlevel_steps, the runs route: one split of all
+    their pieces, the dense route's arithmetic only on cells rounding could
+    decide), and D's run blocks over the step are read at their ends
+    (density.members_in): per anchor and level, how many members violate,
+    the last one, and the members up to it.
     """
     D = D if D is not None else naturals()
     anchors = list(anchors)
@@ -148,8 +146,8 @@ def check_dc_condition_A(op: ShiftOperator, D: IndexPredicate | None,
     keys = len(anchors) * k_max
     viol, last, through = np.zeros(keys, np.int64), [0] * keys, [0] * keys
     blocks, runs = run_columns(D, 1, horizon), None
-    for n0, n1, (key, starts, ends) in _bad_steps(op, anchors, horizon, log_tol,
-                                                  tuple(range(1, k_max + 1))):
+    for n0, n1, (key, starts, ends) in superlevel_steps(op, anchors, horizon, log_tol,
+                                                        tuple(range(1, k_max + 1))):
         if not starts.size:
             continue
         runs = _runs_through(blocks, runs, n0, n1)
@@ -206,11 +204,11 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     with positive frequency, so the decay fails along every such D.
 
     bad(i) comes step by step as intervals read off the runs of the
-    weights and the row (_bad_steps at level 1), each cell on the side the
-    dense route's float puts it, and density reads the prefix ratios off
-    their ends: settles_at is one past the last N with ratio <= delta,
-    min_ratio the least ratio from there (the first N of a tie), bad_count
-    exact.
+    weights and the row (orbit.superlevel_steps at level 1, the runs
+    route), each cell on the side the dense route's float puts it, and
+    density reads the prefix ratios off their ends: settles_at is one past
+    the last N with ratio <= delta, min_ratio the least ratio from there
+    (the first N of a tie), bad_count exact.
     """
     anchors = list(anchors)
     if horizon < 1 or not anchors:
@@ -220,7 +218,7 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     log_bound = math.log(bound)
     # per anchor: the last low N, the least ratio past it and its N, bad cells so far
     last_low, least, bad = [0] * len(anchors), [None] * len(anchors), [0] * len(anchors)
-    for n0, n1, (key, starts, ends) in _bad_steps(op, anchors, horizon, log_bound, (1,)):
+    for n0, n1, (key, starts, ends) in superlevel_steps(op, anchors, horizon, log_bound, (1,)):
         cut = np.searchsorted(key, np.arange(len(anchors) + 1))
         for a, (s, e) in enumerate(zip(cut[:-1], cut[1:])):
             starts_a, ends_a = starts[s:e], ends[s:e]
@@ -246,298 +244,6 @@ def refute_dc_condition_A(op: ShiftOperator, anchors: Iterable[int], horizon: in
     params = {"horizon": horizon, "bound": bound, "delta": delta,
               "settle_by": settle_by}
     return CertificateReport("dc-condition-A-refutation", verdict, params, rows)
-
-
-# (key, start, end) columns of intervals, sorted by key, then by start, and
-# disjoint within a key; key = anchor * levels + level, the positions of
-# the anchor and of its k in the lists asked for
-Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
-_NO_CELLS = (np.zeros(0, np.int64),) * 3
-_U = 2.0 ** -53  # the unit roundoff of float64
-# The run route walks [1, horizon] in steps of STEP_CHUNKS chunks: each step
-# costs a fixed set of numpy calls, and its arrays grow with the runs and
-# pieces it holds.  Under tracemalloc (ex1's refutation from anchor 0) 4
-# chunks keep the peak at 4 * 2**20 cells within 1.25 times the peak at
-# 2**20; 8 chunks and the whole horizon at once do not (README).
-STEP_CHUNKS = 4
-
-
-def _bad_steps(op: ShiftOperator, anchors: list[int], horizon: int, level: float,
-               ks: tuple[int, ...]) -> Iterator[tuple[int, int, Cells]]:
-    """(n0, n1, cells) per step [n0, n1] of [1, horizon]: per anchor i and
-    k in ks the n in it with ln |P(i, n) a(i - n, k)| >= level, as
-    intervals, each cell on the side the dense route's float puts it.
-
-    On each piece of _OrbitPieces f_k(n) is concave, so its cells at least
-    level + margin form one interval, sure to be in the set, and those at
-    least level - margin a wider one; every other cell is sure to be out.
-    The pieces of every anchor and level in a step are split at once.  The
-    cells between, within margin of the level, are undecided: rounding
-    could put their dense floats on either side, so _DenseCells evaluates
-    them with the dense route's own arithmetic.  Without run structure
-    every cell is undecided, and that is the dense scan itself.
-
-    The anchors' orbits are walked in step (shift._lockstep), so an error
-    surfaces as if each anchor ran to the end in turn.
-    """
-    dense = [_DenseCells(op, i, ks, a * len(ks)) for a, i in enumerate(anchors)]
-    walks = [_orbit_walk(op, i, horizon, level, cells) for i, cells in zip(anchors, dense)]
-    for (n0, n1), step in zip(chunk_spans(1, horizon, STEP_CHUNKS * numerics.CHUNK),
-                              _lockstep(walks)):
-        parts = [s for s in step if not isinstance(s, _OrbitPieces)]  # decided cells
-        pieces = [s for s in step if isinstance(s, _OrbitPieces)]
-        if pieces:
-            sure, undecided = _OrbitPieces.stack(pieces).split_at(level)
-            parts.append(sure)
-            owner = undecided[0] // len(ks)  # np.unique would import numpy.ma
-            for a in sorted(set(owner.tolist())):
-                mine = owner == a
-                parts.append(dense[a](tuple(c[mine] for c in undecided), level))
-        if len(parts) == 1:
-            key, starts, ends = parts[0]
-        else:
-            key, starts, ends = (np.concatenate(c) for c in zip(*parts))
-            order = np.lexsort((starts, key))
-            key, starts, ends = key[order], starts[order], ends[order]
-        yield n0, n1, (key, starts, ends)
-
-
-def _orbit_walk(op: ShiftOperator, i: int, horizon: int, level: float,
-                dense: "_DenseCells") -> Iterator["_OrbitPieces | Cells"]:
-    """Per step of [1, horizon], the orbit of i as pieces of every level
-    (keys from dense's first key), or its cells at or above the level where
-    no piece is needed: none once the orbit has left N, every cell from
-    dense where the runs give out."""
-    # past alive the orbit has left N: no cell there reaches a level
-    alive = horizon if op.space.index_set is IndexSet.Z else min(horizon, i - 1)
-    carry = (0.0, 0.0, 0.0)
-    for n0, n1 in chunk_spans(1, horizon, STEP_CHUNKS * numerics.CHUNK):
-        hi = min(n1, alive)
-        if n0 > hi:
-            yield _NO_CELLS
-            continue
-        built = None if carry is None else _OrbitPieces.of(op, i, n0, hi, carry, dense.ks,
-                                                           dense.key0)
-        if built is None:  # no runs: from here on every cell is undecided
-            carry, every = None, dense.key0 + np.arange(len(dense.ks))
-            yield dense((every, np.full(every.size, n0), np.full(every.size, hi)), level)
-        else:
-            pieces, carry = built
-            yield pieces
-
-
-@dataclass(frozen=True)
-class _OrbitPieces:
-    """f_k(n) = ln |P(i, n)| + ln a(i - n, k) over pieces [n0, n1] of a
-    step on which the weight w_{i-n} and the row are constant, or the row's
-    base is |j| + 1 (s(J)) and j = i - n keeps its sign: there
-
-        f_k(n) = (A + slope * (n - B)) + (r + power * ln(|i - n| + 1)),
-
-    with ln |P(i, n)| affine and either a constant row r (power 0) or
-    power * ln(|j| + 1) (power k on power rows, 1 on constant ones), so f_k
-    is concave.  Pieces of several anchors and levels stack, each under the
-    key of its anchor and level.  Rows and slopes are the dense route's
-    floats (np.log once per run, k * ln base, as run_log_rows gives them),
-    so `at` is off the dense float of a cell only by the dense cumsum's
-    rounding and a few more roundings: margin bounds that, per piece.
-    Pieces where the row is 0 (r = -inf) are left out: no cell there
-    reaches any level.
-    """
-
-    key: np.ndarray
-    i: np.ndarray
-    n0: np.ndarray
-    n1: np.ndarray
-    A: np.ndarray  # ln |P(i, B)|
-    B: np.ndarray
-    slope: np.ndarray
-    r: np.ndarray
-    power: np.ndarray | None  # None: every piece has power 0, else every piece >= 1
-    margin: np.ndarray
-
-    @staticmethod
-    def of(op: ShiftOperator, i: int, n0: int, n1: int, carry: tuple[float, float, float],
-           ks: tuple[int, ...], key0: int
-           ) -> "tuple[_OrbitPieces, tuple[float, float, float]] | None":
-        """The pieces of every level in ks (keys from key0) over the step
-        [n0, n1] (i - n on the domain throughout), from one runs pass over
-        the weights and one over the row's base, and the carry for the next
-        step (ln |P(i, n1)| and the margin's sums), given the carry of the
-        step before; None where either has no runs (and the base is not
-        |j| + 1), or the row rule is custom."""
-        lo, hi = i - n1, i - n0
-        matrix = op.space.matrix
-        wl, wc = op.weights.run_logs(lo, hi)
-        if wc is None or matrix.rule == "custom":
-            return None
-        if matrix.sign_affine:  # split where j = i - n changes sign
-            r0 = np.array([n0, i + 1] if n0 < i + 1 <= n1 else [n0])
-            rl = np.zeros((len(ks), r0.size))
-        else:
-            rows = [(row, rc) for _, row, rc in matrix.run_log_rows(lo, hi, ks)]
-            rc = rows[0][1]
-            if rc is None:
-                return None
-            rl, rc = np.stack([row[::-1] for row, _ in rows]), rc[::-1]  # in ascending n
-            r0 = n0 + np.cumsum(rc) - rc
-        # weight runs in ascending n, and ln |P(i, n)| at their ends
-        wl, wc = wl[::-1], wc[::-1]
-        w0 = n0 + np.cumsum(wc) - wc
-        steps = wc * wl
-        steps[0] += carry[0]
-        T = np.cumsum(steps)
-        before = np.concatenate(([carry[0]], T[:-1]))
-        p0 = _union(w0, r0)
-        p1 = np.append(p0[1:] - 1, n1)
-        wt = np.searchsorted(w0, p0, "right") - 1
-        A, B, slope = before[wt], w0[wt] - 1, wl[wt]
-        r = rl[:, np.searchsorted(r0, p0, "right") - 1]  # (levels, pieces)
-        # The dense cumsum rounds each partial sum once, so it is off the
-        # exact sum of the same logs by at most u * sum_{m <= n} |ln P(i, m)|
-        # (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-        # section 4.2); |ln P| is affine on a run, so its sum there lies
-        # under the chord.  T rounds one product and one sum per run, and
-        # `at` and the dense route's last addition round a few more terms,
-        # each no larger than `local` (|ln P| is at most |A| + |slope| (n - B)
-        # on a piece).  Doubled for slack.
-        chord = carry[1] + np.cumsum(wc * (np.abs(before + wl) + np.abs(T)) / 2)
-        chain = carry[2] + np.cumsum(np.abs(wc * wl) + np.abs(T))
-        local = 2 * (np.abs(A) + np.abs(slope) * (p1 - B)) + np.abs(r)
-        power = None
-        if matrix.sign_affine:  # times the larger ln(|j| + 1) of the piece's ends
-            power = np.outer(np.array(ks if matrix.rule == "power" else [1] * len(ks), float),
-                             np.ones(p0.size))
-            local += power * np.log(np.maximum(np.abs(i - p0), np.abs(i - p1)) + 1.0)
-        margin = 2 * _U * (1.01 * chord[wt] + chain[wt] + 4 * local)
-        cell = np.flatnonzero(r > NEG_INF)  # level * pieces + piece
-        t = cell % p0.size
-        pieces = _OrbitPieces(key0 + cell // p0.size, np.full(t.size, i), p0[t], p1[t], A[t],
-                              B[t], slope[t], r.ravel()[cell],
-                              None if power is None else power.ravel()[cell],
-                              margin.ravel()[cell])
-        return pieces, (float(T[-1]), float(chord[-1]), float(chain[-1]))
-
-    @staticmethod
-    def stack(parts: list["_OrbitPieces"]) -> "_OrbitPieces":
-        """The pieces of every part, in order: one split serves them all."""
-        if len(parts) == 1:
-            return parts[0]
-        columns = {f.name: [getattr(p, f.name) for p in parts] for f in fields(_OrbitPieces)}
-        return _OrbitPieces(**{name: None if col[0] is None else np.concatenate(col)
-                               for name, col in columns.items()})
-
-    def at(self, ns: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """f at cells ns of pieces t; the row is power * np.log(|j| + 1.0)
-        as the dense route takes it, and x + 0.0 == x."""
-        row = self.r[t]
-        if self.power is not None:
-            row = row + self.power[t] * np.log(np.abs(self.i[t] - ns) + 1.0)
-        return (self.A[t] + self.slope[t] * (ns - self.B[t])) + row
-
-    def peaks(self) -> np.ndarray:
-        """The n of each piece up to which f rises and after which it falls.
-
-        f'(x) = slope - power / (i - x + 1) where j >= 0 (n <= i) and
-        slope + power / (x - i + 1) past it, so f peaks inside a piece only
-        at x = i + 1 - power / slope (slope > 0) or x = i - 1 - power / slope
-        (slope < 0).  The integer peak is floor(x) or floor(x) + 1, the one
-        f is larger at: not always the nearer, as f is not symmetric about x.
-        """
-        if self.power is None:  # affine: an end
-            return np.where(self.slope > 0, self.n1, self.n0)
-        left = self.n1 <= self.i
-        inner = np.where(left, self.slope > 0, self.slope < 0)
-        x = (np.where(left, self.i + 1.0, self.i - 1.0)
-             - self.power / np.where(inner, self.slope, 1.0))
-        below = np.clip(np.floor(x), self.n0, self.n1).astype(np.int64)
-        above, t = np.minimum(below + 1, self.n1), np.arange(below.size)
-        peak = np.where(self.at(above, t) > self.at(below, t), above, below)
-        return np.where(inner, peak, np.where(~left & (self.slope >= 0), self.n1, self.n0))
-
-    def split_at(self, level: float) -> tuple[Cells, Cells]:
-        """(sure, undecided): the cells whose dense float is >= level
-        beyond doubt, and those within margin of the level, as intervals
-        under each piece's key.  Where every f is affine, the bisection
-        starts from each real crossing, or from the last cell where f is
-        flat."""
-        levels = level + np.stack((self.margin, -self.margin))
-        guess = None
-        if self.power is None:
-            flat = self.slope == 0
-            with np.errstate(over="ignore"):
-                guess = np.where(flat, self.n1, self.B + (levels - self.A - self.r)
-                                 / np.where(flat, 1.0, self.slope))
-        first, last = concave_superlevel(self.at, self.n0, self.n1, self.peaks(), levels,
-                                         guess)
-        fs, ls = first[0], last[0]
-        fu, lu = np.minimum(first[1], fs), np.maximum(last[1], ls)
-        band = np.stack((fu, fs - 1, ls + 1, lu), axis=1).reshape(-1, 2)
-        some, sure = band[:, 0] <= band[:, 1], fs <= ls
-        return ((self.key[sure], fs[sure], ls[sure]),
-                (np.repeat(self.key, 2)[some], band[some, 0], band[some, 1]))
-
-
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a and b: np.union1d, without the
-    numpy.ma import its first call costs a process (about 15 ms)."""
-    s = np.sort(np.concatenate((a, b)))
-    return s[np.concatenate(([True], s[1:] != s[:-1]))]
-
-
-class _DenseCells:
-    """The dense route's own floats at chosen cells of one orbit, walked
-    forward: ln |P(i, n)| from product_log_slice, carried from the last
-    cell read (only the carry is kept past it), and the rows of every level
-    in ks through one log_rows per slice of the cells asked for, added as
-    basis_orbit_logs adds them.  Cells are keyed key0 + the position of
-    their k."""
-
-    def __init__(self, op: ShiftOperator, i: int, ks: tuple[int, ...], key0: int):
-        self.op, self.i, self.ks, self.key0 = op, i, ks, key0
-        self.at, self.carry = 0, 0.0  # ln |P(i, at)|
-
-    def __call__(self, cells: Cells, level: float) -> Cells:
-        """The n of the intervals (past any cell read before) whose value at
-        their level is >= level, as intervals: read in CHUNK-cell slices of
-        the span from the first cell asked for to the last, skipping slices
-        that hold no cell."""
-        key, starts, ends = cells
-        if not starts.size:
-            return _NO_CELLS
-        out = []
-        for m0, m1 in chunk_spans(int(starts.min()), int(ends.max())):
-            inside = (starts <= m1) & (ends >= m0)
-            if inside.any():
-                out.append(self._read(key[inside], np.maximum(starts[inside], m0),
-                                      np.minimum(ends[inside], m1), level))
-        if len(out) < 2:
-            return out[0] if out else _NO_CELLS
-        key, starts, ends = (np.concatenate(c) for c in zip(*out))
-        order = np.lexsort((starts, key))
-        return key[order], starts[order], ends[order]
-
-    def _read(self, key: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-              level: float) -> Cells:
-        """__call__ on the intervals of one slice."""
-        op, i = self.op, self.i
-        a, b = int(starts.min()), int(ends.max())
-        for m0, m1 in chunk_spans(self.at + 1, a - 1):
-            self.carry = product_log_slice(op.weights, i, m0, m1, self.carry)[-1]
-        logs = product_log_slice(op.weights, i, a, b, self.carry)
-        self.at, self.carry = b, logs[-1]
-        out = []
-        for t, (_, row) in enumerate(op.space.log_rows(i - b, i - a, self.ks), self.key0):
-            mine = key == t
-            if not mine.any():
-                continue
-            inside = np.zeros(b - a + 2, np.int64)
-            np.add.at(inside, starts[mine] - a, 1)
-            np.add.at(inside, ends[mine] - a + 1, -1)
-            hit = (np.cumsum(inside[:-1]) > 0) & (logs + row[::-1] >= level)
-            edges = np.flatnonzero(np.diff(hit, prepend=False, append=False)).reshape(-1, 2)
-            out.append((np.full(len(edges), t), edges[:, 0] + a, edges[:, 1] + a - 1))
-        return tuple(np.concatenate(c) for c in zip(*out)) if out else _NO_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +400,10 @@ def check_lp_c0_dc(op: ShiftOperator, S: Iterable[int],
         if not op.space.index_set.contains(i):
             raise ValueError(f"index {i} in S is outside the domain {op.space.index_set.value}")
     ks = list(k_range)
+    if not ks:  # no level to fail would read as a pass
+        raise ValueError("need at least one level in k_range")
+    if op.space.p == 0 and coeffs is not None:
+        raise ValueError("the c0 form takes no coefficients")
     horizons = list(horizons) if horizons is not None else [100 * (t + 1) for t in range(len(ks))]
     if len(horizons) < len(ks):
         raise ValueError("need a horizon per level")

@@ -293,6 +293,8 @@ def check_acb(op: ShiftOperator,
                          "norm: constant-in-k rows")
     if not probes:
         raise ValueError("need at least one probe")
+    if not C_grid:  # no C to falsify would read as every C falsified
+        raise ValueError("need at least one C in C_grid")
     results = []
     for label, index, coeff, N in probes:
         term = WitnessTerm.of(index, coeff)
@@ -354,7 +356,7 @@ def check_f3(op: ShiftOperator, horizon: int,
     if horizon < 1:
         raise ValueError("need a positive horizon")
     require_dense(1, horizon)
-    least, at = _product_average_min(op, horizon)
+    least, at, _ = _running_min(_product_average_chunks(op, horizon), 1)
     min_avg = float(np.exp(least)) if least > NEG_INF else 0.0
     part1 = min_avg < lim_tol
     acb = check_acb(op, probes, C_grid)
@@ -371,15 +373,12 @@ def check_f3(op: ShiftOperator, horizon: int,
     return CertificateReport("mly-equivalence", verdict, params, rows)
 
 
-def _product_average_min(op: ShiftOperator, horizon: int) -> tuple[float, int]:
-    """(least ln of (1/N) sum_{n<=N} |P(0, n)| over N in [1, horizon], the
-    first N taking it), read chunk by chunk through orbit_product_logs.
-
-    Each chunk's logaddexp accumulate is seeded with the last chunk's
-    running log sum, so the bits are one accumulate's over [1, horizon].
-    """
+def _product_average_chunks(op: ShiftOperator, horizon: int
+                            ) -> Iterator[tuple[int, np.ndarray]]:
+    """(n0, ln (1/N) sum_{n<=N} |P(0, n)| for N from n0 on) per chunk of
+    [1, horizon]: one logaddexp accumulate, seeded chunk to chunk."""
     ns = np.arange(1, min(numerics.CHUNK, horizon) + 1, dtype=float)  # N at each cell
-    total, least, at = NEG_INF, math.inf, 1
+    total = NEG_INF
     for n0, _, logs in orbit_product_logs(op, 0, 1, horizon):
         if n0 > 1:
             logs[0] = np.logaddexp(total, logs[0])
@@ -387,7 +386,4 @@ def _product_average_min(op: ShiftOperator, horizon: int) -> tuple[float, int]:
         total = logs[-1]
         logs -= np.log(ns[:logs.size])
         ns += logs.size
-        t = int(np.argmin(logs))
-        if logs[t] < least:  # a tie keeps the first N, as np.argmin does
-            least, at = float(logs[t]), n0 + t
-    return least, at
+        yield n0, logs

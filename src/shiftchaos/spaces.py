@@ -61,6 +61,11 @@ class IndexSet(enum.Enum):
             return max(lo, 1), hi
         return lo, hi
 
+    def alive_to(self, i: int, n: int) -> int:
+        """The last n' <= n at which the orbit of e_i is still on the index
+        set: n on Z, min(n, i - 1) on N (below 1 where it leaves at once)."""
+        return min(n, i - 1) if self is IndexSet.N else n
+
 
 def _log_base(vals: np.ndarray) -> np.ndarray:
     """ln of matrix base values (-inf at zeros); a negative value raises."""

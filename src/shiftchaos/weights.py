@@ -263,7 +263,7 @@ def product_log_slice(w: WeightSpec, i: int, n0: int, n1: int,
     -inf: annihilation, not an error.  A zero weight raises, naming the zero
     nearest n0.  The array is a fresh one, the caller's to overwrite.
     """
-    live = n1 if w.index_set is IndexSet.Z else max(0, min(n1, i - 1))
+    live = max(0, w.index_set.alive_to(i, n1))
     a = max(n0, 1)  # the first n with a weight factor
     logs = np.empty(0)
     if live >= a:
@@ -340,11 +340,9 @@ def product_pieces(w: WeightSpec, i: int, n_lo: int, n_hi: int) -> list[Piece]:
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError(f"bad n range [{n_lo}, {n_hi}]")
-    alive_hi = n_hi
-    if w.index_set is IndexSet.N and i - n_hi < 1:
-        alive_hi = i - 1
-        if alive_hi < n_lo:
-            return [Piece(n_lo, n_hi, NEG_INF, 0.0)]
+    alive_hi = w.index_set.alive_to(i, n_hi)
+    if alive_hi < n_lo:
+        return [Piece(n_lo, n_hi, NEG_INF, 0.0)]
     base = product(w, i, n_lo)
     if base.sign == 0:
         return [Piece(n_lo, n_hi, NEG_INF, 0.0)]

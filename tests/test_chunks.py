@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 import test_weights as twt
-from shiftchaos import catalog, dc_cert, mly_cert, numerics, reports
+from shiftchaos import catalog, dc_cert, mly_cert, numerics, orbit, reports
 from shiftchaos.density import (IndexPredicate, check_density, density_envelope, evens,
                                 naturals)
 from shiftchaos.numerics import SparseVector
@@ -125,7 +125,7 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, name, op, anchors)
         assert _streamed_reports(op, anchors) == want, chunk
 
 
-# The run route walks dc_cert.STEP_CHUNKS chunks at a step: at CHUNK 1 and 7
+# The run route walks orbit.STEP_CHUNKS chunks at a step: at CHUNK 1 and 7
 # step ends fall inside HORIZON, at CHUNK 64 only inside this horizon
 STEP_HORIZON = 600
 
@@ -145,7 +145,7 @@ def test_run_route_reports_do_not_depend_on_the_step(monkeypatch, name, op, anch
     want = reports()
     monkeypatch.setattr(numerics, "CHUNK", 64)
     assert len(list(numerics.chunk_spans(1, STEP_HORIZON,
-                                         dc_cert.STEP_CHUNKS * numerics.CHUNK))) == 3
+                                         orbit.STEP_CHUNKS * numerics.CHUNK))) == 3
     assert reports() == want
 
 

@@ -389,3 +389,53 @@ class TestReaderErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"config key '{key}'" in err
+
+
+class TestEmptyInputs:
+    # an empty grid or level list once read as a positive verdict with no
+    # rows; a level below 1 once failed in math.log or a division
+    _PROBES = [["e[0]", 0, 1.0, 50]]
+
+    def _run(self, capsys, tmp_path, name, check, space=None):
+        cfg = catalog.export_config(name)
+        if space is not None:
+            cfg["space"] = space
+        cfg["checks"] = [check]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run_cli(capsys, "run", "--config", str(path))
+
+    @pytest.mark.parametrize("check", [
+        {"kind": "acb", "probes": _PROBES, "C_grid": []},
+        # with the default grid this contraction reads not-certified-at-horizon
+        {"kind": "f3", "horizon": 100_000, "probes": _PROBES, "C_grid": []},
+    ])
+    def test_empty_c_grid_exits_three(self, capsys, tmp_path, check):
+        code, out, err = self._run(capsys, tmp_path, "halfweights_bilateral", check,
+                                   {"kind": "c0", "nu": None})
+        assert (code, out) == (3, "")
+        assert err == "error: need at least one C in C_grid\n"
+
+    @pytest.mark.parametrize("name, check", [
+        ("halfweights_bilateral", {"kind": "lp_c0_dc", "S": [0], "horizons": [100]}),
+        ("rolewicz_lp_N", {"kind": "dc_search"}),
+        ("unweighted_lp_N", {"kind": "mop"}),
+    ])
+    @pytest.mark.parametrize("k_range, message", [
+        ([], "must name at least one level"),
+        ([0, 1], "must be >= 1, got 0"),
+        ([1, -2], "must be >= 1, got -2"),
+    ])
+    def test_k_range_reads_levels_from_one(self, capsys, tmp_path, name, check, k_range,
+                                           message):
+        code, out, err = self._run(capsys, tmp_path, name, {**check, "k_range": k_range})
+        assert (code, out) == (3, "")
+        assert err == f"error: config key 'k_range': {message}\n"
+
+    def test_c0_form_rejects_coeffs(self, capsys, tmp_path):
+        # the lp form rejects [-5.0]; the c0 form read no coefficients at all
+        check = {"kind": "lp_c0_dc", "S": [0], "coeffs": [-5.0]}
+        code, out, err = self._run(capsys, tmp_path, "halfweights_bilateral", check,
+                                   {"kind": "c0", "nu": None})
+        assert (code, out) == (3, "")
+        assert err == "error: the c0 form takes no coefficients\n"

@@ -33,7 +33,8 @@ from shiftchaos.dc_cert import (
 from shiftchaos.density import naturals
 from shiftchaos.mly_cert import _average_log
 from shiftchaos.numerics import BLOCK, NEG_INF, LogScalar
-from shiftchaos.piecewise import count_above, log_sum, log_sum_values
+from shiftchaos.orbit import log_sum_values
+from shiftchaos.piecewise import count_above, log_sum
 from shiftchaos.sequences import (
     BlockSideSequence,
     ClosedFormSequence,
@@ -595,8 +596,8 @@ class TestRunRoute:
         """Cells read on the dense route: product slices, weight logs, rows."""
         cells = {"slices": 0, "weights": 0, "rows": 0}
         counted = TestRunRoute._counted
-        monkeypatch.setattr(dc_cert, "product_log_slice",
-                            counted(dc_cert.product_log_slice, cells, "slices", len))
+        monkeypatch.setattr(orbit, "product_log_slice",
+                            counted(orbit.product_log_slice, cells, "slices", len))
         monkeypatch.setattr(WeightSpec, "dense_logs",
                             counted(WeightSpec.dense_logs, cells, "weights", len))
 
@@ -636,8 +637,8 @@ class TestRunRoute:
         alternating and twos/halves/ones generators block by block."""
         work = {"steps": 0, "blocks": 0}
         counted = TestRunRoute._counted
-        monkeypatch.setattr(dc_cert._OrbitPieces, "of", staticmethod(
-            counted(dc_cert._OrbitPieces.of, work, "steps", lambda out: 1)))
+        monkeypatch.setattr(orbit._OrbitPieces, "of", staticmethod(
+            counted(orbit._OrbitPieces.of, work, "steps", lambda out: 1)))
         for gen in (sequences._AlternatingPowers, sequences._TwosHalvesOnes):
             monkeypatch.setattr(gen, "__call__", counted(gen.__call__, work, "blocks",
                                                          lambda out: 1))
@@ -709,6 +710,18 @@ class TestLpC0Forms:
         op = catalog.build_example("rolewicz_lp_N", p=p)
         with pytest.raises(ValueError, match=f"horizons must be >= 1, got {horizons[0]}$"):
             check_lp_c0_dc(op, [1000], k_range=(1, 2)[:len(horizons)], horizons=horizons)
+
+    @pytest.mark.parametrize("p", [2, 0])
+    def test_empty_k_range_rejected(self, p):
+        # no level once read passes-at-horizon, with no rows
+        op = catalog.build_example("rolewicz_lp_N", p=p)
+        with pytest.raises(ValueError, match="need at least one level in k_range"):
+            check_lp_c0_dc(op, [1000], k_range=(), horizons=[100])
+
+    def test_c0_form_rejects_coeffs(self):
+        op = catalog.build_example("rolewicz_lp_N", p=0)
+        with pytest.raises(ValueError, match="the c0 form takes no coefficients"):
+            check_lp_c0_dc(op, [1000], coeffs=[-5.0])
 
     @pytest.mark.parametrize("S", [[0], [1000, -3]])
     def test_indices_off_the_domain_rejected(self, rolewicz_op, S):

@@ -290,6 +290,11 @@ class TestAcb:
         with pytest.raises(ValueError):
             basis_probes([1, 2], [10])
 
+    def test_rejects_an_empty_grid(self, rolewicz_op):
+        # no C to falsify once read falsified-at-horizon, with no rows
+        with pytest.raises(ValueError, match="need at least one C in C_grid"):
+            check_acb(rolewicz_op, basis_probes([1000], [20]), C_grid=())
+
 
 def _exact_log(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)

@@ -20,7 +20,8 @@ import oracles
 from shiftchaos import catalog
 from shiftchaos.dc_cert import WitnessTerm, schedule_dc, single_term_counts, single_term_pieces
 from shiftchaos.mly_cert import _average_log
-from shiftchaos.piecewise import concave_superlevel, count_above
+from shiftchaos.orbit import concave_superlevel
+from shiftchaos.piecewise import count_above
 from shiftchaos.sequences import BlockSideSequence, ConstantSequence, alternating_powers
 from shiftchaos.shift import ShiftOperator, basis_orbit_logs
 from shiftchaos.spaces import IndexSet, lp_space
