@@ -1,6 +1,6 @@
 """Witness orbits n -> ||B^n x||_m over [1, N], x = sum_j b_j e_{i_j}
-finitely supported, and the four routes that tell which of their cells lie
-above a level:
+finitely supported, and the four routes that read them: which cells lie
+above a level, and the orbit's sum:
 
   counts  a single term whose weights on the alive range all have modulus
           1: how many n take each value (single_term_counts), exact at any
